@@ -1,0 +1,7 @@
+import sys
+from pathlib import Path
+
+# the benchmark drives the library from the checkout's sources
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
