@@ -31,12 +31,6 @@ from .randomizers import (
     TransitionMatrix,
     build_transition_matrix,
     kde_log_prior,
-    perturb_baseline,
-    perturb_density,
-    perturb_sentence,
-    perturb_smooth,
-    perturb_trunc_distance,
-    perturb_trunc_knn,
     sample_from_matrix,
 )
 from .samplers import (

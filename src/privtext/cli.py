@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -42,6 +43,29 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _attack_prior(spec: str, n_words: int) -> np.ndarray:
+    """Attack prior from '--prior uniform' or '--prior zipf:<s>', s > 0."""
+    if spec == "uniform":
+        return np.full(n_words, 1.0 / n_words)
+    kind, _, value = spec.partition(":")
+    try:
+        s = float(value)
+    except ValueError:
+        s = math.nan
+    if kind != "zipf" or not 0 < s < math.inf:
+        raise ConfigError(f"--prior must be 'uniform' or 'zipf:<s>' with finite s > 0: {spec!r}")
+    prior = np.arange(1, n_words + 1, dtype=np.float64) ** (-s)
+    return prior / prior.sum()
 
 
 def _emit(args, text: str) -> None:
@@ -138,6 +162,8 @@ def cmd_perturb(args) -> int:
                     )
                 out_tokens.append(store.words[mech.perturb(rng, store.word_id(token))])
             out_lines.append(" ".join(out_tokens))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.input or '<stdin>'}: not UTF-8 text ({exc.reason})") from None
     finally:
         if args.input:
             source.close()
@@ -173,8 +199,7 @@ def cmd_stats(args) -> int:
 
 def cmd_verify_dp(args) -> int:
     store = _load_store(args)
-    with open(args.matrix, encoding="utf-8") as fh:
-        matrix = randomizers.matrix_from_tsv(store, fh.read())
+    matrix = randomizers.matrix_from_tsv(store, _read_text(args.matrix))
     report = analysis.verify_metric_dp(matrix, store, args.epsilon)
     payload = report.to_dict()
     payload["worst_triple_words"] = [store.words[i] for i in report.worst_triple]
@@ -184,14 +209,8 @@ def cmd_verify_dp(args) -> int:
 
 def cmd_attack(args) -> int:
     store = _load_store(args)
-    with open(args.matrix, encoding="utf-8") as fh:
-        matrix = randomizers.matrix_from_tsv(store, fh.read())
-    if args.prior == "uniform":
-        prior = np.full(len(store), 1.0 / len(store))
-    else:  # zipf:<s>
-        s = float(args.prior.split(":", 1)[1])
-        prior = np.arange(1, len(store) + 1, dtype=np.float64) ** (-s)
-        prior /= prior.sum()
+    matrix = randomizers.matrix_from_tsv(store, _read_text(args.matrix))
+    prior = _attack_prior(args.prior, len(store))
     rng = RngStream(args.seed).fork_named("cli.attack")
     acc = analysis.attack_accuracy(store, rng, matrix, prior, args.trials)
     _report(
@@ -215,8 +234,12 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_pipeline(args) -> int:
     store = _load_store(args)
-    with open(args.config, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        data = json.loads(_read_text(args.config))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{args.config}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{args.config}: the pipeline config must be a JSON object")
     if args.seed is not None and args.seed_given:
         data["seed"] = args.seed
     config = pipeline.ProtocolConfig.from_dict(data)

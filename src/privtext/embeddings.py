@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     NonFiniteComponentError,
 )
 
-CACHE_MAGIC = "privtext-embeddings-v1"
+CACHE_MAGIC = "privtext-embeddings-v2"
 
 # points per chunk when computing batched nearest-neighbor queries
 _NN_CHUNK = 8192
@@ -182,13 +183,15 @@ class EmbeddingStore:
 
     def median_nn_distance(self) -> float:
         """Median distance to the nearest distinct neighbor (sigma default)."""
-        return float(np.median(self._nn_distances()))
+        return float(np.median(self.nn_distances()))
 
     def mean_nn_distance(self) -> float:
         """Mean nearest-distinct-neighbor distance (MH proposal default)."""
-        return float(np.mean(self._nn_distances()))
+        return float(np.mean(self.nn_distances()))
 
-    def _nn_distances(self) -> np.ndarray:
+    def nn_distances(self) -> np.ndarray:
+        """Per-word distance to the nearest distinct neighbor (one |W| x |W|
+        pass); zeros(1) for a one-word vocabulary."""
         if len(self.words) < 2:
             return np.zeros(1)
         d = self.pairwise_distances()
@@ -210,6 +213,15 @@ def _argmin_exact(points, cand, d2):
     return out
 
 
+def _utf8_lines(fh, path):
+    """The lines of a text file opened as UTF-8; bytes that do not decode
+    are an EmbeddingFormatError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise EmbeddingFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_embeddings(path, expected_dim: int | None = None, normalize: bool = False) -> EmbeddingStore:
     """Parse a text embedding file into an EmbeddingStore.
 
@@ -224,7 +236,7 @@ def load_embeddings(path, expected_dim: int | None = None, normalize: bool = Fal
     header_dim = None
     dim = expected_dim
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
@@ -274,13 +286,16 @@ def load_embeddings(path, expected_dim: int | None = None, normalize: bool = Fal
 
 def save_cache(store: EmbeddingStore, path) -> None:
     """Write a versioned binary cache of the store (byte-deterministic)."""
+    if any(w.endswith("\x00") for w in store.words):
+        # a fixed-width unicode array drops trailing NULs
+        raise EmbeddingFormatError("a word ending in NUL cannot be cached")
     tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
         with os.fdopen(tmp_fd, "wb") as fh:
             np.savez(
                 fh,
                 magic=np.array(CACHE_MAGIC),
-                words=np.array(store.words, dtype=object),
+                words=np.array(store.words, dtype=np.str_),
                 vectors=store.vectors,
             )
         os.replace(tmp_path, path)
@@ -291,7 +306,15 @@ def save_cache(store: EmbeddingStore, path) -> None:
 
 
 def load_cache(path) -> EmbeddingStore:
-    with np.load(path, allow_pickle=True) as data:
-        if str(data["magic"]) != CACHE_MAGIC:
-            raise EmbeddingFormatError(f"{path}: not a privtext embedding cache")
-        return EmbeddingStore.from_arrays([str(w) for w in data["words"]], data["vectors"])
+    """Read a cache written by save_cache. Nothing in it is unpickled: the
+    words are a fixed-width unicode array."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if str(data["magic"]) != CACHE_MAGIC:
+                raise EmbeddingFormatError(f"{path}: not a privtext embedding cache")
+            words, vectors = data["words"], data["vectors"]
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise EmbeddingFormatError(f"{path}: not a privtext embedding cache ({exc})") from None
+    if words.dtype.kind != "U":
+        raise EmbeddingFormatError(f"{path}: cache words are not a unicode array")
+    return EmbeddingStore.from_arrays(words.tolist(), vectors)

@@ -37,5 +37,9 @@ class ConfigError(PrivtextError):
     """Mechanism, amplifier, or protocol configuration is invalid."""
 
 
+class MatrixFormatError(PrivtextError):
+    """A transition matrix or its TSV file is malformed or not row-stochastic."""
+
+
 class UnreachableObservationError(PrivtextError):
     """Observed word has zero likelihood under every input word."""

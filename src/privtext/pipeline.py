@@ -43,6 +43,8 @@ class CorpusSpec:
         elif self.kind == "words":
             if not self.words_per_user:
                 raise ConfigError("words corpus requires words_per_user")
+            if not all(isinstance(w, str) for row in self.words_per_user for w in row):
+                raise ConfigError("words_per_user entries must be strings")
         else:
             raise ConfigError(f"unknown corpus kind {self.kind!r}")
 
@@ -84,14 +86,21 @@ class ProtocolConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolConfig":
-        return cls(
-            n_users=int(data["n_users"]),
-            m_per_user=int(data["m_per_user"]),
-            mechanism=MechanismConfig.from_dict(data["mechanism"]),
-            amplifiers=tuple(AmplifierConfig.from_dict(a) for a in data.get("amplifiers", [])),
-            seed=int(data.get("seed", 0)),
-            corpus=CorpusSpec.from_dict(data.get("corpus", {"kind": "zipf"})),
-        )
+        """Parse a JSON-decoded config; any missing or ill-typed field is a
+        ConfigError."""
+        try:
+            return cls(
+                n_users=int(data["n_users"]),
+                m_per_user=int(data["m_per_user"]),
+                mechanism=MechanismConfig.from_dict(data["mechanism"]),
+                amplifiers=tuple(AmplifierConfig.from_dict(a) for a in data.get("amplifiers", [])),
+                seed=int(data.get("seed", 0)),
+                corpus=CorpusSpec.from_dict(data.get("corpus", {"kind": "zipf"})),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"protocol config is missing the field {exc}") from None
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise ConfigError(f"invalid protocol config: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,23 @@ noisy point back to the vocabulary):
 - trunc_knn:       outputs restricted to the word's k nearest neighbors
 
 Every operation takes an explicit RngStream and is deterministic given it.
-No formal privacy guarantee is claimed for the smooth or truncated
-variants; the analysis module measures what they actually provide.
+The density variant is only 2*eps d_X-private even under exact sampling,
+because its normalizer Z(w) also moves by up to e^(eps * d); the
+finite-burn-in chain is an approximation of that. No formal privacy
+guarantee is claimed for the smooth or truncated variants; the analysis
+module measures what they actually provide.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .embeddings import EmbeddingStore
-from .errors import ConfigError, InvalidWordIdError
+from .errors import ConfigError, InvalidWordIdError, MatrixFormatError
 from .samplers import (
     MultivariateLaplaceParam,
     RngStream,
@@ -144,9 +148,16 @@ class TransitionMatrix:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        assert p.ndim == 2 and p.shape[0] == p.shape[1]
-        assert np.all(p >= 0)
-        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
+        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            raise MatrixFormatError(f"transition matrix must be square, got shape {p.shape}")
+        if not np.all(p >= 0):
+            raise MatrixFormatError("transition matrix has negative or NaN entries")
+        sums = p.sum(axis=1)
+        bad = np.flatnonzero(~np.isclose(sums, 1.0, atol=1e-9))
+        if bad.size:
+            raise MatrixFormatError(
+                f"transition matrix row {bad[0]} sums to {sums[bad[0]]:.12g}, not 1"
+            )
         object.__setattr__(self, "probs", p)
 
     @property
@@ -159,36 +170,12 @@ class TransitionMatrix:
         return self.probs[w]
 
 
-# ---------------------------------------------------------------------------
-# baseline mechanism
-
-def perturb_with_noise(store: EmbeddingStore, w: int, z) -> int:
-    """Project phi(w) + z back to the vocabulary (deterministic half of
-    every additive mechanism; also the zero-noise test hook)."""
-    return store.nearest_word(store.vector(w) + np.asarray(z, dtype=np.float64))
-
-
-def perturb_baseline(store: EmbeddingStore, rng: RngStream, w: int, epsilon: float) -> int:
-    z = sample_mv_laplace(rng, MultivariateLaplaceParam(store.dim, epsilon))
-    return perturb_with_noise(store, w, z)
-
-
-def _baseline_batch(store, rng, w, epsilon, n) -> np.ndarray:
-    z = sample_mv_laplace(rng, MultivariateLaplaceParam(store.dim, epsilon), size=n)
-    return store.nearest_words(store.vector(w)[None, :] + z)
-
-
-# ---------------------------------------------------------------------------
-# density-modulated mechanism
-
-def kde_log_prior(store: EmbeddingStore, z, sigma: float) -> float:
-    """Log of the unnormalized RBF kernel density over the vocabulary."""
-    return float(_kde_log_prior_batch(store, np.asarray(z, dtype=np.float64)[None, :], sigma)[0])
-
-
-def _kde_log_prior_batch(store, points, sigma) -> np.ndarray:
+def kde_log_prior(store: EmbeddingStore, points, sigma: float) -> np.ndarray:
+    """Log of the unnormalized RBF kernel density over the vocabulary, at
+    each row of a (n, d) array of points."""
     if not sigma > 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
+    points = np.asarray(points, dtype=np.float64)
     # squared distances (n, |W|) without materializing the difference tensor
     p2 = np.einsum("ij,ij->i", points, points)
     v2 = np.einsum("ij,ij->i", store.vectors, store.vectors)
@@ -197,174 +184,21 @@ def _kde_log_prior_batch(store, points, sigma) -> np.ndarray:
     return logsumexp(-sq / (2.0 * sigma**2), axis=1)
 
 
-def density_log_target(store: EmbeddingStore, w: int, epsilon: float, sigma: float, z) -> float:
-    """Unnormalized log density of the modulated mechanism, centered at w."""
-    z = np.asarray(z, dtype=np.float64)
-    return kde_log_prior(store, z, sigma) - epsilon * float(
-        np.linalg.norm(z - store.vector(w))
-    )
-
-
-def mh_log_acceptance(
-    store: EmbeddingStore, w: int, epsilon: float, sigma: float, current, proposal
-) -> float:
-    """log min(1, p(proposal)/p(current)) under symmetric proposals."""
-    delta = density_log_target(store, w, epsilon, sigma, proposal) - density_log_target(
-        store, w, epsilon, sigma, current
-    )
-    return min(0.0, delta)
-
-
-def resolve_mh(store: EmbeddingStore, mh: MHParams | None) -> MHParams:
-    mh = mh or MHParams()
-    if mh.proposal_step is None:
-        mh = replace(mh, proposal_step=store.mean_nn_distance())
-    return mh
-
-
-def resolve_sigma(store: EmbeddingStore, sigma: float | None) -> float:
-    return sigma if sigma is not None else store.median_nn_distance()
-
-
-def _mh_points_batch(store, rng, w, epsilon, sigma, mh, n) -> np.ndarray:
-    """Run n independent MH chains in lockstep; return one retained point each.
-
-    Chains start at phi(w); burn_in steps are discarded, then thin more
-    steps are taken and the final state is the retained draw.
-    """
-    sigma = resolve_sigma(store, sigma)
-    mh = resolve_mh(store, mh)
-    center = store.vector(w)
-    x = np.tile(center, (n, 1))
-    logp = _kde_log_prior_batch(store, x, sigma) - epsilon * np.zeros(n)
-    gen = rng.gen
-    for _ in range(mh.burn_in + mh.thin):
-        prop = x + mh.proposal_step * gen.standard_normal(x.shape)
-        logp_prop = _kde_log_prior_batch(store, prop, sigma) - epsilon * np.linalg.norm(
-            prop - center, axis=1
-        )
-        accept = np.log(gen.uniform(size=n)) < logp_prop - logp
-        x[accept] = prop[accept]
-        logp[accept] = logp_prop[accept]
-    assert np.all(np.isfinite(x)), "MH chain reached a non-finite state"
-    return x
-
-
-def perturb_density(
-    store: EmbeddingStore,
-    rng: RngStream,
-    w: int,
-    epsilon: float,
-    sigma: float | None = None,
-    mh_params: MHParams | None = None,
-) -> int:
-    w = store.check_id(w)
-    point = _mh_points_batch(store, rng, w, epsilon, sigma, mh_params, 1)[0]
-    return store.nearest_word(point)
-
-
-# ---------------------------------------------------------------------------
-# smooth-sensitivity calibration
-
-def _smooth_epsilon(epsilon: float, profile: SensitivityProfile, w: int) -> float:
-    smooth = profile.per_word_smooth[w]
-    if smooth <= 0:
-        raise ConfigError(f"smooth sensitivity is 0 at word {w}; cannot calibrate")
-    return epsilon * profile.global_sensitivity / smooth
-
-
-def perturb_smooth(
-    store: EmbeddingStore, rng: RngStream, w: int, epsilon: float, profile: SensitivityProfile
-) -> int:
-    """Baseline noise with per-word scale smooth(w)/global: less noise in
-    dense regions, baseline noise at the worst-case word."""
-    if len(profile.per_word_smooth) != len(store):
-        raise ConfigError("sensitivity profile does not match the store")
-    w = store.check_id(w)
-    return perturb_baseline(store, rng, w, _smooth_epsilon(epsilon, profile, w))
-
-
-def _smooth_batch(store, rng, w, epsilon, profile, n) -> np.ndarray:
-    if len(profile.per_word_smooth) != len(store):
-        raise ConfigError("sensitivity profile does not match the store")
-    return _baseline_batch(store, rng, w, _smooth_epsilon(epsilon, profile, w), n)
-
-
-# ---------------------------------------------------------------------------
-# truncated mechanisms
-
-def _admissible_ball(store, w, tau) -> np.ndarray:
-    dists = np.linalg.norm(store.vectors - store.vectors[w], axis=1)
-    ids = np.nonzero(dists <= tau)[0]
-    if w not in ids:
-        ids = np.sort(np.append(ids, w))
-    return ids
-
-
-def _trunc_distance_batch(store, rng, w, epsilon, tau, strategy, n) -> np.ndarray:
-    w = store.check_id(w)
-    if not tau > 0:
-        raise ConfigError(f"tau must be > 0, got {tau}")
-    param = MultivariateLaplaceParam(store.dim, epsilon)
-    inside_ids = _admissible_ball(store, w, tau)
-    outside_ids = np.setdiff1d(np.arange(len(store)), inside_ids)
-
-    def project(count):
-        z = sample_mv_laplace_truncated(rng, param, tau, size=count)
-        return store.nearest_words(store.vector(w)[None, :] + z, candidate_ids=inside_ids)
-
-    if strategy == "project":
-        return project(n)
-    if strategy != "residual":
-        raise ConfigError(f"unknown truncation strategy {strategy!r}")
-    if outside_ids.size == 0:
-        logger.warning(
-            "residual truncation at word %d has an empty out-region; falling back to project",
-            w,
-        )
-        return project(n)
-    p_in = truncation_mass(param, tau)
-    inside = rng.gen.uniform(size=n) < p_in
-    out = np.empty(n, dtype=np.int64)
-    n_in = int(inside.sum())
-    if n_in:
-        out[inside] = project(n_in)
-    n_out = n - n_in
-    if n_out:
-        out[~inside] = rng.gen.choice(outside_ids, size=n_out)
-    return out
-
-
-def perturb_trunc_distance(
-    store: EmbeddingStore,
-    rng: RngStream,
-    w: int,
-    epsilon: float,
-    tau: float,
-    strategy: str = "project",
-) -> int:
-    return int(_trunc_distance_batch(store, rng, w, epsilon, tau, strategy, 1)[0])
-
-
-def _trunc_knn_batch(store, rng, w, epsilon, k, n) -> np.ndarray:
-    w = store.check_id(w)
-    if not 1 <= k <= len(store) - 1:
-        raise ConfigError(f"k={k} out of range [1, {len(store) - 1}]")
-    cands = np.sort(np.append(store.k_nearest(w, k).ids(), w))
-    z = sample_mv_laplace(rng, MultivariateLaplaceParam(store.dim, epsilon), size=n)
-    return store.nearest_words(store.vector(w)[None, :] + z, candidate_ids=cands)
-
-
-def perturb_trunc_knn(store: EmbeddingStore, rng: RngStream, w: int, epsilon: float, k: int) -> int:
-    return int(_trunc_knn_batch(store, rng, w, epsilon, k, 1)[0])
-
-
-# ---------------------------------------------------------------------------
-# dispatch, sentences, and the precomputed transition matrix
-
 class Mechanism:
-    """A configured mechanism bound to a store, exposing single-draw and
-    vectorized batch perturbation with the same output distribution."""
+    """A configured mechanism bound to a store: the one place a word is
+    perturbed. perturb_batch(rng, w, n) draws n outputs for word w through
+    one of three kernels:
+
+    - additive (baseline, smooth, trunc_knn): radial Laplacian noise at a
+      per-word epsilon, decoded over a per-word candidate set (every word,
+      or for trunc_knn the k nearest neighbors of w plus w itself)
+    - trunc_distance: radially truncated noise, plus the residual draw
+    - density: a KDE-modulated Metropolis-Hastings chain
+
+    Per-word constants are resolved once per Mechanism: the smooth epsilon
+    vector here, the density bandwidth and MH step on the first density draw
+    (each costs a |W| x |W| nearest-neighbor pass).
+    """
 
     def __init__(
         self,
@@ -374,46 +208,116 @@ class Mechanism:
     ):
         self.store = store
         self.config = config
-        if config.variant == "smooth" and profile is None:
-            profile = build_profile(store, config.beta)
         self.profile = profile
+        # the additive kernel's per-word epsilon
+        self._epsilon = np.full(len(store), config.epsilon)
+        if config.variant == "smooth":
+            if profile is None:
+                self.profile = profile = build_profile(store, config.beta)
+            if len(profile.per_word_smooth) != len(store):
+                raise ConfigError("sensitivity profile does not match the store")
+            smooth = profile.per_word_smooth
+            # noise scale smooth(w)/global of the baseline's: less noise in
+            # dense regions; 0 marks a word whose smooth sensitivity is 0
+            self._epsilon = np.divide(
+                config.epsilon * profile.global_sensitivity,
+                smooth,
+                out=np.zeros(len(store)),
+                where=smooth > 0,
+            )
+        elif config.variant == "trunc_knn" and not config.k <= len(store) - 1:
+            raise ConfigError(f"k={config.k} out of range [1, {len(store) - 1}]")
 
     def perturb(self, rng: RngStream, w: int) -> int:
         return int(self.perturb_batch(rng, w, 1)[0])
 
     def perturb_batch(self, rng: RngStream, w: int, n: int) -> np.ndarray:
-        store, cfg = self.store, self.config
-        w = store.check_id(w)
-        if cfg.variant == "baseline":
-            return _baseline_batch(store, rng, w, cfg.epsilon, n)
-        if cfg.variant == "density":
-            points = _mh_points_batch(store, rng, w, cfg.epsilon, cfg.sigma, cfg.mh, n)
-            return store.nearest_words(points)
-        if cfg.variant == "smooth":
-            return _smooth_batch(store, rng, w, cfg.epsilon, self.profile, n)
-        if cfg.variant == "trunc_distance":
-            return _trunc_distance_batch(
-                store, rng, w, cfg.epsilon, cfg.tau, cfg.trunc_strategy, n
+        w = self.store.check_id(w)
+        if self.config.variant == "density":
+            return self._density_batch(rng, w, n)
+        if self.config.variant == "trunc_distance":
+            return self._trunc_distance_batch(rng, w, n)
+        return self._additive_batch(rng, w, n)
+
+    def _additive_batch(self, rng, w, n) -> np.ndarray:
+        store = self.store
+        epsilon = float(self._epsilon[w])
+        if not epsilon > 0:
+            raise ConfigError(f"smooth sensitivity is 0 at word {w}; cannot calibrate")
+        cands = None
+        if self.config.variant == "trunc_knn":
+            cands = np.sort(np.append(store.k_nearest(w, self.config.k).ids(), w))
+        z = sample_mv_laplace(rng, MultivariateLaplaceParam(store.dim, epsilon), size=n)
+        return store.nearest_words(store.vector(w)[None, :] + z, candidate_ids=cands)
+
+    def _trunc_distance_batch(self, rng, w, n) -> np.ndarray:
+        store, tau = self.store, self.config.tau
+        param = MultivariateLaplaceParam(store.dim, self.config.epsilon)
+        dists = np.linalg.norm(store.vectors - store.vectors[w], axis=1)
+        inside_ids = np.nonzero(dists <= tau)[0]
+        if w not in inside_ids:
+            inside_ids = np.sort(np.append(inside_ids, w))
+        outside_ids = np.setdiff1d(np.arange(len(store)), inside_ids)
+
+        def project(count):
+            z = sample_mv_laplace_truncated(rng, param, tau, size=count)
+            return store.nearest_words(store.vector(w)[None, :] + z, candidate_ids=inside_ids)
+
+        if self.config.trunc_strategy == "project":
+            return project(n)
+        if outside_ids.size == 0:
+            logger.warning(
+                "residual truncation at word %d has an empty out-region; falling back to project",
+                w,
             )
-        if cfg.variant == "trunc_knn":
-            return _trunc_knn_batch(store, rng, w, cfg.epsilon, cfg.k, n)
-        raise ConfigError(f"unknown variant {cfg.variant!r}")
+            return project(n)
+        p_in = truncation_mass(param, tau)
+        inside = rng.gen.uniform(size=n) < p_in
+        out = np.empty(n, dtype=np.int64)
+        n_in = int(inside.sum())
+        if n_in:
+            out[inside] = project(n_in)
+        n_out = n - n_in
+        if n_out:
+            out[~inside] = rng.gen.choice(outside_ids, size=n_out)
+        return out
 
+    @cached_property
+    def _sigma(self) -> float:
+        """Density KDE bandwidth; default the median nearest-neighbor distance."""
+        sigma = self.config.sigma
+        return sigma if sigma is not None else self.store.median_nn_distance()
 
-def perturb_sentence(
-    store: EmbeddingStore,
-    rng: RngStream,
-    words,
-    config: MechanismConfig,
-    profile: SensitivityProfile | None = None,
-) -> list[int]:
-    """Apply the configured mechanism independently at every position.
+    @cached_property
+    def _mh(self) -> MHParams:
+        """MH knobs; the default step is the mean nearest-neighbor distance."""
+        mh = self.config.mh or MHParams()
+        if mh.proposal_step is None:
+            mh = replace(mh, proposal_step=self.store.mean_nn_distance())
+        return mh
 
-    Any invalid id aborts the whole sentence before any output is produced.
-    """
-    ids = [store.check_id(w) for w in words]
-    mech = Mechanism(store, config, profile)
-    return [mech.perturb(rng, w) for w in ids]
+    def _log_target(self, points: np.ndarray, w: int) -> np.ndarray:
+        """Unnormalized log density of the density variant centered at w,
+        at each row of points: KDE log prior minus eps * ||z - phi(w)||."""
+        distance = np.linalg.norm(points - self.store.vectors[w], axis=1)
+        return kde_log_prior(self.store, points, self._sigma) - self.config.epsilon * distance
+
+    def _density_batch(self, rng, w, n) -> np.ndarray:
+        """Run n independent MH chains in lockstep from phi(w); burn_in steps
+        are discarded, then thin more are taken and each chain's final state
+        is decoded to its nearest word."""
+        x = np.tile(self.store.vector(w), (n, 1))
+        logp = self._log_target(x, w)
+        mh = self._mh
+        gen = rng.gen
+        for _ in range(mh.burn_in + mh.thin):
+            prop = x + mh.proposal_step * gen.standard_normal(x.shape)
+            logp_prop = self._log_target(prop, w)
+            accept = np.log(gen.uniform(size=n)) < logp_prop - logp
+            x[accept] = prop[accept]
+            logp[accept] = logp_prop[accept]
+        assert np.all(np.isfinite(x)), "MH chain reached a non-finite state"
+        return self.store.nearest_words(x)
 
 
 def build_transition_matrix(
@@ -454,17 +358,24 @@ def matrix_to_tsv(store: EmbeddingStore, matrix: TransitionMatrix) -> str:
 def matrix_from_tsv(store: EmbeddingStore, text: str) -> TransitionMatrix:
     lines = text.splitlines()
     if not lines or lines[0] != MATRIX_TSV_MAGIC:
-        raise ConfigError("not a privtext transition-matrix TSV")
+        raise MatrixFormatError("not a privtext transition-matrix TSV")
     sample_count = 0
     probs = np.zeros((len(store), len(store)))
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        if line.startswith("#samples"):
-            sample_count = int(line.split()[1])
-            continue
-        if line.startswith("#"):
-            continue
-        w_str, u_str, p_str = line.split("\t")
-        probs[store.word_id(w_str), store.word_id(u_str)] = float(p_str)
+        try:
+            if line.startswith("#samples"):
+                sample_count = int(line[len("#samples"):])
+                continue
+            if line.startswith("#"):
+                continue
+            w_str, u_str, p_str = line.split("\t")
+            p = float(p_str)
+        except ValueError:
+            raise MatrixFormatError(
+                f"line {lineno}: expected '#samples <n>' or 'word<TAB>word<TAB>probability',"
+                f" got {line!r}"
+            ) from None
+        probs[store.word_id(w_str), store.word_id(u_str)] = p
     return TransitionMatrix(probs=probs, sample_count=sample_count)

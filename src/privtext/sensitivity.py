@@ -32,12 +32,6 @@ def _require_multiword(store: EmbeddingStore):
         raise SingletonVocabularyError("sensitivity needs at least 2 words")
 
 
-def _local_all(store: EmbeddingStore) -> np.ndarray:
-    d = store.pairwise_distances()
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
-
-
 def local_sensitivity(store: EmbeddingStore, w: int) -> float:
     """Distance from w to its nearest distinct neighbor."""
     _require_multiword(store)
@@ -54,7 +48,7 @@ def local_sensitivity_t(store: EmbeddingStore, w: int, t: float) -> float:
         raise ConfigError(f"t must be > 0, got {t}")
     w = store.check_id(w)
     dists = np.linalg.norm(store.vectors - store.vectors[w], axis=1)
-    local = _local_all(store)
+    local = store.nn_distances()
     return float(local[dists <= t].max())
 
 
@@ -70,13 +64,13 @@ def smooth_sensitivity(store: EmbeddingStore, w: int, beta: float) -> float:
         raise ConfigError(f"beta must be >= 0, got {beta}")
     w = store.check_id(w)
     dists = np.linalg.norm(store.vectors - store.vectors[w], axis=1)
-    local = _local_all(store)
+    local = store.nn_distances()
     return float(np.max(local * np.exp(-beta * dists)))
 
 
 def global_sensitivity(store: EmbeddingStore) -> float:
     _require_multiword(store)
-    return float(_local_all(store).max())
+    return float(store.nn_distances().max())
 
 
 def build_profile(store: EmbeddingStore, beta: float) -> SensitivityProfile:

@@ -127,17 +127,42 @@ class TestRandomizedResponse:
             randomized_response(rng, 0, -0.5)
 
 
+def tight_subsampling_bound(eps, q):
+    """ln(1 + q(e^eps - 1)), evaluated directly."""
+    return math.log(1.0 + q * (math.exp(eps) - 1.0))
+
+
 class TestAmplifiedEpsilon:
     def test_q_one(self):
-        assert amplified_epsilon(2.0, 1.0)["epsilon_amplified"] == 2.0
+        out = amplified_epsilon(2.0, 1.0)
+        assert out["epsilon_amplified"] == 2.0
+        assert out["epsilon_first_order"] == 2.0
 
     def test_q_fraction(self):
-        out = amplified_epsilon(2.0, 0.1)
-        assert out["epsilon_amplified"] == pytest.approx(0.2)
-        assert out["approximation"] is True
+        # at eps=4, q=0.1 the first-order q*eps understates the bound 4.6x
+        out = amplified_epsilon(4.0, 0.1)
+        assert out["epsilon_amplified"] == pytest.approx(tight_subsampling_bound(4.0, 0.1))
+        assert out["epsilon_amplified"] == pytest.approx(1.85, abs=0.005)
+        assert out["epsilon_first_order"] == pytest.approx(0.4)
+        assert out["epsilon_amplified"] / out["epsilon_first_order"] > 4.6
 
     def test_half(self):
-        assert amplified_epsilon(1.0, 0.5)["epsilon_amplified"] == 0.5
+        out = amplified_epsilon(1.0, 0.5)
+        assert out["epsilon_amplified"] == pytest.approx(tight_subsampling_bound(1.0, 0.5))
+        assert out["epsilon_first_order"] == 0.5
+
+    def test_bound_dominates_first_order_and_eps(self):
+        for eps in (1e-6, 0.1, 1.0, 4.0, 30.0):
+            for q in (1e-3, 0.1, 0.5, 0.9, 1.0):
+                out = amplified_epsilon(eps, q)
+                assert q * eps * (1 - 1e-9) <= out["epsilon_amplified"] <= eps * (1 + 1e-12)
+                assert out["epsilon_amplified"] == pytest.approx(
+                    tight_subsampling_bound(eps, q), rel=1e-6
+                )
+        # no overflow where e^eps leaves the double range: eps + ln q
+        assert amplified_epsilon(1000.0, 0.5)["epsilon_amplified"] == pytest.approx(
+            1000.0 + math.log(0.5)
+        )
 
     def test_domain(self):
         with pytest.raises(ConfigError):

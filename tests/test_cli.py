@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +230,107 @@ class TestErrors:
             capsys=capsys,
         )
         assert code == 2
+
+    def test_knn_beyond_vocabulary_exit_2(self, emb, monkeypatch, capsys):
+        # checked when the mechanism is built, so even empty input fails
+        code, _, err = run(
+            ["--embeddings", emb, "perturb", "--mechanism", "trunc_knn", "--knn", "5",
+             "--epsilon", "1"],
+            stdin="",
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "k=5" in err
+
+    def test_malformed_matrix_exit_2(self, emb, tmp_path, capsys):
+        head = "#privtext-matrix-v1\n#samples 10\n"
+        rows = "".join(f"{w}\t{w}\t1\n" for w in "vwxyz")
+        for text in (
+            head + "v\tw\n" + rows,
+            "#privtext-matrix-v1\n#samples x\n" + rows,
+            head + rows.replace("z\tz\t1\n", ""),  # missing row
+        ):
+            path = tmp_path / "m.tsv"
+            path.write_text(text, encoding="utf-8")
+            for command in (["verify-dp", "--epsilon", "1"], ["attack", "--trials", "10"]):
+                code, _, err = run(
+                    ["--embeddings", emb, command[0], "--matrix", str(path), *command[1:]],
+                    capsys=capsys,
+                )
+                assert code == 2, (text, command, err)
+                assert err.startswith("error:") and err.strip() != "error:"
+
+    def test_missing_matrix_row_under_python_O(self, emb, tmp_path):
+        # the row-sum check must not be an assert, which -O strips
+        path = tmp_path / "m.tsv"
+        path.write_text(
+            "#privtext-matrix-v1\n#samples 10\n"
+            + "".join(f"{w}\t{w}\t1\n" for w in "vwxy"),
+            encoding="utf-8",
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "privtext.cli", "--embeddings", emb,
+             "verify-dp", "--matrix", str(path), "--epsilon", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "row 4" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_bad_attack_prior_exit_2(self, emb, tmp_path, capsys):
+        path = tmp_path / "m.tsv"
+        path.write_text(
+            "#privtext-matrix-v1\n#samples 10\n" + "".join(f"{w}\t{w}\t1\n" for w in "vwxyz"),
+            encoding="utf-8",
+        )
+        for prior in ("zipf:abc", "foo", "zipf", "zipf:", "zipf:nan", "zipf:-1", "uniform:2"):
+            code, _, err = run(
+                ["--embeddings", emb, "attack", "--matrix", str(path), "--prior", prior],
+                capsys=capsys,
+            )
+            assert code == 2, prior
+            assert err.startswith("error:") and "--prior" in err
+        code, out, _ = run(
+            ["--embeddings", emb, "attack", "--matrix", str(path), "--prior", "zipf:1.1",
+             "--trials", "100"],
+            capsys=capsys,
+        )
+        assert code == 0 and json.loads(out)["accuracy"] == 1.0
+
+    def test_bad_pipeline_config_exit_2(self, emb, tmp_path, capsys):
+        path = tmp_path / "lac.json"
+        for text in (
+            json.dumps({"n_users": 2, "mechanism": {"variant": "baseline", "epsilon": 1.0}}),
+            json.dumps([1, 2]),
+            json.dumps({"n_users": "two", "m_per_user": 1, "mechanism": {}}),
+            json.dumps({"n_users": 2, "m_per_user": 1,
+                        "mechanism": {"variant": "baseline", "epsilon": 1.0},
+                        "corpus": {"kind": "words", "words_per_user": [[["v"]], [["w"]]]}}),
+            "{not json",
+        ):
+            path.write_text(text, encoding="utf-8")
+            code, _, err = run(
+                ["--embeddings", emb, "pipeline", "--config", str(path)], capsys=capsys
+            )
+            assert code == 2, text
+            assert err.startswith("error:")
+
+    def test_non_utf8_files_exit_2(self, emb, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"v 0 0\n\xff\xfe 1 1\n")
+        for argv in (
+            ["--embeddings", str(bad), "sensitivity", "--beta", "0"],
+            ["--embeddings", emb, "verify-dp", "--matrix", str(bad), "--epsilon", "1"],
+            ["--embeddings", emb, "attack", "--matrix", str(bad)],
+            ["--embeddings", emb, "pipeline", "--config", str(bad)],
+            ["--embeddings", emb, "perturb", "--epsilon", "1", "--input", str(bad)],
+        ):
+            code, _, err = run(argv, capsys=capsys)
+            assert code == 2, argv
+            assert err.startswith("error:") and "UTF-8" in err
 
     def test_missing_file_exit_3(self, capsys):
         code, _, _ = run(

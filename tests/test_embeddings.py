@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from privtext import EmbeddingStore, load_embeddings
-from privtext.embeddings import load_cache, save_cache
+from privtext.embeddings import CACHE_MAGIC, load_cache, save_cache
 from privtext.errors import (
     DimensionMismatchError,
     DuplicateWordError,
@@ -15,6 +15,21 @@ from privtext.errors import (
 )
 
 from conftest import random_store
+
+
+unpickled = []
+
+
+def _record_unpickle(tag):
+    unpickled.append(tag)
+    return tag
+
+
+class PickleProbe:
+    """Records in `unpickled` when a pickle of it is loaded."""
+
+    def __reduce__(self):
+        return (_record_unpickle, ("probe",))
 
 
 def write(tmp_path, text, name="emb.txt"):
@@ -75,6 +90,39 @@ class TestLoad:
         back = load_cache(path)
         assert back.words == toy3.words
         assert np.array_equal(back.vectors, toy3.vectors)
+
+    def test_cache_object_array_rejected_unpickled(self, tmp_path):
+        # an object array would be unpickled by allow_pickle=True, running
+        # whatever its pickle names; the loader must refuse it unread
+        unpickled.clear()
+        path = tmp_path / "evil.npz"
+        np.savez(
+            path,
+            magic=np.array(CACHE_MAGIC),
+            words=np.array([PickleProbe(), "b"], dtype=object),
+            vectors=np.zeros((2, 2)),
+        )
+        with pytest.raises(EmbeddingFormatError):
+            load_cache(path)
+        assert unpickled == []
+
+    def test_cache_malformed_files_rejected(self, tmp_path, toy3):
+        path = tmp_path / "bad.npz"
+        for payload in (b"", b"PK\x03\x04garbage", b"not an npz at all"):
+            path.write_bytes(payload)
+            with pytest.raises(EmbeddingFormatError):
+                load_cache(path)
+        np.save(tmp_path / "plain.npy", np.zeros(3))
+        with pytest.raises(EmbeddingFormatError):
+            load_cache(tmp_path / "plain.npy")
+        with pytest.raises(EmbeddingFormatError):
+            save_cache(EmbeddingStore.from_arrays(["a\x00", "a"], [[0.0], [1.0]]), path)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 0 0\n\xe9t\xe9 1 1\n")
+        with pytest.raises(EmbeddingFormatError, match="UTF-8"):
+            load_embeddings(str(path))
 
 
 class TestDistance:

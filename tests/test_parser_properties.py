@@ -1,0 +1,147 @@
+"""Property tests of the CLI's input parsers: whatever the bytes of an
+embedding file, a transition-matrix TSV or a pipeline config, the CLI exits
+0 (the input happened to be valid), 2 or 3. It never raises, which would be
+a traceback, and never exits 4."""
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from privtext.cli import main
+from privtext.randomizers import MATRIX_TSV_MAGIC, VARIANTS
+
+TOY = "v 0 0\nw 8 0\nx 0 8\ny 8 8\nz 4 4\n"
+WORDS = ["v", "w", "x", "y", "z"]
+CLEAN_EXITS = (0, 2, 3)
+
+# a fixed example sequence and no example database: tier-1 runs stay
+# reproducible and leave no files behind
+fuzz = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+utf8_text = st.text(st.characters(codec="utf-8"), max_size=80)
+# floats stay small so that no field can ask for a huge corpus or chain
+small_number = st.one_of(
+    st.integers(-3, 6),
+    st.floats(-10, 10),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, 1e-300]),
+)
+json_scalar = st.one_of(st.none(), st.booleans(), small_number, st.text(max_size=6),
+                        st.sampled_from(WORDS + list(VARIANTS)))
+json_value = st.recursive(
+    json_scalar,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("parsers")
+    emb = root / "emb.txt"
+    emb.write_text(TOY, encoding="utf-8")
+    empty = root / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    return {"emb": str(emb), "empty": str(empty), "input": root / "input"}
+
+
+def exit_code(argv):
+    """cli.main with output captured; an exception escapes as a failure."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def as_bytes(data):
+    return data if isinstance(data, bytes) else data.encode("utf-8")
+
+
+# --- embedding text -----------------------------------------------------------
+
+token = st.one_of(
+    st.sampled_from(WORDS + ["nan", "inf", "-0", "1e308", "1_0", "2", "3", "0x1p3"]),
+    st.floats().map(repr),
+    st.integers(-3, 10).map(str),
+    st.text(st.characters(codec="utf-8"), max_size=3),
+)
+embedding_text = st.lists(st.lists(token, max_size=5).map(" ".join), max_size=6).map("\n".join)
+
+
+@fuzz
+@given(data=st.one_of(embedding_text, utf8_text, st.binary(max_size=120)))
+def test_embedding_file_never_crashes(files, data):
+    files["input"].write_bytes(as_bytes(data))
+    argv = ["--embeddings", str(files["input"]), "perturb", "--epsilon", "1",
+            "--input", files["empty"]]
+    assert exit_code(argv) in CLEAN_EXITS
+
+
+# --- transition-matrix TSV ----------------------------------------------------
+
+probability = st.one_of(st.floats().map(repr), st.sampled_from(["0.2", "1", "-1", "x", ""]))
+tsv_line = st.one_of(
+    st.tuples(st.sampled_from(WORDS + ["q", ""]), st.sampled_from(WORDS), probability)
+    .map("\t".join),
+    st.sampled_from(["#samples 10", "#samples x", "#samples", "#samples -3", "#note", ""]),
+    st.integers(-2, 10**30).map(lambda n: f"#samples {n}"),
+    utf8_text,
+)
+tsv_text = st.tuples(
+    st.sampled_from([MATRIX_TSV_MAGIC, "", "#other"]), st.lists(tsv_line, max_size=10)
+).map(lambda t: "\n".join([t[0], *t[1]]))
+# a valid permutation matrix, then arbitrary extra lines
+valid_tsv = st.tuples(
+    st.permutations(WORDS), st.integers(-2, 10**30), st.lists(tsv_line, max_size=3)
+).map(lambda t: "\n".join(
+    [MATRIX_TSV_MAGIC, f"#samples {t[1]}", *(f"{a}\t{b}\t1" for a, b in zip(WORDS, t[0])), *t[2]]
+))
+
+
+@fuzz
+@given(data=st.one_of(tsv_text, valid_tsv, utf8_text, st.binary(max_size=120)))
+def test_matrix_tsv_never_crashes(files, data):
+    files["input"].write_bytes(as_bytes(data))
+    for command in (["verify-dp", "--epsilon", "1"], ["attack", "--trials", "20"]):
+        argv = ["--embeddings", files["emb"], command[0], "--matrix", str(files["input"]),
+                *command[1:]]
+        assert exit_code(argv) in CLEAN_EXITS
+
+
+# --- pipeline JSON config -----------------------------------------------------
+
+VALID_CONFIG = {
+    "n_users": 2,
+    "m_per_user": 2,
+    "mechanism": {"variant": "baseline", "epsilon": 1.0},
+    "amplifiers": [{"kind": "shuffle"}, {"kind": "subsample", "q": 0.5}],
+    "seed": 3,
+    "corpus": {"kind": "zipf", "s": 1.1},
+}
+FIELDS = [(key,) for key in VALID_CONFIG] + [
+    ("mechanism", key) for key in ("variant", "epsilon", "sigma", "beta", "tau", "k", "mh")
+] + [("corpus", key) for key in ("kind", "s", "words_per_user")]
+
+
+def mutate(path, value, delete):
+    config = json.loads(json.dumps(VALID_CONFIG))
+    parent = config if len(path) == 1 else config[path[0]]
+    if delete:
+        parent.pop(path[-1], None)
+    else:
+        parent[path[-1]] = value
+    return json.dumps(config)
+
+
+mutated_config = st.builds(mutate, st.sampled_from(FIELDS), json_value, st.booleans())
+
+
+@fuzz
+@given(data=st.one_of(mutated_config, json_value.map(json.dumps), utf8_text,
+                      st.binary(max_size=120)))
+def test_pipeline_config_never_crashes(files, data):
+    files["input"].write_bytes(as_bytes(data))
+    argv = ["--embeddings", files["emb"], "pipeline", "--config", str(files["input"])]
+    assert exit_code(argv) in CLEAN_EXITS

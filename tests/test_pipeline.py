@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -140,9 +141,12 @@ class TestProtocol:
         report = run_protocol(toy5, config)
         kept = sum(report.histogram.values())
         assert abs(kept - q * n) <= 3 * np.sqrt(n * q * (1 - q))
-        assert report.metadata["amplified_epsilon"]["epsilon_amplified"] == pytest.approx(
-            q * config.mechanism.epsilon
+        eps = config.mechanism.epsilon
+        accounting = report.metadata["amplified_epsilon"]
+        assert accounting["epsilon_amplified"] == pytest.approx(
+            math.log(1.0 + q * (math.exp(eps) - 1.0))
         )
+        assert accounting["epsilon_first_order"] == pytest.approx(q * eps)
 
     def test_determinism_byte_identical(self, toy5):
         config = make_config(amplifiers=(AmplifierConfig("shuffle"),))

@@ -14,23 +14,15 @@ from privtext import (
     build_profile,
     build_transition_matrix,
     kde_log_prior,
-    perturb_baseline,
-    perturb_sentence,
-    perturb_smooth,
-    perturb_trunc_distance,
-    perturb_trunc_knn,
+    randomizers,
     sample_from_matrix,
     sample_mv_laplace,
 )
-from privtext.errors import ConfigError, InvalidWordIdError
+from privtext.errors import ConfigError, InvalidWordIdError, MatrixFormatError
 from privtext.randomizers import (
     TransitionMatrix,
-    _smooth_epsilon,
-    density_log_target,
     matrix_from_tsv,
     matrix_to_tsv,
-    mh_log_acceptance,
-    perturb_with_noise,
     truncation_mass,
 )
 
@@ -82,9 +74,19 @@ class TestConfig:
 
 
 class TestBaseline:
-    def test_zero_noise_returns_word(self, toy3):
-        for w in range(3):
-            assert perturb_with_noise(toy3, w, [0.0, 0.0]) == w
+    def test_zero_noise_returns_word(self, toy3, rng, monkeypatch):
+        # the decode half of every additive draw, with the noise pinned to 0
+        monkeypatch.setattr(
+            randomizers, "sample_mv_laplace", lambda rng, param, size: np.zeros((size, param.dim))
+        )
+        for config in (
+            MechanismConfig("baseline", 1.0),
+            MechanismConfig("smooth", 1.0, beta=1.0),
+            MechanismConfig("trunc_knn", 1.0, k=1),
+        ):
+            mech = Mechanism(toy3, config)
+            for w in range(3):
+                assert mech.perturb(rng, w) == w
 
     def test_huge_epsilon_is_identity(self, toy3, rng):
         outs = Mechanism(toy3, MechanismConfig("baseline", 1e3)).perturb_batch(rng, 0, 10**4)
@@ -98,30 +100,39 @@ class TestBaseline:
 
     def test_invalid_word(self, toy3, rng):
         with pytest.raises(InvalidWordIdError):
-            perturb_baseline(toy3, rng, 7, 1.0)
+            Mechanism(toy3, MechanismConfig("baseline", 1.0)).perturb(rng, 7)
 
     def test_scalar_matches_distribution(self, toy3):
-        outs = [perturb_baseline(toy3, RngStream(s), 0, 2.0) for s in range(200)]
+        mech = Mechanism(toy3, MechanismConfig("baseline", 2.0))
+        outs = [mech.perturb(RngStream(s), 0) for s in range(200)]
         assert set(outs) <= {0, 1, 2}
+
+
+def perturb_words(store, rng, words, config):
+    """A sentence perturbed word by word, as the CLI and the pipeline do."""
+    mech = Mechanism(store, config)
+    return [mech.perturb(rng, w) for w in words]
 
 
 class TestSentence:
     def test_empty(self, toy3, rng):
-        assert perturb_sentence(toy3, rng, [], MechanismConfig("baseline", 1.0)) == []
+        assert perturb_words(toy3, rng, [], MechanismConfig("baseline", 1.0)) == []
+        outs = Mechanism(toy3, MechanismConfig("baseline", 1.0)).perturb_batch(rng, 0, 0)
+        assert outs.shape == (0,)
 
     def test_length_preserved(self, toy3, rng):
-        out = perturb_sentence(toy3, rng, [0, 1, 2], MechanismConfig("baseline", 1.0))
+        out = perturb_words(toy3, rng, [0, 1, 2], MechanismConfig("baseline", 1.0))
         assert len(out) == 3
 
     def test_deterministic(self, toy3):
         cfg = MechanismConfig("baseline", 1.0)
-        a = perturb_sentence(toy3, RngStream(5), [0, 1, 2, 0], cfg)
-        b = perturb_sentence(toy3, RngStream(5), [0, 1, 2, 0], cfg)
+        a = perturb_words(toy3, RngStream(5), [0, 1, 2, 0], cfg)
+        b = perturb_words(toy3, RngStream(5), [0, 1, 2, 0], cfg)
         assert a == b
 
     def test_invalid_id_aborts(self, toy3, rng):
         with pytest.raises(InvalidWordIdError):
-            perturb_sentence(toy3, rng, [0, 9], MechanismConfig("baseline", 1.0))
+            perturb_words(toy3, rng, [0, 9], MechanismConfig("baseline", 1.0))
 
 
 class TestKdePrior:
@@ -129,26 +140,27 @@ class TestKdePrior:
         store = EmbeddingStore.from_arrays(["a"], [[1.0, 2.0]])
         z = np.array([3.0, 4.0])
         expected = -np.sum((z - np.array([1.0, 2.0])) ** 2) / (2 * 0.5**2)
-        assert kde_log_prior(store, z, 0.5) == pytest.approx(expected)
+        assert kde_log_prior(store, z[None, :], 0.5)[0] == pytest.approx(expected)
 
     def test_at_word_at_least_one(self, toy3):
-        for w in range(3):
-            assert kde_log_prior(toy3, toy3.vector(w), 1.0) >= 0.0
+        assert np.all(kde_log_prior(toy3, toy3.vectors, 1.0) >= 0.0)
 
     def test_two_far_words(self):
         store = EmbeddingStore.from_arrays(["a", "b"], [[0.0], [10.0]])
-        val = kde_log_prior(store, [0.0], 1.0)
+        val = kde_log_prior(store, [[0.0]], 1.0)[0]
         assert val == pytest.approx(math.log(1 + math.exp(-50)), abs=1e-12)
 
     def test_nonpositive_sigma(self, toy3):
         with pytest.raises(ConfigError):
-            kde_log_prior(toy3, [0.0, 0.0], 0.0)
+            kde_log_prior(toy3, [[0.0, 0.0]], 0.0)
 
 
 class TestDensityMechanism:
     def test_acceptance_ratio_oracle(self, toy1d):
-        # log acceptance = min(0, log p(z') - log p(z)) with p evaluated directly
+        # log acceptance = min(0, log p(z') - log p(z)) with p evaluated directly,
+        # against the log target the chain scores its states with
         eps, sigma = 1.0, 0.8
+        mech = Mechanism(toy1d, MechanismConfig("density", eps, sigma=sigma))
         for z, z2 in [([0.3], [0.5]), ([0.0], [2.0]), ([-1.5], [0.2])]:
             def direct(pt):
                 mu = sum(
@@ -158,13 +170,15 @@ class TestDensityMechanism:
                 return math.log(mu) - eps * abs(pt[0] - toy1d.vector(1)[0])
 
             expected = min(0.0, direct(z2) - direct(z))
-            got = mh_log_acceptance(toy1d, 1, eps, sigma, z, z2)
-            assert got == pytest.approx(expected, abs=1e-12)
+            log_p, log_p2 = mech._log_target(np.array([z, z2]), 1)
+            assert min(0.0, log_p2 - log_p) == pytest.approx(expected, abs=1e-12)
+            assert (log_p, log_p2) == pytest.approx((direct(z), direct(z2)), abs=1e-12)
 
     def test_log_target_decomposition(self, toy1d):
-        z = [0.7]
-        assert density_log_target(toy1d, 0, 2.0, 0.5, z) == pytest.approx(
-            kde_log_prior(toy1d, z, 0.5) - 2.0 * abs(0.7 - (-1.0))
+        z = np.array([[0.7]])
+        mech = Mechanism(toy1d, MechanismConfig("density", 2.0, sigma=0.5))
+        assert mech._log_target(z, 0)[0] == pytest.approx(
+            kde_log_prior(toy1d, z, 0.5)[0] - 2.0 * abs(0.7 - (-1.0))
         )
 
     def test_grid_oracle_small(self, toy1d, rng):
@@ -244,6 +258,32 @@ class TestTransitionMatrix:
         assert np.allclose(back.probs, m.probs)
         assert back.sample_count == m.sample_count
 
+    def test_invalid_matrix_rejected(self):
+        for probs in (
+            np.full((2, 3), 1 / 3),  # not square
+            np.array([[1.5, -0.5], [0.0, 1.0]]),  # negative entry
+            np.array([[1.0, 0.0], [0.0, 0.0]]),  # missing row
+            np.array([[np.nan, 1.0], [0.0, 1.0]]),
+        ):
+            with pytest.raises(MatrixFormatError):
+                TransitionMatrix(probs, sample_count=1)
+
+    def test_tsv_malformed_lines_rejected(self, toy3):
+        head = "#privtext-matrix-v1\n#samples 10\n"
+        rows = "a\ta\t1\nb\tb\t1\nc\tc\t1\n"
+        assert matrix_from_tsv(toy3, head + rows).sample_count == 10
+        for text in (
+            "not a matrix\n",
+            head + "a\tb\n" + rows,  # two fields
+            head + "a\tb\tc\td\n" + rows,  # four fields
+            head + "a\tb\tlots\n" + rows,  # non-numeric probability
+            "#privtext-matrix-v1\n#samples x\n" + rows,
+            "#privtext-matrix-v1\n#samples\n" + rows,
+            head + "a\ta\t1\nb\tb\t1\n",  # row c missing
+        ):
+            with pytest.raises(MatrixFormatError):
+                matrix_from_tsv(toy3, text)
+
 
 class TestSmoothMechanism:
     @pytest.fixture
@@ -273,19 +313,35 @@ class TestSmoothMechanism:
         p_smooth = (smooth.perturb_batch(rng.fork(1), 0, n) == 0).mean()
         assert p_smooth > p_base
 
-    def test_expected_noise_norm_oracle(self, clustered, rng):
+    def test_expected_noise_norm_oracle(self, clustered, rng, monkeypatch):
         # Gamma mean: E||z|| = d * smooth(w) / (eps * global)
         eps, beta, w = 1.0, 1.0, 0
         profile = build_profile(clustered, beta)
-        eps_eff = _smooth_epsilon(eps, profile, w)
-        z = sample_mv_laplace(rng, MultivariateLaplaceParam(2, eps_eff), size=10**6)
-        expected = 2 * profile.per_word_smooth[w] / (eps * profile.global_sensitivity)
-        assert np.linalg.norm(z, axis=1).mean() == pytest.approx(expected, rel=0.01)
+        mech = Mechanism(clustered, MechanismConfig("smooth", eps, beta=beta), profile)
+        noise = []
 
-    def test_profile_mismatch_rejected(self, pair, toy3, rng):
+        def record_noise(rng, param, size):
+            noise.append(sample_mv_laplace(rng, param, size=size))
+            return noise[-1]
+
+        monkeypatch.setattr(randomizers, "sample_mv_laplace", record_noise)
+        mech.perturb_batch(rng, w, 10**6)
+        expected = 2 * profile.per_word_smooth[w] / (eps * profile.global_sensitivity)
+        assert np.linalg.norm(noise[0], axis=1).mean() == pytest.approx(expected, rel=0.01)
+
+    def test_profile_mismatch_rejected(self, pair, toy3):
         profile = build_profile(toy3, 0.0)
         with pytest.raises(ConfigError):
-            perturb_smooth(pair, rng, 0, 1.0, profile)
+            Mechanism(pair, MechanismConfig("smooth", 1.0, beta=0.0), profile)
+
+    def test_zero_smooth_sensitivity_rejected_at_draw(self, rng):
+        # two words at one point; at beta=1000, exp(-beta * 1) underflows, so
+        # their smooth sensitivity is 0 while the third word's is 1
+        store = EmbeddingStore.from_arrays(["a", "b", "c"], [[0.0], [0.0], [1.0]])
+        mech = Mechanism(store, MechanismConfig("smooth", 1.0, beta=1000.0))
+        assert mech.perturb(rng, 2) in (0, 1, 2)
+        with pytest.raises(ConfigError, match="smooth sensitivity is 0 at word 0"):
+            mech.perturb(rng, 0)
 
 
 class TestTruncDistance:
@@ -321,7 +377,7 @@ class TestTruncDistance:
         assert any("falling back to project" in r.message for r in caplog.records)
 
     def test_scalar_form(self, toy3, rng):
-        out = perturb_trunc_distance(toy3, rng, 0, 1.0, 1.5)
+        out = Mechanism(toy3, MechanismConfig("trunc_distance", 1.0, tau=1.5)).perturb(rng, 0)
         assert toy3.distance(0, out) <= 1.5
 
 
@@ -359,6 +415,8 @@ class TestTruncKnn:
         )
         assert d_dense < d_iso
 
-    def test_k_out_of_range(self, toy3, rng):
+    def test_k_out_of_range(self, toy3):
+        # checked when the mechanism is built, before any draw
         with pytest.raises(ConfigError):
-            perturb_trunc_knn(toy3, rng, 0, 1.0, 3)
+            Mechanism(toy3, MechanismConfig("trunc_knn", 1.0, k=3))
+        Mechanism(toy3, MechanismConfig("trunc_knn", 1.0, k=2))
