@@ -4,7 +4,6 @@ simulation, and privacy/utility analysis tools."""
 
 from .amplification import (
     AmplifierConfig,
-    Message,
     amplified_epsilon,
     kthreshold_batch,
     randomized_response,
@@ -31,6 +30,7 @@ from .randomizers import (
     TransitionMatrix,
     build_transition_matrix,
     kde_log_prior,
+    perturb_words,
     sample_from_matrix,
 )
 from .samplers import (

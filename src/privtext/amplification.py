@@ -2,28 +2,20 @@
 plus the randomized-response primitive and the sub-sampling epsilon
 accounting.
 
-Amplifiers never look at payload semantics; they only rearrange or drop
-messages. The shuffler is simulated in-process (no MPC/mixnet transport).
+A batch of messages is a 1-D int64 array of payload word ids; nothing in
+it names the sending user. Amplifiers never look at payload semantics;
+they only rearrange or drop entries. The shuffler is simulated in-process
+(no MPC/mixnet transport).
 """
 from __future__ import annotations
 
-import json
 import math
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 from .samplers import RngStream, sample_permutation
-
-
-@dataclass(frozen=True)
-class Message:
-    """One randomized submission. user_id is None once provenance has been
-    erased by the shuffler."""
-
-    user_id: int | None
-    slot: int
-    payload: int
 
 
 @dataclass(frozen=True)
@@ -65,39 +57,32 @@ class AmplifierConfig:
             raise ConfigError(str(exc)) from None
 
 
-def shuffle_batch(rng: RngStream, batch: list[Message]) -> list[Message]:
-    """Uniformly permute payloads and erase provenance.
-
-    The payload multiset is preserved exactly; every output carries
-    user_id=None and its new position as the slot.
-    """
-    perm = sample_permutation(rng, len(batch))
-    out = [Message(user_id=None, slot=i, payload=batch[j].payload) for i, j in enumerate(perm)]
-    assert Counter(m.payload for m in out) == Counter(m.payload for m in batch)
-    return out
+def shuffle_batch(rng: RngStream, batch) -> np.ndarray:
+    """Uniformly permute the payloads: the output position says nothing of
+    the input position, and the payload multiset is preserved exactly."""
+    batch = np.asarray(batch, dtype=np.int64)
+    return batch[sample_permutation(rng, len(batch))]
 
 
-def subsample_batch(rng: RngStream, batch: list[Message], q: float) -> list[Message]:
+def subsample_batch(rng: RngStream, batch, q: float) -> np.ndarray:
     """Keep each message independently with probability q (Poisson
     sub-sampling)."""
     if not 0 < q <= 1:
         raise ConfigError(f"q must be in (0, 1], got {q}")
-    keep = rng.gen.uniform(size=len(batch)) < q
-    return [m for m, kept in zip(batch, keep) if kept]
+    batch = np.asarray(batch, dtype=np.int64)
+    return batch[rng.gen.uniform(size=len(batch)) < q]
 
 
-def kthreshold_batch(batch: list[Message], k: int) -> list[Message]:
+def kthreshold_batch(batch, k: int) -> np.ndarray:
     """Drop messages whose exact payload occurs fewer than k times in the
     batch; survivors keep their order."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    counts = Counter(m.payload for m in batch)
-    out = [m for m in batch if counts[m.payload] >= k]
-    assert all(counts[m.payload] >= k for m in out)
-    return out
+    batch = np.asarray(batch, dtype=np.int64)
+    return batch[np.bincount(batch)[batch] >= k]
 
 
-def apply_amplifier(rng: RngStream, batch: list[Message], config: AmplifierConfig) -> list[Message]:
+def apply_amplifier(rng: RngStream, batch: np.ndarray, config: AmplifierConfig) -> np.ndarray:
     if config.kind == "shuffle":
         return shuffle_batch(rng, batch)
     if config.kind == "subsample":
@@ -138,34 +123,3 @@ def amplified_epsilon(epsilon: float, q: float) -> dict:
         "epsilon_amplified": tight,
         "epsilon_first_order": q * epsilon,
     }
-
-
-# ---------------------------------------------------------------------------
-# JSON-lines batch files
-
-def messages_to_jsonl(store, batch: list[Message]) -> str:
-    lines = []
-    for m in batch:
-        lines.append(
-            json.dumps(
-                {"user": m.user_id, "slot": m.slot, "word": store.words[m.payload]},
-                ensure_ascii=False,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def messages_from_jsonl(store, text: str) -> list[Message]:
-    batch = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        batch.append(
-            Message(
-                user_id=rec["user"],
-                slot=int(rec["slot"]),
-                payload=store.word_id(rec["word"]),
-            )
-        )
-    return batch

@@ -7,13 +7,14 @@ formal guarantee holds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import ConfigError, UnreachableObservationError
-from .randomizers import TransitionMatrix
+from .randomizers import TransitionMatrix, perturb_words
 from .samplers import RngStream
 
 
@@ -120,7 +121,8 @@ def verify_metric_dp(
         raise ConfigError("matrix carries no sample count")
     p = matrix.probs
     dist = store.pairwise_distances()
-    cp_upper = 1.0 - alpha ** (1.0 / n)
+    # 1 - alpha^(1/n) without the cancellation that rounds it to 0 at large n
+    cp_upper = -math.expm1(math.log(alpha) / n)
 
     max_violation = -np.inf
     worst = (0, 0, 0)
@@ -207,16 +209,14 @@ def attack_accuracy(
             decisions[y] = optimal_attack(store, posterior(prior, matrix, y))
 
     truths = rng.gen.choice(matrix.size, size=n_trials, p=prior)
-    observed = np.empty(n_trials, dtype=np.int64)
     if mechanism is None:
+        observed = np.empty(n_trials, dtype=np.int64)
         cum = np.cumsum(matrix.probs, axis=1)
         u = rng.gen.uniform(size=n_trials)
         for i in range(n_trials):
             observed[i] = np.searchsorted(cum[truths[i]], u[i], side="right")
         np.clip(observed, 0, matrix.size - 1, out=observed)
     else:
-        for w in np.unique(truths):
-            mask = truths == w
-            observed[mask] = mechanism.perturb_batch(rng.fork(int(w)), int(w), int(mask.sum()))
+        observed = perturb_words(mechanism, rng, truths)
     hits = decisions[observed] == truths
     return float(np.mean(hits))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, embeddings, pipeline, randomizers, sensitivity
 from .errors import ConfigError, InvalidWordIdError, PrivtextError
-from .randomizers import Mechanism, MechanismConfig, MHParams
+from .randomizers import Mechanism, MechanismConfig, MHParams, perturb_words
 from .samplers import RngStream
 from .sensitivity import build_profile
 
@@ -146,27 +146,27 @@ def cmd_perturb(args) -> int:
     config = _mechanism_config(args)
     mech = Mechanism(store, config)
     rng = RngStream(args.seed).fork_named("cli.perturb")
-    out_lines = []
+    lines = []
     source = open(args.input, encoding="utf-8") if args.input else sys.stdin
     try:
         for lineno, line in enumerate(source, start=1):
             tokens = line.split()
-            out_tokens = []
-            for token in tokens:
-                if not store.has_word(token):
-                    if args.skip_oov:
-                        out_tokens.append(token)
-                        continue
-                    raise InvalidWordIdError(
-                        f"line {lineno}: out-of-vocabulary token {token!r}"
-                    )
-                out_tokens.append(store.words[mech.perturb(rng, store.word_id(token))])
-            out_lines.append(" ".join(out_tokens))
+            oov = [token for token in tokens if not store.has_word(token)]
+            if oov and not args.skip_oov:
+                raise InvalidWordIdError(f"line {lineno}: out-of-vocabulary token {oov[0]!r}")
+            lines.append(tokens)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{args.input or '<stdin>'}: not UTF-8 text ({exc.reason})") from None
     finally:
         if args.input:
             source.close()
+    # one perturb_batch call per distinct word; --skip-oov tokens pass through
+    ids = [store.word_id(t) for tokens in lines for t in tokens if store.has_word(t)]
+    outs = iter(perturb_words(mech, rng, ids).tolist())
+    out_lines = [
+        " ".join(store.words[next(outs)] if store.has_word(t) else t for t in tokens)
+        for tokens in lines
+    ]
     text = "\n".join(out_lines) + ("\n" if out_lines else "")
     _emit(args, text)
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import tempfile
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,10 @@ class EmbeddingStore:
             )
         if not np.all(np.isfinite(vectors)):
             raise NonFiniteComponentError("embedding contains NaN or Inf")
+        # every squared distance is at most 4 max ||v||^2: if that overflows,
+        # distances, sensitivities and decodes turn into Inf and NaN
+        if not np.einsum("ij,ij->i", vectors, vectors).max() <= np.finfo(np.float64).max / 4:
+            raise NonFiniteComponentError("embedding is so large that its distances overflow")
         if normalize:
             norms = np.linalg.norm(vectors, axis=1, keepdims=True)
             if np.any(norms == 0):
@@ -313,8 +318,14 @@ def load_cache(path) -> EmbeddingStore:
             if str(data["magic"]) != CACHE_MAGIC:
                 raise EmbeddingFormatError(f"{path}: not a privtext embedding cache")
             words, vectors = data["words"], data["vectors"]
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+    except (
+        ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile, zlib.error,
+        # zipfile's answer to an unsupported version, compression or encryption
+        NotImplementedError, RuntimeError,
+    ) as exc:
         raise EmbeddingFormatError(f"{path}: not a privtext embedding cache ({exc})") from None
-    if words.dtype.kind != "U":
-        raise EmbeddingFormatError(f"{path}: cache words are not a unicode array")
+    if words.dtype.kind != "U" or words.ndim != 1:
+        raise EmbeddingFormatError(f"{path}: cache words are not a 1-D unicode array")
+    if vectors.dtype.kind not in "iuf":
+        raise EmbeddingFormatError(f"{path}: cache vectors are not a numeric array")
     return EmbeddingStore.from_arrays(words.tolist(), vectors)

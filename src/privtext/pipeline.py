@@ -1,26 +1,27 @@
 """End-to-end localize -> amplify -> curate protocol simulation.
 
 n simulated users each release m words through a configured randomizer;
-the batch then passes through an ordered amplifier chain and finally the
-curator computes a word-frequency histogram with utility accounting
-against the pre-noise histogram of the same sampled corpus.
+the batch of messages, one flat int64 array of payload word ids, then
+passes through an ordered amplifier chain and finally the curator computes
+a word-frequency histogram with utility accounting against the pre-noise
+histogram of the same sampled corpus.
 
-Every phase draws from streams forked off one root seed, so a (config,
-seed) pair reproduces byte-identical reports regardless of how the
-per-user work would be scheduled.
+Every phase draws from streams forked off one root seed, and the local
+phase forks one stream per distinct word, so a (config, seed) pair
+reproduces byte-identical reports however the words are grouped into
+draws.
 """
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplification import AmplifierConfig, Message, amplified_epsilon, apply_amplifier
+from .amplification import AmplifierConfig, amplified_epsilon, apply_amplifier
 from .embeddings import EmbeddingStore
 from .errors import ConfigError
-from .randomizers import Mechanism, MechanismConfig
+from .randomizers import Mechanism, MechanismConfig, perturb_words
 from .samplers import RngStream
 from .sensitivity import SensitivityProfile
 
@@ -144,40 +145,38 @@ def run_local_phase(
     config: ProtocolConfig,
     inputs: np.ndarray | None = None,
     profile: SensitivityProfile | None = None,
-) -> list[Message]:
-    """Perturb every user's words through the configured mechanism, one
-    forked stream per user."""
+) -> np.ndarray:
+    """Perturb every user's words through the configured mechanism.
+
+    Returns the flat (n_users * m_per_user,) payload array in user-major
+    order: entry i * m_per_user + j is user i's slot j. Draws fork per
+    distinct word, not per user (see randomizers.perturb_words).
+    """
     if inputs is None:
         inputs = sample_corpus(store, rng.fork_named("corpus"), config)
     mech = Mechanism(store, config.mechanism, profile)
-    messages = []
-    for i in range(config.n_users):
-        user_rng = rng.fork_named("user").fork(i)
-        for j in range(config.m_per_user):
-            out = mech.perturb(user_rng, int(inputs[i, j]))
-            messages.append(Message(user_id=i, slot=j, payload=out))
-    return messages
+    return perturb_words(mech, rng, inputs)
 
 
 def run_amplifiers(
-    rng: RngStream, messages: list[Message], amplifiers: tuple[AmplifierConfig, ...]
-) -> list[Message]:
+    rng: RngStream, batch: np.ndarray, amplifiers: tuple[AmplifierConfig, ...]
+) -> np.ndarray:
     """Apply the amplifier chain left to right, one forked stream per stage."""
     for idx, amp in enumerate(amplifiers):
-        messages = apply_amplifier(rng.fork(idx), messages, amp)
-    return messages
+        batch = apply_amplifier(rng.fork(idx), batch, amp)
+    return batch
 
 
-def run_curator(messages: list[Message]) -> dict[int, int]:
+def run_curator(batch: np.ndarray) -> dict[int, int]:
     """Exact payload frequency histogram."""
-    hist = dict(Counter(m.payload for m in messages))
-    assert sum(hist.values()) == len(messages)
-    return hist
+    words, counts = np.unique(batch, return_counts=True)
+    return dict(zip(words.tolist(), counts.tolist()))
 
 
-def _l1(hist: dict[int, int], true_hist: dict[int, int]) -> float:
-    keys = set(hist) | set(true_hist)
-    return float(sum(abs(hist.get(k, 0) - true_hist.get(k, 0)) for k in keys))
+def _l1(batch: np.ndarray, true_batch: np.ndarray, n_words: int) -> float:
+    hist = np.bincount(batch, minlength=n_words)
+    true_hist = np.bincount(true_batch, minlength=n_words)
+    return float(np.abs(hist - true_hist).sum())
 
 
 def run_protocol(
@@ -195,10 +194,9 @@ def run_protocol(
     amplified = run_amplifiers(root.fork_named("amplify"), messages, config.amplifiers)
 
     hist = run_curator(amplified)
-    true_hist = dict(Counter(int(w) for w in inputs.ravel()))
-    l1 = _l1(hist, true_hist)
-    true_total = sum(true_hist.values())
-    tv = l1 / (2.0 * true_total) if true_total else 0.0
+    true_hist = run_curator(inputs)
+    l1 = _l1(amplified, inputs.ravel(), len(store))
+    tv = l1 / (2.0 * inputs.size)
 
     metadata: dict = {
         "schema_version": SCHEMA_VERSION,

@@ -147,6 +147,9 @@ class TransitionMatrix:
     sample_count: int
 
     def __post_init__(self):
+        # a float64 holds every count up to 2**53 exactly
+        if not 0 <= self.sample_count <= 2**53:
+            raise MatrixFormatError("the sample count must be in [0, 2**53]")
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise MatrixFormatError(f"transition matrix must be square, got shape {p.shape}")
@@ -318,6 +321,24 @@ class Mechanism:
             logp[accept] = logp_prop[accept]
         assert np.all(np.isfinite(x)), "MH chain reached a non-finite state"
         return self.store.nearest_words(x)
+
+
+def perturb_words(mech, rng: RngStream, ids) -> np.ndarray:
+    """Perturb every entry of a word-id array: one output per entry, in order.
+
+    Each distinct word w makes one mech.perturb_batch(rng.fork(w), w, count)
+    call, whose outputs fill that word's positions in order of occurrence.
+    Given the word, the draws are i.i.d., so grouping leaves the output
+    distribution unchanged. mech is anything with perturb_batch(rng, w, n):
+    a Mechanism or a test stub.
+    """
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    order = np.argsort(ids, kind="stable")
+    words, starts, counts = np.unique(ids[order], return_index=True, return_counts=True)
+    out = np.empty(len(ids), dtype=np.int64)
+    for w, lo, n in zip(words.tolist(), starts.tolist(), counts.tolist()):
+        out[order[lo : lo + n]] = mech.perturb_batch(rng.fork(w), w, n)
+    return out
 
 
 def build_transition_matrix(

@@ -1,5 +1,5 @@
 """Seedable random primitives: named streams, d-dimensional Laplacian noise,
-truncated radial variants, and the swap-based uniform shuffle.
+truncated radial variants, and the uniform permutation behind the shuffler.
 
 All randomness in the package flows through RngStream so that any run is
 fully determined by (seed, stream path, call sequence). Streams fork
@@ -132,12 +132,7 @@ def sample_mv_laplace_truncated(
 
 
 def sample_permutation(rng: RngStream, n: int) -> np.ndarray:
-    """Uniform permutation of [0, n) by backwards Fisher-Yates swaps
-    (j uniform in [0, i] for i = n-1 .. 1)."""
+    """Uniform permutation of [0, n)."""
     if n < 0:
         raise ConfigError(f"n must be >= 0, got {n}")
-    perm = np.arange(n, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.gen.integers(0, i + 1))
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return rng.gen.permutation(n)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from privtext import (
     verify_metric_dp,
 )
 from privtext.analysis import Posterior
-from privtext.errors import ConfigError, UnreachableObservationError
+from privtext.errors import ConfigError, MatrixFormatError, UnreachableObservationError
 from privtext.randomizers import TransitionMatrix
 
 from conftest import IdentityMechanism, UniformMechanism, random_store
@@ -79,6 +80,20 @@ class TestVerifyMetricDp:
     def test_store_mismatch(self, toy3):
         with pytest.raises(ConfigError):
             verify_metric_dp(identity_matrix(4), toy3, 1.0)
+
+    def test_huge_sample_count(self, toy3):
+        # 1 - alpha**(1/n) loses every digit to cancellation as n grows (it
+        # is 0 from n ~ 1e17); at the largest count it must stay exact
+        n = 2**53
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_metric_dp(identity_matrix(3, samples=n), toy3, epsilon=2.0)
+        cp_upper = -math.log(1e-3) / n  # first order; the next term is 4e-16 relative
+        # the worst pair is a and c, one unit apart
+        assert report.max_violation == pytest.approx(-math.log(cp_upper) - 2.0, rel=1e-9)
+        for count in (-1, 2**53 + 1, 10**400):
+            with pytest.raises(MatrixFormatError, match="sample count"):
+                identity_matrix(3, samples=count)
 
 
 class TestPosterior:
@@ -195,6 +210,17 @@ class TestAttackAccuracy:
         m = build_transition_matrix(toy3, rng.fork(0), MechanismConfig("baseline", 1e3), 5000)
         acc = attack_accuracy(toy3, rng.fork(1), m, np.full(3, 1 / 3), 2000, mechanism=mech)
         assert acc >= 0.98
+
+    def test_mechanism_path_pinned_value(self, toy5):
+        # perturb_words makes the same per-word draws as the inline loop it
+        # replaced, so this value is pinned from that loop
+        cfg = MechanismConfig("baseline", 1.5)
+        rng = RngStream(2718)
+        m = build_transition_matrix(toy5, rng.fork(0), cfg, 2000)
+        prior = np.arange(1, 6, dtype=np.float64) ** -1.1
+        prior /= prior.sum()
+        acc = attack_accuracy(toy5, rng.fork(1), m, prior, 3000, mechanism=Mechanism(toy5, cfg))
+        assert acc == 0.469
 
     def test_relabeling_invariance(self, rng):
         # tie-free geometry: permuting word ids must not change accuracy

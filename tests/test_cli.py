@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +262,42 @@ class TestErrors:
                 )
                 assert code == 2, (text, command, err)
                 assert err.startswith("error:") and err.strip() != "error:"
+
+    def test_huge_sample_count_exit_2(self, emb, tmp_path, capsys):
+        # at 1e20, 1 - alpha**(1/n) rounded to 0 and the report read inf with
+        # divide-by-zero warnings; 1e400 escaped as an OverflowError
+        rows = "".join(f"{w}\t{w}\t1\n" for w in "vwxyz")
+        path = tmp_path / "m.tsv"
+        argv = ["--embeddings", emb, "verify-dp", "--matrix", str(path), "--epsilon", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for count in (10**20, 10**400, -1):
+                path.write_text(f"#privtext-matrix-v1\n#samples {count}\n{rows}", encoding="utf-8")
+                code, out, err = run(argv, capsys=capsys)
+                assert code == 2, count
+                assert err.startswith("error:") and "sample count" in err and out == ""
+            # the largest count a float64 holds exactly still verifies
+            path.write_text(f"#privtext-matrix-v1\n#samples {2**53}\n{rows}", encoding="utf-8")
+            code, out, _ = run(argv, capsys=capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["satisfied"] is False and math.isfinite(report["max_violation"])
+
+    def test_overflowing_store_exit_2(self, tmp_path, monkeypatch, capsys):
+        # finite components whose squared distances overflow: sensitivity
+        # failed on a NaN envelope (exit 4), perturb decoded garbage (exit 0)
+        path = tmp_path / "huge.txt"
+        path.write_text("a 1e308\nb -1e308\nc 0\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv, stdin in (
+                (["sensitivity", "--beta", "1"], None),
+                (["perturb", "--epsilon", "1"], "a b c\n"),
+            ):
+                code, out, err = run(["--embeddings", str(path), *argv], stdin=stdin,
+                                     monkeypatch=monkeypatch, capsys=capsys)
+                assert code == 2, argv
+                assert err.startswith("error:") and "overflow" in err and out == ""
 
     def test_missing_matrix_row_under_python_O(self, emb, tmp_path):
         # the row-sum check must not be an assert, which -O strips

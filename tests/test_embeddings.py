@@ -115,6 +115,24 @@ class TestLoad:
         np.save(tmp_path / "plain.npy", np.zeros(3))
         with pytest.raises(EmbeddingFormatError):
             load_cache(tmp_path / "plain.npy")
+        # well-formed npz files holding the wrong arrays
+        magic = np.array(CACHE_MAGIC)
+        for words, vectors in (
+            (np.array([["a", "b"], ["c", "d"]]), np.zeros((2, 2))),  # 2-D words
+            (np.array(["a", "b"]), np.array([["1", "2"], ["3", "4"]])),  # string vectors
+        ):
+            np.savez(path, magic=magic, words=words, vectors=vectors)
+            with pytest.raises(EmbeddingFormatError):
+                load_cache(path)
+        # a corrupt deflate stream inside a compressed npz
+        np.savez_compressed(path, magic=magic, words=np.array(["a" * 200, "b" * 200]),
+                            vectors=np.zeros((2, 50)))
+        data = bytearray(path.read_bytes())
+        start = data.index(b"words.npy") + 40
+        data[start : start + 30] = bytes(b ^ 0x5A for b in data[start : start + 30])
+        path.write_bytes(bytes(data))
+        with pytest.raises(EmbeddingFormatError):
+            load_cache(path)
         with pytest.raises(EmbeddingFormatError):
             save_cache(EmbeddingStore.from_arrays(["a\x00", "a"], [[0.0], [1.0]]), path)
 

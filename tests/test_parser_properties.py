@@ -1,16 +1,18 @@
 """Property tests of the CLI's input parsers: whatever the bytes of an
-embedding file, a transition-matrix TSV or a pipeline config, the CLI exits
-0 (the input happened to be valid), 2 or 3. It never raises, which would be
-a traceback, and never exits 4."""
+embedding file, an embedding cache, a transition-matrix TSV or a pipeline
+config, the CLI exits 0 (the input happened to be valid), 2 or 3. It never
+raises, which would be a traceback, and never exits 4."""
 import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from privtext.cli import main
+from privtext.embeddings import CACHE_MAGIC
 from privtext.randomizers import MATRIX_TSV_MAGIC, VARIANTS
 
 TOY = "v 0 0\nw 8 0\nx 0 8\ny 8 8\nz 4 4\n"
@@ -46,7 +48,8 @@ def files(tmp_path_factory):
     emb.write_text(TOY, encoding="utf-8")
     empty = root / "empty.txt"
     empty.write_text("", encoding="utf-8")
-    return {"emb": str(emb), "empty": str(empty), "input": root / "input"}
+    return {"emb": str(emb), "empty": str(empty), "input": root / "input",
+            "cache": root / "input.npz"}
 
 
 def exit_code(argv):
@@ -75,6 +78,44 @@ embedding_text = st.lists(st.lists(token, max_size=5).map(" ".join), max_size=6)
 def test_embedding_file_never_crashes(files, data):
     files["input"].write_bytes(as_bytes(data))
     argv = ["--embeddings", str(files["input"]), "perturb", "--epsilon", "1",
+            "--input", files["empty"]]
+    assert exit_code(argv) in CLEAN_EXITS
+
+
+# --- embedding cache ----------------------------------------------------------
+
+def cache_bytes(save):
+    buf = io.BytesIO()
+    save(buf, magic=np.array(CACHE_MAGIC), words=np.array(WORDS),
+         vectors=np.arange(10.0).reshape(5, 2))
+    return buf.getvalue()
+
+
+VALID_CACHES = [cache_bytes(np.savez), cache_bytes(np.savez_compressed)]
+
+
+def corrupt(data, edits, keep):
+    """A valid cache with some bytes overwritten, then cut to keep bytes
+    (None keeps them all)."""
+    data = bytearray(data)
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    return bytes(data[:keep])
+
+
+mutated_cache = st.builds(
+    corrupt,
+    st.sampled_from(VALID_CACHES),
+    st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=4),
+    st.one_of(st.none(), st.integers(0, 1024)),
+)
+
+
+@fuzz
+@given(data=st.one_of(mutated_cache, st.binary(max_size=120)))
+def test_embedding_cache_never_crashes(files, data):
+    files["cache"].write_bytes(data)
+    argv = ["--embeddings", str(files["cache"]), "perturb", "--epsilon", "1",
             "--input", files["empty"]]
     assert exit_code(argv) in CLEAN_EXITS
 

@@ -14,6 +14,7 @@ from privtext import (
     build_profile,
     build_transition_matrix,
     kde_log_prior,
+    perturb_words,
     randomizers,
     sample_from_matrix,
     sample_mv_laplace,
@@ -108,31 +109,66 @@ class TestBaseline:
         assert set(outs) <= {0, 1, 2}
 
 
-def perturb_words(store, rng, words, config):
-    """A sentence perturbed word by word, as the CLI and the pipeline do."""
-    mech = Mechanism(store, config)
-    return [mech.perturb(rng, w) for w in words]
+def perturb_sentence(store, rng, words, config):
+    """A sentence perturbed as the CLI and the pipeline do."""
+    return perturb_words(Mechanism(store, config), rng, words).tolist()
 
 
 class TestSentence:
     def test_empty(self, toy3, rng):
-        assert perturb_words(toy3, rng, [], MechanismConfig("baseline", 1.0)) == []
+        assert perturb_sentence(toy3, rng, [], MechanismConfig("baseline", 1.0)) == []
         outs = Mechanism(toy3, MechanismConfig("baseline", 1.0)).perturb_batch(rng, 0, 0)
         assert outs.shape == (0,)
 
     def test_length_preserved(self, toy3, rng):
-        out = perturb_words(toy3, rng, [0, 1, 2], MechanismConfig("baseline", 1.0))
+        out = perturb_sentence(toy3, rng, [0, 1, 2], MechanismConfig("baseline", 1.0))
         assert len(out) == 3
 
     def test_deterministic(self, toy3):
         cfg = MechanismConfig("baseline", 1.0)
-        a = perturb_words(toy3, RngStream(5), [0, 1, 2, 0], cfg)
-        b = perturb_words(toy3, RngStream(5), [0, 1, 2, 0], cfg)
+        a = perturb_sentence(toy3, RngStream(5), [0, 1, 2, 0], cfg)
+        b = perturb_sentence(toy3, RngStream(5), [0, 1, 2, 0], cfg)
         assert a == b
 
     def test_invalid_id_aborts(self, toy3, rng):
         with pytest.raises(InvalidWordIdError):
-            perturb_words(toy3, rng, [0, 9], MechanismConfig("baseline", 1.0))
+            perturb_sentence(toy3, rng, [0, 9], MechanismConfig("baseline", 1.0))
+
+
+class Recording:
+    """Stub that records every perturb_batch call and returns distinct
+    labels, so each output can be traced to its call and draw."""
+
+    def __init__(self):
+        self.calls = []
+
+    def perturb_batch(self, rng, w, n):
+        self.calls.append((rng.path, w, n))
+        return 1000 * w + np.arange(n)
+
+
+class TestPerturbWords:
+    def test_matches_explicit_per_word_loop(self, toy5, rng):
+        mech = Mechanism(toy5, MechanismConfig("baseline", 1.0))
+        ids = np.array([3, 0, 3, 4, 0, 3, 1])
+        expected = np.empty(len(ids), dtype=np.int64)
+        for w in np.unique(ids):
+            mask = ids == w
+            expected[mask] = mech.perturb_batch(rng.fork(int(w)), int(w), int(mask.sum()))
+        assert np.array_equal(perturb_words(mech, rng, ids), expected)
+
+    def test_one_call_per_word_ties_in_occurrence_order(self, rng):
+        stub = Recording()
+        out = perturb_words(stub, rng, [2, 5, 2, 2, 5])
+        assert sorted(stub.calls) == [(rng.fork(2).path, 2, 3), (rng.fork(5).path, 5, 2)]
+        # a word's i-th occurrence gets the i-th output of its call
+        assert out.tolist() == [2000, 5000, 2001, 2002, 5001]
+
+    def test_empty_makes_no_draw(self, rng):
+        stub = Recording()
+        out = perturb_words(stub, rng, [])
+        assert out.shape == (0,) and out.dtype == np.int64
+        assert stub.calls == []
 
 
 class TestKdePrior:
