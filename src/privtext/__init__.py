@@ -6,7 +6,6 @@ from .amplification import (
     AmplifierConfig,
     amplified_epsilon,
     kthreshold_batch,
-    randomized_response,
     shuffle_batch,
     subsample_batch,
 )
@@ -36,7 +35,6 @@ from .randomizers import (
 from .samplers import (
     MultivariateLaplaceParam,
     RngStream,
-    sample_laplace,
     sample_mv_laplace,
     sample_mv_laplace_truncated,
     sample_permutation,
@@ -47,7 +45,6 @@ from .sensitivity import (
     build_profile,
     global_sensitivity,
     local_sensitivity,
-    local_sensitivity_t,
     smooth_sensitivity,
 )
 

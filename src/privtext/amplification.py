@@ -1,6 +1,5 @@
 """Post-randomization privacy amplifiers: shuffle, sub-sample, k-threshold,
-plus the randomized-response primitive and the sub-sampling epsilon
-accounting.
+plus the sub-sampling epsilon accounting.
 
 A batch of messages is a 1-D int64 array of payload word ids; nothing in
 it names the sending user. Amplifiers never look at payload semantics;
@@ -90,17 +89,6 @@ def apply_amplifier(rng: RngStream, batch: np.ndarray, config: AmplifierConfig) 
     if config.kind == "kthreshold":
         return kthreshold_batch(batch, config.k)
     raise ConfigError(f"unknown amplifier kind {config.kind!r}")
-
-
-def randomized_response(rng: RngStream, b: int, epsilon: float) -> int:
-    """Warner randomized response: report b with probability
-    e^eps / (1 + e^eps), else the flipped bit."""
-    if b not in (0, 1):
-        raise ConfigError(f"b must be 0 or 1, got {b}")
-    if epsilon < 0:
-        raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
-    p = math.exp(epsilon) / (1.0 + math.exp(epsilon))
-    return b if rng.gen.uniform() < p else 1 - b
 
 
 def amplified_epsilon(epsilon: float, q: float) -> dict:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import ConfigError, UnreachableObservationError
-from .randomizers import TransitionMatrix, perturb_words
+from .randomizers import TransitionMatrix, perturb_words, sample_from_matrix
 from .samplers import RngStream
 
 
@@ -42,12 +42,17 @@ class DeniabilityStats:
 
 @dataclass(frozen=True)
 class Posterior:
-    observed: int
+    """Bayes posterior over input words: probs is (|W|,) for one observed
+    id, or (|W|, k) with one column per id of an observed array."""
+
+    observed: int | np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        assert np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9
+        # written so that NaN fails every comparison
+        if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=0) - 1.0) <= 1e-9)):
+            raise ConfigError("every posterior column must be a probability vector")
         object.__setattr__(self, "probs", p)
 
 
@@ -116,11 +121,16 @@ def verify_metric_dp(
     """
     if matrix.size != len(store):
         raise ConfigError("matrix size does not match the store vocabulary")
+    # NaN would make every violation NaN, and NaN is never the maximum: the
+    # report would read satisfied. inf * 0 is NaN for two words at one point.
+    if not 0 <= epsilon < math.inf:
+        raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon}")
     n = matrix.sample_count
     if n < 1:
         raise ConfigError("matrix carries no sample count")
     p = matrix.probs
-    dist = store.pairwise_distances()
+    eps_dist = store.pairwise_distances()
+    eps_dist *= epsilon
     # 1 - alpha^(1/n) without the cancellation that rounds it to 0 at large n
     cp_upper = -math.expm1(math.log(alpha) / n)
 
@@ -130,23 +140,24 @@ def verify_metric_dp(
     max_adjusted = -np.inf
     for y in range(matrix.size):
         col = p[:, y]
-        has_num = col > 0
-        if not np.any(has_num):
+        # a row with a zero numerator is -inf throughout, so only the rows
+        # that reach y can violate; ascending rows keep the row-major argmax
+        rows = np.flatnonzero(col > 0)
+        if rows.size == 0:
             continue
-        log_num = np.where(has_num, np.log(np.where(has_num, col, 1.0)), -np.inf)
         log_den = np.log(np.where(col > 0, col, cp_upper))
-        viol = log_num[:, None] - log_den[None, :] - epsilon * dist
-        np.fill_diagonal(viol, -np.inf)
+        viol = np.log(col[rows])[:, None] - log_den[None, :] - eps_dist[rows]
+        viol[np.arange(rows.size), rows] = -np.inf
         # delta-method standard error of ln p-hat; zero cells already carry
         # a conservative bound, so their slack is zero
         se = np.where(col > 0, np.sqrt((1.0 - col) / (np.maximum(col, 1e-300) * n)), 0.0)
-        slack = 3.0 * (se[:, None] + se[None, :])
+        slack = 3.0 * (se[rows][:, None] + se[None, :])
         adjusted = viol - slack
-        idx = np.unravel_index(np.argmax(viol), viol.shape)
-        if viol[idx] > max_violation:
-            max_violation = float(viol[idx])
-            worst = (int(idx[0]), int(idx[1]), y)
-            slack_at_worst = float(slack[idx])
+        i, j = np.unravel_index(np.argmax(viol), viol.shape)
+        if viol[i, j] > max_violation:
+            max_violation = float(viol[i, j])
+            worst = (int(rows[i]), int(j), y)
+            slack_at_worst = float(slack[i, j])
         max_adjusted = max(max_adjusted, float(np.max(adjusted)))
     return MetricDpReport(
         epsilon=epsilon,
@@ -159,27 +170,42 @@ def verify_metric_dp(
     )
 
 
-def posterior(prior, matrix: TransitionMatrix, observed: int) -> Posterior:
-    """Bayes posterior over input words given the mechanism output."""
+def _check_prior(prior, size: int) -> np.ndarray:
     prior = np.asarray(prior, dtype=np.float64)
-    if prior.shape != (matrix.size,) or np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-9:
+    # written so that NaN fails every comparison
+    if prior.shape != (size,) or not (np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-9):
         raise ConfigError("prior must be a probability vector over the vocabulary")
-    if not 0 <= observed < matrix.size:
-        raise ConfigError(f"observed id {observed} outside [0, {matrix.size})")
-    joint = prior * matrix.probs[:, observed]
-    total = joint.sum()
-    if total <= 0:
+    return prior
+
+
+def posterior(prior, matrix: TransitionMatrix, observed) -> Posterior:
+    """Bayes posterior over input words given the mechanism output.
+
+    observed is one output id, or a 1-D array of them; an array gives one
+    posterior column per id, each equal to the posterior of that id alone.
+    """
+    prior = _check_prior(prior, matrix.size)
+    ids = np.asarray(observed)
+    if ids.ndim > 1 or ids.dtype.kind not in "iu" or not np.all((ids >= 0) & (ids < matrix.size)):
+        raise ConfigError(f"observed ids must be integers in [0, {matrix.size})")
+    flat = np.atleast_1d(ids)
+    # one row per id, so that each total sums a contiguous row
+    joint = prior * matrix.probs.T[flat]
+    total = joint.sum(axis=1)
+    if np.any(total <= 0):
         raise UnreachableObservationError(
-            f"observed word {observed} has zero likelihood under every input"
+            f"observed word {flat[np.argmax(total <= 0)]} has zero likelihood under every input"
         )
-    return Posterior(observed=observed, probs=joint / total)
+    probs = (joint / total[:, None]).T
+    return Posterior(observed=observed, probs=probs if ids.ndim else probs[:, 0])
 
 
-def optimal_attack(store: EmbeddingStore, post: Posterior) -> int:
+def optimal_attack(store: EmbeddingStore, post: Posterior) -> int | np.ndarray:
     """Adversary guess minimizing the posterior-expected embedding distance
-    to the true word; ties break to the lowest id."""
-    expected = store.pairwise_distances() @ post.probs
-    return int(np.argmin(expected))
+    to the true word, one guess per posterior column (an int for a 1-D
+    posterior); ties break to the lowest id."""
+    guess = np.argmin(store.pairwise_distances() @ post.probs, axis=0)
+    return int(guess) if guess.ndim == 0 else guess
 
 
 def attack_accuracy(
@@ -198,24 +224,16 @@ def attack_accuracy(
     """
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
-    prior = np.asarray(prior, dtype=np.float64)
-    if prior.shape != (matrix.size,) or abs(prior.sum() - 1.0) > 1e-9:
-        raise ConfigError("prior must be a probability vector over the vocabulary")
+    prior = _check_prior(prior, matrix.size)
 
-    # precompute the attack decision for every reachable observation
+    # the attack decision for every reachable observation, in one product
     decisions = np.full(matrix.size, -1, dtype=np.int64)
-    for y in range(matrix.size):
-        if (prior * matrix.probs[:, y]).sum() > 0:
-            decisions[y] = optimal_attack(store, posterior(prior, matrix, y))
+    reachable = np.flatnonzero(prior @ matrix.probs > 0)
+    decisions[reachable] = optimal_attack(store, posterior(prior, matrix, reachable))
 
     truths = rng.gen.choice(matrix.size, size=n_trials, p=prior)
     if mechanism is None:
-        observed = np.empty(n_trials, dtype=np.int64)
-        cum = np.cumsum(matrix.probs, axis=1)
-        u = rng.gen.uniform(size=n_trials)
-        for i in range(n_trials):
-            observed[i] = np.searchsorted(cum[truths[i]], u[i], side="right")
-        np.clip(observed, 0, matrix.size - 1, out=observed)
+        observed = sample_from_matrix(rng, matrix, truths)
     else:
         observed = perturb_words(mechanism, rng, truths)
     hits = decisions[observed] == truths

@@ -26,8 +26,8 @@ from .errors import (
 
 CACHE_MAGIC = "privtext-embeddings-v2"
 
-# points per chunk when computing batched nearest-neighbor queries
-_NN_CHUNK = 8192
+# float64 entries in one (rows x candidates) decode block: 8 MiB
+_NN_BLOCK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -153,12 +153,17 @@ class EmbeddingStore:
             cand = self.vectors[ids]
         out = np.empty(points.shape[0], dtype=np.int64)
         cand_sq = np.einsum("ij,ij->i", cand, cand)
-        for lo in range(0, points.shape[0], _NN_CHUNK):
-            block = points[lo : lo + _NN_CHUNK]
+        block_rows = max(1, _NN_BLOCK_ENTRIES // len(cand))
+        for lo in range(0, points.shape[0], block_rows):
+            block = points[lo : lo + block_rows]
             # ||c - p||^2 = ||c||^2 - 2 c.p + ||p||^2; the ||p||^2 term is
             # constant per row and dropped. Exact ties can shift under this
             # expansion, so refine with true distances on the near-minimal set.
-            d2 = cand_sq[None, :] - 2.0 * block @ cand.T
+            # Built in place, without two more block-sized temporaries; scaling
+            # by -2 is exact, so d2 equals cand_sq - 2.0 * block @ cand.T.
+            d2 = block @ cand.T
+            d2 *= -2.0
+            d2 += cand_sq
             out[lo : lo + block.shape[0]] = _argmin_exact(block, cand, d2)
         if ids is not None:
             out = ids[out]
@@ -205,13 +210,15 @@ class EmbeddingStore:
 
 
 def _argmin_exact(points, cand, d2):
-    """Argmin per row with exact-distance tie refinement."""
-    raw = np.argmin(d2, axis=1)
-    row_min = d2[np.arange(d2.shape[0]), raw]
-    out = raw.copy()
-    # rows where another candidate is within float slop of the minimum
+    """Argmin per row with exact-distance tie refinement; overwrites d2."""
+    rows = np.arange(d2.shape[0])
+    out = np.argmin(d2, axis=1)
+    row_min = d2[rows, out]
+    # rows where another candidate is within float slop of the minimum: the
+    # runner-up, once the minimum is masked out
     slop = 1e-9 * (1.0 + np.abs(row_min))
-    close = (d2 <= (row_min + slop)[:, None]).sum(axis=1) > 1
+    d2[rows, out] = np.inf
+    close = d2.min(axis=1) <= row_min + slop
     for i in np.nonzero(close)[0]:
         exact = np.linalg.norm(cand - points[i], axis=1)
         out[i] = int(np.argmin(exact))

@@ -333,12 +333,19 @@ def perturb_words(mech, rng: RngStream, ids) -> np.ndarray:
     a Mechanism or a test stub.
     """
     ids = np.asarray(ids, dtype=np.int64).ravel()
+    out = np.empty(len(ids), dtype=np.int64)
+    for w, at in _positions_by_word(ids):
+        out[at] = mech.perturb_batch(rng.fork(w), w, len(at))
+    return out
+
+
+def _positions_by_word(ids: np.ndarray):
+    """(w, positions of w in order of occurrence) for each distinct word w
+    of a 1-D id array, in ascending w."""
     order = np.argsort(ids, kind="stable")
     words, starts, counts = np.unique(ids[order], return_index=True, return_counts=True)
-    out = np.empty(len(ids), dtype=np.int64)
     for w, lo, n in zip(words.tolist(), starts.tolist(), counts.tolist()):
-        out[order[lo : lo + n]] = mech.perturb_batch(rng.fork(w), w, n)
-    return out
+        yield w, order[lo : lo + n]
 
 
 def build_transition_matrix(
@@ -361,8 +368,18 @@ def build_transition_matrix(
     return TransitionMatrix(probs=probs, sample_count=samples_per_word)
 
 
-def sample_from_matrix(rng: RngStream, matrix: TransitionMatrix, w: int) -> int:
-    return int(rng.gen.choice(matrix.size, p=matrix.row(w)))
+def sample_from_matrix(rng: RngStream, matrix: TransitionMatrix, ids) -> np.ndarray:
+    """One output per entry of a word-id array, drawn from that word's row
+    of the matrix by inverting its cumulative sum at one uniform per entry
+    (the uniforms are drawn in entry order)."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    u = rng.gen.uniform(size=len(ids))
+    out = np.empty(len(ids), dtype=np.int64)
+    for w, at in _positions_by_word(ids):
+        out[at] = np.searchsorted(np.cumsum(matrix.row(w)), u[at], side="right")
+    # a row summing to just under 1 can leave a uniform past its last entry
+    np.clip(out, 0, matrix.size - 1, out=out)
+    return out
 
 
 def matrix_to_tsv(store: EmbeddingStore, matrix: TransitionMatrix) -> str:

@@ -66,13 +66,6 @@ class MultivariateLaplaceParam:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
 
 
-def sample_laplace(rng: RngStream, scale: float, size=None):
-    """Scalar Laplace(0, scale) draw(s)."""
-    if not scale > 0:
-        raise ConfigError(f"Laplace scale must be > 0, got {scale}")
-    return rng.gen.laplace(0.0, scale, size=size)
-
-
 def sample_unit_sphere(rng: RngStream, dim: int, size: int | None = None):
     """Uniform direction(s) on the unit sphere in R^dim."""
     if dim < 1:

@@ -41,17 +41,6 @@ def local_sensitivity(store: EmbeddingStore, w: int) -> float:
     return float(dists.min())
 
 
-def local_sensitivity_t(store: EmbeddingStore, w: int, t: float) -> float:
-    """Max local sensitivity over the radius-t ball around w (w included)."""
-    _require_multiword(store)
-    if not t > 0:
-        raise ConfigError(f"t must be > 0, got {t}")
-    w = store.check_id(w)
-    dists = np.linalg.norm(store.vectors - store.vectors[w], axis=1)
-    local = store.nn_distances()
-    return float(local[dists <= t].max())
-
-
 def smooth_sensitivity(store: EmbeddingStore, w: int, beta: float) -> float:
     """Smallest beta-smooth upper bound on local sensitivity, at word w.
 

@@ -1,10 +1,17 @@
 """Independent numeric oracles used by the test suite.
 
 These deliberately avoid the library's own sampling/evaluation code paths:
-quadrature and grid enumeration here, Monte Carlo there.
+quadrature and grid enumeration here, Monte Carlo there. The loop forms of
+the batched analysis paths (per-observation attack, full-matrix verifier)
+are kept here as references that the batched code must match exactly.
 """
+import math
+
 import numpy as np
 from scipy import integrate
+from scipy.spatial.distance import cdist
+
+from privtext.analysis import MetricDpReport
 
 
 def half_plane_mass(epsilon: float, half_gap: float) -> float:
@@ -62,3 +69,92 @@ def baseline_output_distribution_1d(positions, w, epsilon, pad=12.0, n_grid=200_
 
 def total_variation(p, q) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
+def local_sensitivity_t(store, w: int, t: float) -> float:
+    """Max local sensitivity (nearest-distinct-neighbour distance) over the
+    radius-t ball around w, w included, by brute force."""
+    vecs = store.vectors
+    dists = np.linalg.norm(vecs - vecs[w], axis=1)
+    local = [
+        min(np.linalg.norm(vecs[u] - vecs[v]) for v in range(len(vecs)) if v != u)
+        for u in range(len(vecs))
+    ]
+    return float(max(local[u] for u in range(len(vecs)) if dists[u] <= t))
+
+
+def smooth_sensitivity_by_balls(store, w: int, beta: float) -> float:
+    """Nissim-Raskhodnikova-Smith smooth sensitivity at w from its
+    definition, max over t >= 0 of e^(-beta t) times the radius-t ball
+    sensitivity; the max is attained at a distance from w to some word."""
+    dists = np.linalg.norm(store.vectors - store.vectors[w], axis=1)
+    return max(math.exp(-beta * t) * local_sensitivity_t(store, w, t) for t in dists)
+
+
+def attack_decisions_per_observation(store, matrix, prior) -> np.ndarray:
+    """The Bayes attack's guess for every observation y, one posterior and
+    one distance-matrix product per y; -1 where y is unreachable."""
+    prior = np.asarray(prior, dtype=np.float64)
+    dist = cdist(store.vectors, store.vectors)
+    decisions = np.full(matrix.size, -1, dtype=np.int64)
+    for y in range(matrix.size):
+        joint = prior * matrix.probs[:, y]
+        total = joint.sum()
+        if total > 0:
+            decisions[y] = int(np.argmin(dist @ (joint / total)))
+    return decisions
+
+
+def attack_accuracy_per_trial(store, rng, matrix, prior, n_trials) -> float:
+    """attack_accuracy on the matrix path, with per-observation decisions
+    and one inverse-CDF lookup per trial."""
+    prior = np.asarray(prior, dtype=np.float64)
+    decisions = attack_decisions_per_observation(store, matrix, prior)
+    truths = rng.gen.choice(matrix.size, size=n_trials, p=prior)
+    cum = np.cumsum(matrix.probs, axis=1)
+    u = rng.gen.uniform(size=n_trials)
+    observed = np.array(
+        [np.searchsorted(cum[truths[i]], u[i], side="right") for i in range(n_trials)]
+    )
+    np.clip(observed, 0, matrix.size - 1, out=observed)
+    return float(np.mean(decisions[observed] == truths))
+
+
+def verify_metric_dp_full(matrix, store, epsilon, alpha=1e-3) -> MetricDpReport:
+    """verify_metric_dp with full |W| x |W| violation and slack arrays for
+    every output word."""
+    n = matrix.sample_count
+    p = matrix.probs
+    dist = cdist(store.vectors, store.vectors)
+    cp_upper = -math.expm1(math.log(alpha) / n)
+    max_violation = -np.inf
+    worst = (0, 0, 0)
+    slack_at_worst = 0.0
+    max_adjusted = -np.inf
+    for y in range(matrix.size):
+        col = p[:, y]
+        has_num = col > 0
+        if not np.any(has_num):
+            continue
+        log_num = np.where(has_num, np.log(np.where(has_num, col, 1.0)), -np.inf)
+        log_den = np.log(np.where(col > 0, col, cp_upper))
+        viol = log_num[:, None] - log_den[None, :] - epsilon * dist
+        np.fill_diagonal(viol, -np.inf)
+        se = np.where(col > 0, np.sqrt((1.0 - col) / (np.maximum(col, 1e-300) * n)), 0.0)
+        slack = 3.0 * (se[:, None] + se[None, :])
+        adjusted = viol - slack
+        idx = np.unravel_index(np.argmax(viol), viol.shape)
+        if viol[idx] > max_violation:
+            max_violation = float(viol[idx])
+            worst = (int(idx[0]), int(idx[1]), y)
+            slack_at_worst = float(slack[idx])
+        max_adjusted = max(max_adjusted, float(np.max(adjusted)))
+    return MetricDpReport(
+        epsilon=epsilon,
+        sample_count=n,
+        max_violation=max_violation,
+        worst_triple=worst,
+        slack_at_worst=slack_at_worst,
+        max_violation_adjusted=max_adjusted,
+        satisfied=bool(max_adjusted <= 0.0),
+    )

@@ -11,7 +11,6 @@ from privtext import (
     RngStream,
     amplified_epsilon,
     kthreshold_batch,
-    randomized_response,
     shuffle_batch,
     subsample_batch,
 )
@@ -113,28 +112,6 @@ class TestKThreshold:
         for k in (1, 3):
             out = kthreshold_batch(batch_of([]), k)
             assert out.shape == (0,)
-
-
-class TestRandomizedResponse:
-    def test_eps_zero_is_fair_coin(self, rng):
-        agree = np.mean([randomized_response(rng, 1, 0.0) == 1 for _ in range(10**5)])
-        assert agree == pytest.approx(0.5, abs=0.005)
-
-    def test_eps_ln3(self, rng):
-        agree = np.mean(
-            [randomized_response(rng, 0, math.log(3)) == 0 for _ in range(10**5)]
-        )
-        assert agree == pytest.approx(0.75, abs=0.005)
-
-    def test_high_eps_passthrough(self, rng):
-        agree = np.mean([randomized_response(rng, 1, 20.0) == 1 for _ in range(10**4)])
-        assert agree >= 0.999
-
-    def test_validation(self, rng):
-        with pytest.raises(ConfigError):
-            randomized_response(rng, 2, 1.0)
-        with pytest.raises(ConfigError):
-            randomized_response(rng, 0, -0.5)
 
 
 def tight_subsampling_bound(eps, q):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,11 @@ from privtext.errors import ConfigError, MatrixFormatError, UnreachableObservati
 from privtext.randomizers import TransitionMatrix
 
 from conftest import IdentityMechanism, UniformMechanism, random_store
+from oracles import (
+    attack_accuracy_per_trial,
+    attack_decisions_per_observation,
+    verify_metric_dp_full,
+)
 
 
 def identity_matrix(n, samples=10**5):
@@ -29,6 +38,31 @@ def identity_matrix(n, samples=10**5):
 
 def uniform_matrix(n, samples=10**5):
     return TransitionMatrix(np.full((n, n), 1.0 / n), sample_count=samples)
+
+
+def sparse_matrix(gen, n, samples=1000):
+    """Row-stochastic estimate from small integer counts: many zero cells
+    and repeated probabilities; the diagonal keeps every row nonzero."""
+    counts = gen.integers(0, 4, size=(n, n)) * (gen.uniform(size=(n, n)) < 0.4)
+    counts[np.arange(n), np.arange(n)] += 1
+    return TransitionMatrix(counts / counts.sum(axis=1, keepdims=True), sample_count=samples)
+
+
+def reference_cases():
+    """(store, matrix) pairs: seeded stores with a duplicated vector, sparse
+    and uniform matrices, an equidistant store, a one-word vocabulary."""
+    gen = np.random.default_rng(21)
+    cases = [(EmbeddingStore.from_arrays(["a"], [[0.0]]), identity_matrix(1))]
+    for n, dim in ((2, 1), (5, 2), (12, 2), (30, 3)):
+        vecs = gen.normal(size=(n, dim))
+        vecs[-1] = vecs[0]
+        store = EmbeddingStore.from_arrays([f"w{i}" for i in range(n)], vecs)
+        cases.append((store, sparse_matrix(gen, n, samples=int(gen.integers(1, 10**6)))))
+    verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+    tetra = EmbeddingStore.from_arrays(["a", "b", "c", "d"], verts)
+    cases.append((tetra, uniform_matrix(4)))
+    cases.append((tetra, sparse_matrix(gen, 4)))
+    return cases
 
 
 class TestDeniability:
@@ -77,9 +111,22 @@ class TestVerifyMetricDp:
         report = verify_metric_dp(m, toy5, epsilon=2.0)
         assert report.satisfied
 
+    def test_non_finite_or_negative_epsilon_rejected(self, toy3):
+        # at NaN every violation is NaN and the report read satisfied: true
+        for eps in (math.nan, math.inf, -1.0):
+            with pytest.raises(ConfigError):
+                verify_metric_dp(identity_matrix(3), toy3, eps)
+
     def test_store_mismatch(self, toy3):
         with pytest.raises(ConfigError):
             verify_metric_dp(identity_matrix(4), toy3, 1.0)
+
+    def test_matches_full_matrix_reference(self, toy5, rng):
+        m = build_transition_matrix(toy5, rng, MechanismConfig("baseline", 2.0), 2000)
+        for store, matrix in reference_cases() + [(toy5, m)]:
+            for eps in (0.5, 3.0):
+                report = verify_metric_dp(matrix, store, eps)
+                assert report.to_dict() == verify_metric_dp_full(matrix, store, eps).to_dict()
 
     def test_huge_sample_count(self, toy3):
         # 1 - alpha**(1/n) loses every digit to cancellation as n grows (it
@@ -131,8 +178,50 @@ class TestPosterior:
 
     def test_unreachable_observation(self):
         m = TransitionMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]), sample_count=1)
-        with pytest.raises(UnreachableObservationError):
-            posterior([0.5, 0.5], m, observed=1)
+        for observed in (1, np.array([0, 1])):
+            with pytest.raises(UnreachableObservationError):
+                posterior([0.5, 0.5], m, observed=observed)
+
+    def test_array_of_ids_stacks_scalar_posteriors(self):
+        gen = np.random.default_rng(23)
+        m = sparse_matrix(gen, 8)
+        prior = gen.uniform(size=8) * (gen.uniform(size=8) < 0.7)
+        prior[0] = 0.5
+        prior /= prior.sum()
+        ids = np.flatnonzero(prior @ m.probs > 0)[[3, 0, 2, 0, 1]]
+        post = posterior(prior, m, ids)
+        stacked = np.stack([posterior(prior, m, int(y)).probs for y in ids], axis=1)
+        assert post.probs.shape == (8, 5)
+        assert np.array_equal(post.probs, stacked)
+        assert posterior(prior, m, 3).probs.shape == (8,)
+
+    @pytest.mark.parametrize(
+        "prior", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [1.5, -0.5, 0.0]]
+    )
+    def test_bad_prior_rejected(self, toy3, rng, prior):
+        with pytest.raises(ConfigError):
+            posterior(prior, uniform_matrix(3), 0)
+        with pytest.raises(ConfigError):
+            attack_accuracy(toy3, rng, uniform_matrix(3), prior, 10)
+
+    def test_bad_posterior_rejected(self):
+        for probs in ([0.5, 0.7, -0.2], [np.nan, 0.5, 0.5], [[0.5, 0.5], [0.5, 0.7], [0.0, -0.2]]):
+            with pytest.raises(ConfigError):
+                Posterior(0, np.array(probs))
+
+    def test_bad_posterior_rejected_under_optimize(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "from privtext.analysis import Posterior\n"
+            "from privtext.errors import ConfigError\n"
+            "try:\n    Posterior(0, [0.5, 0.7, -0.2])\n"
+            "except ConfigError:\n    print('rejected')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.stdout == "rejected\n", proc.stderr
 
     def test_normalization(self):
         gen = np.random.default_rng(8)
@@ -221,6 +310,21 @@ class TestAttackAccuracy:
         prior /= prior.sum()
         acc = attack_accuracy(toy5, rng.fork(1), m, prior, 3000, mechanism=Mechanism(toy5, cfg))
         assert acc == 0.469
+
+    def test_matches_per_observation_reference(self):
+        gen = np.random.default_rng(27)
+        for i, (store, matrix) in enumerate(reference_cases()):
+            n = matrix.size
+            for prior in (np.full(n, 1.0 / n), gen.uniform(size=n) * (gen.uniform(size=n) < 0.6)):
+                prior[0] += 0.1
+                prior /= prior.sum()
+                ref = attack_decisions_per_observation(store, matrix, prior)
+                reachable = np.flatnonzero(ref >= 0)
+                decisions = optimal_attack(store, posterior(prior, matrix, reachable))
+                assert decisions.tolist() == ref[reachable].tolist()
+                assert attack_accuracy(store, RngStream(i), matrix, prior, 500) == (
+                    attack_accuracy_per_trial(store, RngStream(i), matrix, prior, 500)
+                )
 
     def test_relabeling_invariance(self, rng):
         # tie-free geometry: permuting word ids must not change accuracy

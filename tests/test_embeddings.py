@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from privtext import EmbeddingStore, load_embeddings
+from privtext import EmbeddingStore, embeddings, load_embeddings
 from privtext.embeddings import CACHE_MAGIC, load_cache, save_cache
 from privtext.errors import (
     DimensionMismatchError,
@@ -208,6 +208,22 @@ class TestNearestWord:
         for i in range(200):
             dists = [math.dist(points[i], store.vector(c)) for c in cands]
             assert batch[i] == cands[int(np.argmin(dists))]
+
+    def test_small_blocks_match_one_block(self, monkeypatch):
+        # ties included: duplicate vectors and points on a bisector
+        gen = np.random.default_rng(19)
+        vecs = gen.normal(size=(40, 3))
+        vecs[7] = vecs[3]
+        store = EmbeddingStore.from_arrays([f"w{i}" for i in range(40)], vecs)
+        points = np.vstack([gen.normal(size=(97, 3)), vecs[3], (vecs[0] + vecs[1]) / 2])
+        cands = np.array([1, 3, 7, 20, 0])
+        whole = store.nearest_words(points)
+        whole_cand = store.nearest_words(points, candidate_ids=cands)
+        for budget in (1, 5, 100):
+            monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", budget)
+            assert np.array_equal(store.nearest_words(points), whole)
+            assert np.array_equal(store.nearest_words(points, candidate_ids=cands), whole_cand)
+        assert whole.tolist() == [store.nearest_word(p) for p in points]
 
 
 class TestKNearest:

@@ -271,11 +271,11 @@ class TestTransitionMatrix:
 
     def test_sample_point_mass(self, rng):
         m = TransitionMatrix(np.array([[0.0, 1.0], [0.0, 1.0]]), sample_count=1)
-        assert all(sample_from_matrix(rng, m, 0) == 1 for _ in range(50))
+        assert sample_from_matrix(rng, m, np.zeros(50, dtype=np.int64)).tolist() == [1] * 50
 
     def test_sample_uniform_row(self, rng):
         m = TransitionMatrix(np.full((4, 4), 0.25), sample_count=1)
-        draws = np.array([sample_from_matrix(rng, m, 2) for _ in range(10**5)])
+        draws = sample_from_matrix(rng, m, np.full(10**5, 2))
         freqs = np.bincount(draws, minlength=4) / len(draws)
         assert np.all(np.abs(freqs - 0.25) < 0.01)
 
@@ -283,10 +283,21 @@ class TestTransitionMatrix:
         row = np.array([0.1, 0.2, 0.3, 0.4])
         m = TransitionMatrix(np.tile(row, (4, 1)), sample_count=1)
         n = 10**5
-        draws = np.array([sample_from_matrix(rng, m, 0) for _ in range(n)])
+        draws = sample_from_matrix(rng, m, np.zeros(n, dtype=np.int64))
         freqs = np.bincount(draws, minlength=4) / n
         bound = 3 * np.sqrt(row * (1 - row) / n)
         assert np.all(np.abs(freqs - row) <= bound)
+
+    def test_sample_rows_in_entry_order(self, rng):
+        # mixed ids draw one uniform per entry, in entry order, each
+        # inverted through its own row's cumulative sum
+        probs = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]])
+        m = TransitionMatrix(probs, sample_count=1)
+        ids = np.array([2, 0, 1, 2, 0, 2, 1])
+        draws = sample_from_matrix(rng.fork(0), m, ids)
+        u = rng.fork(0).gen.uniform(size=len(ids))
+        expected = [np.searchsorted(np.cumsum(probs[w]), x, side="right") for w, x in zip(ids, u)]
+        assert draws.tolist() == expected
 
     def test_tsv_round_trip(self, toy3, rng):
         m = build_transition_matrix(toy3, rng, MechanismConfig("baseline", 1.0), 300)

@@ -7,7 +7,6 @@ from scipy import stats
 from privtext import (
     MultivariateLaplaceParam,
     RngStream,
-    sample_laplace,
     sample_mv_laplace,
     sample_mv_laplace_truncated,
     sample_permutation,
@@ -34,18 +33,21 @@ class TestRngStream:
 
 
 class TestLaplace:
+    """In one dimension the radial Laplacian is Laplace(0, 1/eps)."""
+
     def test_mean_zero(self, rng):
-        draws = sample_laplace(rng, 1.0, size=10**6)
+        draws = sample_mv_laplace(rng, MultivariateLaplaceParam(1, 1.0), size=10**6)[:, 0]
         assert abs(draws.mean()) < 0.01
 
     def test_variance_oracle(self, rng):
-        # Var[Lap(0, s)] = 2 s^2 = 8 at s = 2
-        draws = sample_laplace(rng, 2.0, size=10**6)
+        # Var[Lap(0, s)] = 2 s^2 = 8 at s = 1/eps = 2
+        draws = sample_mv_laplace(rng, MultivariateLaplaceParam(1, 0.5), size=10**6)[:, 0]
         assert draws.var() == pytest.approx(8.0, abs=0.1)
 
     def test_zero_scale_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            sample_laplace(rng, 0.0)
+        for eps in (0.0, -1.0):
+            with pytest.raises(ConfigError):
+                MultivariateLaplaceParam(1, eps)
 
 
 class TestUnitSphere:

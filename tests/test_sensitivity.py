@@ -8,13 +8,13 @@ from privtext import (
     build_profile,
     global_sensitivity,
     local_sensitivity,
-    local_sensitivity_t,
     smooth_sensitivity,
 )
 from privtext.errors import ConfigError, SingletonVocabularyError
 from privtext.sensitivity import profile_tsv
 
 from conftest import random_store
+from oracles import local_sensitivity_t, smooth_sensitivity_by_balls
 
 
 class TestLocal:
@@ -48,10 +48,6 @@ class TestLocalT:
         ts = [0.5, 1.5, 3.0, 6.0]
         vals = [local_sensitivity_t(toy3, 0, t) for t in ts]
         assert vals == sorted(vals)
-
-    def test_nonpositive_t_rejected(self, toy3):
-        with pytest.raises(ConfigError):
-            local_sensitivity_t(toy3, 0, 0.0)
 
 
 class TestSmooth:
@@ -108,6 +104,18 @@ class TestProfile:
             store = random_store(gen, 30, 4)
             profile = build_profile(store, gen.uniform(0, 5))
             assert np.all(profile.per_word_smooth >= profile.per_word_local - 1e-12)
+
+    def test_matches_ball_definition(self):
+        # smooth(w) = max_t e^(-beta t) max{local(u) : d(w, u) <= t}
+        gen = np.random.default_rng(17)
+        for _ in range(5):
+            store = random_store(gen, int(gen.integers(2, 12)), int(gen.integers(1, 4)))
+            beta = float(gen.uniform(0, 5))
+            profile = build_profile(store, beta)
+            for w in range(len(store)):
+                assert profile.per_word_smooth[w] == pytest.approx(
+                    smooth_sensitivity_by_balls(store, w, beta), rel=1e-12
+                )
 
     def test_smoothness_axiom(self):
         # property (2): smooth(w) <= e^(beta d(w,u)) smooth(u) for all pairs
