@@ -19,7 +19,7 @@ from .analysis import (
     posterior,
     verify_metric_dp,
 )
-from .embeddings import EmbeddingStore, NeighborList, load_embeddings
+from .embeddings import EmbeddingStore, load_embeddings
 from .errors import PrivtextError
 from .pipeline import CorpusSpec, CuratorReport, ProtocolConfig, run_protocol
 from .randomizers import (
@@ -40,12 +40,6 @@ from .samplers import (
     sample_permutation,
     sample_unit_sphere,
 )
-from .sensitivity import (
-    SensitivityProfile,
-    build_profile,
-    global_sensitivity,
-    local_sensitivity,
-    smooth_sensitivity,
-)
+from .sensitivity import SensitivityProfile, build_profile
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ import tempfile
 import zipfile
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,24 +32,11 @@ _NN_BLOCK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
-class NeighborList:
-    """k-nearest-neighbor query result, sorted by (distance, word id)."""
-
-    origin: int
-    entries: tuple[tuple[int, float], ...]
-
-    def ids(self) -> np.ndarray:
-        return np.array([i for i, _ in self.entries], dtype=np.int64)
-
-    def distances(self) -> np.ndarray:
-        return np.array([d for _, d in self.entries], dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class EmbeddingStore:
     words: tuple[str, ...]
     vectors: np.ndarray  # (|W|, d) float64, read-only
     dim: int
+    sq_norms: np.ndarray = field(repr=False, compare=False)  # (|W|,) ||v||^2, read-only
     _word_to_id: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
 
     @classmethod
@@ -62,7 +50,7 @@ class EmbeddingStore:
                 if w in seen:
                     raise DuplicateWordError(f"duplicate word {w!r}")
                 seen.add(w)
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] != len(words):
             raise DimensionMismatchError(
                 f"expected ({len(words)}, d) vector array, got shape {vectors.shape}"
@@ -71,19 +59,22 @@ class EmbeddingStore:
             raise NonFiniteComponentError("embedding contains NaN or Inf")
         # every squared distance is at most 4 max ||v||^2: if that overflows,
         # distances, sensitivities and decodes turn into Inf and NaN
-        if not np.einsum("ij,ij->i", vectors, vectors).max() <= np.finfo(np.float64).max / 4:
+        sq_norms = np.einsum("ij,ij->i", vectors, vectors)
+        if not sq_norms.max() <= np.finfo(np.float64).max / 4:
             raise NonFiniteComponentError("embedding is so large that its distances overflow")
         if normalize:
             norms = np.linalg.norm(vectors, axis=1, keepdims=True)
             if np.any(norms == 0):
                 raise NonFiniteComponentError("cannot normalize a zero vector")
             vectors = vectors / norms
-        vectors = np.ascontiguousarray(vectors)
+            sq_norms = np.einsum("ij,ij->i", vectors, vectors)
         vectors.setflags(write=False)
+        sq_norms.setflags(write=False)
         return cls(
             words=words,
             vectors=vectors,
             dim=vectors.shape[1],
+            sq_norms=sq_norms,
             _word_to_id={w: i for i, w in enumerate(words)},
         )
 
@@ -146,13 +137,12 @@ class EmbeddingStore:
         if not np.all(np.isfinite(points)):
             raise NonFiniteComponentError("query points contain NaN or Inf")
         if candidate_ids is None:
-            cand = self.vectors
             ids = None
+            cand, cand_sq = self.vectors, self.sq_norms
         else:
             ids = np.sort(np.asarray(candidate_ids, dtype=np.int64))
-            cand = self.vectors[ids]
+            cand, cand_sq = self.vectors[ids], self.sq_norms[ids]
         out = np.empty(points.shape[0], dtype=np.int64)
-        cand_sq = np.einsum("ij,ij->i", cand, cand)
         block_rows = max(1, _NN_BLOCK_ENTRIES // len(cand))
         for lo in range(0, points.shape[0], block_rows):
             block = points[lo : lo + block_rows]
@@ -169,21 +159,16 @@ class EmbeddingStore:
             out = ids[out]
         return out
 
-    def k_nearest(self, w: int, k: int, include_self: bool = False) -> NeighborList:
-        """The k closest vocabulary words to w, sorted by (distance, id)."""
+    def k_nearest(self, w: int, k: int) -> np.ndarray:
+        """Ids of the k closest other vocabulary words to w, sorted by
+        (distance, id)."""
         w = self.check_id(w)
         n = len(self.words)
-        limit = n if include_self else n - 1
-        if not 1 <= k <= limit:
-            raise InvalidWordIdError(f"k={k} out of range [1, {limit}]")
+        if not 1 <= k <= n - 1:
+            raise InvalidWordIdError(f"k={k} out of range [1, {n - 1}]")
         dists = np.linalg.norm(self.vectors - self.vectors[w], axis=1)
-        ids = np.arange(n)
-        if not include_self:
-            mask = ids != w
-            ids, dists = ids[mask], dists[mask]
-        order = np.lexsort((ids, dists))[:k]
-        entries = tuple((int(ids[i]), float(dists[i])) for i in order)
-        return NeighborList(origin=w, entries=entries)
+        dists[w] = np.inf
+        return np.argsort(dists, kind="stable")[:k]
 
     def pairwise_distances(self) -> np.ndarray:
         """Full |W| x |W| Euclidean distance matrix (desk-scale only)."""
@@ -193,20 +178,25 @@ class EmbeddingStore:
 
     def median_nn_distance(self) -> float:
         """Median distance to the nearest distinct neighbor (sigma default)."""
-        return float(np.median(self.nn_distances()))
+        return float(np.median(self.nn_distances))
 
     def mean_nn_distance(self) -> float:
         """Mean nearest-distinct-neighbor distance (MH proposal default)."""
-        return float(np.mean(self.nn_distances()))
+        return float(np.mean(self.nn_distances))
 
+    @cached_property
     def nn_distances(self) -> np.ndarray:
-        """Per-word distance to the nearest distinct neighbor (one |W| x |W|
-        pass); zeros(1) for a one-word vocabulary."""
+        """Per-word distance to the nearest distinct neighbor, read-only:
+        one |W| x |W| pass, made on first use and kept for the store's
+        lifetime; zeros(1) for a one-word vocabulary."""
         if len(self.words) < 2:
-            return np.zeros(1)
-        d = self.pairwise_distances()
-        np.fill_diagonal(d, np.inf)
-        return d.min(axis=1)
+            d = np.zeros(1)
+        else:
+            d = self.pairwise_distances()
+            np.fill_diagonal(d, np.inf)
+            d = d.min(axis=1)
+        d.setflags(write=False)
+        return d
 
 
 def _argmin_exact(points, cand, d2):

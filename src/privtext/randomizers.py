@@ -181,8 +181,7 @@ def kde_log_prior(store: EmbeddingStore, points, sigma: float) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     # squared distances (n, |W|) without materializing the difference tensor
     p2 = np.einsum("ij,ij->i", points, points)
-    v2 = np.einsum("ij,ij->i", store.vectors, store.vectors)
-    sq = p2[:, None] - 2.0 * points @ store.vectors.T + v2[None, :]
+    sq = p2[:, None] - 2.0 * points @ store.vectors.T + store.sq_norms[None, :]
     np.maximum(sq, 0.0, out=sq)
     return logsumexp(-sq / (2.0 * sigma**2), axis=1)
 
@@ -200,7 +199,7 @@ class Mechanism:
 
     Per-word constants are resolved once per Mechanism: the smooth epsilon
     vector here, the density bandwidth and MH step on the first density draw
-    (each costs a |W| x |W| nearest-neighbor pass).
+    (together one |W| x |W| nearest-neighbor pass, which the store keeps).
     """
 
     def __init__(
@@ -219,6 +218,11 @@ class Mechanism:
                 self.profile = profile = build_profile(store, config.beta)
             if len(profile.per_word_smooth) != len(store):
                 raise ConfigError("sensitivity profile does not match the store")
+            if profile.beta != config.beta:
+                raise ConfigError(
+                    f"sensitivity profile was built at beta={profile.beta}, not at the config's"
+                    f" beta={config.beta}"
+                )
             smooth = profile.per_word_smooth
             # noise scale smooth(w)/global of the baseline's: less noise in
             # dense regions; 0 marks a word whose smooth sensitivity is 0
@@ -249,7 +253,7 @@ class Mechanism:
             raise ConfigError(f"smooth sensitivity is 0 at word {w}; cannot calibrate")
         cands = None
         if self.config.variant == "trunc_knn":
-            cands = np.sort(np.append(store.k_nearest(w, self.config.k).ids(), w))
+            cands = np.sort(np.append(store.k_nearest(w, self.config.k), w))
         z = sample_mv_laplace(rng, MultivariateLaplaceParam(store.dim, epsilon), size=n)
         return store.nearest_words(store.vector(w)[None, :] + z, candidate_ids=cands)
 

@@ -66,34 +66,30 @@ class MultivariateLaplaceParam:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
 
 
-def sample_unit_sphere(rng: RngStream, dim: int, size: int | None = None):
-    """Uniform direction(s) on the unit sphere in R^dim."""
+def sample_unit_sphere(rng: RngStream, dim: int, size: int) -> np.ndarray:
+    """(size, dim) uniform directions on the unit sphere in R^dim."""
     if dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
-    n = 1 if size is None else int(size)
-    g = rng.gen.standard_normal((n, dim))
+    g = rng.gen.standard_normal((size, dim))
     norms = np.linalg.norm(g, axis=1)
     # a zero draw has probability 0 but would divide by zero; redraw those rows
     while np.any(norms == 0.0):
         bad = norms == 0.0
         g[bad] = rng.gen.standard_normal((int(bad.sum()), dim))
         norms = np.linalg.norm(g, axis=1)
-    u = g / norms[:, None]
-    return u[0] if size is None else u
+    return g / norms[:, None]
 
 
-def sample_mv_laplace(rng: RngStream, param: MultivariateLaplaceParam, size: int | None = None):
-    """Noise with density proportional to exp(-eps * ||z||) in R^d.
+def sample_mv_laplace(rng: RngStream, param: MultivariateLaplaceParam, size: int) -> np.ndarray:
+    """(size, d) noise with density proportional to exp(-eps * ||z||) in R^d.
 
     Spherical factorization: direction uniform on the sphere, radius from
     Gamma(shape=d, scale=1/eps). The Jacobian r^(d-1) of polar coordinates
     turns that radius law into exactly the stated density.
     """
-    n = 1 if size is None else int(size)
-    u = sample_unit_sphere(rng, param.dim, size=n)
-    r = rng.gen.gamma(shape=param.dim, scale=1.0 / param.epsilon, size=n)
-    z = u * r[:, None]
-    return z[0] if size is None else z
+    u = sample_unit_sphere(rng, param.dim, size)
+    r = rng.gen.gamma(shape=param.dim, scale=1.0 / param.epsilon, size=size)
+    return u * r[:, None]
 
 
 def truncation_mass(param: MultivariateLaplaceParam, tau: float) -> float:
@@ -104,24 +100,19 @@ def truncation_mass(param: MultivariateLaplaceParam, tau: float) -> float:
 
 
 def sample_mv_laplace_truncated(
-    rng: RngStream, param: MultivariateLaplaceParam, tau: float, size: int | None = None
-):
-    """Radial Laplacian conditioned on ||z|| <= tau.
+    rng: RngStream, param: MultivariateLaplaceParam, tau: float, size: int
+) -> np.ndarray:
+    """(size, d) radial Laplacian draws conditioned on ||z|| <= tau.
 
     Radius via inverse CDF on the Gamma restricted to [0, tau]: bounded
     runtime even when tau cuts off nearly all the mass.
     """
-    if not tau > 0:
-        raise ConfigError(f"tau must be > 0, got {tau}")
-    n = 1 if size is None else int(size)
-    u = sample_unit_sphere(rng, param.dim, size=n)
-    cap = stats.gamma.cdf(tau, a=param.dim, scale=1.0 / param.epsilon)
-    q = rng.gen.uniform(0.0, cap, size=n)
+    cap = truncation_mass(param, tau)
+    u = sample_unit_sphere(rng, param.dim, size)
+    q = rng.gen.uniform(0.0, cap, size=size)
     r = stats.gamma.ppf(q, a=param.dim, scale=1.0 / param.epsilon)
     r = np.minimum(r, tau)  # ppf can overshoot by float error at q ~= cap
-    assert np.all(r <= tau)
-    z = u * r[:, None]
-    return z[0] if size is None else z
+    return u * r[:, None]
 
 
 def sample_permutation(rng: RngStream, n: int) -> np.ndarray:

@@ -20,51 +20,30 @@ class SensitivityProfile:
     per_word_local: np.ndarray  # (|W|,)
     beta: float
     per_word_smooth: np.ndarray  # (|W|,)
-    global_sensitivity: float
 
     def __post_init__(self):
-        assert np.all(self.per_word_smooth >= self.per_word_local - 1e-12)
-        assert np.isclose(self.global_sensitivity, self.per_word_local.max())
+        local = np.asarray(self.per_word_local, dtype=np.float64)
+        smooth = np.asarray(self.per_word_smooth, dtype=np.float64)
+        if local.ndim != 1 or local.size == 0 or smooth.shape != local.shape:
+            raise ConfigError(
+                f"local and smooth sensitivities must be two non-empty vectors of one"
+                f" length, got shapes {local.shape} and {smooth.shape}"
+            )
+        # written so that NaN fails the comparison
+        if not np.all(smooth >= local - 1e-12):
+            raise ConfigError("smooth sensitivity must be at least the local sensitivity")
+        object.__setattr__(self, "per_word_local", local)
+        object.__setattr__(self, "per_word_smooth", smooth)
 
-
-def _require_multiword(store: EmbeddingStore):
-    if len(store) < 2:
-        raise SingletonVocabularyError("sensitivity needs at least 2 words")
-
-
-def local_sensitivity(store: EmbeddingStore, w: int) -> float:
-    """Distance from w to its nearest distinct neighbor."""
-    _require_multiword(store)
-    w = store.check_id(w)
-    dists = np.linalg.norm(store.vectors - store.vectors[w], axis=1)
-    dists[w] = np.inf
-    return float(dists.min())
-
-
-def smooth_sensitivity(store: EmbeddingStore, w: int, beta: float) -> float:
-    """Smallest beta-smooth upper bound on local sensitivity, at word w.
-
-    max over all words u of local(u) * exp(-beta * d(w, u)). At beta = 0
-    this is the global sensitivity for every w; as beta grows it decays
-    toward local(w).
-    """
-    _require_multiword(store)
-    if beta < 0:
-        raise ConfigError(f"beta must be >= 0, got {beta}")
-    w = store.check_id(w)
-    dists = np.linalg.norm(store.vectors - store.vectors[w], axis=1)
-    local = store.nn_distances()
-    return float(np.max(local * np.exp(-beta * dists)))
-
-
-def global_sensitivity(store: EmbeddingStore) -> float:
-    _require_multiword(store)
-    return float(store.nn_distances().max())
+    @property
+    def global_sensitivity(self) -> float:
+        return float(self.per_word_local.max())
 
 
 def build_profile(store: EmbeddingStore, beta: float) -> SensitivityProfile:
-    """Compute local, smooth, and global sensitivity for every word."""
-    _require_multiword(store)
+    """Compute local and smooth sensitivity for every word."""
+    if len(store) < 2:
+        raise SingletonVocabularyError("sensitivity needs at least 2 words")
     if beta < 0:
         raise ConfigError(f"beta must be >= 0, got {beta}")
     d = store.pairwise_distances()
@@ -72,12 +51,7 @@ def build_profile(store: EmbeddingStore, beta: float) -> SensitivityProfile:
     local = d.min(axis=1)
     np.fill_diagonal(d, 0.0)
     smooth = np.max(local[None, :] * np.exp(-beta * d), axis=1)
-    return SensitivityProfile(
-        per_word_local=local,
-        beta=float(beta),
-        per_word_smooth=smooth,
-        global_sensitivity=float(local.max()),
-    )
+    return SensitivityProfile(per_word_local=local, beta=float(beta), per_word_smooth=smooth)
 
 
 def profile_tsv(store: EmbeddingStore, profile: SensitivityProfile) -> str:

@@ -179,7 +179,7 @@ def test_criterion_5_truncation_invariants(toy5m, toy3):
     draws = 0
 
     for i, k in enumerate((1, 2, 4)):
-        allowed = {0} | set(toy5m.k_nearest(0, k).ids().tolist())
+        allowed = {0} | set(toy5m.k_nearest(0, k).tolist())
         outs = Mechanism(toy5m, MechanismConfig("trunc_knn", 0.4, k=k)).perturb_batch(
             rng.fork(i), 0, 200_000
         )

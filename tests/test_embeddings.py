@@ -228,13 +228,14 @@ class TestNearestWord:
 
 class TestKNearest:
     def test_all_others_sorted(self, toy3):
-        nl = toy3.k_nearest(0, 2)
-        assert [e[0] for e in nl.entries] == [2, 1]
-        assert [e[1] for e in nl.entries] == pytest.approx([1.0, 5.0])
+        ids = toy3.k_nearest(0, 2)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [2, 1]
+        assert [toy3.distance(0, u) for u in ids] == pytest.approx([1.0, 5.0])
 
     def test_closest_to_b(self, toy3):
         # d(b,a)=5, d(b,c)=sqrt(18)~4.243: c wins
-        assert toy3.k_nearest(1, 1).entries[0][0] == 2
+        assert toy3.k_nearest(1, 1).tolist() == [2]
 
     def test_k_zero_rejected(self, toy3):
         with pytest.raises(InvalidWordIdError):
@@ -243,7 +244,6 @@ class TestKNearest:
     def test_k_too_large_rejected(self, toy3):
         with pytest.raises(InvalidWordIdError):
             toy3.k_nearest(0, 3)
-        toy3.k_nearest(0, 3, include_self=True)  # legal with self included
 
     def test_full_sort_oracle_large_vocab(self):
         gen = np.random.default_rng(21)
@@ -252,12 +252,15 @@ class TestKNearest:
         naive = sorted(
             ((store.distance(w, u), u) for u in range(1000) if u != w)
         )
-        nl = store.k_nearest(w, 25)
-        assert [e[0] for e in nl.entries] == [u for _, u in naive[:25]]
+        assert store.k_nearest(w, 25).tolist() == [u for _, u in naive[:25]]
 
-    def test_include_self_puts_origin_first(self, toy3):
-        nl = toy3.k_nearest(0, 1, include_self=True)
-        assert nl.entries[0] == (0, 0.0)
+    def test_ties_break_toward_lower_id(self):
+        # w1, w2 and w3 are all at distance 1 from w0
+        store = EmbeddingStore.from_arrays(
+            ["w0", "w1", "w2", "w3"], [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]]
+        )
+        assert store.k_nearest(0, 3).tolist() == [1, 2, 3]
+        assert store.k_nearest(2, 3).tolist() == [0, 1, 3]
 
 
 def test_store_is_immutable(toy3):
@@ -268,3 +271,33 @@ def test_store_is_immutable(toy3):
 def test_normalize_flag():
     store = EmbeddingStore.from_arrays(["a", "b"], [[3, 4], [0, 2]], normalize=True)
     assert np.allclose(np.linalg.norm(store.vectors, axis=1), 1.0)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_sq_norms_are_the_final_vectors_norms(normalize):
+    gen = np.random.default_rng(4)
+    # a Fortran-ordered input, so the store has to copy it
+    vecs = np.asfortranarray(gen.normal(size=(30, 7)) * 3.0)
+    store = EmbeddingStore.from_arrays([f"w{i}" for i in range(30)], vecs, normalize=normalize)
+    assert np.array_equal(store.sq_norms, np.einsum("ij,ij->i", store.vectors, store.vectors))
+    with pytest.raises(ValueError):
+        store.sq_norms[0] = 0.0
+
+
+def test_nn_distances_computed_once(monkeypatch):
+    store = random_store(np.random.default_rng(6), 12, 3)
+    calls = []
+    pairwise = EmbeddingStore.pairwise_distances
+
+    def counting(self):
+        calls.append(1)
+        return pairwise(self)
+
+    monkeypatch.setattr(EmbeddingStore, "pairwise_distances", counting)
+    d = pairwise(store)
+    np.fill_diagonal(d, np.inf)
+    assert store.median_nn_distance() == np.median(d.min(axis=1))
+    assert store.mean_nn_distance() == np.mean(d.min(axis=1))
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        store.nn_distances[0] = 0.0

@@ -243,6 +243,27 @@ class TestDensityMechanism:
         outs = Mechanism(toy1d, cfg).perturb_batch(rng, 0, 100)
         assert np.all((outs >= 0) & (outs < 3))
 
+    def test_default_sigma_and_step_share_one_pass(self, rng, monkeypatch):
+        # both defaults come from the store's nearest-neighbour distances
+        store = EmbeddingStore.from_arrays(
+            ["p", "q", "r", "s", "t"], [[-1.0], [0.0], [2.0], [2.5], [5.5]]
+        )
+        calls = []
+        pairwise = EmbeddingStore.pairwise_distances
+
+        def counting(self):
+            calls.append(1)
+            return pairwise(self)
+
+        monkeypatch.setattr(EmbeddingStore, "pairwise_distances", counting)
+        mech = Mechanism(store, MechanismConfig("density", 1.0, mh=MHParams(burn_in=5, thin=1)))
+        for w in range(5):
+            mech.perturb_batch(rng.fork(w), w, 3)
+        # nearest-neighbour distances 1, 1, 0.5, 0.5, 3
+        assert mech._sigma == pytest.approx(1.0)
+        assert mech._mh.proposal_step == pytest.approx(1.2)
+        assert len(calls) == 1
+
 
 class TestTransitionMatrix:
     def test_rows_sum_to_one(self, toy3, rng):
@@ -380,6 +401,10 @@ class TestSmoothMechanism:
         profile = build_profile(toy3, 0.0)
         with pytest.raises(ConfigError):
             Mechanism(pair, MechanismConfig("smooth", 1.0, beta=0.0), profile)
+        # a profile of the right store built at another beta
+        with pytest.raises(ConfigError, match="beta"):
+            Mechanism(toy3, MechanismConfig("smooth", 1.0, beta=1.0), profile)
+        Mechanism(toy3, MechanismConfig("smooth", 1.0, beta=0), profile)
 
     def test_zero_smooth_sensitivity_rejected_at_draw(self, rng):
         # two words at one point; at beta=1000, exp(-beta * 1) underflows, so
@@ -431,7 +456,7 @@ class TestTruncDistance:
 class TestTruncKnn:
     def test_output_in_candidate_set(self, toy5, rng):
         k = 2
-        allowed = {0} | set(toy5.k_nearest(0, k).ids().tolist())
+        allowed = {0} | set(toy5.k_nearest(0, k).tolist())
         outs = Mechanism(toy5, MechanismConfig("trunc_knn", 0.3, k=k)).perturb_batch(
             rng, 0, 10**4
         )

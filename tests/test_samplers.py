@@ -52,8 +52,9 @@ class TestLaplace:
 
 class TestUnitSphere:
     def test_unit_norm(self, rng):
-        v = sample_unit_sphere(rng, 5)
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        v = sample_unit_sphere(rng, 5, size=100)
+        assert v.shape == (100, 5)
+        assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-12)
 
     def test_dim1_symmetry(self, rng):
         draws = sample_unit_sphere(rng, 1, size=10**5)
@@ -66,7 +67,7 @@ class TestUnitSphere:
 
     def test_zero_dim_rejected(self, rng):
         with pytest.raises(ConfigError):
-            sample_unit_sphere(rng, 0)
+            sample_unit_sphere(rng, 0, size=1)
 
 
 class TestMvLaplace:
@@ -122,7 +123,7 @@ class TestTruncated:
 
     def test_nonpositive_tau_rejected(self, rng):
         with pytest.raises(ConfigError):
-            sample_mv_laplace_truncated(rng, MultivariateLaplaceParam(2, 1.0), 0.0)
+            sample_mv_laplace_truncated(rng, MultivariateLaplaceParam(2, 1.0), 0.0, size=1)
 
 
 class TestPermutation:

@@ -1,15 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from privtext import (
-    EmbeddingStore,
-    build_profile,
-    global_sensitivity,
-    local_sensitivity,
-    smooth_sensitivity,
-)
+from privtext import EmbeddingStore, SensitivityProfile, build_profile
 from privtext.errors import ConfigError, SingletonVocabularyError
 from privtext.sensitivity import profile_tsv
 
@@ -20,25 +18,25 @@ from oracles import local_sensitivity_t, smooth_sensitivity_by_balls
 class TestLocal:
     def test_nearest_neighbor_distance(self, toy3):
         # brute force: min(d(a,b)=5, d(a,c)=1) = 1
-        assert local_sensitivity(toy3, 0) == 1.0
+        assert build_profile(toy3, 0.0).per_word_local[0] == 1.0
 
     def test_duplicate_position_is_zero(self):
         store = EmbeddingStore.from_arrays(["a", "b"], [[1, 1], [1, 1]])
-        assert local_sensitivity(store, 0) == 0.0
+        assert build_profile(store, 0.0).per_word_local[0] == 0.0
 
     def test_singleton_rejected(self):
         store = EmbeddingStore.from_arrays(["a"], [[0, 0]])
         with pytest.raises(SingletonVocabularyError):
-            local_sensitivity(store, 0)
+            build_profile(store, 0.0)
 
 
 class TestLocalT:
     def test_tiny_t_gives_local(self, toy3):
-        assert local_sensitivity_t(toy3, 0, 0.5) == local_sensitivity(toy3, 0)
+        assert local_sensitivity_t(toy3, 0, 0.5) == build_profile(toy3, 0.0).per_word_local[0]
 
     def test_diameter_t_gives_global(self, toy3):
         diam = max(toy3.distance(i, j) for i in range(3) for j in range(3))
-        assert local_sensitivity_t(toy3, 0, diam) == global_sensitivity(toy3)
+        assert local_sensitivity_t(toy3, 0, diam) == build_profile(toy3, 0.0).global_sensitivity
 
     def test_partial_ball(self, toy3):
         # t=1.5 around a covers {a, c}: max(local(a)=1, local(c)=1) = 1
@@ -52,15 +50,12 @@ class TestLocalT:
 
 class TestSmooth:
     def test_beta_zero_is_global(self, toy3):
-        g = global_sensitivity(toy3)
-        for w in range(3):
-            assert smooth_sensitivity(toy3, w, 0.0) == pytest.approx(g)
+        profile = build_profile(toy3, 0.0)
+        assert profile.per_word_smooth == pytest.approx([profile.global_sensitivity] * 3)
 
     def test_large_beta_is_local(self, toy3):
-        for w in range(3):
-            assert smooth_sensitivity(toy3, w, 1e6) == pytest.approx(
-                local_sensitivity(toy3, w)
-            )
+        profile = build_profile(toy3, 1e6)
+        assert profile.per_word_smooth == pytest.approx(profile.per_word_local)
 
     def test_three_term_oracle(self, toy3):
         # locals: a->1, b->sqrt(18), c->1; at w=a, beta=1:
@@ -70,17 +65,17 @@ class TestSmooth:
             math.sqrt(18) * math.exp(-5.0),
             1.0 * math.exp(-1.0),
         )
-        assert smooth_sensitivity(toy3, 0, 1.0) == pytest.approx(expected)
+        assert build_profile(toy3, 1.0).per_word_smooth[0] == pytest.approx(expected)
         assert expected == 1.0
 
     def test_monotone_nonincreasing_in_beta(self, toy3):
         betas = [0.0, 0.5, 1.0, 3.0, 10.0]
-        vals = [smooth_sensitivity(toy3, 0, b) for b in betas]
+        vals = [build_profile(toy3, b).per_word_smooth[0] for b in betas]
         assert vals == sorted(vals, reverse=True)
 
     def test_negative_beta_rejected(self, toy3):
         with pytest.raises(ConfigError):
-            smooth_sensitivity(toy3, 0, -0.1)
+            build_profile(toy3, -0.1)
 
 
 class TestProfile:
@@ -91,11 +86,13 @@ class TestProfile:
         assert np.allclose(profile.per_word_smooth, math.sqrt(18))
 
     def test_matches_per_word_ops(self, toy3):
+        # against the brute-force oracles: the radius-0 ball of a word
+        # without duplicates holds only that word
         profile = build_profile(toy3, 1.3)
         for w in range(3):
-            assert profile.per_word_local[w] == pytest.approx(local_sensitivity(toy3, w))
+            assert profile.per_word_local[w] == pytest.approx(local_sensitivity_t(toy3, w, 0.0))
             assert profile.per_word_smooth[w] == pytest.approx(
-                smooth_sensitivity(toy3, w, 1.3)
+                smooth_sensitivity_by_balls(toy3, w, 1.3)
             )
 
     def test_smooth_dominates_local(self):
@@ -134,6 +131,33 @@ class TestProfile:
         store = EmbeddingStore.from_arrays(["a"], [[0.0]])
         with pytest.raises(SingletonVocabularyError):
             build_profile(store, 0.0)
+
+    def test_bad_profile_rejected(self):
+        for local, smooth in (
+            ([1.0, 2.0], [1.0, 1.0]),            # smooth below local
+            ([1.0, 2.0], [1.0, float("nan")]),   # NaN smooth
+            ([float("nan"), 2.0], [1.0, 2.0]),   # NaN local
+            ([1.0, 2.0], [1.0, 2.0, 3.0]),       # lengths differ
+            ([[1.0, 2.0]], [[1.0, 2.0]]),        # not vectors
+            ([], []),
+        ):
+            with pytest.raises(ConfigError):
+                SensitivityProfile(np.array(local), 1.0, np.array(smooth))
+
+    def test_bad_profile_rejected_under_optimize(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import numpy as np\n"
+            "from privtext import SensitivityProfile\n"
+            "from privtext.errors import ConfigError\n"
+            "try:\n    SensitivityProfile(np.array([1.0, 1.0]), 1.0, np.array([1e-4, 1.0]))\n"
+            "except ConfigError:\n    print('rejected')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.stdout == "rejected\n", proc.stderr
 
 
 def test_profile_tsv_format(toy3):
