@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import (
     DimensionMismatchError,
@@ -57,17 +58,19 @@ class EmbeddingStore:
             )
         if not np.all(np.isfinite(vectors)):
             raise NonFiniteComponentError("embedding contains NaN or Inf")
+        if normalize:
+            # scaled by the largest |component| first, the norm neither
+            # underflows to 0 nor overflows to Inf for any nonzero row
+            scale = np.abs(vectors).max(axis=1, keepdims=True)
+            if np.any(scale == 0):
+                raise NonFiniteComponentError("cannot normalize a zero vector")
+            vectors = vectors / scale
+            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         # every squared distance is at most 4 max ||v||^2: if that overflows,
         # distances, sensitivities and decodes turn into Inf and NaN
         sq_norms = np.einsum("ij,ij->i", vectors, vectors)
         if not sq_norms.max() <= np.finfo(np.float64).max / 4:
             raise NonFiniteComponentError("embedding is so large that its distances overflow")
-        if normalize:
-            norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-            if np.any(norms == 0):
-                raise NonFiniteComponentError("cannot normalize a zero vector")
-            vectors = vectors / norms
-            sq_norms = np.einsum("ij,ij->i", vectors, vectors)
         vectors.setflags(write=False)
         sq_norms.setflags(write=False)
         return cls(
@@ -98,10 +101,6 @@ class EmbeddingStore:
 
     def vector(self, w: int) -> np.ndarray:
         return self.vectors[self.check_id(w)]
-
-    def distance(self, w: int, u: int) -> float:
-        """Euclidean distance between two vocabulary words."""
-        return float(np.linalg.norm(self.vector(w) - self.vector(u)))
 
     def _check_point(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=np.float64)
@@ -171,9 +170,9 @@ class EmbeddingStore:
         return np.argsort(dists, kind="stable")[:k]
 
     def pairwise_distances(self) -> np.ndarray:
-        """Full |W| x |W| Euclidean distance matrix (desk-scale only)."""
-        from scipy.spatial.distance import cdist
-
+        """Full |W| x |W| Euclidean distance matrix, by cdist. Only the audit
+        (verify_metric_dp, attack_accuracy) holds it; per-word geometry
+        comes from distance_blocks instead."""
         return cdist(self.vectors, self.vectors)
 
     def median_nn_distance(self) -> float:
@@ -187,16 +186,78 @@ class EmbeddingStore:
     @cached_property
     def nn_distances(self) -> np.ndarray:
         """Per-word distance to the nearest distinct neighbor, read-only:
-        one |W| x |W| pass, made on first use and kept for the store's
-        lifetime; zeros(1) for a one-word vocabulary."""
-        if len(self.words) < 2:
-            d = np.zeros(1)
-        else:
-            d = self.pairwise_distances()
-            np.fill_diagonal(d, np.inf)
-            d = d.min(axis=1)
+        one distance_blocks pass, made on first use and kept for the store's
+        lifetime; zeros(1) for a one-word vocabulary. Each value is cdist's,
+        the row minimum of pairwise_distances with the diagonal masked."""
+        d = np.zeros(len(self.words))
+        if len(self.words) > 1:
+            for lo, s2, err in self.distance_blocks():
+                rows = np.arange(s2.shape[0])
+                s2[rows, lo + rows] = np.inf
+                ceiling = (s2 + err).min(axis=1)
+                s2 -= err
+                block = self.vectors[lo : lo + len(rows)]
+                for i, _, dist in exact_distances(block, self.vectors, s2 <= ceiling[:, None]):
+                    d[lo + i] = dist.min()
         d.setflags(write=False)
         return d
+
+    def distance_blocks(self):
+        """One pass over the vocabulary in O(block x |W|) memory: yields
+        (lo, s2, err) = sq_distance_bounds from words lo, lo + 1, ... to every
+        word, for consecutive row blocks of at most _NN_BLOCK_ENTRIES entries."""
+        block_rows = max(1, _NN_BLOCK_ENTRIES // len(self.words))
+        for lo in range(0, len(self.words), block_rows):
+            hi = lo + block_rows
+            yield lo, *sq_distance_bounds(
+                self.vectors[lo:hi], self.sq_norms[lo:hi], self.vectors, self.sq_norms
+            )
+
+
+def sq_distance_bounds(a, a_sq, b, b_sq):
+    """GEMM-form squared distances s2[i, j] = ||a_i||^2 - 2 a_i.b_j + ||b_j||^2
+    from the rows of a to the rows of b, given their squared norms, and a bound
+    err[i, j] on |s2[i, j] - q|, q the squared distance that cdist sums for the
+    pair. A candidate whose bounds lose to another's therefore loses under
+    cdist too, so only the rest need exact_distances. Both arrays are new."""
+    # Why err = 2 (d + 4) (eps (||a||^2 + ||b||^2) + 2 eta). Write u = eps / 2
+    # for the unit roundoff, g = d u / (1 - d u), na, nb for the exact squared
+    # norms, D for the exact squared distance and eta for the smallest
+    # subnormal.
+    # - s2 = fl(fl(-2 P + Nb) + Na), where Na, Nb and P = a.b (BLAS) are sums
+    #   of d products in some order. So |Na - na| <= g na, |Nb - nb| <= g nb
+    #   and |P - a.b| <= g sum|a_k b_k| <= g (na + nb) / 2, which costs
+    #   g (na + nb) once doubled. The two additions act on operands of size at
+    #   most 2 (na + nb)(1 + g), so each adds 2 u (na + nb)(1 + O(u)). In total
+    #   |s2 - D| <= (2 d + 4) u (na + nb)(1 + O(d u)).
+    # - cdist sums fl(fl(a_k - b_k)^2) in order. Each term is off by a relative
+    #   3 u and the sum by g, so |q - D| <= (d + 2) u D (1 + O(d u)), and
+    #   D <= 2 (na + nb) turns that into (2 d + 4) u (na + nb).
+    # - Together that is 2 (d + 2) eps (na + nb)(1 + O(d u)). Taking c = 2 with
+    #   d + 4 leaves 4 eps (na + nb) for the O(d u) terms and for rounding in
+    #   err itself and in s2 +- err.
+    # - Underflow escapes relative bounds: a product that lands among the
+    #   subnormals is off by up to eta / 2 absolute. s2 holds 3 d products (the
+    #   cross terms doubled: 2 d eta) and cdist d squares (d eta / 2);
+    #   subnormal differences are exact. 4 (d + 4) eta covers both.
+    finfo = np.finfo(np.float64)
+    s2 = a @ b.T
+    s2 *= -2.0
+    s2 += b_sq
+    s2 += a_sq[:, None]
+    err = a_sq[:, None] + b_sq
+    err *= finfo.eps
+    err += 2.0 * finfo.smallest_subnormal
+    err *= 2.0 * (a.shape[1] + 4)
+    return s2, err
+
+
+def exact_distances(a, b, keep):
+    """For each row i of a (len(a), len(b)) bool mask, yields (i, the indices
+    j kept in row i, cdist distances from a[i] to those b[j])."""
+    for i, row in enumerate(keep):
+        cand = np.flatnonzero(row)
+        yield i, cand, cdist(a[i : i + 1], b[cand])[0]
 
 
 def _argmin_exact(points, cand, d2):

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .embeddings import EmbeddingStore
 from .errors import ConfigError, InvalidWordIdError, MatrixFormatError
@@ -183,7 +182,29 @@ def kde_log_prior(store: EmbeddingStore, points, sigma: float) -> np.ndarray:
     p2 = np.einsum("ij,ij->i", points, points)
     sq = p2[:, None] - 2.0 * points @ store.vectors.T + store.sq_norms[None, :]
     np.maximum(sq, 0.0, out=sq)
-    return logsumexp(-sq / (2.0 * sigma**2), axis=1)
+    # -sq / (2 sigma^2) in place: dividing by the negated denominator is exact
+    np.divide(sq, -(2.0 * sigma**2), out=sq)
+    return _logsumexp_rows(sq)
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(a))) of a (n, m) array with finite row maxima,
+    overwriting a. It is SciPy 1.17's logsumexp formula step for step, and so
+    bit-identical to scipy.special.logsumexp(a, axis=1): with mx the row max
+    and k the count of entries equal to it, log1p(s / k) + log k + mx, where
+    s sums exp(a - mx) over the other entries."""
+    mx = a.max(axis=1, keepdims=True)
+    at_max = a == mx
+    k = at_max.sum(axis=1, keepdims=True, dtype=np.float64)
+    a -= mx
+    np.exp(a, out=a)
+    a[at_max] = 0.0
+    s = a.sum(axis=1, keepdims=True)
+    s /= k
+    out = np.log1p(s)
+    out += np.log(k)
+    out += mx
+    return out[:, 0]
 
 
 class Mechanism:
@@ -199,7 +220,7 @@ class Mechanism:
 
     Per-word constants are resolved once per Mechanism: the smooth epsilon
     vector here, the density bandwidth and MH step on the first density draw
-    (together one |W| x |W| nearest-neighbor pass, which the store keeps).
+    (both from the store's nn_distances, which it computes once and keeps).
     """
 
     def __init__(

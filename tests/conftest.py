@@ -29,6 +29,24 @@ def random_store(gen: np.random.Generator, n_words: int, dim: int) -> EmbeddingS
     return EmbeddingStore.from_arrays(words, gen.normal(size=(n_words, dim)))
 
 
+def count_passes(monkeypatch) -> list:
+    """Record each EmbeddingStore.distance_blocks pass in the returned list;
+    fail on any full distance matrix."""
+    calls = []
+    blocks = EmbeddingStore.distance_blocks
+
+    def counting(self):
+        calls.append(1)
+        return blocks(self)
+
+    def no_matrix(self):
+        raise AssertionError("per-word geometry built the |W| x |W| matrix")
+
+    monkeypatch.setattr(EmbeddingStore, "distance_blocks", counting)
+    monkeypatch.setattr(EmbeddingStore, "pairwise_distances", no_matrix)
+    return calls
+
+
 class IdentityMechanism:
     """Deterministic stub: every word maps to itself."""
 

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own sampling/evaluation code paths:
 quadrature and grid enumeration here, Monte Carlo there. The loop forms of
 the batched analysis paths (per-observation attack, full-matrix verifier)
-are kept here as references that the batched code must match exactly.
+and the full-matrix cdist forms of the blocked geometry (local and smooth
+sensitivity) are kept here as references that the fast code must match
+exactly.
 """
 import math
 
@@ -69,6 +71,29 @@ def baseline_output_distribution_1d(positions, w, epsilon, pad=12.0, n_grid=200_
 
 def total_variation(p, q) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
+def distance(store, w: int, u: int) -> float:
+    """Euclidean distance between two vocabulary words (ids checked)."""
+    return float(np.linalg.norm(store.vector(w) - store.vector(u)))
+
+
+def local_by_cdist(store) -> np.ndarray:
+    """Per-word nearest-distinct-neighbour distance, as a row minimum of the
+    full cdist matrix with the diagonal masked."""
+    d = cdist(store.vectors, store.vectors)
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1)
+
+
+def smooth_by_cdist(store, beta: float) -> np.ndarray:
+    """Smooth envelope max_u local(u) e^(-beta d(w, u)) over the full cdist
+    matrix, d(w, w) = 0."""
+    d = cdist(store.vectors, store.vectors)
+    np.fill_diagonal(d, np.inf)
+    local = d.min(axis=1)
+    np.fill_diagonal(d, 0.0)
+    return np.max(local[None, :] * np.exp(-beta * d), axis=1)
 
 
 def local_sensitivity_t(store, w: int, t: float) -> float:

@@ -42,6 +42,7 @@ from conftest import random_store
 from oracles import (
     baseline_output_distribution_1d,
     density_output_distribution,
+    distance,
     half_plane_mass,
     total_variation,
 )
@@ -191,7 +192,7 @@ def test_criterion_5_truncation_invariants(toy5m, toy3):
             toy5m, MechanismConfig("trunc_distance", 0.4, tau=tau)
         ).perturb_batch(rng.fork(10 + j), 0, 200_000)
         draws += outs.size
-        dists = np.array([toy5m.distance(0, int(u)) for u in range(len(toy5m))])
+        dists = np.array([distance(toy5m, 0, int(u)) for u in range(len(toy5m))])
         violations += int(np.sum(dists[outs] > tau))
 
     eps, tau = 1.0, 2.0
@@ -228,7 +229,7 @@ def test_criterion_6_bayes_attack(toy5m, toy5_matrix_eps2):
         pr /= pr.sum()
         exhaustive = min(
             range(10),
-            key=lambda c: (sum(pr[w] * store.distance(c, w) for w in range(10)), c),
+            key=lambda c: (sum(pr[w] * distance(store, c, w) for w in range(10)), c),
         )
         argmin_ok &= optimal_attack(store, Posterior(0, pr)) == exhaustive
 

@@ -28,6 +28,7 @@ from conftest import IdentityMechanism, UniformMechanism, random_store
 from oracles import (
     attack_accuracy_per_trial,
     attack_decisions_per_observation,
+    distance,
     verify_metric_dp_full,
 )
 
@@ -253,7 +254,7 @@ class TestOptimalAttack:
             post = Posterior(0, probs)
             best, best_val = None, np.inf
             for cand in range(10):
-                val = sum(probs[w] * store.distance(cand, w) for w in range(10))
+                val = sum(probs[w] * distance(store, cand, w) for w in range(10))
                 if val < best_val - 1e-15:
                     best, best_val = cand, val
             assert optimal_attack(store, post) == best

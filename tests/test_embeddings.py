@@ -14,7 +14,8 @@ from privtext.errors import (
     NonFiniteComponentError,
 )
 
-from conftest import random_store
+from conftest import count_passes, random_store
+from oracles import distance, local_by_cdist
 
 
 unpickled = []
@@ -145,25 +146,25 @@ class TestLoad:
 
 class TestDistance:
     def test_345_triangle(self, toy3):
-        assert toy3.distance(0, 1) == 5.0
+        assert distance(toy3, 0, 1) == 5.0
 
     def test_self_distance(self, toy3):
-        assert toy3.distance(1, 1) == 0.0
+        assert distance(toy3, 1, 1) == 0.0
 
     def test_unit_offset(self, toy3):
-        assert toy3.distance(0, 2) == 1.0
+        assert distance(toy3, 0, 2) == 1.0
 
     def test_invalid_id(self, toy3):
         with pytest.raises(InvalidWordIdError):
-            toy3.distance(0, 3)
+            distance(toy3, 0, 3)
 
     def test_symmetry_and_triangle_property(self):
         gen = np.random.default_rng(7)
         for _ in range(20):
             store = random_store(gen, 12, 4)
             i, j, k = gen.integers(0, 12, size=3)
-            assert store.distance(i, j) == pytest.approx(store.distance(j, i))
-            assert store.distance(i, k) <= store.distance(i, j) + store.distance(j, k) + 1e-12
+            assert distance(store, i, j) == pytest.approx(distance(store, j, i))
+            assert distance(store, i, k) <= distance(store, i, j) + distance(store, j, k) + 1e-12
 
 
 class TestNearestWord:
@@ -231,7 +232,7 @@ class TestKNearest:
         ids = toy3.k_nearest(0, 2)
         assert ids.dtype == np.int64
         assert ids.tolist() == [2, 1]
-        assert [toy3.distance(0, u) for u in ids] == pytest.approx([1.0, 5.0])
+        assert [distance(toy3, 0, u) for u in ids] == pytest.approx([1.0, 5.0])
 
     def test_closest_to_b(self, toy3):
         # d(b,a)=5, d(b,c)=sqrt(18)~4.243: c wins
@@ -250,7 +251,7 @@ class TestKNearest:
         store = random_store(gen, 1000, 4)
         w = 17
         naive = sorted(
-            ((store.distance(w, u), u) for u in range(1000) if u != w)
+            ((distance(store, w, u), u) for u in range(1000) if u != w)
         )
         assert store.k_nearest(w, 25).tolist() == [u for _, u in naive[:25]]
 
@@ -273,6 +274,20 @@ def test_normalize_flag():
     assert np.allclose(np.linalg.norm(store.vectors, axis=1), 1.0)
 
 
+@pytest.mark.parametrize("tiny", [1e-200, 1e200])
+def test_normalize_extreme_magnitudes(tiny):
+    # the norm of [1e-200, 0] underflows to 0 and that of [1e200, 0]
+    # overflows, but both rows have a direction
+    store = EmbeddingStore.from_arrays(["a", "b"], [[tiny, 0.0], [0.0, 1.0]], normalize=True)
+    assert store.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert store.sq_norms.tolist() == [1.0, 1.0]
+
+
+def test_normalize_zero_row_rejected():
+    with pytest.raises(NonFiniteComponentError, match="zero vector"):
+        EmbeddingStore.from_arrays(["a", "b"], [[0.0, 0.0], [0.0, 1.0]], normalize=True)
+
+
 @pytest.mark.parametrize("normalize", [False, True])
 def test_sq_norms_are_the_final_vectors_norms(normalize):
     gen = np.random.default_rng(4)
@@ -286,18 +301,10 @@ def test_sq_norms_are_the_final_vectors_norms(normalize):
 
 def test_nn_distances_computed_once(monkeypatch):
     store = random_store(np.random.default_rng(6), 12, 3)
-    calls = []
-    pairwise = EmbeddingStore.pairwise_distances
-
-    def counting(self):
-        calls.append(1)
-        return pairwise(self)
-
-    monkeypatch.setattr(EmbeddingStore, "pairwise_distances", counting)
-    d = pairwise(store)
-    np.fill_diagonal(d, np.inf)
-    assert store.median_nn_distance() == np.median(d.min(axis=1))
-    assert store.mean_nn_distance() == np.mean(d.min(axis=1))
+    calls = count_passes(monkeypatch)
+    local = local_by_cdist(store)
+    assert store.median_nn_distance() == np.median(local)
+    assert store.mean_nn_distance() == np.mean(local)
     assert len(calls) == 1
     with pytest.raises(ValueError):
         store.nn_distances[0] = 0.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from privtext import (
     EmbeddingStore,
@@ -27,9 +28,11 @@ from privtext.randomizers import (
     truncation_mass,
 )
 
+from conftest import count_passes
 from oracles import (
     baseline_output_distribution_1d,
     density_output_distribution,
+    distance,
     half_plane_mass,
     total_variation,
 )
@@ -190,6 +193,31 @@ class TestKdePrior:
         with pytest.raises(ConfigError):
             kde_log_prior(toy3, [[0.0, 0.0]], 0.0)
 
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("n_rows", [1, 2, 12])
+    def test_logsumexp_is_scipys_bit_for_bit(self, n_rows, tied):
+        gen = np.random.default_rng(n_rows + 100 * tied)
+        for _ in range(50):
+            m = int(gen.integers(1, 400))
+            a = -gen.exponential(size=(n_rows, m)) * gen.uniform(0.01, 100.0)
+            if tied:
+                a[:, gen.integers(0, m, size=3)] = a.max(axis=1, keepdims=True)
+            assert np.array_equal(randomizers._logsumexp_rows(a.copy()), logsumexp(a, axis=1))
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 12])
+    def test_matches_scipy_form_bit_for_bit(self, n_rows):
+        # duplicate words tie the maximum wherever a point sits on them
+        gen = np.random.default_rng(n_rows)
+        vecs = gen.normal(size=(300, 5))
+        vecs[1::2] = vecs[::2]
+        store = EmbeddingStore.from_arrays([f"w{i}" for i in range(300)], vecs)
+        for points in (gen.normal(size=(n_rows, 5)), vecs[:n_rows]):
+            p2 = np.einsum("ij,ij->i", points, points)
+            sq = p2[:, None] - 2.0 * points @ store.vectors.T + store.sq_norms[None, :]
+            np.maximum(sq, 0.0, out=sq)
+            expected = logsumexp(-sq / (2.0 * 0.7**2), axis=1)
+            assert np.array_equal(kde_log_prior(store, points, 0.7), expected)
+
 
 class TestDensityMechanism:
     def test_acceptance_ratio_oracle(self, toy1d):
@@ -248,14 +276,7 @@ class TestDensityMechanism:
         store = EmbeddingStore.from_arrays(
             ["p", "q", "r", "s", "t"], [[-1.0], [0.0], [2.0], [2.5], [5.5]]
         )
-        calls = []
-        pairwise = EmbeddingStore.pairwise_distances
-
-        def counting(self):
-            calls.append(1)
-            return pairwise(self)
-
-        monkeypatch.setattr(EmbeddingStore, "pairwise_distances", counting)
+        calls = count_passes(monkeypatch)
         mech = Mechanism(store, MechanismConfig("density", 1.0, mh=MHParams(burn_in=5, thin=1)))
         for w in range(5):
             mech.perturb_batch(rng.fork(w), w, 3)
@@ -423,7 +444,7 @@ class TestTruncDistance:
             toy5, MechanismConfig("trunc_distance", 0.5, tau=tau)
         ).perturb_batch(rng, 0, 10**4)
         for u in np.unique(outs):
-            assert toy5.distance(0, int(u)) <= tau
+            assert distance(toy5, 0, int(u)) <= tau
 
     def test_huge_tau_matches_baseline(self, pair, rng):
         cfg = MechanismConfig("trunc_distance", 2.0, tau=1e6)
@@ -450,7 +471,7 @@ class TestTruncDistance:
 
     def test_scalar_form(self, toy3, rng):
         out = Mechanism(toy3, MechanismConfig("trunc_distance", 1.0, tau=1.5)).perturb(rng, 0)
-        assert toy3.distance(0, out) <= 1.5
+        assert distance(toy3, 0, out) <= 1.5
 
 
 class TestTruncKnn:
@@ -480,10 +501,10 @@ class TestTruncKnn:
         mech = Mechanism(store, cfg)
         n = 10**5
         d_dense = np.mean(
-            [store.distance(0, int(u)) for u in mech.perturb_batch(rng.fork(0), 0, n)]
+            [distance(store, 0, int(u)) for u in mech.perturb_batch(rng.fork(0), 0, n)]
         )
         d_iso = np.mean(
-            [store.distance(4, int(u)) for u in mech.perturb_batch(rng.fork(1), 4, n)]
+            [distance(store, 4, int(u)) for u in mech.perturb_batch(rng.fork(1), 4, n)]
         )
         assert d_dense < d_iso
 

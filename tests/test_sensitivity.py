@@ -2,17 +2,24 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from privtext import EmbeddingStore, SensitivityProfile, build_profile
+from privtext import EmbeddingStore, SensitivityProfile, build_profile, embeddings
 from privtext.errors import ConfigError, SingletonVocabularyError
 from privtext.sensitivity import profile_tsv
 
-from conftest import random_store
-from oracles import local_sensitivity_t, smooth_sensitivity_by_balls
+from conftest import count_passes, random_store
+from oracles import (
+    distance,
+    local_by_cdist,
+    local_sensitivity_t,
+    smooth_by_cdist,
+    smooth_sensitivity_by_balls,
+)
 
 
 class TestLocal:
@@ -35,7 +42,7 @@ class TestLocalT:
         assert local_sensitivity_t(toy3, 0, 0.5) == build_profile(toy3, 0.0).per_word_local[0]
 
     def test_diameter_t_gives_global(self, toy3):
-        diam = max(toy3.distance(i, j) for i in range(3) for j in range(3))
+        diam = max(distance(toy3, i, j) for i in range(3) for j in range(3))
         assert local_sensitivity_t(toy3, 0, diam) == build_profile(toy3, 0.0).global_sensitivity
 
     def test_partial_ball(self, toy3):
@@ -167,3 +174,88 @@ def test_profile_tsv_format(toy3):
     assert len(lines) == 5
     assert lines[-1].startswith("#global ")
     assert float(lines[-1].split()[1]) == pytest.approx(math.sqrt(18))
+
+
+def hard_vectors(kind: str) -> np.ndarray:
+    """Stores on which rounding in GEMM-form distances decides near-ties."""
+    gen = np.random.default_rng(23)
+    base = gen.normal(size=(30, 4))
+    if kind == "duplicates":
+        base[10:20] = base[:10]
+        return base
+    if kind == "near_duplicates":
+        base[10:20] = base[:10] + 1e-9 * gen.normal(size=(10, 4))
+        return base
+    if kind == "offset":
+        return 1e6 + 1e-3 * base
+    if kind == "pair":
+        return base[:2]
+    # clusters of spreads 0.05..1: at beta = 1 most words take their smooth
+    # value from another word
+    centers = gen.normal(scale=3.0, size=(6, 2))
+    member = gen.integers(6, size=60)
+    scales = np.exp(gen.uniform(np.log(0.05), 0.0, size=6))
+    return centers[member] + scales[member, None] * gen.normal(size=(60, 2))
+
+
+@pytest.mark.parametrize("budget", [1, 5, 100])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1e6])
+@pytest.mark.parametrize("kind", ["duplicates", "near_duplicates", "offset", "pair", "clusters"])
+def test_blocked_pass_matches_cdist_oracles(monkeypatch, kind, beta, budget):
+    monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", budget)
+    vecs = hard_vectors(kind)
+    store = EmbeddingStore.from_arrays([f"w{i}" for i in range(len(vecs))], vecs)
+    profile = build_profile(store, beta)
+    local = local_by_cdist(store)
+    assert np.array_equal(store.nn_distances, local)
+    assert np.array_equal(profile.per_word_local, local)
+    assert np.array_equal(profile.per_word_smooth, smooth_by_cdist(store, beta))
+
+
+def test_prune_keeps_a_winner_at_its_edge():
+    # at beta = 0.23 word 1 (local 1) takes its smooth value from word 2:
+    # 1.4 e^(-0.23 * 1.4) = 1.0145. The prune bound 1.4 e^(-0.23 * 1) = 1.112
+    # clears 1 by 11%, so a prune half again as strict drops the winner
+    store = EmbeddingStore.from_arrays(list("abcd"), [[-1.0], [0.0], [1.4], [2.8]])
+    profile = build_profile(store, 0.23)
+    assert profile.per_word_smooth[1] == pytest.approx(1.4 * math.exp(-0.23 * 1.4))
+    assert np.array_equal(profile.per_word_smooth, smooth_by_cdist(store, 0.23))
+
+
+def test_random_stores_match_cdist_oracles():
+    gen = np.random.default_rng(41)
+    for _ in range(60):
+        n, dim = int(gen.integers(2, 40)), int(gen.integers(1, 6))
+        vecs = gen.normal(size=(n, dim))
+        vecs[gen.integers(0, n, n // 4)] = vecs[gen.integers(0, n, n // 4)]
+        store = EmbeddingStore.from_arrays([f"w{i}" for i in range(n)], vecs)
+        local = local_by_cdist(store)
+        # betas around 1 / local, where words take their smooth value from others
+        for beta in gen.uniform(0.0, 3.0, size=3) / max(np.median(local), 1e-3):
+            profile = build_profile(store, beta)
+            assert np.array_equal(profile.per_word_local, local)
+            assert np.array_equal(profile.per_word_smooth, smooth_by_cdist(store, beta))
+
+
+def test_profile_takes_one_pass_and_no_matrix(monkeypatch):
+    # local comes from the store's nearest-neighbour pass; the smooth
+    # envelope's pruned blocks are not a second pass over the vocabulary
+    vecs = hard_vectors("clusters")
+    store = EmbeddingStore.from_arrays([f"w{i}" for i in range(len(vecs))], vecs)
+    calls = count_passes(monkeypatch)
+    build_profile(store, 0.0)
+    build_profile(store, 1.0)
+    assert len(calls) == 1
+
+
+def test_profile_memory_is_below_the_distance_matrix():
+    # the full cdist form holds three |W| x |W| float64 arrays at once
+    n = 4000
+    store = random_store(np.random.default_rng(31), n, 4)
+    tracemalloc.start()
+    try:
+        build_profile(store, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2
