@@ -59,12 +59,14 @@ class EmbeddingStore:
         if not np.all(np.isfinite(vectors)):
             raise NonFiniteComponentError("embedding contains NaN or Inf")
         if normalize:
-            # scaled by the largest |component| first, the norm neither
-            # underflows to 0 nor overflows to Inf for any nonzero row
-            scale = np.abs(vectors).max(axis=1, keepdims=True)
-            if np.any(scale == 0):
+            if not np.all(vectors.any(axis=1)):
                 raise NonFiniteComponentError("cannot normalize a zero vector")
-            vectors = vectors / scale
+            # scaled by the power of two that brings the largest |component|
+            # into [0.5, 1), the norm neither underflows to 0 nor overflows to
+            # Inf. Scaling by a power of two is exact (short of subnormal
+            # results), so each row comes out as v / ||v|| would unscaled.
+            _, exp = np.frexp(np.abs(vectors).max(axis=1, keepdims=True))
+            vectors = np.ldexp(vectors, -exp)
             vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         # every squared distance is at most 4 max ||v||^2: if that overflows,
         # distances, sensitivities and decodes turn into Inf and NaN

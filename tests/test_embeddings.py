@@ -145,26 +145,33 @@ class TestLoad:
 
 
 class TestDistance:
+    # the library's distances: pairwise_distances for the audit, nn_distances
+    # (the blocked pass) for per-word geometry
     def test_345_triangle(self, toy3):
-        assert distance(toy3, 0, 1) == 5.0
+        assert toy3.pairwise_distances()[0, 1] == 5.0
 
     def test_self_distance(self, toy3):
-        assert distance(toy3, 1, 1) == 0.0
+        assert np.all(np.diag(toy3.pairwise_distances()) == 0.0)
 
     def test_unit_offset(self, toy3):
-        assert distance(toy3, 0, 2) == 1.0
+        assert toy3.pairwise_distances()[0, 2] == 1.0
+        # a and c are each other's nearest neighbour; b's is c, at sqrt(18)
+        assert toy3.nn_distances.tolist() == [1.0, math.sqrt(18), 1.0]
 
     def test_invalid_id(self, toy3):
         with pytest.raises(InvalidWordIdError):
-            distance(toy3, 0, 3)
+            toy3.vector(3)
 
     def test_symmetry_and_triangle_property(self):
         gen = np.random.default_rng(7)
         for _ in range(20):
             store = random_store(gen, 12, 4)
+            d = store.pairwise_distances()
             i, j, k = gen.integers(0, 12, size=3)
-            assert distance(store, i, j) == pytest.approx(distance(store, j, i))
-            assert distance(store, i, k) <= distance(store, i, j) + distance(store, j, k) + 1e-12
+            assert d[i, j] == pytest.approx(d[j, i])
+            assert d[i, k] <= d[i, j] + d[j, k] + 1e-12
+            if i != j:
+                assert store.nn_distances[i] <= d[i, j]
 
 
 class TestNearestWord:
@@ -286,6 +293,17 @@ def test_normalize_extreme_magnitudes(tiny):
 def test_normalize_zero_row_rejected():
     with pytest.raises(NonFiniteComponentError, match="zero vector"):
         EmbeddingStore.from_arrays(["a", "b"], [[0.0, 0.0], [0.0, 1.0]], normalize=True)
+    with pytest.raises(NonFiniteComponentError, match="zero vector"):
+        EmbeddingStore.from_arrays(["a", "b"], np.empty((2, 0)), normalize=True)
+
+
+def test_normalize_is_the_unscaled_division():
+    # the power-of-two scaling is exact, so ordinary rows come out bit for
+    # bit as v / ||v||
+    gen = np.random.default_rng(11)
+    vecs = gen.normal(size=(200, 7)) * 10.0 ** gen.integers(-30, 30, size=(200, 1))
+    store = EmbeddingStore.from_arrays([f"w{i}" for i in range(200)], vecs, normalize=True)
+    assert np.array_equal(store.vectors, vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
 
 
 @pytest.mark.parametrize("normalize", [False, True])
