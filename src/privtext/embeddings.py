@@ -7,6 +7,7 @@ runs are bit-identical.
 """
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import zipfile
@@ -30,6 +31,9 @@ CACHE_MAGIC = "privtext-embeddings-v2"
 
 # float64 entries in one (rows x candidates) decode block: 8 MiB
 _NN_BLOCK_ENTRIES = 2**20
+# float64 machine epsilon and smallest subnormal, for _sq_error_bound
+_EPS = np.finfo(np.float64).eps
+_ETA = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -104,28 +108,9 @@ class EmbeddingStore:
     def vector(self, w: int) -> np.ndarray:
         return self.vectors[self.check_id(w)]
 
-    def _check_point(self, point) -> np.ndarray:
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"query point has shape {point.shape}, store dim is {self.dim}"
-            )
-        if not np.all(np.isfinite(point)):
-            raise NonFiniteComponentError("query point contains NaN or Inf")
-        return point
-
-    def nearest_word(self, point) -> int:
-        """Exact nearest vocabulary word to an arbitrary point.
-
-        Ties break toward the lowest word id (np.argmin returns the first
-        minimizer).
-        """
-        point = self._check_point(point)
-        d2 = np.einsum("ij,ij->i", self.vectors - point, self.vectors - point)
-        return int(np.argmin(d2))
-
     def nearest_words(self, points, candidate_ids=None) -> np.ndarray:
-        """Vectorized nearest_word over a (n, d) array of points.
+        """Nearest vocabulary word to each row of a (n, d) array of points:
+        the argmin of cdist from the point, ties broken toward the lowest id.
 
         candidate_ids optionally restricts the argmin to a subset of the
         vocabulary (ascending ids preserve the lowest-id tie break).
@@ -147,15 +132,23 @@ class EmbeddingStore:
         block_rows = max(1, _NN_BLOCK_ENTRIES // len(cand))
         for lo in range(0, points.shape[0], block_rows):
             block = points[lo : lo + block_rows]
-            # ||c - p||^2 = ||c||^2 - 2 c.p + ||p||^2; the ||p||^2 term is
-            # constant per row and dropped. Exact ties can shift under this
-            # expansion, so refine with true distances on the near-minimal set.
-            # Built in place, without two more block-sized temporaries; scaling
-            # by -2 is exact, so d2 equals cand_sq - 2.0 * block @ cand.T.
+            # ||c - p||^2 = ||c||^2 - 2 c.p + ||p||^2, without the ||p||^2
+            # term, which is the same for every candidate of a row. d2 is the
+            # first two steps of sq_distance_bounds' s2, so it stands for
+            # D - ||p||^2, D the exact squared distance, and its error is the
+            # part of s2's that comes from -2 P and ||c||^2 and their sum. The
+            # rounded ||p||^2 and the last addition only add error, so
+            # |d2 - (q - ||p||^2)| <= _sq_error_bound(||p||^2, ||c||^2), q
+            # cdist's sum; it grows with ||c||^2, so its value at the largest
+            # candidate norm bounds the whole row. Two entries of a row more
+            # than twice that bound apart then order their q the same way,
+            # as the common ||p||^2 cancels. Built in place: scaling by -2 is
+            # exact, so d2 equals cand_sq - 2.0 * block @ cand.T.
             d2 = block @ cand.T
             d2 *= -2.0
             d2 += cand_sq
-            out[lo : lo + block.shape[0]] = _argmin_exact(block, cand, d2)
+            err = _sq_error_bound(np.einsum("ij,ij->i", block, block), cand_sq.max(), self.dim)
+            out[lo : lo + block.shape[0]] = _argmin_exact(block, cand, d2, err)
         if ids is not None:
             out = ids[out]
         return out
@@ -188,44 +181,91 @@ class EmbeddingStore:
     @cached_property
     def nn_distances(self) -> np.ndarray:
         """Per-word distance to the nearest distinct neighbor, read-only:
-        one distance_blocks pass, made on first use and kept for the store's
-        lifetime; zeros(1) for a one-word vocabulary. Each value is cdist's,
-        the row minimum of pairwise_distances with the diagonal masked."""
-        d = np.zeros(len(self.words))
-        if len(self.words) > 1:
-            for lo, s2, err in self.distance_blocks():
-                rows = np.arange(s2.shape[0])
-                s2[rows, lo + rows] = np.inf
-                ceiling = (s2 + err).min(axis=1)
-                s2 -= err
-                block = self.vectors[lo : lo + len(rows)]
-                for i, _, dist in exact_distances(block, self.vectors, s2 <= ceiling[:, None]):
-                    d[lo + i] = dist.min()
+        made on first use and kept for the store's lifetime; zeros(1) for a
+        one-word vocabulary. Each value is cdist's, the row minimum of
+        pairwise_distances with the diagonal masked. The working memory is
+        about one tile of distance_blocks plus O(|W|).
+
+        One distance_blocks pass reduces each tile along its rows and, off
+        the diagonal, along its columns, keeping per word the least GEMM-form
+        value, a partner holding it and the least of the rest. Every pair of
+        word w is within e(w) = _sq_error_bound(||w||^2, max ||v||^2) of its
+        cdist sum, so when the runner-up lies more than 2 e(w) above the
+        least, that partner is the only cdist minimizer and one cdist call
+        gives the value. The other words (duplicates, near-ties, stores far
+        from the origin) take a GEMM row of their own and cdist on every
+        entry within 2 e(w) of their least."""
+        n = len(self.words)
+        d = np.zeros(n)
+        if n > 1:
+            least = np.full(n, np.inf)
+            partner = np.zeros(n, dtype=np.int64)
+            runner_up = np.full(n, np.inf)
+            for i, j, s2 in self.distance_blocks():
+                rows, cols = slice(i, i + s2.shape[0]), slice(j, j + s2.shape[1])
+                if i == j:
+                    np.fill_diagonal(s2, np.inf)
+                _merge_least(least[rows], partner[rows], runner_up[rows], j, *_least_two(s2, 1))
+                if i != j:
+                    _merge_least(least[cols], partner[cols], runner_up[cols], i, *_least_two(s2, 0))
+                del s2  # freed before the generator forms the next tile
+            ceiling = least + 2.0 * _sq_error_bound(self.sq_norms, self.sq_norms.max(), self.dim)
+            unique = runner_up > ceiling
+            # eight pairs per cdist call, on the diagonal of its 8 x 8 block:
+            # the call overhead, not the 64 sums, is what costs
+            ws = np.flatnonzero(unique)
+            for lo in range(0, len(ws), 8):
+                w = ws[lo : lo + 8]
+                d[w] = np.diagonal(cdist(self.vectors[w], self.vectors[partner[w]]))
+            rest = np.flatnonzero(~unique)
+            block_rows = max(1, _NN_BLOCK_ENTRIES // n)
+            for lo in range(0, len(rest), block_rows):
+                ws = rest[lo : lo + block_rows]
+                s2 = _gemm_sq_distances(
+                    self.vectors[ws], self.sq_norms[ws], self.vectors, self.sq_norms
+                )
+                s2[np.arange(len(ws)), ws] = np.inf
+                keep = s2 <= ceiling[ws, None]
+                del s2
+                for k, _, dist in exact_distances(self.vectors[ws], self.vectors, keep):
+                    d[ws[k]] = dist.min()
         d.setflags(write=False)
         return d
 
     def distance_blocks(self):
-        """One pass over the vocabulary in O(block x |W|) memory: yields
-        (lo, s2, err) = sq_distance_bounds from words lo, lo + 1, ... to every
-        word, for consecutive row blocks of at most _NN_BLOCK_ENTRIES entries."""
-        block_rows = max(1, _NN_BLOCK_ENTRIES // len(self.words))
-        for lo in range(0, len(self.words), block_rows):
-            hi = lo + block_rows
-            yield lo, *sq_distance_bounds(
-                self.vectors[lo:hi], self.sq_norms[lo:hi], self.vectors, self.sq_norms
-            )
+        """One pass over the unordered pairs of the vocabulary: yields
+        (i, j, s2), s2 the GEMM-form squared distances from words i, i + 1,
+        ... to words j, j + 1, ..., in sq_distance_bounds' operation order,
+        for each square tile of side isqrt(_NN_BLOCK_ENTRIES) on or above
+        the diagonal (i <= j). Each pair is formed once off the diagonal
+        tiles; the tiles total at most |W| (|W| + side) / 2 entries."""
+        n, side = len(self.words), max(1, math.isqrt(_NN_BLOCK_ENTRIES))
+        for i in range(0, n, side):
+            a, a_sq = self.vectors[i : i + side], self.sq_norms[i : i + side]
+            for j in range(i, n, side):
+                yield i, j, _gemm_sq_distances(
+                    a, a_sq, self.vectors[j : j + side], self.sq_norms[j : j + side]
+                )
 
 
-def sq_distance_bounds(a, a_sq, b, b_sq):
-    """GEMM-form squared distances s2[i, j] = ||a_i||^2 - 2 a_i.b_j + ||b_j||^2
-    from the rows of a to the rows of b, given their squared norms, and a bound
-    err[i, j] on |s2[i, j] - q|, q the squared distance that cdist sums for the
-    pair. A candidate whose bounds lose to another's therefore loses under
-    cdist too, so only the rest need exact_distances. Both arrays are new."""
-    # Why err = 2 (d + 4) (eps (||a||^2 + ||b||^2) + 2 eta). Write u = eps / 2
-    # for the unit roundoff, g = d u / (1 - d u), na, nb for the exact squared
-    # norms, D for the exact squared distance and eta for the smallest
-    # subnormal.
+def _gemm_sq_distances(a, a_sq, b, b_sq):
+    """s2[i, j] = ||a_i||^2 - 2 a_i.b_j + ||b_j||^2, built in place in one
+    fixed operation order, the one _sq_error_bound is derived for."""
+    s2 = a @ b.T
+    s2 *= -2.0
+    s2 += b_sq
+    s2 += a_sq[:, None]
+    return s2
+
+
+def _sq_error_bound(a_sq, b_sq, dim):
+    """2 (dim + 4) (eps (a_sq + b_sq) + 2 eta), broadcast: a bound on
+    |s2 - q| for GEMM-form s2 of two points with squared norms a_sq and
+    b_sq, q the squared distance that cdist sums for the pair. It grows with
+    either norm, so its value at the largest norm bounds a whole row."""
+    # Why this bound. Write u = eps / 2 for the unit roundoff,
+    # g = d u / (1 - d u), na, nb for the exact squared norms, D for the exact
+    # squared distance and eta for the smallest subnormal.
     # - s2 = fl(fl(-2 P + Nb) + Na), where Na, Nb and P = a.b (BLAS) are sums
     #   of d products in some order. So |Na - na| <= g na, |Nb - nb| <= g nb
     #   and |P - a.b| <= g sum|a_k b_k| <= g (na + nb) / 2, which costs
@@ -237,21 +277,27 @@ def sq_distance_bounds(a, a_sq, b, b_sq):
     #   D <= 2 (na + nb) turns that into (2 d + 4) u (na + nb).
     # - Together that is 2 (d + 2) eps (na + nb)(1 + O(d u)). Taking c = 2 with
     #   d + 4 leaves 4 eps (na + nb) for the O(d u) terms and for rounding in
-    #   err itself and in s2 +- err.
+    #   the bound itself and in s2 +- 2 bound.
     # - Underflow escapes relative bounds: a product that lands among the
     #   subnormals is off by up to eta / 2 absolute. s2 holds 3 d products (the
     #   cross terms doubled: 2 d eta) and cdist d squares (d eta / 2);
     #   subnormal differences are exact. 4 (d + 4) eta covers both.
-    finfo = np.finfo(np.float64)
-    s2 = a @ b.T
-    s2 *= -2.0
-    s2 += b_sq
-    s2 += a_sq[:, None]
-    err = a_sq[:, None] + b_sq
-    err *= finfo.eps
-    err += 2.0 * finfo.smallest_subnormal
-    err *= 2.0 * (a.shape[1] + 4)
-    return s2, err
+    # Rounded addition and multiplication are monotone, so the computed
+    # bound never falls when a_sq or b_sq grows.
+    err = a_sq + b_sq
+    err *= _EPS
+    err += 2.0 * _ETA
+    err *= 2.0 * (dim + 4)
+    return err
+
+
+def sq_distance_bounds(a, a_sq, b, b_sq):
+    """GEMM-form squared distances s2[i, j] = ||a_i||^2 - 2 a_i.b_j + ||b_j||^2
+    from the rows of a to the rows of b, given their squared norms, and the
+    _sq_error_bound err[i, j] of each pair. A candidate whose bounds lose to
+    another's therefore loses under cdist too, so only the rest need
+    exact_distances. Both arrays are new."""
+    return _gemm_sq_distances(a, a_sq, b, b_sq), _sq_error_bound(a_sq[:, None], b_sq, a.shape[1])
 
 
 def exact_distances(a, b, keep):
@@ -262,19 +308,50 @@ def exact_distances(a, b, keep):
         yield i, cand, cdist(a[i : i + 1], b[cand])[0]
 
 
-def _argmin_exact(points, cand, d2):
-    """Argmin per row with exact-distance tie refinement; overwrites d2."""
-    rows = np.arange(d2.shape[0])
-    out = np.argmin(d2, axis=1)
-    row_min = d2[rows, out]
-    # rows where another candidate is within float slop of the minimum: the
-    # runner-up, once the minimum is masked out
-    slop = 1e-9 * (1.0 + np.abs(row_min))
-    d2[rows, out] = np.inf
-    close = d2.min(axis=1) <= row_min + slop
-    for i in np.nonzero(close)[0]:
-        exact = np.linalg.norm(cand - points[i], axis=1)
-        out[i] = int(np.argmin(exact))
+def _least_two(s2, axis):
+    """Along each row (axis 1) or column (axis 0) of s2: the least value, an
+    index holding it and the least of the other entries. s2 is left as it
+    was, infinities included."""
+    n = s2.shape[1 - axis]
+    if axis == 1:
+        at = s2.argmin(axis=1)
+    else:
+        # argmin along columns reduces a transposed copy of s2; one flat scan
+        # for the column minima finds them in a fraction of the time
+        hits = np.flatnonzero(s2 == s2.min(axis=0))
+        at = np.empty(n, dtype=np.int64)
+        at[hits % n] = hits // n
+    idx = (np.arange(n), at) if axis == 1 else (at, np.arange(n))
+    least = s2[idx]
+    s2[idx] = np.inf
+    second = s2.min(axis=axis)
+    s2[idx] = least
+    return least, at, second
+
+
+def _merge_least(least, partner, runner_up, offset, tile_least, tile_at, tile_second):
+    """Fold one tile's _least_two into the running least, partner and
+    runner-up of the same words (views, updated in place)."""
+    better = tile_least < least
+    runner_up[:] = np.where(
+        better, np.minimum(least, tile_second), np.minimum(runner_up, tile_least)
+    )
+    partner[better] = tile_at[better] + offset
+    least[better] = tile_least[better]
+
+
+def _argmin_exact(points, cand, d2, err):
+    """Argmin per row of d2 = cdist sums minus a row constant, each row
+    within err of them: rows whose runner-up lies within 2 err of the least
+    are decided by cdist over the entries in that reach, the lowest index
+    winning a tie."""
+    least, out, second = _least_two(d2, 1)
+    ceiling = least + 2.0 * err
+    close = np.flatnonzero(second <= ceiling)
+    if close.size:
+        keep = d2[close] <= ceiling[close, None]
+        for k, kept, dist in exact_distances(points[close], cand, keep):
+            out[close[k]] = kept[np.argmin(dist)]
     return out
 
 

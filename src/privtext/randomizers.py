@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -46,6 +47,9 @@ VARIANTS = ("baseline", "density", "smooth", "trunc_distance", "trunc_knn")
 TRUNC_STRATEGIES = ("project", "residual")
 
 MATRIX_TSV_MAGIC = "#privtext-matrix-v1"
+# entry lines that matrix_from_tsv splits at a time: their strings stay small
+# beside the |W| x |W| matrix
+_TSV_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -419,26 +423,88 @@ def matrix_to_tsv(store: EmbeddingStore, matrix: TransitionMatrix) -> str:
 
 
 def matrix_from_tsv(store: EmbeddingStore, text: str) -> TransitionMatrix:
+    """Parse matrix_to_tsv's format. Blank lines and lines starting with '#'
+    are skipped, except '#samples <n>' lines, the last of which gives the
+    sample count; every other line is 'word<TAB>word<TAB>probability'. The
+    error names the first line that breaks this.
+
+    The entries are read vectorised, _TSV_CHUNK lines at a time: one split
+    of their text, one float conversion of the probability column, one
+    vocabulary lookup per distinct word not seen before and one assignment
+    into the matrix."""
     lines = text.splitlines()
     if not lines or lines[0] != MATRIX_TSV_MAGIC:
         raise MatrixFormatError("not a privtext transition-matrix TSV")
+    n = len(lines)
+    entry = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, n) == 2
+    entry &= ~np.fromiter(map(str.startswith, lines, repeat("#")), bool, n)
+    entry &= ~np.fromiter(map(str.isspace, lines), bool, n)
+    entry[0] = False
+    faults = []  # (line index, error); the earliest is raised
     sample_count = 0
-    probs = np.zeros((len(store), len(store)))
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            if line.startswith("#samples"):
+    # the other lines: #samples, comments, blank lines and faults
+    for k in np.flatnonzero(~entry)[1:].tolist():
+        line = lines[k]
+        if line.startswith("#samples"):
+            try:
                 sample_count = int(line[len("#samples"):])
                 continue
-            if line.startswith("#"):
-                continue
-            w_str, u_str, p_str = line.split("\t")
-            p = float(p_str)
+            except ValueError:
+                pass
+        elif line.startswith("#") or not line.strip():
+            continue
+        faults.append((k, _bad_matrix_line(k, line)))
+        break
+    probs = np.zeros((len(store), len(store)))
+    ids = {}
+    at = np.flatnonzero(entry)
+    for lo in range(0, len(at), _TSV_CHUNK):
+        part = at[lo : lo + _TSV_CHUNK]
+        fields = "\t".join([lines[k] for k in part.tolist()]).split("\t")
+        src, dst, prob = fields[0::3], fields[1::3], fields[2::3]
+        found = []  # this chunk's first bad probability and first unknown word
+        try:
+            p = np.array(prob, dtype=np.float64)
         except ValueError:
-            raise MatrixFormatError(
-                f"line {lineno}: expected '#samples <n>' or 'word<TAB>word<TAB>probability',"
-                f" got {line!r}"
-            ) from None
-        probs[store.word_id(w_str), store.word_id(u_str)] = p
+            k = part[next(i for i, x in enumerate(prob) if not _is_float(x))]
+            found.append((k, _bad_matrix_line(k, lines[k])))
+        new = (set(src) | set(dst)) - ids.keys()
+        ids.update((w, store.word_id(w)) for w in new if store.has_word(w))
+        try:
+            rows = np.fromiter(map(ids.__getitem__, src), np.int64, len(src))
+            cols = np.fromiter(map(ids.__getitem__, dst), np.int64, len(dst))
+        except KeyError:
+            i, w = next((i, w) for i, pair in enumerate(zip(src, dst)) for w in pair if w not in ids)
+            found.append((part[i], InvalidWordIdError(f"line {part[i] + 1}: unknown word {w!r}")))
+        if found:
+            faults += found
+            break
+        if not faults:
+            _assign_entries(probs, rows, cols, p)
+    if faults:
+        # the earliest line; on a tie, the probability before the word
+        raise min(faults, key=lambda f: f[0])[1]
     return TransitionMatrix(probs=probs, sample_count=sample_count)
+
+
+def _assign_entries(probs, rows, cols, p) -> None:
+    """probs[rows, cols] = p, where the last value of a repeated pair wins:
+    numpy leaves open which one its own assignment keeps."""
+    _, last = np.unique((rows * len(probs) + cols)[::-1], return_index=True)
+    last = len(rows) - 1 - last
+    probs[rows[last], cols[last]] = p[last]
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_matrix_line(k: int, line: str) -> MatrixFormatError:
+    return MatrixFormatError(
+        f"line {k + 1}: expected '#samples <n>' or 'word<TAB>word<TAB>probability',"
+        f" got {line!r}"
+    )

@@ -6,12 +6,13 @@ an interpretation, see README). The smooth bound exponentially relaxes the
 local values across the metric so that nearby words get nearby scales.
 
 Neither is computed from a |W| x |W| matrix. Local is the store's
-nn_distances, one blocked GEMM pass. The smooth envelope first prunes by
-local alone: a word u != w lies at least local(w) from w, so u can only win
-where local(u) e^(-beta local(w)) >= local(w). It then takes GEMM-form
-distances over the remaining (row, candidate) blocks, and recomputes with
-cdist only the terms whose rounding bounds leave them able to win. Every
-value equals that of the full cdist form.
+nn_distances, one GEMM pass over the square tiles on and above the
+diagonal, so each pair of words is formed once. The smooth envelope first
+prunes by local alone: a word u != w lies at least local(w) from w, so u
+can only win where local(u) e^(-beta local(w)) >= local(w). It then takes
+GEMM-form distances over the remaining (row, candidate) blocks, and
+recomputes with cdist only the terms whose rounding bounds leave them able
+to win. Every value equals that of the full cdist form.
 """
 from __future__ import annotations
 

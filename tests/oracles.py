@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's own sampling/evaluation code paths:
 quadrature and grid enumeration here, Monte Carlo there. The loop forms of
-the batched analysis paths (per-observation attack, full-matrix verifier)
-and the full-matrix cdist forms of the blocked geometry (local and smooth
-sensitivity) are kept here as references that the fast code must match
-exactly.
+the batched analysis paths (per-observation attack, full-matrix verifier),
+the full-matrix cdist forms of the blocked geometry (local and smooth
+sensitivity), the one-point and cdist forms of the decode and the
+line-by-line matrix TSV parser are kept here as references that the fast
+code must match exactly.
 """
 import math
 
@@ -14,6 +15,8 @@ from scipy import integrate
 from scipy.spatial.distance import cdist
 
 from privtext.analysis import MetricDpReport
+from privtext.errors import MatrixFormatError
+from privtext.randomizers import MATRIX_TSV_MAGIC, TransitionMatrix
 
 
 def half_plane_mass(epsilon: float, half_gap: float) -> float:
@@ -76,6 +79,22 @@ def total_variation(p, q) -> float:
 def distance(store, w: int, u: int) -> float:
     """Euclidean distance between two vocabulary words (ids checked)."""
     return float(np.linalg.norm(store.vector(w) - store.vector(u)))
+
+
+def nearest_word(store, point) -> int:
+    """Nearest vocabulary word to one point, by an einsum over the
+    differences; ties break toward the lowest id (np.argmin returns the
+    first minimizer)."""
+    point = np.asarray(point, dtype=np.float64)
+    d2 = np.einsum("ij,ij->i", store.vectors - point, store.vectors - point)
+    return int(np.argmin(d2))
+
+
+def nearest_by_cdist(store, points, candidate_ids=None) -> np.ndarray:
+    """Nearest word to each point (restricted to the sorted candidate_ids if
+    given) as the argmin of the full cdist rows, lowest id on a tie."""
+    ids = np.arange(len(store)) if candidate_ids is None else np.sort(candidate_ids)
+    return ids[np.argmin(cdist(np.asarray(points, dtype=np.float64), store.vectors[ids]), axis=1)]
 
 
 def local_by_cdist(store) -> np.ndarray:
@@ -183,3 +202,31 @@ def verify_metric_dp_full(matrix, store, epsilon, alpha=1e-3) -> MetricDpReport:
         max_violation_adjusted=max_adjusted,
         satisfied=bool(max_adjusted <= 0.0),
     )
+
+
+def matrix_from_tsv_by_line(store, text) -> TransitionMatrix:
+    """The transition-matrix TSV read one line at a time: a split, a float
+    and two word lookups per entry line, the first bad line raising."""
+    lines = text.splitlines()
+    if not lines or lines[0] != MATRIX_TSV_MAGIC:
+        raise MatrixFormatError("not a privtext transition-matrix TSV")
+    sample_count = 0
+    probs = np.zeros((len(store), len(store)))
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            if line.startswith("#samples"):
+                sample_count = int(line[len("#samples"):])
+                continue
+            if line.startswith("#"):
+                continue
+            w_str, u_str, p_str = line.split("\t")
+            p = float(p_str)
+        except ValueError:
+            raise MatrixFormatError(
+                f"line {lineno}: expected '#samples <n>' or 'word<TAB>word<TAB>probability',"
+                f" got {line!r}"
+            ) from None
+        probs[store.word_id(w_str), store.word_id(u_str)] = p
+    return TransitionMatrix(probs=probs, sample_count=sample_count)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from privtext.errors import (
 )
 
 from conftest import count_passes, random_store
-from oracles import distance, local_by_cdist
+from oracles import distance, local_by_cdist, nearest_by_cdist, nearest_word
 
 
 unpickled = []
@@ -176,28 +177,29 @@ class TestDistance:
 
 class TestNearestWord:
     def test_exact_hit(self, toy3):
-        assert toy3.nearest_word(toy3.vector(1)) == 1
+        assert toy3.nearest_words([toy3.vector(1)]).tolist() == [1]
 
     def test_tie_breaks_low_id(self, toy3):
         # (0, 0.5) is equidistant between a (id 0) and c (id 2)
-        assert toy3.nearest_word([0.0, 0.5]) == 0
+        assert toy3.nearest_words([[0.0, 0.5]]).tolist() == [0]
 
     def test_brute_force_oracle(self, toy3):
         point = [2.9, 3.9]
         dists = [math.dist(point, toy3.vector(i)) for i in range(3)]
-        assert toy3.nearest_word(point) == dists.index(min(dists)) == 1
+        assert toy3.nearest_words([point]).tolist() == [dists.index(min(dists))] == [1]
 
     def test_self_recovery_when_distinct(self):
         gen = np.random.default_rng(3)
         store = random_store(gen, 50, 5)
-        for w in range(50):
-            assert store.nearest_word(store.vector(w)) == w
+        assert store.nearest_words(store.vectors).tolist() == list(range(50))
 
     def test_dimension_and_finiteness_checks(self, toy3):
-        with pytest.raises(DimensionMismatchError):
-            toy3.nearest_word([1.0])
-        with pytest.raises(NonFiniteComponentError):
-            toy3.nearest_word([np.nan, 0.0])
+        for bad in ([1.0, 0.0], [[1.0]], np.zeros((2, 3))):
+            with pytest.raises(DimensionMismatchError):
+                toy3.nearest_words(bad)
+        for bad in ([[np.nan, 0.0]], [[0.0, 0.0], [np.inf, 1.0]]):
+            with pytest.raises(NonFiniteComponentError):
+                toy3.nearest_words(bad)
 
     def test_batch_matches_scalar(self):
         gen = np.random.default_rng(11)
@@ -205,7 +207,7 @@ class TestNearestWord:
         points = gen.normal(size=(500, 3))
         batch = store.nearest_words(points)
         for i in range(500):
-            assert batch[i] == store.nearest_word(points[i])
+            assert batch[i] == nearest_word(store, points[i])
 
     def test_batch_restricted_candidates(self):
         gen = np.random.default_rng(13)
@@ -231,7 +233,40 @@ class TestNearestWord:
             monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", budget)
             assert np.array_equal(store.nearest_words(points), whole)
             assert np.array_equal(store.nearest_words(points, candidate_ids=cands), whole_cand)
-        assert whole.tolist() == [store.nearest_word(p) for p in points]
+        assert whole.tolist() == [nearest_word(store, p) for p in points]
+
+    @pytest.mark.parametrize("budget", [1, 5, 2**20])
+    @pytest.mark.parametrize("kind", ["duplicates", "offset", "grid"])
+    def test_near_ties_match_cdist_argmin(self, monkeypatch, kind, budget):
+        # points on bisectors, at duplicated words and a few ulps off them,
+        # and (offset) a store whose GEMM-form distances lose every digit
+        # that separates the candidates
+        monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", budget)
+        gen = np.random.default_rng(29)
+        if kind == "grid":
+            vecs = np.array([[x, y] for x in range(6) for y in range(6)], dtype=np.float64)
+        else:
+            vecs = gen.normal(size=(60, 3))
+            if kind == "duplicates":
+                vecs[30:] = vecs[:30]
+            else:
+                vecs = 1e6 + 1e-3 * vecs
+        store = EmbeddingStore.from_arrays([f"w{i}" for i in range(len(vecs))], vecs)
+        i, j = gen.integers(0, len(vecs), size=(2, 200))
+        mid = (vecs[i] + vecs[j]) / 2
+        points = np.vstack([
+            mid,
+            np.nextafter(mid, np.inf),
+            np.nextafter(mid, -np.inf),
+            vecs,
+            vecs + 1e-12 * gen.normal(size=vecs.shape),
+        ])
+        assert np.array_equal(store.nearest_words(points), nearest_by_cdist(store, points))
+        cands = np.sort(gen.choice(len(vecs), size=len(vecs) // 3, replace=False))
+        assert np.array_equal(
+            store.nearest_words(points, candidate_ids=cands),
+            nearest_by_cdist(store, points, cands),
+        )
 
 
 class TestKNearest:
@@ -326,3 +361,65 @@ def test_nn_distances_computed_once(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(ValueError):
         store.nn_distances[0] = 0.0
+
+
+def tile_store(kind: str, n: int, dim: int) -> EmbeddingStore:
+    vecs = np.random.default_rng(31).normal(size=(n, dim))
+    if kind == "offset":
+        # every pair within the rounding bound: each row falls back to cdist
+        vecs = 1e6 + 1e-3 * vecs
+    elif kind == "duplicates":
+        vecs[n // 2 :] = vecs[: n // 2]
+    return EmbeddingStore.from_arrays([f"w{i}" for i in range(n)], vecs)
+
+
+def record_tiles(monkeypatch) -> list:
+    """Record (i, j, rows, cols) of every tile the tile generator yields."""
+    tiles = []
+    blocks = EmbeddingStore.distance_blocks
+
+    def recording(self):
+        for i, j, s2 in blocks(self):
+            tiles.append((i, j, *s2.shape))
+            yield i, j, s2
+
+    monkeypatch.setattr(EmbeddingStore, "distance_blocks", recording)
+    return tiles
+
+
+@pytest.mark.parametrize("budget", [1, 16, 50, 2**20])
+def test_tiles_form_each_pair_once(monkeypatch, budget):
+    monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", budget)
+    tiles = record_tiles(monkeypatch)
+    n, side = 30, math.isqrt(budget)
+    store = tile_store("random", n, 3)
+    assert np.array_equal(store.nn_distances, local_by_cdist(store))
+    assert sum(r * c for _, _, r, c in tiles) <= n * (n + side) / 2
+    seen = np.zeros((n, n), dtype=np.int64)
+    for i, j, r, c in tiles:
+        assert i <= j and r <= side and c <= side
+        seen[i : i + r, j : j + c] += 1
+    # each unordered pair lies in exactly one tile: once above the diagonal,
+    # in both orders within a diagonal tile
+    block = np.arange(n) // side
+    other = ~np.eye(n, dtype=bool)
+    expected = np.where(block[:, None] == block[None, :], 2, 1)
+    assert np.array_equal((seen + seen.T)[other], expected[other])
+
+
+@pytest.mark.parametrize("budget", [2**18, 2**20])
+@pytest.mark.parametrize("kind", ["random", "offset", "duplicates"])
+def test_nn_pass_memory_is_two_tiles(monkeypatch, kind, budget):
+    # at |W| = 4000 the tiles are 8 x 8 (2**18) or 4 x 4 (2**20) per side;
+    # the whole pass holds about one tile, its runner-up scan and O(|W|)
+    monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", budget)
+    n = 4000
+    store = tile_store(kind, n, 4)
+    tracemalloc.start()
+    try:
+        local = store.nn_distances
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * budget * 8 + 32 * n * 8
+    assert np.array_equal(local, local_by_cdist(store))

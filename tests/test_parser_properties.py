@@ -11,9 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from privtext import EmbeddingStore
 from privtext.cli import main
 from privtext.embeddings import CACHE_MAGIC
-from privtext.randomizers import MATRIX_TSV_MAGIC, VARIANTS
+from privtext.errors import InvalidWordIdError, MatrixFormatError
+from privtext.randomizers import MATRIX_TSV_MAGIC, VARIANTS, matrix_from_tsv
+
+from oracles import matrix_from_tsv_by_line
 
 TOY = "v 0 0\nw 8 0\nx 0 8\ny 8 8\nz 4 4\n"
 WORDS = ["v", "w", "x", "y", "z"]
@@ -149,6 +153,48 @@ def test_matrix_tsv_never_crashes(files, data):
         argv = ["--embeddings", files["emb"], command[0], "--matrix", str(files["input"]),
                 *command[1:]]
         assert exit_code(argv) in CLEAN_EXITS
+
+
+def parse_outcome(parse, store, text):
+    """What a matrix parser makes of text: the matrix and sample count, or
+    the error's type and message."""
+    try:
+        matrix = parse(store, text)
+    except (MatrixFormatError, InvalidWordIdError) as exc:
+        return type(exc), str(exc)
+    return matrix.probs.tobytes(), matrix.sample_count
+
+
+# lines the vectorised parser treats apart: two-tab comments and blank
+# lines, blank first fields, repeated entries, other line breaks
+odd_line = st.sampled_from([
+    "#c\tv\t1", "#samples\t3\t4", "\t\t", " \t \t ", "\tv\t1", " #x\tv\t1",
+    "v\tv\t0.5", "v\tv\t1", "v\tv\t1\t", "\u3000\t\t", "#samples 7\r", "v\tw\t1_0",
+])
+parser_tsv = st.tuples(
+    st.one_of(tsv_text, valid_tsv),
+    st.lists(st.tuples(st.integers(0, 12), st.one_of(odd_line, tsv_line)), max_size=4),
+    st.sampled_from(["\n", "\r\n"]),
+).map(lambda t: t[2].join(insert_lines(t[0].split("\n"), t[1])))
+
+
+def insert_lines(lines, inserts):
+    for pos, line in inserts:
+        lines.insert(1 + pos % len(lines), line)
+    return lines
+
+
+@fuzz
+@given(text=parser_tsv)
+def test_matrix_parse_matches_line_by_line(text):
+    store = EmbeddingStore.from_arrays(WORDS, np.arange(10.0).reshape(5, 2))
+    fast = parse_outcome(matrix_from_tsv, store, text)
+    slow = parse_outcome(matrix_from_tsv_by_line, store, text)
+    if slow[0] is InvalidWordIdError:
+        # the vectorised parser names the line as well as the word
+        assert fast[0] is InvalidWordIdError and fast[1].endswith(slow[1])
+    else:
+        assert fast == slow
 
 
 # --- pipeline JSON config -----------------------------------------------------

@@ -34,6 +34,7 @@ from oracles import (
     density_output_distribution,
     distance,
     half_plane_mass,
+    matrix_from_tsv_by_line,
     total_variation,
 )
 
@@ -372,6 +373,37 @@ class TestTransitionMatrix:
         ):
             with pytest.raises(MatrixFormatError):
                 matrix_from_tsv(toy3, text)
+
+    @pytest.mark.parametrize("chunk", [7, 2**20])
+    def test_tsv_fault_deep_in_a_file_names_its_line(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(randomizers, "_TSV_CHUNK", chunk)
+        store = EmbeddingStore.from_arrays(
+            [f"w{i}" for i in range(40)], np.random.default_rng(5).normal(size=(40, 3))
+        )
+        m = build_transition_matrix(store, rng, MechanismConfig("baseline", 1.0), 200)
+        lines = matrix_to_tsv(store, m).splitlines()
+        k = len(lines) - 7
+        assert k > 500
+        # blank lines and comments, two-tab ones included, change nothing;
+        # nor does an entry given 0.5 early on and its own value deep down,
+        # as the last value of a pair wins
+        first = lines[2]
+        early = lines[:2] + [first.rsplit("\t", 1)[0] + "\t0.5"] + lines[3:]
+        for extra, head in (("", lines), ("   ", lines), ("#note", lines),
+                            ("#a\tb\tc", lines), ("\t\t", lines), (first, early)):
+            text = "\n".join(head[:k] + [extra] + head[k:])
+            assert np.array_equal(matrix_from_tsv(store, text).probs, m.probs)
+            assert np.array_equal(matrix_from_tsv_by_line(store, text).probs, m.probs)
+        for bad, error in (
+            ("w3\tw4\tlots", MatrixFormatError),
+            ("w3\tw4", MatrixFormatError),
+            ("w3\tw4\t0.1\t0.2", MatrixFormatError),
+            ("#samples many", MatrixFormatError),
+            ("w3\tnope\t0.1", InvalidWordIdError),
+        ):
+            text = "\n".join(lines[:k] + [bad] + lines[k:])
+            with pytest.raises(error, match=f"^line {k + 1}: "):
+                matrix_from_tsv(store, text)
 
 
 class TestSmoothMechanism:
