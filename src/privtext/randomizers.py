@@ -49,7 +49,7 @@ TRUNC_STRATEGIES = ("project", "residual")
 MATRIX_TSV_MAGIC = "#privtext-matrix-v1"
 # entry lines that matrix_from_tsv splits at a time: their strings stay small
 # beside the |W| x |W| matrix
-_TSV_CHUNK = 1024
+_TSV_CHUNK = 512
 
 
 @dataclass(frozen=True)
