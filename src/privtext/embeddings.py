@@ -14,6 +14,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -29,11 +30,28 @@ from .errors import (
 
 CACHE_MAGIC = "privtext-embeddings-v2"
 
-# float64 entries in one (rows x candidates) decode block: 8 MiB
+# entries in one (rows x candidates) block: 8 MiB of float64, or 4 MiB of
+# the float32 decode screen
 _NN_BLOCK_ENTRIES = 2**20
-# float64 machine epsilon and smallest subnormal, for _sq_error_bound
-_EPS = np.finfo(np.float64).eps
-_ETA = np.finfo(np.float64).smallest_subnormal
+# unit roundoff and smallest subnormal of float64 and of float32, for
+# _sq_error_bound
+_U = float(np.finfo(np.float64).eps) / 2
+_ETA = float(np.finfo(np.float64).smallest_subnormal)
+_U32 = float(np.finfo(np.float32).eps) / 2
+_ETA32 = float(np.finfo(np.float32).smallest_subnormal)
+
+
+class _Screen(NamedTuple):
+    """The float32 copy of a store that nearest_words screens with. The
+    error bound of a pair splits into the vector's part, reach =
+    _sq_error_bound(||v||^2, 0, d, _U32, 0), and the point's."""
+
+    vectors: np.ndarray  # (|W|, d) float32: the vectors times scale, read-only
+    upper: np.ndarray  # (|W|,) float32 ||vectors||^2 + reach, read-only
+    spread: np.ndarray  # (|W|,) float32 2 reach, read-only
+    scale: float  # the power of two that brings max |component| into [0.5, 1)
+    eta: float  # the absolute term of the screen's _sq_error_bound
+    limit: float  # a scaled point with a larger ||p||^2 is not screened
 
 
 @dataclass(frozen=True)
@@ -112,8 +130,14 @@ class EmbeddingStore:
         """Nearest vocabulary word to each row of a (n, d) array of points:
         the argmin of cdist from the point, ties broken toward the lowest id.
 
-        candidate_ids optionally restricts the argmin to a subset of the
-        vocabulary (ascending ids preserve the lowest-id tie break).
+        candidate_ids optionally restricts the argmin to a non-empty set of
+        word ids (integers in [0, |W|); repeats are harmless).
+
+        Every (row, candidate) pair is screened in float32, on the copy that
+        _screen makes on the first call, and float64 cdist decides the rows
+        that the screen cannot: those where another candidate's lower bound
+        reaches the least upper bound, over the candidates that reach it,
+        and those too far out to screen, over every candidate.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.dim:
@@ -122,36 +146,89 @@ class EmbeddingStore:
             )
         if not np.all(np.isfinite(points)):
             raise NonFiniteComponentError("query points contain NaN or Inf")
+        screen = self._screen
         if candidate_ids is None:
             ids = None
-            cand, cand_sq = self.vectors, self.sq_norms
+            cand, upper, spread = screen.vectors, screen.upper, screen.spread
         else:
-            ids = np.sort(np.asarray(candidate_ids, dtype=np.int64))
-            cand, cand_sq = self.vectors[ids], self.sq_norms[ids]
+            ids = self._candidate_ids(candidate_ids)
+            cand, upper, spread = screen.vectors[ids], screen.upper[ids], screen.spread[ids]
         out = np.empty(points.shape[0], dtype=np.int64)
         block_rows = max(1, _NN_BLOCK_ENTRIES // len(cand))
         for lo in range(0, points.shape[0], block_rows):
             block = points[lo : lo + block_rows]
-            # ||c - p||^2 = ||c||^2 - 2 c.p + ||p||^2, without the ||p||^2
-            # term, which is the same for every candidate of a row. d2 is the
-            # first two steps of sq_distance_bounds' s2, so it stands for
-            # D - ||p||^2, D the exact squared distance, and its error is the
-            # part of s2's that comes from -2 P and ||c||^2 and their sum. The
-            # rounded ||p||^2 and the last addition only add error, so
-            # |d2 - (q - ||p||^2)| <= _sq_error_bound(||p||^2, ||c||^2), q
-            # cdist's sum; it grows with ||c||^2, so its value at the largest
-            # candidate norm bounds the whole row. Two entries of a row more
-            # than twice that bound apart then order their q the same way,
-            # as the common ||p||^2 cancels. Built in place: scaling by -2 is
-            # exact, so d2 equals cand_sq - 2.0 * block @ cand.T.
-            d2 = block @ cand.T
-            d2 *= -2.0
-            d2 += cand_sq
-            err = _sq_error_bound(np.einsum("ij,ij->i", block, block), cand_sq.max(), self.dim)
-            out[lo : lo + block.shape[0]] = _argmin_exact(block, cand, d2, err)
+            # the same exact scaling as the vectors', then one rounding to
+            # float32; a point too large for float32 comes out as Inf
+            p32 = np.empty(block.shape, dtype=np.float32)
+            with np.errstate(over="ignore"):
+                np.multiply(block, screen.scale, out=p32, casting="same_kind")
+            p_sq = np.einsum("ij,ij->i", p32, p32, dtype=np.float64)
+            # rows beyond the limit (Inf included) go to cdist whole: their
+            # screen could overflow float32, or cdist's sums float64
+            far = ~(p_sq <= screen.limit)
+            if far.any():
+                p32[far] = 0.0
+                p_sq[far] = np.inf
+            # ||c||^2 - 2 c.p in float32 stands for the scaled D - ||p||^2,
+            # D the exact squared distance, within the candidate's reach plus
+            # the point's err (see _sq_error_bound): hi, with the reach
+            # added, lies at most err below D - ||p||^2. Scaling by -2 is
+            # exact.
+            hi = p32 @ cand.T
+            hi *= -2.0
+            hi += upper
+            err = _sq_error_bound(p_sq, 0.0, self.dim, _U32, screen.eta)
+            out[lo : lo + block.shape[0]] = _argmin_exact(block, self.vectors, ids, hi, spread, err)
         if ids is not None:
             out = ids[out]
         return out
+
+    def _candidate_ids(self, candidate_ids) -> np.ndarray:
+        """candidate_ids as sorted int64 word ids, or InvalidWordIdError."""
+        ids = np.asarray(candidate_ids)
+        if ids.ndim != 1 or ids.size == 0:
+            raise InvalidWordIdError(
+                f"candidate ids must be a non-empty 1-D list, got shape {ids.shape}"
+            )
+        if ids.dtype.kind not in "iu":
+            raise InvalidWordIdError(f"candidate ids must be integers, got {ids.dtype}")
+        ids = np.sort(ids.astype(np.int64))
+        if ids[0] < 0 or ids[-1] >= len(self.words):
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise InvalidWordIdError(f"word id {bad} outside [0, {len(self.words)})")
+        return ids
+
+    @cached_property
+    def _screen(self) -> _Screen:
+        """The float32 copy that nearest_words screens with, made on its
+        first call and kept for the store's lifetime. Scaling by a power of
+        two is exact, so each component is rounded once; the copy is built
+        in place, with no float64 temporary of the vocabulary."""
+        top = max(float(self.vectors.max()), -float(self.vectors.min()))
+        # a store below 2^-1022 is clamped to that scale (2^-exp must stay
+        # finite); cdist's sums underflow there, and eta sends every row to it
+        exp = max(math.frexp(top)[1], -1022)
+        scale = math.ldexp(1.0, -exp)
+        vectors = np.empty(self.vectors.shape, dtype=np.float32)
+        np.multiply(self.vectors, scale, out=vectors, casting="same_kind")
+        sq_norms = np.einsum("ij,ij->i", vectors, vectors)
+        reach = _sq_error_bound(sq_norms.astype(np.float64), 0.0, self.dim, _U32, 0.0)
+        upper = (sq_norms + reach).astype(np.float32)
+        spread = (2.0 * reach).astype(np.float32)
+        for arr in (vectors, upper, spread):
+            arr.setflags(write=False)
+        return _Screen(
+            vectors,
+            upper,
+            spread,
+            scale,
+            # cdist's subnormal step in the screen's units is _ETA * scale^2
+            eta=max(_ETA32, math.ldexp(_ETA, -2 * exp)),
+            # ||p||^2 <= 2^100 keeps every float32 dot product finite (the
+            # vectors' components are below 1), and ||p||^2 <= 2^1020 unscaled
+            # every cdist sum to a vector of the store (||v||^2 <= max / 4)
+            limit=math.ldexp(1.0, min(100, 1020 - 2 * exp)),
+        )
 
     def k_nearest(self, w: int, k: int) -> np.ndarray:
         """Ids of the k closest other vocabulary words to w, sorted by
@@ -258,14 +335,15 @@ def _gemm_sq_distances(a, a_sq, b, b_sq):
     return s2
 
 
-def _sq_error_bound(a_sq, b_sq, dim):
-    """2 (dim + 4) (eps (a_sq + b_sq) + 2 eta), broadcast: a bound on
-    |s2 - q| for GEMM-form s2 of two points with squared norms a_sq and
-    b_sq, q the squared distance that cdist sums for the pair. It grows with
-    either norm, so its value at the largest norm bounds a whole row."""
-    # Why this bound. Write u = eps / 2 for the unit roundoff,
-    # g = d u / (1 - d u), na, nb for the exact squared norms, D for the exact
-    # squared distance and eta for the smallest subnormal.
+def _sq_error_bound(a_sq, b_sq, dim, u=_U, eta=_ETA):
+    """4 (dim + 4) (u (a_sq + b_sq) + eta), broadcast: a bound on |s2 - q|
+    for GEMM-form s2 of two points with squared norms a_sq and b_sq, q the
+    squared distance that cdist sums for the pair, u the unit roundoff and
+    eta the smallest subnormal (float64's by default). It grows with either
+    norm, so its value at the largest norm bounds a whole row. With float32's
+    u and eta raised to cdist's (see below) it bounds the decode screen."""
+    # Why this bound. Write g = d u / (1 - d u), na, nb for the exact
+    # squared norms and D for the exact squared distance.
     # - s2 = fl(fl(-2 P + Nb) + Na), where Na, Nb and P = a.b (BLAS) are sums
     #   of d products in some order. So |Na - na| <= g na, |Nb - nb| <= g nb
     #   and |P - a.b| <= g sum|a_k b_k| <= g (na + nb) / 2, which costs
@@ -275,19 +353,44 @@ def _sq_error_bound(a_sq, b_sq, dim):
     # - cdist sums fl(fl(a_k - b_k)^2) in order. Each term is off by a relative
     #   3 u and the sum by g, so |q - D| <= (d + 2) u D (1 + O(d u)), and
     #   D <= 2 (na + nb) turns that into (2 d + 4) u (na + nb).
-    # - Together that is 2 (d + 2) eps (na + nb)(1 + O(d u)). Taking c = 2 with
-    #   d + 4 leaves 4 eps (na + nb) for the O(d u) terms and for rounding in
-    #   the bound itself and in s2 +- 2 bound.
+    # - Together that is 4 (d + 2) u (na + nb)(1 + O(d u)). Taking 4 (d + 4)
+    #   leaves 8 u (na + nb) for the O(d u) terms and for rounding in the
+    #   bound itself and in s2 +- 2 bound.
     # - Underflow escapes relative bounds: a product that lands among the
     #   subnormals is off by up to eta / 2 absolute. s2 holds 3 d products (the
     #   cross terms doubled: 2 d eta) and cdist d squares (d eta / 2);
     #   subnormal differences are exact. 4 (d + 4) eta covers both.
+    # The nearest_words screen scales points a and vectors b by one power of
+    # two s, exactly (short of float64 subnormals), rounds them to float32,
+    # a^ and b^, and forms s2 = fl(Nb - 2 P) from those in float32, without
+    # the row's Na. Now u = 2^-24 and eta32 = 2^-149; norms are the scaled
+    # ones, and a^, b^ have them within a relative 2 u + O(u^2) and an
+    # absolute O(d eta32), which the spare 8 u (na + nb) and the eta term
+    # absorb.
+    # - Arithmetic: as above with one addition fewer,
+    #   |s2 - (||b^ - a^||^2 - ||a^||^2)| <= (2 d + 2) u (na + nb)(1 + O(d u)).
+    # - Rounding to float32: e = (b^ - s b) - (a^ - s a) has
+    #   |e_k| <= u m_k + 2 eta32, m_k = s (|a_k| + |b_k|), and
+    #   ||b^ - a^||^2 - s^2 D = 2 s (b - a).e + ||e||^2. As |b_k - a_k| <= m_k
+    #   and 4 m_k eta32 <= u m_k^2 + 4 eta32^2 / u, that is at most
+    #   3 u sum m_k^2 + O(d eta32^2 / u) <= 6 u (na + nb) + O(d eta32^2 / u).
+    # - cdist, in the screen's units: (2 d + 4) 2^-53 (na + nb), below
+    #   2 u (na + nb) for any d < 2^28, and d s^2 eta64 / 2 absolute.
+    # - The screen adds the vector's part of the bound, 4 (d + 4) u nb, to Nb
+    #   ahead of time in float32 and takes twice it off again for the lower
+    #   end: three more roundings, at most 3 u (na + nb)(1 + O(u)).
+    # - Together: s2 is within (2 d + 13) u (na + nb)(1 + O(d u)) of
+    #   s^2 q - ||a^||^2, and ||a^||^2 is the same for every entry of the
+    #   row. That is within 4 (d + 4) u (na + nb) for every d >= 1. The
+    #   absolute terms (d eta32 from P, d eta32 / 2 from Nb, the rounding's
+    #   O(d eta32^2 / u) and cdist's d s^2 eta64 / 2) are within
+    #   4 (d + 4) eta for eta = max(eta32, s^2 eta64), which _screen passes.
     # Rounded addition and multiplication are monotone, so the computed
     # bound never falls when a_sq or b_sq grows.
     err = a_sq + b_sq
-    err *= _EPS
-    err += 2.0 * _ETA
-    err *= 2.0 * (dim + 4)
+    err *= u
+    err += eta
+    err *= 4.0 * (dim + 4)
     return err
 
 
@@ -340,18 +443,26 @@ def _merge_least(least, partner, runner_up, offset, tile_least, tile_at, tile_se
     least[better] = tile_least[better]
 
 
-def _argmin_exact(points, cand, d2, err):
-    """Argmin per row of d2 = cdist sums minus a row constant, each row
-    within err of them: rows whose runner-up lies within 2 err of the least
-    are decided by cdist over the entries in that reach, the lowest index
-    winning a tie."""
-    least, out, second = _least_two(d2, 1)
-    ceiling = least + 2.0 * err
-    close = np.flatnonzero(second <= ceiling)
-    if close.size:
-        keep = d2[close] <= ceiling[close, None]
-        for k, kept, dist in exact_distances(points[close], cand, keep):
-            out[close[k]] = kept[np.argmin(dist)]
+def _argmin_exact(points, vectors, ids, hi, spread, err):
+    """Argmin per row i of cdist sums q[i, j] (scaled, less a row constant)
+    given hi[i, j] + err[i] above each and hi[i, j] - spread[j] - err[i]
+    below it. A row where one column's upper end lies below every other
+    column's lower end is decided by that column; the rest by cdist from
+    points to the rows of vectors (ids[j] for column j, or j if ids is
+    None) over the columns whose lower end reaches the least upper end, the
+    lowest column winning a tie. hi is overwritten with the lower ends."""
+    rows = np.arange(hi.shape[0])
+    out = hi.argmin(axis=1)
+    ceiling = hi[rows, out] + 2.0 * err
+    hi -= spread
+    least = hi[rows, out]
+    hi[rows, out] = np.inf
+    close = np.flatnonzero(hi.min(axis=1) <= ceiling)
+    hi[rows, out] = least
+    for i in close:
+        kept = np.flatnonzero(hi[i] <= ceiling[i])
+        dist = cdist(points[i : i + 1], vectors[kept if ids is None else ids[kept]])[0]
+        out[i] = kept[np.argmin(dist)]
     return out
 
 

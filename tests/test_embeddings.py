@@ -236,11 +236,15 @@ class TestNearestWord:
         assert whole.tolist() == [nearest_word(store, p) for p in points]
 
     @pytest.mark.parametrize("budget", [1, 5, 2**20])
-    @pytest.mark.parametrize("kind", ["duplicates", "offset", "grid"])
+    @pytest.mark.parametrize("kind", ["duplicates", "offset", "grid", "huge", "tiny", "sphere"])
     def test_near_ties_match_cdist_argmin(self, monkeypatch, kind, budget):
-        # points on bisectors, at duplicated words and a few ulps off them,
-        # and (offset) a store whose GEMM-form distances lose every digit
-        # that separates the candidates
+        # points on bisectors (near the words and 1000 times as far out),
+        # at duplicated words and a few ulps off them, near the origin and
+        # far from every word; (offset) a store whose float32 and GEMM-form
+        # distances lose every digit that separates the candidates; (huge)
+        # one whose far points overflow some cdist sums; (tiny) one whose
+        # cdist sums underflow to zero; (sphere) one whose words all have
+        # one norm, so that near the origin their norms' rounding decides
         monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", budget)
         gen = np.random.default_rng(29)
         if kind == "grid":
@@ -249,17 +253,37 @@ class TestNearestWord:
             vecs = gen.normal(size=(60, 3))
             if kind == "duplicates":
                 vecs[30:] = vecs[:30]
-            else:
+            elif kind == "offset":
                 vecs = 1e6 + 1e-3 * vecs
+            elif kind == "sphere":
+                vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+            else:
+                vecs *= 1e150 if kind == "huge" else 1e-200
         store = EmbeddingStore.from_arrays([f"w{i}" for i in range(len(vecs))], vecs)
         i, j = gen.integers(0, len(vecs), size=(2, 200))
         mid = (vecs[i] + vecs[j]) / 2
+        dim = vecs.shape[1]
+        # out along the bisector plane of words i and j
+        w = vecs[j] - vecs[i]
+        r = gen.normal(size=w.shape)
+        ww = np.einsum("ij,ij->i", w, w)
+        r -= np.divide(np.einsum("ij,ij->i", r, w), ww, out=np.zeros(len(w)), where=ww > 0)[:, None] * w
+        out = mid + 1e3 * np.abs(vecs).max() * r
         points = np.vstack([
             mid,
             np.nextafter(mid, np.inf),
             np.nextafter(mid, -np.inf),
+            out,
+            np.nextafter(out, np.inf),
+            np.nextafter(out, -np.inf),
+            1e-6 * np.abs(vecs).max() * gen.normal(size=(20, dim)),
             vecs,
             vecs + 1e-12 * gen.normal(size=vecs.shape),
+            # beyond float32 after scaling, past float64 in cdist, or both
+            1e300 * gen.normal(size=(10, dim)),
+            1e154 * gen.normal(size=(10, dim)),
+            # a block that mixes rows at 1 with rows at 1e60
+            gen.normal(size=(10, dim)) * np.repeat([[1.0], [1e60]], 5, axis=0),
         ])
         assert np.array_equal(store.nearest_words(points), nearest_by_cdist(store, points))
         cands = np.sort(gen.choice(len(vecs), size=len(vecs) // 3, replace=False))
@@ -267,6 +291,79 @@ class TestNearestWord:
             store.nearest_words(points, candidate_ids=cands),
             nearest_by_cdist(store, points, cands),
         )
+
+    def test_candidate_ids_are_checked(self, toy3):
+        # a negative id would wrap around, a float one be truncated
+        for bad in ([-1, 0], [5], [], [0.7, 1.2], [[0, 1]], [True, False]):
+            with pytest.raises(InvalidWordIdError):
+                toy3.nearest_words([[4.9, 4.9]], candidate_ids=bad)
+        assert toy3.nearest_words([[4.9, 4.9]], candidate_ids=[2, 0, 2]).tolist() == [2]
+
+
+class TestScreen:
+    """The float32 copy of the store that nearest_words screens with."""
+
+    def test_made_once_float32_read_only(self):
+        store = random_store(np.random.default_rng(8), 300, 6)
+        assert "_screen" not in vars(store)
+        store.nearest_words(store.vectors[:3])
+        screen = store._screen
+        store.nearest_words(store.vectors[3:9], candidate_ids=[1, 2, 3])
+        assert store._screen is screen
+        for arr in (screen.vectors, screen.upper, screen.spread):
+            assert arr.dtype == np.float32 and not arr.flags.writeable
+        top = np.abs(screen.vectors).max()
+        assert 0.5 <= top < 1.0
+        assert np.array_equal(screen.vectors, (store.vectors * screen.scale).astype(np.float32))
+
+    def test_bound_covers_subnormal_rounding(self):
+        # Word 0 sets the scale to 1; words 1 and 2 lie so near the point
+        # that every float32 product and square of the screen lands among
+        # the subnormals (multiples of eta32 = 2^-149), and each component
+        # is picked so that its roundings favour word 2 by almost 3 eta32.
+        # The screen then puts word 2 ahead by 46 eta32, past a quarter of
+        # the bound (2 err = 8 (d + 4) eta32 = 160 eta32), while word 1 is
+        # nearer by 0.84 eta32. The sums are exact on that grid, so the
+        # float32 values do not depend on the BLAS.
+        d, eta = 16, 2.0**-149
+        c1 = np.full(d, 19.4873046875)
+        c2 = np.r_[np.full(d - 1, 18.513427734375), 30.524169921875]
+        vecs = np.vstack([np.r_[0.75, np.zeros(d - 1)], c1 * 2.0**-74, c2 * 2.0**-74])
+        store = EmbeddingStore.from_arrays(["w0", "w1", "w2"], vecs)
+        point = np.full((1, d), 2.0**-75)
+        v32 = store._screen.vectors[1:]
+        assert store._screen.scale == 1.0
+        d2 = np.einsum("ij,ij->i", v32, v32) - 2 * (v32 @ point[0].astype(np.float32))
+        assert (d2[0] - d2[1]) / eta == 46
+        for cands in ([1, 2], None):
+            assert store.nearest_words(point, cands).tolist() == [1]
+            assert nearest_by_cdist(store, point, cands).tolist() == [1]
+
+    def test_build_holds_no_float64_copy(self):
+        store = random_store(np.random.default_rng(9), 4000, 64)
+        tracemalloc.start()
+        try:
+            screen = store._screen
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a float64 temporary of the vocabulary alone would be 2x the copy
+        assert peak < 1.25 * screen.vectors.nbytes
+
+    def test_decode_block_is_half_the_float64_block(self):
+        # one full block: 2**20 (row, candidate) entries, 8 MiB as float64
+        n = 4096
+        store = random_store(np.random.default_rng(10), n, 16)
+        points = store.vectors[: embeddings._NN_BLOCK_ENTRIES // n] + 0.1
+        store.nearest_words(points[:1])
+        tracemalloc.start()
+        try:
+            got = store.nearest_words(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * embeddings._NN_BLOCK_ENTRIES * 8
+        assert np.array_equal(got, nearest_by_cdist(store, points))
 
 
 class TestKNearest:
