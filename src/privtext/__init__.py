@@ -29,7 +29,6 @@ from .randomizers import (
     TransitionMatrix,
     build_transition_matrix,
     kde_log_prior,
-    perturb_words,
     sample_from_matrix,
 )
 from .samplers import (

@@ -33,8 +33,8 @@ class AmplifierConfig:
             if self.k is not None:
                 raise ConfigError("k is not a subsample parameter")
         elif self.kind == "kthreshold":
-            if self.k is None or self.k < 1:
-                raise ConfigError(f"kthreshold requires k >= 1, got {self.k}")
+            if type(self.k) is not int or self.k < 1:
+                raise ConfigError(f"kthreshold requires an integer k >= 1, got {self.k!r}")
             if self.q is not None:
                 raise ConfigError("q is not a kthreshold parameter")
         else:

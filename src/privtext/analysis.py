@@ -14,7 +14,7 @@ import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import ConfigError, UnreachableObservationError
-from .randomizers import TransitionMatrix, perturb_words, sample_from_matrix
+from .randomizers import TransitionMatrix, sample_from_matrix
 from .samplers import RngStream
 
 
@@ -235,6 +235,6 @@ def attack_accuracy(
     if mechanism is None:
         observed = sample_from_matrix(rng, matrix, truths)
     else:
-        observed = perturb_words(mechanism, rng, truths)
+        observed = mechanism.perturb_words(rng, truths)
     hits = decisions[observed] == truths
     return float(np.mean(hits))

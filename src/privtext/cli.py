@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, embeddings, pipeline, randomizers, sensitivity
 from .errors import ConfigError, InvalidWordIdError, PrivtextError
-from .randomizers import Mechanism, MechanismConfig, MHParams, perturb_words
+from .randomizers import Mechanism, MechanismConfig, MHParams
 from .samplers import RngStream
 from .sensitivity import build_profile
 
@@ -92,13 +92,8 @@ def _add_mechanism_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _mechanism_config(args) -> MechanismConfig:
-    mh = None
-    if any(v is not None for v in (args.mh_burn_in, args.mh_thin, args.mh_step)):
-        mh = MHParams(
-            burn_in=args.mh_burn_in if args.mh_burn_in is not None else 1000,
-            thin=args.mh_thin if args.mh_thin is not None else 10,
-            proposal_step=args.mh_step,
-        )
+    given = {"burn_in": args.mh_burn_in, "thin": args.mh_thin, "proposal_step": args.mh_step}
+    mh = {name: value for name, value in given.items() if value is not None}
     return MechanismConfig(
         variant=args.mechanism,
         epsilon=args.epsilon,
@@ -107,7 +102,7 @@ def _mechanism_config(args) -> MechanismConfig:
         tau=args.tau,
         k=args.knn,
         trunc_strategy=args.strategy,
-        mh=mh,
+        mh=MHParams(**mh) if mh else None,
     )
 
 
@@ -162,7 +157,7 @@ def cmd_perturb(args) -> int:
             source.close()
     # one perturb_batch call per distinct word; --skip-oov tokens pass through
     ids = [store.word_id(t) for tokens in lines for t in tokens if store.has_word(t)]
-    outs = iter(perturb_words(mech, rng, ids).tolist())
+    outs = iter(mech.perturb_words(rng, ids).tolist())
     out_lines = [
         " ".join(store.words[next(outs)] if store.has_word(t) else t for t in tokens)
         for tokens in lines
@@ -240,7 +235,7 @@ def cmd_pipeline(args) -> int:
         raise ConfigError(f"{args.config}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{args.config}: the pipeline config must be a JSON object")
-    if args.seed is not None and args.seed_given:
+    if args.seed is not None:
         data["seed"] = args.seed
     config = pipeline.ProtocolConfig.from_dict(data)
     report = pipeline.run_protocol(store, config)
@@ -263,7 +258,7 @@ def cmd_ingest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="privtext")
     parser.add_argument("--embeddings", help="text embedding file or .npz cache")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None, help="default 0; pipeline: config's")
     parser.add_argument("--format", default="json", choices=("json", "tsv", "text"))
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
@@ -312,10 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.seed_given = any(a == "--seed" or a.startswith("--seed=") for a in argv)
+    args = build_parser().parse_args(argv)
+    if args.seed is None and args.command != "pipeline":
+        args.seed = 0
     try:
         return args.func(args)
     except (ConfigError, InvalidWordIdError, PrivtextError) as exc:

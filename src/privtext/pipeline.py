@@ -7,9 +7,9 @@ a word-frequency histogram with utility accounting against the pre-noise
 histogram of the same sampled corpus.
 
 Every phase draws from streams forked off one root seed, and the local
-phase forks one stream per distinct word, so a (config, seed) pair
-reproduces byte-identical reports however the words are grouped into
-draws.
+phase draws through Mechanism.perturb_words, which forks one stream per
+distinct word, so a (config, seed) pair reproduces byte-identical reports
+however the words are grouped into draws.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 from .amplification import AmplifierConfig, amplified_epsilon, apply_amplifier
 from .embeddings import EmbeddingStore
 from .errors import ConfigError
-from .randomizers import Mechanism, MechanismConfig, perturb_words
+from .randomizers import Mechanism, MechanismConfig
 from .samplers import RngStream
 from .sensitivity import SensitivityProfile
 
@@ -71,8 +71,9 @@ class ProtocolConfig:
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
 
     def __post_init__(self):
-        if self.n_users < 1 or self.m_per_user < 1:
-            raise ConfigError("n_users and m_per_user must be >= 1")
+        counts = (self.n_users, self.m_per_user)
+        if any(type(v) is not int for v in (*counts, self.seed)) or min(counts) < 1:
+            raise ConfigError("n_users and m_per_user must be integers >= 1 and seed an integer")
         object.__setattr__(self, "amplifiers", tuple(self.amplifiers))
 
     def to_dict(self) -> dict:
@@ -91,11 +92,11 @@ class ProtocolConfig:
         ConfigError."""
         try:
             return cls(
-                n_users=int(data["n_users"]),
-                m_per_user=int(data["m_per_user"]),
+                n_users=data["n_users"],
+                m_per_user=data["m_per_user"],
                 mechanism=MechanismConfig.from_dict(data["mechanism"]),
                 amplifiers=tuple(AmplifierConfig.from_dict(a) for a in data.get("amplifiers", [])),
-                seed=int(data.get("seed", 0)),
+                seed=data.get("seed", 0),
                 corpus=CorpusSpec.from_dict(data.get("corpus", {"kind": "zipf"})),
             )
         except KeyError as exc:
@@ -143,19 +144,16 @@ def run_local_phase(
     store: EmbeddingStore,
     rng: RngStream,
     config: ProtocolConfig,
-    inputs: np.ndarray | None = None,
+    inputs: np.ndarray,
     profile: SensitivityProfile | None = None,
 ) -> np.ndarray:
-    """Perturb every user's words through the configured mechanism.
+    """Perturb the (n_users, m_per_user) input ids through the configured mechanism.
 
     Returns the flat (n_users * m_per_user,) payload array in user-major
     order: entry i * m_per_user + j is user i's slot j. Draws fork per
-    distinct word, not per user (see randomizers.perturb_words).
+    distinct word, not per user (see Mechanism.perturb_words).
     """
-    if inputs is None:
-        inputs = sample_corpus(store, rng.fork_named("corpus"), config)
-    mech = Mechanism(store, config.mechanism, profile)
-    return perturb_words(mech, rng, inputs)
+    return Mechanism(store, config.mechanism, profile).perturb_words(rng, inputs)
 
 
 def run_amplifiers(

@@ -65,8 +65,11 @@ class MHParams:
     proposal_step: float | None = None
 
     def __post_init__(self):
-        if self.burn_in < 0 or self.thin < 1:
-            raise ConfigError("burn_in must be >= 0 and thin >= 1")
+        # counts in a config are exactly int: not a float or bool, which would
+        # be rounded, nor a numpy integer, which its JSON echo cannot write
+        burn_in, thin = self.burn_in, self.thin
+        if type(burn_in) is not int or type(thin) is not int or burn_in < 0 or thin < 1:
+            raise ConfigError("burn_in must be an integer >= 0 and thin an integer >= 1")
         if self.proposal_step is not None and not self.proposal_step > 0:
             raise ConfigError("proposal_step must be > 0")
 
@@ -114,8 +117,8 @@ class MechanismConfig:
                 raise ConfigError(f"unknown truncation strategy {strategy!r}")
             object.__setattr__(self, "trunc_strategy", strategy)
         elif self.variant == "trunc_knn":
-            if self.k is None or self.k < 1:
-                raise ConfigError("trunc_knn variant requires k >= 1")
+            if type(self.k) is not int or self.k < 1:
+                raise ConfigError(f"trunc_knn variant requires an integer k >= 1, got {self.k!r}")
 
     def to_dict(self) -> dict:
         out = {"variant": self.variant, "epsilon": self.epsilon}
@@ -213,8 +216,9 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 class Mechanism:
     """A configured mechanism bound to a store: the one place a word is
-    perturbed. perturb_batch(rng, w, n) draws n outputs for word w through
-    one of three kernels:
+    perturbed. perturb_words(rng, ids) draws one output per entry of an id
+    array by its single-word form, perturb_batch(rng, w, n), which draws n
+    outputs for word w through one of three kernels:
 
     - additive (baseline, smooth, trunc_knn): radial Laplacian noise at a
       per-word epsilon, decoded over a per-word candidate set (every word,
@@ -260,8 +264,20 @@ class Mechanism:
         elif config.variant == "trunc_knn" and not config.k <= len(store) - 1:
             raise ConfigError(f"k={config.k} out of range [1, {len(store) - 1}]")
 
-    def perturb(self, rng: RngStream, w: int) -> int:
-        return int(self.perturb_batch(rng, w, 1)[0])
+    def perturb_words(self, rng: RngStream, ids) -> np.ndarray:
+        """Perturb every entry of an array of word ids, flattened row-major:
+        one output per entry, in order.
+
+        Each distinct word w makes one perturb_batch(rng.fork(w), w, count)
+        call, whose outputs fill that word's positions in order of
+        occurrence. Given the word, the draws are i.i.d., so grouping leaves
+        the output distribution unchanged.
+        """
+        ids = _word_ids(ids)
+        out = np.empty(len(ids), dtype=np.int64)
+        for w, at in _positions_by_word(ids):
+            out[at] = self.perturb_batch(rng.fork(w), w, len(at))
+        return out
 
     def perturb_batch(self, rng: RngStream, w: int, n: int) -> np.ndarray:
         w = self.store.check_id(w)
@@ -352,20 +368,12 @@ class Mechanism:
         return self.store.nearest_words(x)
 
 
-def perturb_words(mech, rng: RngStream, ids) -> np.ndarray:
-    """Perturb every entry of a word-id array: one output per entry, in order.
-
-    Each distinct word w makes one mech.perturb_batch(rng.fork(w), w, count)
-    call, whose outputs fill that word's positions in order of occurrence.
-    Given the word, the draws are i.i.d., so grouping leaves the output
-    distribution unchanged. mech is anything with perturb_batch(rng, w, n):
-    a Mechanism or a test stub.
-    """
-    ids = np.asarray(ids, dtype=np.int64).ravel()
-    out = np.empty(len(ids), dtype=np.int64)
-    for w, at in _positions_by_word(ids):
-        out[at] = mech.perturb_batch(rng.fork(w), w, len(at))
-    return out
+def _word_ids(ids) -> np.ndarray:
+    """ids flattened to int64; InvalidWordIdError unless integers or empty."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise InvalidWordIdError(f"word ids must be integers, got {ids.dtype}")
+    return ids.astype(np.int64, copy=False).ravel()
 
 
 def _positions_by_word(ids: np.ndarray):
@@ -382,13 +390,12 @@ def build_transition_matrix(
     rng: RngStream,
     config: MechanismConfig,
     samples_per_word: int,
-    profile: SensitivityProfile | None = None,
 ) -> TransitionMatrix:
     """Monte Carlo estimate of the full output distribution, one row per
     input word, each row from its own forked stream."""
     if samples_per_word < 1:
         raise ConfigError(f"samples_per_word must be >= 1, got {samples_per_word}")
-    mech = Mechanism(store, config, profile)
+    mech = Mechanism(store, config)
     n_words = len(store)
     probs = np.empty((n_words, n_words), dtype=np.float64)
     for w in range(n_words):
@@ -401,7 +408,7 @@ def sample_from_matrix(rng: RngStream, matrix: TransitionMatrix, ids) -> np.ndar
     """One output per entry of a word-id array, drawn from that word's row
     of the matrix by inverting its cumulative sum at one uniform per entry
     (the uniforms are drawn in entry order)."""
-    ids = np.asarray(ids, dtype=np.int64).ravel()
+    ids = _word_ids(ids)
     u = rng.gen.uniform(size=len(ids))
     out = np.empty(len(ids), dtype=np.int64)
     for w, at in _positions_by_word(ids):

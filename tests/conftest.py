@@ -50,9 +50,6 @@ def count_passes(monkeypatch) -> list:
 class IdentityMechanism:
     """Deterministic stub: every word maps to itself."""
 
-    def perturb(self, rng, w):
-        return int(w)
-
     def perturb_batch(self, rng, w, n):
         return np.full(n, int(w), dtype=np.int64)
 
@@ -62,9 +59,6 @@ class UniformMechanism:
 
     def __init__(self, n_words):
         self.n_words = n_words
-
-    def perturb(self, rng, w):
-        return int(rng.gen.integers(0, self.n_words))
 
     def perturb_batch(self, rng, w, n):
         return rng.gen.integers(0, self.n_words, size=n)

@@ -302,8 +302,8 @@ class TestAttackAccuracy:
         assert acc >= 0.98
 
     def test_mechanism_path_pinned_value(self, toy5):
-        # perturb_words makes the same per-word draws as the inline loop it
-        # replaced, so this value is pinned from that loop
+        # Mechanism.perturb_words makes the same per-word draws as the
+        # inline loop it replaced, so this value is pinned from that loop
         cfg = MechanismConfig("baseline", 1.5)
         rng = RngStream(2718)
         m = build_transition_matrix(toy5, rng.fork(0), cfg, 2000)

@@ -162,6 +162,20 @@ class TestStats:
         assert payload["stats"][0]["p_unchanged"] >= 0.99
         assert payload["metadata"]["mechanism"]["epsilon"] == 1000
 
+    def test_mh_flags_left_out_take_the_mhparams_defaults(self, emb, capsys):
+        for flags, mh in (
+            (["--mh-step", "0.5"], {"burn_in": 1000, "thin": 10, "proposal_step": 0.5}),
+            (["--mh-burn-in", "3", "--mh-thin", "2"],
+             {"burn_in": 3, "thin": 2, "proposal_step": None}),
+        ):
+            code, out, _ = run(
+                ["--embeddings", emb, "stats", "--mechanism", "density", "--epsilon", "1",
+                 *flags, "--trials", "2", "--words", "v"],
+                capsys=capsys,
+            )
+            assert code == 0
+            assert json.loads(out)["metadata"]["mechanism"]["mh"] == mh
+
 
 class TestPipeline:
     def test_byte_identical_reports(self, emb, tmp_path, capsys):
@@ -196,12 +210,14 @@ class TestPipeline:
         _, base, _ = run(
             ["--embeddings", emb, "pipeline", "--config", str(cfg_file)], capsys=capsys
         )
-        _, other, _ = run(
-            ["--embeddings", emb, "--seed", "99", "pipeline", "--config", str(cfg_file)],
-            capsys=capsys,
-        )
         assert json.loads(base)["metadata"]["config"]["seed"] == 11
-        assert json.loads(other)["metadata"]["config"]["seed"] == 99
+        # argparse takes an unambiguous prefix of --seed as --seed
+        for flag in (["--seed", "99"], ["--se=99"], ["--see", "99"]):
+            _, other, _ = run(
+                ["--embeddings", emb, *flag, "pipeline", "--config", str(cfg_file)],
+                capsys=capsys,
+            )
+            assert json.loads(other)["metadata"]["config"]["seed"] == 99, flag
 
 
 class TestIngest:
@@ -340,7 +356,23 @@ class TestErrors:
 
     def test_bad_pipeline_config_exit_2(self, emb, tmp_path, capsys):
         path = tmp_path / "lac.json"
+        base = {"n_users": 2, "m_per_user": 1, "mechanism": {"variant": "baseline", "epsilon": 1.0}}
+        density = {"variant": "density", "epsilon": 1.0}
+        # integer fields given a float or a bool: each was run rounded down,
+        # accepted or ended in a TypeError traceback
+        not_integers = [
+            {**base, "mechanism": {**density, "mh": {"burn_in": 1.5}}},
+            {**base, "mechanism": {**density, "mh": {"thin": 2.5}}},
+            {**base, "mechanism": {**density, "mh": {"burn_in": True}}},
+            {**base, "mechanism": {"variant": "trunc_knn", "epsilon": 1.0, "k": 1.5}},
+            {**base, "mechanism": {"variant": "trunc_knn", "epsilon": 1.0, "k": True}},
+            {**base, "amplifiers": [{"kind": "kthreshold", "k": 1.5}]},
+            {**base, "n_users": 2.9},
+            {**base, "m_per_user": True},
+            {**base, "seed": 1.5},
+        ]
         for text in (
+            *map(json.dumps, not_integers),
             json.dumps({"n_users": 2, "mechanism": {"variant": "baseline", "epsilon": 1.0}}),
             json.dumps([1, 2]),
             json.dumps({"n_users": "two", "m_per_user": 1, "mechanism": {}}),
@@ -354,7 +386,7 @@ class TestErrors:
                 ["--embeddings", emb, "pipeline", "--config", str(path)], capsys=capsys
             )
             assert code == 2, text
-            assert err.startswith("error:")
+            assert err.startswith("error:") and "Traceback" not in err
 
     def test_non_utf8_files_exit_2(self, emb, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.bin"

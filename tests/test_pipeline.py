@@ -5,10 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import privtext.pipeline as pl
 from privtext import (
     AmplifierConfig,
     CorpusSpec,
+    Mechanism,
     MechanismConfig,
     ProtocolConfig,
     RngStream,
@@ -18,7 +18,7 @@ from privtext import (
 from privtext.errors import ConfigError, InvalidWordIdError
 from privtext.pipeline import run_amplifiers, run_curator, run_local_phase, sample_corpus
 
-from conftest import IdentityMechanism, UniformMechanism
+from conftest import IdentityMechanism
 
 
 def make_config(**kw):
@@ -34,42 +34,47 @@ def make_config(**kw):
     return ProtocolConfig(**defaults)
 
 
+def local_phase(store, config, seed):
+    """The local phase of run_protocol: its inputs and messages."""
+    rng = RngStream(seed)
+    inputs = sample_corpus(store, rng.fork_named("corpus"), config)
+    return inputs, run_local_phase(store, rng.fork_named("local"), config, inputs)
+
+
+def identity_draws(monkeypatch):
+    """Make every Mechanism draw return its input word."""
+    monkeypatch.setattr(Mechanism, "perturb_batch", IdentityMechanism.perturb_batch)
+
+
 class TestLocalPhase:
     def test_shape(self, toy5):
         config = make_config(n_users=1, m_per_user=1)
-        msgs = run_local_phase(toy5, RngStream(0), config)
+        _, msgs = local_phase(toy5, config, 0)
         assert msgs.shape == (1,) and msgs.dtype == np.int64
 
     def test_identity_stub_preserves_inputs(self, toy5, monkeypatch):
-        monkeypatch.setattr(pl, "Mechanism", lambda *a, **k: IdentityMechanism())
-        config = make_config()
-        rng = RngStream(config.seed)
-        inputs = sample_corpus(toy5, rng.fork_named("corpus"), config)
-        msgs = run_local_phase(toy5, rng.fork_named("local"), config, inputs)
+        identity_draws(monkeypatch)
+        inputs, msgs = local_phase(toy5, make_config(), 7)
         # flat and user-major: entry i * m + j is user i's slot j
         assert np.array_equal(msgs, inputs.ravel())
 
     def test_one_perturb_batch_call_per_distinct_word(self, toy5, monkeypatch):
         calls = []
 
-        class Recording(UniformMechanism):
-            def perturb_batch(self, rng, w, n):
-                calls.append((w, n))
-                return super().perturb_batch(rng, w, n)
+        def recording(self, rng, w, n):
+            calls.append((w, n))
+            return rng.gen.integers(0, len(self.store), size=n)
 
-        monkeypatch.setattr(pl, "Mechanism", lambda *a, **k: Recording(len(toy5)))
-        config = make_config(n_users=20, m_per_user=5)
-        rng = RngStream(config.seed)
-        inputs = sample_corpus(toy5, rng.fork_named("corpus"), config)
-        msgs = run_local_phase(toy5, rng.fork_named("local"), config, inputs)
+        monkeypatch.setattr(Mechanism, "perturb_batch", recording)
+        inputs, msgs = local_phase(toy5, make_config(n_users=20, m_per_user=5), 7)
         words, counts = np.unique(inputs, return_counts=True)
         assert sorted(calls) == list(zip(words.tolist(), counts.tolist()))
         assert len(msgs) == inputs.size
 
     def test_deterministic(self, toy5):
         config = make_config()
-        a = run_local_phase(toy5, RngStream(1), config)
-        b = run_local_phase(toy5, RngStream(1), config)
+        _, a = local_phase(toy5, config, 1)
+        _, b = local_phase(toy5, config, 1)
         assert np.array_equal(a, b)
 
     def test_oov_corpus_rejected(self, toy5):
@@ -79,7 +84,7 @@ class TestLocalPhase:
             corpus=CorpusSpec(kind="words", words_per_user=(("v", "nope"),)),
         )
         with pytest.raises(InvalidWordIdError):
-            run_local_phase(toy5, RngStream(0), config)
+            run_protocol(toy5, config)
 
     def test_words_corpus_shape_checked(self, toy5):
         config = make_config(
@@ -129,13 +134,13 @@ class TestCurator:
 
 class TestProtocol:
     def test_identity_lossless(self, toy5, monkeypatch):
-        monkeypatch.setattr(pl, "Mechanism", lambda *a, **k: IdentityMechanism())
+        identity_draws(monkeypatch)
         report = run_protocol(toy5, make_config())
         assert report.utility_l1 == 0.0
         assert report.utility_tv == 0.0
 
     def test_shuffle_only_utility_zero(self, toy5, monkeypatch):
-        monkeypatch.setattr(pl, "Mechanism", lambda *a, **k: IdentityMechanism())
+        identity_draws(monkeypatch)
         report = run_protocol(toy5, make_config(amplifiers=(AmplifierConfig("shuffle"),)))
         assert report.utility_l1 == 0.0
 
@@ -145,7 +150,7 @@ class TestProtocol:
         assert report.utility_tv == pytest.approx(report.utility_l1 / (2 * total))
 
     def test_subsample_mass_scaling(self, toy5, monkeypatch):
-        monkeypatch.setattr(pl, "Mechanism", lambda *a, **k: IdentityMechanism())
+        identity_draws(monkeypatch)
         q, n = 0.5, 2000
         config = make_config(
             n_users=n, m_per_user=1, amplifiers=(AmplifierConfig("subsample", q=q),)

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -11,15 +12,18 @@ from privtext import (
     MechanismConfig,
     MHParams,
     MultivariateLaplaceParam,
+    ProtocolConfig,
     RngStream,
+    attack_accuracy,
     build_profile,
     build_transition_matrix,
     kde_log_prior,
-    perturb_words,
     randomizers,
+    run_protocol,
     sample_from_matrix,
     sample_mv_laplace,
 )
+from privtext.cli import main
 from privtext.errors import ConfigError, InvalidWordIdError, MatrixFormatError
 from privtext.randomizers import (
     TransitionMatrix,
@@ -91,7 +95,7 @@ class TestBaseline:
         ):
             mech = Mechanism(toy3, config)
             for w in range(3):
-                assert mech.perturb(rng, w) == w
+                assert mech.perturb_batch(rng, w, 1).tolist() == [w]
 
     def test_huge_epsilon_is_identity(self, toy3, rng):
         outs = Mechanism(toy3, MechanismConfig("baseline", 1e3)).perturb_batch(rng, 0, 10**4)
@@ -105,17 +109,17 @@ class TestBaseline:
 
     def test_invalid_word(self, toy3, rng):
         with pytest.raises(InvalidWordIdError):
-            Mechanism(toy3, MechanismConfig("baseline", 1.0)).perturb(rng, 7)
+            Mechanism(toy3, MechanismConfig("baseline", 1.0)).perturb_batch(rng, 7, 1)
 
     def test_scalar_matches_distribution(self, toy3):
         mech = Mechanism(toy3, MechanismConfig("baseline", 2.0))
-        outs = [mech.perturb(RngStream(s), 0) for s in range(200)]
+        outs = [mech.perturb_batch(RngStream(s), 0, 1)[0] for s in range(200)]
         assert set(outs) <= {0, 1, 2}
 
 
 def perturb_sentence(store, rng, words, config):
     """A sentence perturbed as the CLI and the pipeline do."""
-    return perturb_words(Mechanism(store, config), rng, words).tolist()
+    return Mechanism(store, config).perturb_words(rng, words).tolist()
 
 
 class TestSentence:
@@ -141,7 +145,8 @@ class TestSentence:
 
 class Recording:
     """Stub that records every perturb_batch call and returns distinct
-    labels, so each output can be traced to its call and draw."""
+    labels, so each output can be traced to its call and draw; it stands in
+    for self in Mechanism.perturb_words."""
 
     def __init__(self):
         self.calls = []
@@ -159,20 +164,58 @@ class TestPerturbWords:
         for w in np.unique(ids):
             mask = ids == w
             expected[mask] = mech.perturb_batch(rng.fork(int(w)), int(w), int(mask.sum()))
-        assert np.array_equal(perturb_words(mech, rng, ids), expected)
+        assert np.array_equal(mech.perturb_words(rng, ids), expected)
 
     def test_one_call_per_word_ties_in_occurrence_order(self, rng):
         stub = Recording()
-        out = perturb_words(stub, rng, [2, 5, 2, 2, 5])
+        out = Mechanism.perturb_words(stub, rng, [2, 5, 2, 2, 5])
         assert sorted(stub.calls) == [(rng.fork(2).path, 2, 3), (rng.fork(5).path, 5, 2)]
         # a word's i-th occurrence gets the i-th output of its call
         assert out.tolist() == [2000, 5000, 2001, 2002, 5001]
 
     def test_empty_makes_no_draw(self, rng):
         stub = Recording()
-        out = perturb_words(stub, rng, [])
+        out = Mechanism.perturb_words(stub, rng, [])
         assert out.shape == (0,) and out.dtype == np.int64
         assert stub.calls == []
+
+    def test_ids_must_be_integers(self, toy5, rng):
+        # floats and bools were cast to int64 and drawn for other words
+        mech = Mechanism(toy5, MechanismConfig("baseline", 1.0))
+        matrix = TransitionMatrix(np.full((5, 5), 0.2), sample_count=1)
+        for ids in ([1.7, 2.2], [True, False], np.array([[1.9]])):
+            with pytest.raises(InvalidWordIdError, match="integers"):
+                mech.perturb_words(rng, ids)
+            with pytest.raises(InvalidWordIdError, match="integers"):
+                sample_from_matrix(rng, matrix, ids)
+        # an empty input holds no ids, whatever its dtype: np.asarray([]) is float64
+        for ids in ([], np.zeros((0, 3))):
+            assert mech.perturb_words(rng, ids).shape == (0,)
+            assert sample_from_matrix(rng, matrix, ids).shape == (0,)
+
+    def test_every_bulk_draw_goes_through_it(self, toy5, rng, tmp_path, monkeypatch, capsys):
+        # a recorder that returns the input words: each caller's outputs are
+        # then its inputs, and each caller makes one call
+        sizes = []
+
+        def recording(self, rng, ids):
+            ids = np.asarray(ids, dtype=np.int64).ravel()
+            sizes.append(len(ids))
+            return ids
+
+        monkeypatch.setattr(Mechanism, "perturb_words", recording)
+        cfg = MechanismConfig("baseline", 0.1)
+        assert run_protocol(toy5, ProtocolConfig(4, 3, cfg)).utility_l1 == 0.0
+        matrix = TransitionMatrix(np.eye(5), sample_count=1)
+        prior = np.full(5, 0.2)
+        mech = Mechanism(toy5, cfg)
+        assert attack_accuracy(toy5, rng, matrix, prior, 7, mechanism=mech) == 1.0
+        path = tmp_path / "emb.txt"
+        path.write_text("v 0 0\nw 1 0\n", encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO("v w v\nw\n"))
+        assert main(["--embeddings", str(path), "perturb", "--epsilon", "0.1"]) == 0
+        assert capsys.readouterr().out == "v w v\nw\n"
+        assert sizes == [12, 7, 4]
 
 
 class TestKdePrior:
@@ -464,9 +507,9 @@ class TestSmoothMechanism:
         # their smooth sensitivity is 0 while the third word's is 1
         store = EmbeddingStore.from_arrays(["a", "b", "c"], [[0.0], [0.0], [1.0]])
         mech = Mechanism(store, MechanismConfig("smooth", 1.0, beta=1000.0))
-        assert mech.perturb(rng, 2) in (0, 1, 2)
+        assert mech.perturb_batch(rng, 2, 1)[0] in (0, 1, 2)
         with pytest.raises(ConfigError, match="smooth sensitivity is 0 at word 0"):
-            mech.perturb(rng, 0)
+            mech.perturb_batch(rng, 0, 1)
 
 
 class TestTruncDistance:
@@ -502,8 +545,8 @@ class TestTruncDistance:
         assert any("falling back to project" in r.message for r in caplog.records)
 
     def test_scalar_form(self, toy3, rng):
-        out = Mechanism(toy3, MechanismConfig("trunc_distance", 1.0, tau=1.5)).perturb(rng, 0)
-        assert distance(toy3, 0, out) <= 1.5
+        mech = Mechanism(toy3, MechanismConfig("trunc_distance", 1.0, tau=1.5))
+        assert distance(toy3, 0, mech.perturb_batch(rng, 0, 1)[0]) <= 1.5
 
 
 class TestTruncKnn:
