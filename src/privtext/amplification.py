@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_real
 from .samplers import RngStream, sample_permutation
 
 
@@ -28,6 +28,8 @@ class AmplifierConfig:
             if self.q is not None or self.k is not None:
                 raise ConfigError("shuffle takes no parameters")
         elif self.kind == "subsample":
+            if self.q is not None:
+                require_real("q", self.q)
             if self.q is None or not 0 < self.q <= 1:
                 raise ConfigError(f"subsample requires q in (0, 1], got {self.q}")
             if self.k is not None:

@@ -46,7 +46,7 @@ class _Screen(NamedTuple):
     error bound of a pair splits into the vector's part, reach =
     _sq_error_bound(||v||^2, 0, d, _U32, 0), and the point's."""
 
-    vectors: np.ndarray  # (|W|, d) float32: the vectors times scale, read-only
+    vectors: np.ndarray  # (d, |W|) float32: the vectors times scale, transposed, read-only
     upper: np.ndarray  # (|W|,) float32 ||vectors||^2 + reach, read-only
     spread: np.ndarray  # (|W|,) float32 2 reach, read-only
     scale: float  # the power of two that brings max |component| into [0.5, 1)
@@ -133,8 +133,9 @@ class EmbeddingStore:
         candidate_ids optionally restricts the argmin to a non-empty set of
         word ids (integers in [0, |W|); repeats are harmless).
 
-        Every (row, candidate) pair is screened in float32, on the copy that
-        _screen makes on the first call, and float64 cdist decides the rows
+        Every (row, candidate) pair is screened in float32, on the
+        vocabulary-major copy that _screen makes on the first call, by one
+        plain (rows x d) @ (d x candidates) GEMM; float64 cdist decides the rows
         that the screen cannot: those where another candidate's lower bound
         reaches the least upper bound, over the candidates that reach it,
         and those too far out to screen, over every candidate.
@@ -152,9 +153,9 @@ class EmbeddingStore:
             cand, upper, spread = screen.vectors, screen.upper, screen.spread
         else:
             ids = self._candidate_ids(candidate_ids)
-            cand, upper, spread = screen.vectors[ids], screen.upper[ids], screen.spread[ids]
+            cand, upper, spread = screen.vectors[:, ids], screen.upper[ids], screen.spread[ids]
         out = np.empty(points.shape[0], dtype=np.int64)
-        block_rows = max(1, _NN_BLOCK_ENTRIES // len(cand))
+        block_rows = max(1, _NN_BLOCK_ENTRIES // cand.shape[1])
         for lo in range(0, points.shape[0], block_rows):
             block = points[lo : lo + block_rows]
             # the same exact scaling as the vectors', then one rounding to
@@ -174,7 +175,7 @@ class EmbeddingStore:
             # the point's err (see _sq_error_bound): hi, with the reach
             # added, lies at most err below D - ||p||^2. Scaling by -2 is
             # exact.
-            hi = p32 @ cand.T
+            hi = p32 @ cand
             hi *= -2.0
             hi += upper
             err = _sq_error_bound(p_sq, 0.0, self.dim, _U32, screen.eta)
@@ -203,15 +204,20 @@ class EmbeddingStore:
         """The float32 copy that nearest_words screens with, made on its
         first call and kept for the store's lifetime. Scaling by a power of
         two is exact, so each component is rounded once; the copy is built
-        in place, with no float64 temporary of the vocabulary."""
+        in place, with no float64 temporary of the vocabulary.
+
+        The copy is stored vocabulary-major, (d, |W|) and C-contiguous, so
+        each decode is one plain GEMM against it. Against a (|W|, d) copy the
+        GEMM takes its operand transposed, and for a few rows OpenBLAS's
+        sgemm then re-reads and packs the whole copy on every call."""
         top = max(float(self.vectors.max()), -float(self.vectors.min()))
         # a store below 2^-1022 is clamped to that scale (2^-exp must stay
         # finite); cdist's sums underflow there, and eta sends every row to it
         exp = max(math.frexp(top)[1], -1022)
         scale = math.ldexp(1.0, -exp)
-        vectors = np.empty(self.vectors.shape, dtype=np.float32)
-        np.multiply(self.vectors, scale, out=vectors, casting="same_kind")
-        sq_norms = np.einsum("ij,ij->i", vectors, vectors)
+        vectors = np.empty(self.vectors.shape[::-1], dtype=np.float32)
+        np.multiply(self.vectors.T, scale, out=vectors, casting="same_kind")
+        sq_norms = np.einsum("ji,ji->i", vectors, vectors)
         reach = _sq_error_bound(sq_norms.astype(np.float64), 0.0, self.dim, _U32, 0.0)
         upper = (sq_norms + reach).astype(np.float32)
         spread = (2.0 * reach).astype(np.float32)

@@ -37,6 +37,14 @@ class ConfigError(PrivtextError):
     """Mechanism, amplifier, or protocol configuration is invalid."""
 
 
+def require_real(name, value) -> None:
+    """ConfigError unless value is a real number: an int or a float, not a
+    bool (which would run as 0 or 1 and be echoed as false or true) nor a
+    string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 class MatrixFormatError(PrivtextError):
     """A transition matrix or its TSV file is malformed or not row-stochastic."""
 

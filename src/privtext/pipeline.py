@@ -20,7 +20,7 @@ import numpy as np
 
 from .amplification import AmplifierConfig, amplified_epsilon, apply_amplifier
 from .embeddings import EmbeddingStore
-from .errors import ConfigError
+from .errors import ConfigError, require_real
 from .randomizers import Mechanism, MechanismConfig
 from .samplers import RngStream
 from .sensitivity import SensitivityProfile
@@ -39,8 +39,10 @@ class CorpusSpec:
 
     def __post_init__(self):
         if self.kind == "zipf":
+            require_real("s", self.s)
             if not self.s > 0:
                 raise ConfigError(f"zipf exponent must be > 0, got {self.s}")
+            object.__setattr__(self, "s", float(self.s))
         elif self.kind == "words":
             if not self.words_per_user:
                 raise ConfigError("words corpus requires words_per_user")
@@ -58,7 +60,7 @@ class CorpusSpec:
     def from_dict(cls, data: dict) -> "CorpusSpec":
         if data.get("kind") == "words":
             return cls(kind="words", words_per_user=tuple(tuple(u) for u in data["words_per_user"]))
-        return cls(kind="zipf", s=float(data.get("s", 1.1)))
+        return cls(kind="zipf", s=data.get("s", 1.1))
 
 
 @dataclass(frozen=True)

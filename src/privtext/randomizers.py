@@ -31,7 +31,7 @@ from itertools import repeat
 import numpy as np
 
 from .embeddings import EmbeddingStore
-from .errors import ConfigError, InvalidWordIdError, MatrixFormatError
+from .errors import ConfigError, InvalidWordIdError, MatrixFormatError, require_real
 from .samplers import (
     MultivariateLaplaceParam,
     RngStream,
@@ -70,8 +70,10 @@ class MHParams:
         burn_in, thin = self.burn_in, self.thin
         if type(burn_in) is not int or type(thin) is not int or burn_in < 0 or thin < 1:
             raise ConfigError("burn_in must be an integer >= 0 and thin an integer >= 1")
-        if self.proposal_step is not None and not self.proposal_step > 0:
-            raise ConfigError("proposal_step must be > 0")
+        if self.proposal_step is not None:
+            require_real("proposal_step", self.proposal_step)
+            if not self.proposal_step > 0:
+                raise ConfigError("proposal_step must be > 0")
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,7 @@ class MechanismConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        require_real("epsilon", self.epsilon)
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         allowed = {
@@ -103,6 +106,9 @@ class MechanismConfig:
         for name in ("sigma", "beta", "tau", "k", "trunc_strategy", "mh"):
             if getattr(self, name) is not None and name not in allowed:
                 raise ConfigError(f"{name} is not a parameter of variant {self.variant!r}")
+        for name in ("sigma", "beta", "tau"):
+            if getattr(self, name) is not None:
+                require_real(name, getattr(self, name))
         if self.variant == "density":
             if self.sigma is not None and not self.sigma > 0:
                 raise ConfigError(f"sigma must be > 0, got {self.sigma}")
@@ -135,13 +141,13 @@ class MechanismConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MechanismConfig":
-        data = dict(data)
-        mh = data.pop("mh", None)
-        if mh is not None:
-            mh = MHParams(**mh)
         try:
+            data = dict(data)
+            mh = data.pop("mh", None)
+            if mh is not None:
+                mh = MHParams(**mh)
             return cls(mh=mh, **data)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
 

@@ -13,6 +13,19 @@ from privtext.cli import main
 
 TOY = "v 0 0\nw 8 0\nx 0 8\ny 8 8\nz 4 4\n"
 
+# each real-number field of a pipeline config, set to a given value
+REAL_FIELDS = {
+    "epsilon": lambda v: {"mechanism": {"variant": "baseline", "epsilon": v}},
+    "sigma": lambda v: {"mechanism": {"variant": "density", "epsilon": 1.0, "sigma": v}},
+    "proposal_step": lambda v: {
+        "mechanism": {"variant": "density", "epsilon": 1.0, "mh": {"proposal_step": v}}
+    },
+    "beta": lambda v: {"mechanism": {"variant": "smooth", "epsilon": 1.0, "beta": v}},
+    "tau": lambda v: {"mechanism": {"variant": "trunc_distance", "epsilon": 1.0, "tau": v}},
+    "q": lambda v: {"amplifiers": [{"kind": "subsample", "q": v}]},
+    "s": lambda v: {"corpus": {"kind": "zipf", "s": v}},
+}
+
 
 @pytest.fixture
 def emb(tmp_path):
@@ -387,6 +400,20 @@ class TestErrors:
             )
             assert code == 2, text
             assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", list(REAL_FIELDS))
+    def test_real_field_not_a_number_exit_2(self, field, emb, tmp_path, capsys):
+        # a bool ran as 0 or 1 and was echoed as given; "s" was parsed from
+        # a string
+        path = tmp_path / "lac.json"
+        base = {"n_users": 2, "m_per_user": 1, "mechanism": {"variant": "baseline", "epsilon": 1.0}}
+        for bad in (True, "0.5"):
+            path.write_text(json.dumps({**base, **REAL_FIELDS[field](bad)}), encoding="utf-8")
+            code, out, err = run(
+                ["--embeddings", emb, "pipeline", "--config", str(path)], capsys=capsys
+            )
+            assert code == 2 and out == "", (field, bad)
+            assert err.startswith("error:") and field in err and "Traceback" not in err
 
     def test_non_utf8_files_exit_2(self, emb, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.bin"

@@ -314,7 +314,30 @@ class TestScreen:
             assert arr.dtype == np.float32 and not arr.flags.writeable
         top = np.abs(screen.vectors).max()
         assert 0.5 <= top < 1.0
-        assert np.array_equal(screen.vectors, (store.vectors * screen.scale).astype(np.float32))
+        assert np.array_equal(screen.vectors.T, (store.vectors * screen.scale).astype(np.float32))
+
+    def test_vocabulary_major(self):
+        # (d, |W|) and C-contiguous: a decode's GEMM takes it as it is stored
+        store = random_store(np.random.default_rng(7), 300, 6)
+        vectors = store._screen.vectors
+        assert vectors.shape == (6, 300) and vectors.flags.c_contiguous
+
+    def test_decode_makes_no_copy_of_the_screen(self):
+        store = random_store(np.random.default_rng(6), 2000, 128)
+        screen = store._screen
+        gen = np.random.default_rng(5)
+        for rows in (1, 3, 12):
+            points = store.vectors[gen.integers(0, 2000, size=rows)] + 0.1
+            tracemalloc.start()
+            try:
+                got = store.nearest_words(points)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # a transposed copy would be the whole screen; hi is 12 x 2000
+            # float32 at most
+            assert peak < screen.vectors.nbytes / 4
+            assert np.array_equal(got, nearest_by_cdist(store, points))
 
     def test_bound_covers_subnormal_rounding(self):
         # Word 0 sets the scale to 1; words 1 and 2 lie so near the point
@@ -331,9 +354,9 @@ class TestScreen:
         vecs = np.vstack([np.r_[0.75, np.zeros(d - 1)], c1 * 2.0**-74, c2 * 2.0**-74])
         store = EmbeddingStore.from_arrays(["w0", "w1", "w2"], vecs)
         point = np.full((1, d), 2.0**-75)
-        v32 = store._screen.vectors[1:]
+        v32 = store._screen.vectors[:, 1:]
         assert store._screen.scale == 1.0
-        d2 = np.einsum("ij,ij->i", v32, v32) - 2 * (v32 @ point[0].astype(np.float32))
+        d2 = np.einsum("ji,ji->i", v32, v32) - 2 * (point[0].astype(np.float32) @ v32)
         assert (d2[0] - d2[1]) / eta == 46
         for cands in ([1, 2], None):
             assert store.nearest_words(point, cands).tolist() == [1]

@@ -80,6 +80,15 @@ class TestConfig:
     def test_dict_round_trip(self):
         cfg = MechanismConfig("density", 1.5, sigma=0.7, mh=MHParams(burn_in=50, thin=2))
         assert MechanismConfig.from_dict(cfg.to_dict()) == cfg
+        # an int is a real number, and is echoed as given
+        cfg = MechanismConfig("smooth", 2, beta=0)
+        assert MechanismConfig.from_dict(cfg.to_dict()) == cfg and cfg.to_dict()["epsilon"] == 2
+
+    def test_bad_mh_is_a_config_error(self):
+        # each escaped from_dict as a bare TypeError
+        for mh in ({"foo": 1}, 3, [1]):
+            with pytest.raises(ConfigError):
+                MechanismConfig.from_dict({"variant": "density", "epsilon": 1.0, "mh": mh})
 
 
 class TestBaseline:
