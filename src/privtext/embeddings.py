@@ -63,7 +63,7 @@ class EmbeddingStore:
     _word_to_id: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
 
     @classmethod
-    def from_arrays(cls, words, vectors, normalize: bool = False) -> "EmbeddingStore":
+    def from_arrays(cls, words, vectors) -> "EmbeddingStore":
         words = tuple(words)
         if len(words) == 0:
             raise EmptyVocabularyError("vocabulary is empty")
@@ -80,16 +80,6 @@ class EmbeddingStore:
             )
         if not np.all(np.isfinite(vectors)):
             raise NonFiniteComponentError("embedding contains NaN or Inf")
-        if normalize:
-            if not np.all(vectors.any(axis=1)):
-                raise NonFiniteComponentError("cannot normalize a zero vector")
-            # scaled by the power of two that brings the largest |component|
-            # into [0.5, 1), the norm neither underflows to 0 nor overflows to
-            # Inf. Scaling by a power of two is exact (short of subnormal
-            # results), so each row comes out as v / ||v|| would unscaled.
-            _, exp = np.frexp(np.abs(vectors).max(axis=1, keepdims=True))
-            vectors = np.ldexp(vectors, -exp)
-            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         # every squared distance is at most 4 max ||v||^2: if that overflows,
         # distances, sensitivities and decodes turn into Inf and NaN
         sq_norms = np.einsum("ij,ij->i", vectors, vectors)
@@ -238,12 +228,12 @@ class EmbeddingStore:
 
     def k_nearest(self, w: int, k: int) -> np.ndarray:
         """Ids of the k closest other vocabulary words to w, sorted by
-        (distance, id)."""
+        (distance, id), the distances one cdist row."""
         w = self.check_id(w)
         n = len(self.words)
         if not 1 <= k <= n - 1:
             raise InvalidWordIdError(f"k={k} out of range [1, {n - 1}]")
-        dists = np.linalg.norm(self.vectors - self.vectors[w], axis=1)
+        dists = cdist(self.vectors[w : w + 1], self.vectors)[0]
         dists[w] = np.inf
         return np.argsort(dists, kind="stable")[:k]
 
@@ -481,7 +471,7 @@ def _utf8_lines(fh, path):
         raise EmbeddingFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_embeddings(path, expected_dim: int | None = None, normalize: bool = False) -> EmbeddingStore:
+def load_embeddings(path) -> EmbeddingStore:
     """Parse a text embedding file into an EmbeddingStore.
 
     Format: optional first header line "<count> <dim>", then one record per
@@ -493,7 +483,7 @@ def load_embeddings(path, expected_dim: int | None = None, normalize: bool = Fal
     rows: list[np.ndarray] = []
     header_count = None
     header_dim = None
-    dim = expected_dim
+    dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             line = line.rstrip("\n")
@@ -506,10 +496,6 @@ def load_embeddings(path, expected_dim: int | None = None, normalize: bool = Fal
                 except ValueError:
                     pass
                 else:
-                    if expected_dim is not None and header_dim != expected_dim:
-                        raise DimensionMismatchError(
-                            f"header dim {header_dim} != expected {expected_dim}"
-                        )
                     dim = header_dim
                     continue
             word, comps = tokens[0], tokens[1:]
@@ -540,7 +526,7 @@ def load_embeddings(path, expected_dim: int | None = None, normalize: bool = Fal
         raise EmbeddingFormatError(
             f"{path}: header count {header_count} != {len(words)} records"
         )
-    return EmbeddingStore.from_arrays(words, np.vstack(rows), normalize=normalize)
+    return EmbeddingStore.from_arrays(words, np.vstack(rows))
 
 
 def save_cache(store: EmbeddingStore, path) -> None:

@@ -165,8 +165,8 @@ def parse_outcome(parse, store, text):
     return matrix.probs.tobytes(), matrix.sample_count
 
 
-# lines the vectorised parser treats apart: two-tab comments and blank
-# lines, blank first fields, repeated entries, other line breaks
+# lines a parser could class wrongly: two-tab comments and blank lines,
+# blank first fields, repeated entries, other line breaks
 odd_line = st.sampled_from([
     "#c\tv\t1", "#samples\t3\t4", "\t\t", " \t \t ", "\tv\t1", " #x\tv\t1",
     "v\tv\t0.5", "v\tv\t1", "v\tv\t1\t", "\u3000\t\t", "#samples 7\r", "v\tw\t1_0",
@@ -191,7 +191,7 @@ def test_matrix_parse_matches_line_by_line(text):
     fast = parse_outcome(matrix_from_tsv, store, text)
     slow = parse_outcome(matrix_from_tsv_by_line, store, text)
     if slow[0] is InvalidWordIdError:
-        # the vectorised parser names the line as well as the word
+        # the library's parser names the line as well as the word
         assert fast[0] is InvalidWordIdError and fast[1].endswith(slow[1])
     else:
         assert fast == slow

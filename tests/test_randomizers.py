@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from privtext import (
@@ -419,6 +420,7 @@ class TestTransitionMatrix:
             head + "a\tb\n" + rows,  # two fields
             head + "a\tb\tc\td\n" + rows,  # four fields
             head + "a\tb\tlots\n" + rows,  # non-numeric probability
+            head + "a\tnope\tlots\n" + rows,  # reported before the unknown word
             "#privtext-matrix-v1\n#samples x\n" + rows,
             "#privtext-matrix-v1\n#samples\n" + rows,
             head + "a\ta\t1\nb\tb\t1\n",  # row c missing
@@ -426,9 +428,7 @@ class TestTransitionMatrix:
             with pytest.raises(MatrixFormatError):
                 matrix_from_tsv(toy3, text)
 
-    @pytest.mark.parametrize("chunk", [7, 2**20])
-    def test_tsv_fault_deep_in_a_file_names_its_line(self, rng, monkeypatch, chunk):
-        monkeypatch.setattr(randomizers, "_TSV_CHUNK", chunk)
+    def test_tsv_fault_deep_in_a_file_names_its_line(self, rng):
         store = EmbeddingStore.from_arrays(
             [f"w{i}" for i in range(40)], np.random.default_rng(5).normal(size=(40, 3))
         )
@@ -556,6 +556,26 @@ class TestTruncDistance:
     def test_scalar_form(self, toy3, rng):
         mech = Mechanism(toy3, MechanismConfig("trunc_distance", 1.0, tau=1.5))
         assert distance(toy3, 0, mech.perturb_batch(rng, 0, 1)[0]) <= 1.5
+
+    def test_tau_ball_is_decided_by_cdist(self, rng, monkeypatch):
+        # tau at exactly word u's cdist distance puts u in the ball; for
+        # about a quarter of these words a sum of the same squares in
+        # another order rounds that distance above tau
+        vecs = np.random.default_rng(3).normal(size=(40, 64))
+        store = EmbeddingStore.from_arrays([f"w{i}" for i in range(40)], vecs)
+        dist = cdist(vecs[:1], vecs)[0]
+        balls = []
+        decode = EmbeddingStore.nearest_words
+
+        def record(self, points, candidate_ids=None):
+            balls.append(candidate_ids)
+            return decode(self, points, candidate_ids)
+
+        monkeypatch.setattr(EmbeddingStore, "nearest_words", record)
+        for u in range(1, 40):
+            mech = Mechanism(store, MechanismConfig("trunc_distance", 1.0, tau=float(dist[u])))
+            mech.perturb_batch(rng, 0, 1)
+            assert balls[-1].tolist() == np.flatnonzero(dist <= dist[u]).tolist()
 
 
 class TestTruncKnn:
