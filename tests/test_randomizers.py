@@ -428,9 +428,11 @@ class TestTransitionMatrix:
             with pytest.raises(MatrixFormatError):
                 matrix_from_tsv(toy3, text)
 
-    def test_tsv_fault_deep_in_a_file_names_its_line(self, rng):
+    @pytest.mark.parametrize("seed", [7, 2**20])
+    def test_tsv_fault_deep_in_a_file_names_its_line(self, rng, seed):
+        # two vocabularies, drawn from two seeds, give two matrices and files
         store = EmbeddingStore.from_arrays(
-            [f"w{i}" for i in range(40)], np.random.default_rng(5).normal(size=(40, 3))
+            [f"w{i}" for i in range(40)], np.random.default_rng(seed).normal(size=(40, 3))
         )
         m = build_transition_matrix(store, rng, MechanismConfig("baseline", 1.0), 200)
         lines = matrix_to_tsv(store, m).splitlines()
