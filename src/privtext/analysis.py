@@ -14,7 +14,7 @@ import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import ConfigError, UnreachableObservationError
-from .randomizers import TransitionMatrix, sample_from_matrix
+from .randomizers import Mechanism, TransitionMatrix, sample_from_matrix
 from .samplers import RngStream
 
 
@@ -29,15 +29,6 @@ class DeniabilityStats:
     p_unchanged: float
     support_size: int
     entropy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "word": self.word,
-            "n_trials": self.n_trials,
-            "p_unchanged": self.p_unchanged,
-            "support_size": self.support_size,
-            "entropy": self.entropy,
-        }
 
 
 @dataclass(frozen=True)
@@ -73,30 +64,19 @@ class MetricDpReport:
     max_violation_adjusted: float
     satisfied: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "sample_count": self.sample_count,
-            "max_violation": self.max_violation,
-            "worst_triple": list(self.worst_triple),
-            "slack_at_worst": self.slack_at_worst,
-            "max_violation_adjusted": self.max_violation_adjusted,
-            "satisfied": self.satisfied,
-        }
-
 
 def deniability_stats(
-    store: EmbeddingStore, rng: RngStream, mechanism, w: int, n_trials: int
+    mechanism: Mechanism, rng: RngStream, w: int, n_trials: int
 ) -> DeniabilityStats:
-    """Estimate the deniability surface of `mechanism` at word w.
-
-    mechanism must expose perturb_batch(rng, w, n) -> word-id array (the
-    Mechanism class does; test stubs can too).
-    """
+    """Estimate the deniability surface of `mechanism` at word w from
+    n_trials draws of mechanism.perturb_words(rng, ids), ids n_trials
+    copies of w: the draws of perturb_batch(rng.fork(w), w, n_trials), so a
+    repeated word gets the same estimate."""
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    store = mechanism.store
     w = store.check_id(w)
-    outs = np.asarray(mechanism.perturb_batch(rng, w, n_trials))
+    outs = mechanism.perturb_words(rng, np.full(n_trials, w))
     counts = np.bincount(outs, minlength=len(store))
     freqs = counts / n_trials
     nz = freqs[freqs > 0]

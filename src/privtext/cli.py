@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -122,15 +123,7 @@ def _resolved(args, config: MechanismConfig | None = None) -> dict:
 
 
 def _report(args, payload: dict) -> None:
-    if args.format == "json":
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return
-    if args.format == "tsv":
-        lines = [f"{k}\t{json.dumps(v, sort_keys=True)}" for k, v in sorted(payload.items())]
-        _emit(args, "\n".join(lines) + "\n")
-        return
-    lines = [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(payload.items())]
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +179,8 @@ def cmd_stats(args) -> int:
     words = [store.word_id(w) for w in args.words] if args.words else range(len(store))
     rows = []
     for w in words:
-        st = analysis.deniability_stats(store, rng.fork(int(w)), mech, int(w), args.trials)
-        rows.append({**st.to_dict(), "word": store.words[st.word]})
+        st = analysis.deniability_stats(mech, rng, w, args.trials)
+        rows.append({**asdict(st), "word": store.words[st.word]})
     _report(args, {"metadata": _resolved(args, config), "trials": args.trials, "stats": rows})
     return 0
 
@@ -196,7 +189,7 @@ def cmd_verify_dp(args) -> int:
     store = _load_store(args)
     matrix = randomizers.matrix_from_tsv(store, _read_text(args.matrix))
     report = analysis.verify_metric_dp(matrix, store, args.epsilon)
-    payload = report.to_dict()
+    payload = asdict(report)
     payload["worst_triple_words"] = [store.words[i] for i in report.worst_triple]
     _report(args, {"metadata": _resolved(args), **payload})
     return 0
@@ -259,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="privtext")
     parser.add_argument("--embeddings", help="text embedding file or .npz cache")
     parser.add_argument("--seed", type=int, default=None, help="default 0; pipeline: config's")
-    parser.add_argument("--format", default="json", choices=("json", "tsv", "text"))
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)

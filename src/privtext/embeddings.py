@@ -64,6 +64,11 @@ class EmbeddingStore:
 
     @classmethod
     def from_arrays(cls, words, vectors) -> "EmbeddingStore":
+        """A store over words and their (|W|, d) vectors. The store holds a
+        read-only C-contiguous float64 array: a read-only input of that
+        form, which views no writeable array, is kept as given; any other
+        memory the caller holds is copied, so that the caller may still
+        write to it without changing the store."""
         words = tuple(words)
         if len(words) == 0:
             raise EmptyVocabularyError("vocabulary is empty")
@@ -73,7 +78,10 @@ class EmbeddingStore:
                 if w in seen:
                     raise DuplicateWordError(f"duplicate word {w!r}")
                 seen.add(w)
+        given = vectors
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+        if (vectors is given or vectors.base is not None) and not _no_writer(vectors):
+            vectors = vectors.copy()
         if vectors.ndim != 2 or vectors.shape[0] != len(words):
             raise DimensionMismatchError(
                 f"expected ({len(words)}, d) vector array, got shape {vectors.shape}"
@@ -321,6 +329,26 @@ class EmbeddingStore:
                 )
 
 
+def _no_writer(a: np.ndarray) -> bool:
+    """True when nothing can write to the memory of a: a and every array
+    it views are read-only, and the last of them owns its data."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """Mark a and every array it views read-only, for a loader handing an
+    array it has just made to from_arrays, which then keeps it."""
+    b = a
+    while isinstance(b, np.ndarray):
+        b.setflags(write=False)
+        b = b.base
+    return a
+
+
 def _gemm_sq_distances(a, a_sq, b, b_sq):
     """s2[i, j] = ||a_i||^2 - 2 a_i.b_j + ||b_j||^2, built in place in one
     fixed operation order, the one _sq_error_bound is derived for."""
@@ -526,7 +554,7 @@ def load_embeddings(path) -> EmbeddingStore:
         raise EmbeddingFormatError(
             f"{path}: header count {header_count} != {len(words)} records"
         )
-    return EmbeddingStore.from_arrays(words, np.vstack(rows))
+    return EmbeddingStore.from_arrays(words, _freeze(np.vstack(rows)))
 
 
 def save_cache(store: EmbeddingStore, path) -> None:
@@ -554,7 +582,8 @@ def load_cache(path) -> EmbeddingStore:
     """Read a cache written by save_cache. Nothing in it is unpickled: the
     words are a fixed-width unicode array."""
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load given a path leaves its file open when the zip is malformed
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             if str(data["magic"]) != CACHE_MAGIC:
                 raise EmbeddingFormatError(f"{path}: not a privtext embedding cache")
             words, vectors = data["words"], data["vectors"]
@@ -568,4 +597,5 @@ def load_cache(path) -> EmbeddingStore:
         raise EmbeddingFormatError(f"{path}: cache words are not a 1-D unicode array")
     if vectors.dtype.kind not in "iuf":
         raise EmbeddingFormatError(f"{path}: cache vectors are not a numeric array")
-    return EmbeddingStore.from_arrays(words.tolist(), vectors)
+    # np.load's array views a 1-D array of its own
+    return EmbeddingStore.from_arrays(words.tolist(), _freeze(vectors))

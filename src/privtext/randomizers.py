@@ -381,10 +381,14 @@ def _word_ids(ids) -> np.ndarray:
 def _positions_by_word(ids: np.ndarray):
     """(w, positions of w in order of occurrence) for each distinct word w
     of a 1-D id array, in ascending w."""
+    if not len(ids):
+        return
     order = np.argsort(ids, kind="stable")
-    words, starts, counts = np.unique(ids[order], return_index=True, return_counts=True)
-    for w, lo, n in zip(words.tolist(), starts.tolist(), counts.tolist()):
-        yield w, order[lo : lo + n]
+    grouped = ids[order]
+    # a word's run starts where the sorted ids change
+    bounds = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), len(ids)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield int(grouped[lo]), order[lo:hi]
 
 
 def build_transition_matrix(
@@ -393,15 +397,17 @@ def build_transition_matrix(
     config: MechanismConfig,
     samples_per_word: int,
 ) -> TransitionMatrix:
-    """Monte Carlo estimate of the full output distribution, one row per
-    input word, each row from its own forked stream."""
+    """Monte Carlo estimate of the full output distribution: row w holds
+    the output frequencies of one perturb_words call on samples_per_word
+    copies of w, the draws of perturb_batch(rng.fork(w), w,
+    samples_per_word). Drawing row by row keeps one row's draws in memory."""
     if samples_per_word < 1:
         raise ConfigError(f"samples_per_word must be >= 1, got {samples_per_word}")
     mech = Mechanism(store, config)
     n_words = len(store)
     probs = np.empty((n_words, n_words), dtype=np.float64)
     for w in range(n_words):
-        outs = mech.perturb_batch(rng.fork(w), w, samples_per_word)
+        outs = mech.perturb_words(rng, np.full(samples_per_word, w))
         probs[w] = np.bincount(outs, minlength=n_words) / samples_per_word
     return TransitionMatrix(probs=probs, sample_count=samples_per_word)
 

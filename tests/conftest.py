@@ -47,18 +47,12 @@ def count_passes(monkeypatch) -> list:
     return calls
 
 
-class IdentityMechanism:
-    """Deterministic stub: every word maps to itself."""
-
-    def perturb_batch(self, rng, w, n):
-        return np.full(n, int(w), dtype=np.int64)
+def identity_batch(self, rng, w, n):
+    """A Mechanism.perturb_batch stub: every word maps to itself."""
+    return np.full(n, int(w), dtype=np.int64)
 
 
-class UniformMechanism:
-    """Stub with a uniform output distribution over the vocabulary."""
-
-    def __init__(self, n_words):
-        self.n_words = n_words
-
-    def perturb_batch(self, rng, w, n):
-        return rng.gen.integers(0, self.n_words, size=n)
+def uniform_batch(self, rng, w, n):
+    """A Mechanism.perturb_batch stub with a uniform output distribution
+    over the vocabulary."""
+    return rng.gen.integers(0, len(self.store), size=n)

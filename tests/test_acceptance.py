@@ -262,7 +262,7 @@ def test_criterion_7_deniability_and_utility_monotonicity(toy5m):
         for eps in (0.5, 4.0):
             mech = Mechanism(toy5m, MechanismConfig("baseline", eps))
             rng = RngStream(5000 + rep).fork_named(f"den{eps}")
-            p[eps] = deniability_stats(toy5m, rng, mech, 0, 2000).p_unchanged
+            p[eps] = deniability_stats(mech, rng, 0, 2000).p_unchanged
         p_wins += p[4.0] > p[0.5]
 
     # pipeline utility improves with epsilon on a Zipf corpus over 50 words
@@ -295,12 +295,11 @@ def test_criterion_7_deniability_and_utility_monotonicity(toy5m):
     profile = build_profile(clustered, 1.0)
     rng = RngStream(606)
     p_base = deniability_stats(
-        clustered, rng.fork(0), Mechanism(clustered, MechanismConfig("baseline", eps)), 0, 10**5
+        Mechanism(clustered, MechanismConfig("baseline", eps)), rng.fork(0), 0, 10**5
     ).p_unchanged
     p_smooth = deniability_stats(
-        clustered,
-        rng.fork(1),
         Mechanism(clustered, MechanismConfig("smooth", eps, beta=1.0), profile),
+        rng.fork(1),
         0,
         10**5,
     ).p_unchanged

@@ -175,6 +175,24 @@ class TestStats:
         assert payload["stats"][0]["p_unchanged"] >= 0.99
         assert payload["metadata"]["mechanism"]["epsilon"] == 1000
 
+    def test_pinned_rows(self, emb, capsys):
+        # taken when each listed word drew perturb_batch(rng.fork(w), w,
+        # trials) in a loop of its own; a repeated word repeats its row
+        pinned = {
+            "v": {"p_unchanged": 0.6133333333333333, "support_size": 5, "entropy": 1.1787338204243363},
+            "w": {"p_unchanged": 0.5833333333333334, "support_size": 5, "entropy": 1.2249693979309417},
+            "x": {"p_unchanged": 0.61, "support_size": 5, "entropy": 1.1759488594546217},
+            "y": {"p_unchanged": 0.62, "support_size": 5, "entropy": 1.1516246517310877},
+            "z": {"p_unchanged": 0.23333333333333334, "support_size": 5, "entropy": 1.596837308662266},
+        }
+        argv = ["--embeddings", emb, "--seed", "11", "stats", "--epsilon", "0.3", "--trials", "300"]
+        for extra, words in (([], list(pinned)), (["--words", "v", "z", "v"], ["v", "z", "v"])):
+            code, out, _ = run(argv + extra, capsys=capsys)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["trials"] == 300
+            assert payload["stats"] == [{"word": w, "n_trials": 300, **pinned[w]} for w in words]
+
     def test_mh_flags_left_out_take_the_mhparams_defaults(self, emb, capsys):
         for flags, mh in (
             (["--mh-step", "0.5"], {"burn_in": 1000, "thin": 10, "proposal_step": 0.5}),

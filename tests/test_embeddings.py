@@ -135,6 +135,46 @@ class TestLoad:
         with pytest.raises(EmbeddingFormatError):
             save_cache(EmbeddingStore.from_arrays(["a\x00", "a"], [[0.0], [1.0]]), path)
 
+    def test_from_arrays_leaves_the_callers_array_writeable(self):
+        v = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+        store = EmbeddingStore.from_arrays(["a", "b", "c"], v)
+        ref = EmbeddingStore.from_arrays(["a", "b", "c"], v.copy())
+        assert v.flags.writeable and store.vectors is not v
+        v[:] = 100.0
+        # nn_distances is first computed after the write
+        for name in ("vectors", "sq_norms", "nn_distances"):
+            assert np.array_equal(getattr(store, name), getattr(ref, name))
+
+    def test_from_arrays_keeps_a_read_only_input(self):
+        v = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+        v.setflags(write=False)
+        assert EmbeddingStore.from_arrays(["a", "b", "c"], v).vectors is v
+
+    def test_from_arrays_copies_a_read_only_view_of_a_writeable_array(self):
+        v = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+        view = v.view()
+        view.setflags(write=False)
+        store = EmbeddingStore.from_arrays(["a", "b", "c"], view)
+        ref = EmbeddingStore.from_arrays(["a", "b", "c"], v.copy())
+        v[:] = 100.0
+        for name in ("vectors", "sq_norms", "nn_distances"):
+            assert np.array_equal(getattr(store, name), getattr(ref, name))
+
+    def test_loaders_hand_over_without_a_copy(self, tmp_path, toy3, monkeypatch):
+        given = []
+        from_arrays = EmbeddingStore.from_arrays.__func__
+
+        def recording(cls, words, vectors):
+            given.append(vectors)
+            return from_arrays(cls, words, vectors)
+
+        monkeypatch.setattr(EmbeddingStore, "from_arrays", classmethod(recording))
+        save_cache(toy3, tmp_path / "c.npz")
+        text = tmp_path / "emb.txt"
+        text.write_text("a 0 0\nb 3 4\n", encoding="utf-8")
+        for load, path in ((load_cache, tmp_path / "c.npz"), (load_embeddings, text)):
+            assert load(path).vectors is given[-1]
+
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_bytes(b"a 0 0\n\xe9t\xe9 1 1\n")

@@ -18,7 +18,7 @@ from privtext import (
 from privtext.errors import ConfigError, InvalidWordIdError
 from privtext.pipeline import run_amplifiers, run_curator, run_local_phase, sample_corpus
 
-from conftest import IdentityMechanism
+from conftest import identity_batch
 
 
 def make_config(**kw):
@@ -43,7 +43,7 @@ def local_phase(store, config, seed):
 
 def identity_draws(monkeypatch):
     """Make every Mechanism draw return its input word."""
-    monkeypatch.setattr(Mechanism, "perturb_batch", IdentityMechanism.perturb_batch)
+    monkeypatch.setattr(Mechanism, "perturb_batch", identity_batch)
 
 
 class TestLocalPhase:

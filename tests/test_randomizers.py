@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -225,7 +226,15 @@ class TestPerturbWords:
         monkeypatch.setattr("sys.stdin", io.StringIO("v w v\nw\n"))
         assert main(["--embeddings", str(path), "perturb", "--epsilon", "0.1"]) == 0
         assert capsys.readouterr().out == "v w v\nw\n"
-        assert sizes == [12, 7, 4]
+        # one call per matrix row, and one per word that stats lists
+        assert np.array_equal(build_transition_matrix(toy5, rng, cfg, 6).probs, np.eye(5))
+        argv = ["--embeddings", str(path), "stats", "--epsilon", "0.1", "--trials", "9"]
+        assert main(argv + ["--words", "w", "v", "w"]) == 0
+        rows = json.loads(capsys.readouterr().out)["stats"]
+        assert [(row["word"], row["p_unchanged"]) for row in rows] == [
+            ("w", 1.0), ("v", 1.0), ("w", 1.0)
+        ]
+        assert sizes == [12, 7, 4, 6, 6, 6, 6, 6, 9, 9, 9]
 
 
 class TestKdePrior:
@@ -344,6 +353,15 @@ class TestTransitionMatrix:
     def test_rows_sum_to_one(self, toy3, rng):
         m = build_transition_matrix(toy3, rng, MechanismConfig("baseline", 1.0), 500)
         assert np.allclose(m.probs.sum(axis=1), 1.0)
+
+    def test_row_is_the_words_own_draws(self, toy5, rng):
+        s = 300
+        for cfg in (MechanismConfig("baseline", 1.0), MechanismConfig("trunc_knn", 1.0, k=2)):
+            m = build_transition_matrix(toy5, rng, cfg, s)
+            mech = Mechanism(toy5, cfg)
+            for w in range(len(toy5)):
+                draws = mech.perturb_batch(rng.fork(w), w, s)
+                assert np.array_equal(m.probs[w], np.bincount(draws, minlength=len(toy5)) / s)
 
     def test_high_epsilon_identity(self, toy3, rng):
         m = build_transition_matrix(toy3, rng, MechanismConfig("baseline", 1e3), 2000)
