@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_real
+from .errors import ConfigError, require_params, require_real, set_fields
 from .samplers import RngStream, sample_permutation
 
 
@@ -24,31 +24,18 @@ class AmplifierConfig:
     k: int | None = None    # kthreshold multiplicity
 
     def __post_init__(self):
-        if self.kind == "shuffle":
-            if self.q is not None or self.k is not None:
-                raise ConfigError("shuffle takes no parameters")
-        elif self.kind == "subsample":
+        require_params(self, "kind", {"shuffle": (), "subsample": ("q",), "kthreshold": ("k",)})
+        if self.kind == "subsample":
             if self.q is not None:
                 require_real("q", self.q)
             if self.q is None or not 0 < self.q <= 1:
                 raise ConfigError(f"subsample requires q in (0, 1], got {self.q}")
-            if self.k is not None:
-                raise ConfigError("k is not a subsample parameter")
         elif self.kind == "kthreshold":
             if type(self.k) is not int or self.k < 1:
                 raise ConfigError(f"kthreshold requires an integer k >= 1, got {self.k!r}")
-            if self.q is not None:
-                raise ConfigError("q is not a kthreshold parameter")
-        else:
-            raise ConfigError(f"unknown amplifier kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.q is not None:
-            out["q"] = self.q
-        if self.k is not None:
-            out["k"] = self.k
-        return out
+        return set_fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AmplifierConfig":

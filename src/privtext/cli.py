@@ -177,10 +177,10 @@ def cmd_stats(args) -> int:
     mech = Mechanism(store, config)
     rng = RngStream(args.seed).fork_named("cli.stats")
     words = [store.word_id(w) for w in args.words] if args.words else range(len(store))
-    rows = []
-    for w in words:
-        st = analysis.deniability_stats(mech, rng, w, args.trials)
-        rows.append({**asdict(st), "word": store.words[st.word]})
+    # each word draws from its own fork, so a repeated word would draw its
+    # row again: draw each distinct word once
+    stats = {w: analysis.deniability_stats(mech, rng, w, args.trials) for w in dict.fromkeys(words)}
+    rows = [{**asdict(stats[w]), "word": store.words[w]} for w in words]
     _report(args, {"metadata": _resolved(args, config), "trials": args.trials, "stats": rows})
     return 0
 

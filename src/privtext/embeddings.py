@@ -82,9 +82,9 @@ class EmbeddingStore:
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if (vectors is given or vectors.base is not None) and not _no_writer(vectors):
             vectors = vectors.copy()
-        if vectors.ndim != 2 or vectors.shape[0] != len(words):
+        if vectors.ndim != 2 or vectors.shape[0] != len(words) or vectors.shape[1] == 0:
             raise DimensionMismatchError(
-                f"expected ({len(words)}, d) vector array, got shape {vectors.shape}"
+                f"expected ({len(words)}, d) vector array with d >= 1, got shape {vectors.shape}"
             )
         if not np.all(np.isfinite(vectors)):
             raise NonFiniteComponentError("embedding contains NaN or Inf")
@@ -116,6 +116,10 @@ class EmbeddingStore:
         return word in self._word_to_id
 
     def check_id(self, w: int) -> int:
+        """w as an int, or InvalidWordIdError: w must be an int or a numpy
+        integer (not a bool, a float or a string) in [0, |W|)."""
+        if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
+            raise InvalidWordIdError(f"a word id must be an integer, got {w!r}")
         w = int(w)
         if not 0 <= w < len(self.words):
             raise InvalidWordIdError(f"word id {w} outside [0, {len(self.words)})")

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the checks and the
+echo that the tagged configs share."""
+from dataclasses import asdict, fields
 
 
 class PrivtextError(Exception):
@@ -43,6 +45,25 @@ def require_real(name, value) -> None:
     string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
+def require_params(config, tag: str, allowed: dict) -> None:
+    """ConfigError unless the tag field of a config dataclass is a key of
+    allowed and every parameter it sets (a field whose default is None,
+    given a value) is one of that key's names."""
+    value = getattr(config, tag)
+    if not (isinstance(value, str) and value in allowed):
+        raise ConfigError(f"unknown {tag} {value!r}, expected one of {', '.join(allowed)}")
+    for f in fields(config):
+        if f.default is None and getattr(config, f.name) is not None:
+            if f.name not in allowed[value]:
+                raise ConfigError(f"{f.name} is not a parameter of {tag} {value!r}")
+
+
+def set_fields(config) -> dict:
+    """The JSON echo of a config dataclass: its fields that are not None,
+    in field order, nested dataclasses as dicts."""
+    return {name: v for name, v in asdict(config).items() if v is not None}
 
 
 class MatrixFormatError(PrivtextError):

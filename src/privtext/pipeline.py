@@ -14,13 +14,13 @@ however the words are grouped into draws.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .amplification import AmplifierConfig, amplified_epsilon, apply_amplifier
 from .embeddings import EmbeddingStore
-from .errors import ConfigError, require_real
+from .errors import ConfigError, require_params, require_real, set_fields
 from .randomizers import Mechanism, MechanismConfig
 from .samplers import RngStream
 from .sensitivity import SensitivityProfile
@@ -31,36 +31,32 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class CorpusSpec:
     """Where user words come from: a synthetic Zipf(s) draw over the
-    vocabulary, or explicit per-user word lists."""
+    vocabulary (s unset is 1.1), or explicit per-user word lists, one list
+    of word strings per user. Only the kind's own parameter may be set."""
 
     kind: str = "zipf"  # zipf | words
-    s: float = 1.1
-    words_per_user: tuple[tuple[str, ...], ...] | None = None
+    s: float | None = None  # zipf exponent
+    words_per_user: tuple[tuple[str, ...], ...] | None = None  # words
 
     def __post_init__(self):
+        require_params(self, "kind", {"zipf": ("s",), "words": ("words_per_user",)})
         if self.kind == "zipf":
-            require_real("s", self.s)
-            if not self.s > 0:
-                raise ConfigError(f"zipf exponent must be > 0, got {self.s}")
-            object.__setattr__(self, "s", float(self.s))
-        elif self.kind == "words":
-            if not self.words_per_user:
-                raise ConfigError("words corpus requires words_per_user")
-            if not all(isinstance(w, str) for row in self.words_per_user for w in row):
-                raise ConfigError("words_per_user entries must be strings")
-        else:
-            raise ConfigError(f"unknown corpus kind {self.kind!r}")
+            s = 1.1 if self.s is None else self.s
+            require_real("s", s)
+            if not s > 0:
+                raise ConfigError(f"zipf exponent must be > 0, got {s}")
+            object.__setattr__(self, "s", float(s))
+            return
+        rows = self.words_per_user
+        if not (isinstance(rows, (list, tuple)) and rows
+                and all(isinstance(row, (list, tuple)) for row in rows)):
+            raise ConfigError("words corpus requires words_per_user, a non-empty list of lists")
+        if not all(isinstance(w, str) for row in rows for w in row):
+            raise ConfigError("words_per_user entries must be strings")
+        object.__setattr__(self, "words_per_user", tuple(tuple(row) for row in rows))
 
     def to_dict(self) -> dict:
-        if self.kind == "zipf":
-            return {"kind": "zipf", "s": self.s}
-        return {"kind": "words", "words_per_user": [list(u) for u in self.words_per_user]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorpusSpec":
-        if data.get("kind") == "words":
-            return cls(kind="words", words_per_user=tuple(tuple(u) for u in data["words_per_user"]))
-        return cls(kind="zipf", s=data.get("s", 1.1))
+        return set_fields(self)
 
 
 @dataclass(frozen=True)
@@ -80,30 +76,28 @@ class ProtocolConfig:
 
     def to_dict(self) -> dict:
         return {
-            "n_users": self.n_users,
-            "m_per_user": self.m_per_user,
+            **asdict(self),
             "mechanism": self.mechanism.to_dict(),
             "amplifiers": [a.to_dict() for a in self.amplifiers],
-            "seed": self.seed,
             "corpus": self.corpus.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolConfig":
-        """Parse a JSON-decoded config; any missing or ill-typed field is a
-        ConfigError."""
+        """Parse a JSON-decoded config: the mechanism, amplifiers and corpus
+        objects through their own constructors, then the whole through
+        this one's. A missing required field, an unknown key at any level
+        and an ill-typed value are each a ConfigError."""
         try:
-            return cls(
-                n_users=data["n_users"],
-                m_per_user=data["m_per_user"],
-                mechanism=MechanismConfig.from_dict(data["mechanism"]),
-                amplifiers=tuple(AmplifierConfig.from_dict(a) for a in data.get("amplifiers", [])),
-                seed=data.get("seed", 0),
-                corpus=CorpusSpec.from_dict(data.get("corpus", {"kind": "zipf"})),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"protocol config is missing the field {exc}") from None
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            data = dict(data)
+            if "mechanism" in data:
+                data["mechanism"] = MechanismConfig.from_dict(data["mechanism"])
+            if "amplifiers" in data:
+                data["amplifiers"] = [AmplifierConfig.from_dict(a) for a in data["amplifiers"]]
+            if "corpus" in data:
+                data["corpus"] = CorpusSpec(**data["corpus"])
+            return cls(**data)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid protocol config: {exc}") from None
 
 

@@ -31,7 +31,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .embeddings import EmbeddingStore
-from .errors import ConfigError, InvalidWordIdError, MatrixFormatError, require_real
+from .errors import (
+    ConfigError, InvalidWordIdError, MatrixFormatError, require_params, require_real, set_fields
+)
 from .samplers import (
     MultivariateLaplaceParam,
     RngStream,
@@ -43,7 +45,15 @@ from .sensitivity import SensitivityProfile, build_profile
 
 logger = logging.getLogger(__name__)
 
-VARIANTS = ("baseline", "density", "smooth", "trunc_distance", "trunc_knn")
+# each variant's parameters: the MechanismConfig fields it may set
+_VARIANT_PARAMS = {
+    "baseline": (),
+    "density": ("sigma", "mh"),
+    "smooth": ("beta",),
+    "trunc_distance": ("tau", "trunc_strategy"),
+    "trunc_knn": ("k",),
+}
+VARIANTS = tuple(_VARIANT_PARAMS)
 TRUNC_STRATEGIES = ("project", "residual")
 
 MATRIX_TSV_MAGIC = "#privtext-matrix-v1"
@@ -88,21 +98,10 @@ class MechanismConfig:
     mh: MHParams | None = None          # density
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
+        require_params(self, "variant", _VARIANT_PARAMS)
         require_real("epsilon", self.epsilon)
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        allowed = {
-            "baseline": (),
-            "density": ("sigma", "mh"),
-            "smooth": ("beta",),
-            "trunc_distance": ("tau", "trunc_strategy"),
-            "trunc_knn": ("k",),
-        }[self.variant]
-        for name in ("sigma", "beta", "tau", "k", "trunc_strategy", "mh"):
-            if getattr(self, name) is not None and name not in allowed:
-                raise ConfigError(f"{name} is not a parameter of variant {self.variant!r}")
         for name in ("sigma", "beta", "tau"):
             if getattr(self, name) is not None:
                 require_real(name, getattr(self, name))
@@ -124,17 +123,7 @@ class MechanismConfig:
                 raise ConfigError(f"trunc_knn variant requires an integer k >= 1, got {self.k!r}")
 
     def to_dict(self) -> dict:
-        out = {"variant": self.variant, "epsilon": self.epsilon}
-        for name in ("sigma", "beta", "tau", "k", "trunc_strategy"):
-            if getattr(self, name) is not None:
-                out[name] = getattr(self, name)
-        if self.mh is not None:
-            out["mh"] = {
-                "burn_in": self.mh.burn_in,
-                "thin": self.mh.thin,
-                "proposal_step": self.mh.proposal_step,
-            }
-        return out
+        return set_fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MechanismConfig":
@@ -304,10 +293,9 @@ class Mechanism:
         store, tau = self.store, self.config.tau
         param = MultivariateLaplaceParam(store.dim, self.config.epsilon)
         dists = cdist(store.vectors[w : w + 1], store.vectors)[0]
-        inside_ids = np.nonzero(dists <= tau)[0]
-        if w not in inside_ids:
-            inside_ids = np.sort(np.append(inside_ids, w))
-        outside_ids = np.setdiff1d(np.arange(len(store)), inside_ids)
+        # w's distance to itself is 0 < tau: the ball always holds w
+        inside_ids = np.flatnonzero(dists <= tau)
+        outside_ids = np.flatnonzero(dists > tau)
 
         def project(count):
             z = sample_mv_laplace_truncated(rng, param, tau, size=count)

@@ -346,6 +346,22 @@ class TestErrors:
                 assert code == 2, argv
                 assert err.startswith("error:") and "overflow" in err and out == ""
 
+    def test_zero_dimensional_cache_exit_2(self, tmp_path, capsys):
+        # sensitivity printed an all-zero profile; density stats failed on
+        # a sigma of 0
+        from privtext.embeddings import CACHE_MAGIC
+
+        path = tmp_path / "flat.npz"
+        np.savez(path, magic=np.array(CACHE_MAGIC), words=np.array(["a", "b", "c"]),
+                 vectors=np.zeros((3, 0)))
+        for argv in (
+            ["sensitivity", "--beta", "1"],
+            ["stats", "--mechanism", "density", "--epsilon", "1", "--trials", "2"],
+        ):
+            code, out, err = run(["--embeddings", str(path), *argv], capsys=capsys)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error:") and "Traceback" not in err
+
     def test_missing_matrix_row_under_python_O(self, emb, tmp_path):
         # the row-sum check must not be an assert, which -O strips
         path = tmp_path / "m.tsv"
@@ -418,6 +434,28 @@ class TestErrors:
             )
             assert code == 2, text
             assert err.startswith("error:") and "Traceback" not in err
+        # typos that ran another experiment, each named in its error: an
+        # unknown corpus kind ran Zipf(1.1), a key the tagged kind does not
+        # take or an unknown key was dropped, a string row became one-letter
+        # tokens
+        rows = [["v"], ["w"]]
+        silent = [
+            ({**base, "corpus": {"kind": "word", "words_per_user": rows}}, "'word'"),
+            ({**base, "corpus": {"kind": "zipf", "S": 3.0}}, "'S'"),
+            ({**base, "corpus": {"kind": "zipf", "words_per_user": rows}}, "words_per_user"),
+            ({**base, "corpus": {"kind": "words", "s": 3.0, "words_per_user": rows}}, "s is"),
+            ({**base, "m_per_user": 2,
+              "corpus": {"kind": "words", "words_per_user": ["vw", "xy"]}}, "words_per_user"),
+            ({**base, "amplifier": [{"kind": "shuffle"}]}, "'amplifier'"),
+            ({**base, "sead": 5}, "'sead'"),
+        ]
+        for config, named in silent:
+            path.write_text(json.dumps(config), encoding="utf-8")
+            code, out, err = run(
+                ["--embeddings", emb, "pipeline", "--config", str(path)], capsys=capsys
+            )
+            assert code == 2 and out == "", config
+            assert err.startswith("error:") and named in err and "Traceback" not in err
 
     @pytest.mark.parametrize("field", list(REAL_FIELDS))
     def test_real_field_not_a_number_exit_2(self, field, emb, tmp_path, capsys):

@@ -200,6 +200,14 @@ class TestDistance:
         with pytest.raises(InvalidWordIdError):
             toy3.vector(3)
 
+    def test_non_integer_ids_rejected(self, toy3):
+        # each was truncated to an id, or escaped as a ValueError or an
+        # OverflowError
+        for w in (1.7, np.float64(2.9), True, "2", math.nan, math.inf):
+            with pytest.raises(InvalidWordIdError, match="integer"):
+                toy3.check_id(w)
+        assert toy3.check_id(np.int32(2)) == 2 and toy3.check_id(np.uint8(1)) == 1
+
     def test_symmetry_and_triangle_property(self):
         gen = np.random.default_rng(7)
         for _ in range(20):

@@ -3,6 +3,7 @@ embedding file, an embedding cache, a transition-matrix TSV or a pipeline
 config, the CLI exits 0 (the input happened to be valid), 2 or 3. It never
 raises, which would be a traceback, and never exits 4."""
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -12,10 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from privtext import EmbeddingStore
+from privtext.amplification import AmplifierConfig
 from privtext.cli import main
 from privtext.embeddings import CACHE_MAGIC
 from privtext.errors import InvalidWordIdError, MatrixFormatError
-from privtext.randomizers import MATRIX_TSV_MAGIC, VARIANTS, matrix_from_tsv
+from privtext.pipeline import CorpusSpec, ProtocolConfig
+from privtext.randomizers import MATRIX_TSV_MAGIC, VARIANTS, MechanismConfig, matrix_from_tsv
 
 from oracles import matrix_from_tsv_by_line
 
@@ -232,3 +235,37 @@ def test_pipeline_config_never_crashes(files, data):
     files["input"].write_bytes(as_bytes(data))
     argv = ["--embeddings", files["emb"], "pipeline", "--config", str(files["input"])]
     assert exit_code(argv) in CLEAN_EXITS
+
+
+# the keys a config may hold, at one level or another, and the places an
+# unknown key can go: the top level or one of the nested objects
+CONFIG_FIELDS = {
+    f.name for cls in (ProtocolConfig, MechanismConfig, CorpusSpec, AmplifierConfig)
+    for f in dataclasses.fields(cls)
+}
+KEY_PLACES = [(), ("mechanism",), ("corpus",), ("amplifiers", 0), ("amplifiers", 1)]
+
+
+def with_unknown_key(path, key, value):
+    config = json.loads(json.dumps(VALID_CONFIG))
+    target = config
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return json.dumps(config)
+
+
+unknown_key_config = st.builds(
+    with_unknown_key,
+    st.sampled_from(KEY_PLACES),
+    st.text(max_size=8).filter(lambda key: key not in CONFIG_FIELDS),
+    json_value,
+)
+
+
+@fuzz
+@given(data=unknown_key_config)
+def test_pipeline_config_unknown_key_exits_2(files, data):
+    files["input"].write_bytes(as_bytes(data))
+    argv = ["--embeddings", files["emb"], "pipeline", "--config", str(files["input"])]
+    assert exit_code(argv) == 2

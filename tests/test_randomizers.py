@@ -226,7 +226,7 @@ class TestPerturbWords:
         monkeypatch.setattr("sys.stdin", io.StringIO("v w v\nw\n"))
         assert main(["--embeddings", str(path), "perturb", "--epsilon", "0.1"]) == 0
         assert capsys.readouterr().out == "v w v\nw\n"
-        # one call per matrix row, and one per word that stats lists
+        # one call per matrix row, and one per distinct word that stats lists
         assert np.array_equal(build_transition_matrix(toy5, rng, cfg, 6).probs, np.eye(5))
         argv = ["--embeddings", str(path), "stats", "--epsilon", "0.1", "--trials", "9"]
         assert main(argv + ["--words", "w", "v", "w"]) == 0
@@ -234,7 +234,7 @@ class TestPerturbWords:
         assert [(row["word"], row["p_unchanged"]) for row in rows] == [
             ("w", 1.0), ("v", 1.0), ("w", 1.0)
         ]
-        assert sizes == [12, 7, 4, 6, 6, 6, 6, 6, 9, 9, 9]
+        assert sizes == [12, 7, 4, 6, 6, 6, 6, 6, 9, 9]
 
 
 class TestKdePrior:
