@@ -7,6 +7,7 @@ runs are bit-identical.
 """
 from __future__ import annotations
 
+import io
 import math
 import os
 import tempfile
@@ -335,12 +336,33 @@ class EmbeddingStore:
 
 def _no_writer(a: np.ndarray) -> bool:
     """True when nothing can write to the memory of a: a and every array
-    it views are read-only, and the last of them owns its data."""
+    it views are read-only, and the last of them owns its data or views
+    an immutable bytes object."""
     while isinstance(a, np.ndarray):
         if a.flags.writeable:
             return False
         a = a.base
-    return a is None
+    return a is None or isinstance(a, bytes)
+
+
+def _npy_view(buf: bytes) -> np.ndarray:
+    """The array held in the .npy bytes buf, as a read-only view of buf.
+
+    np.load's reader copies into a new array through 256 KiB bytes chunks;
+    the view allocates nothing beyond buf, so a load leaves no freed chunks
+    for malloc to hand back to the system and fault in again on the next
+    load. Object arrays are refused, so nothing is unpickled."""
+    fh = io.BytesIO(buf)
+    version = np.lib.format.read_magic(fh)
+    if version == (1, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    else:
+        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(fh)
+    if dtype.hasobject:
+        raise ValueError("object arrays are not read")
+    # raises on a negative dimension or a buffer too short for the shape
+    return np.ndarray(shape, dtype=dtype, buffer=buf, offset=fh.tell(),
+                      order="F" if fortran_order else "C")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -586,11 +608,11 @@ def load_cache(path) -> EmbeddingStore:
     """Read a cache written by save_cache. Nothing in it is unpickled: the
     words are a fixed-width unicode array."""
     try:
-        # np.load given a path leaves its file open when the zip is malformed
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            if str(data["magic"]) != CACHE_MAGIC:
+        with zipfile.ZipFile(path) as zf:
+            if str(_npy_view(zf.read("magic.npy"))) != CACHE_MAGIC:
                 raise EmbeddingFormatError(f"{path}: not a privtext embedding cache")
-            words, vectors = data["words"], data["vectors"]
+            words = _npy_view(zf.read("words.npy"))
+            vectors = _npy_view(zf.read("vectors.npy"))
     except (
         ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile, zlib.error,
         # zipfile's answer to an unsupported version, compression or encryption
@@ -601,5 +623,4 @@ def load_cache(path) -> EmbeddingStore:
         raise EmbeddingFormatError(f"{path}: cache words are not a 1-D unicode array")
     if vectors.dtype.kind not in "iuf":
         raise EmbeddingFormatError(f"{path}: cache vectors are not a numeric array")
-    # np.load's array views a 1-D array of its own
-    return EmbeddingStore.from_arrays(words.tolist(), _freeze(vectors))
+    return EmbeddingStore.from_arrays(words.tolist(), vectors)

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammainc, gammaincinv
 
 from .errors import ConfigError
 
@@ -93,10 +93,15 @@ def sample_mv_laplace(rng: RngStream, param: MultivariateLaplaceParam, size: int
 
 
 def truncation_mass(param: MultivariateLaplaceParam, tau: float) -> float:
-    """Probability that an untruncated draw lands inside radius tau."""
+    """Probability that an untruncated draw lands inside radius tau.
+
+    The Gamma(shape=d, scale=1/eps) CDF at tau: the regularized lower
+    incomplete gamma function P(d, tau / scale), with scale = 1/eps rounded
+    first, the operation order of scipy.stats.gamma.cdf (bit-identical).
+    """
     if not tau > 0:
         raise ConfigError(f"tau must be > 0, got {tau}")
-    return float(stats.gamma.cdf(tau, a=param.dim, scale=1.0 / param.epsilon))
+    return float(gammainc(param.dim, tau / (1.0 / param.epsilon)))
 
 
 def sample_mv_laplace_truncated(
@@ -104,14 +109,23 @@ def sample_mv_laplace_truncated(
 ) -> np.ndarray:
     """(size, d) radial Laplacian draws conditioned on ||z|| <= tau.
 
-    Radius via inverse CDF on the Gamma restricted to [0, tau]: bounded
-    runtime even when tau cuts off nearly all the mass.
+    Radius by inverse CDF on the Gamma restricted to [0, tau]: q uniform on
+    [0, truncation_mass), then r = gammaincinv(d, q) * scale, as
+    scipy.stats.gamma.ppf computes it. Bounded runtime even when tau cuts
+    off nearly all the mass. A mass that underflows to 0 would make every
+    radius 0, so it is a ConfigError.
     """
     cap = truncation_mass(param, tau)
+    if not cap > 0:
+        raise ConfigError(
+            f"truncation mass underflows to 0 at d={param.dim}, epsilon={param.epsilon}, "
+            f"tau={tau}: no radius can be drawn; raise tau or epsilon"
+        )
     u = sample_unit_sphere(rng, param.dim, size)
     q = rng.gen.uniform(0.0, cap, size=size)
-    r = stats.gamma.ppf(q, a=param.dim, scale=1.0 / param.epsilon)
-    r = np.minimum(r, tau)  # ppf can overshoot by float error at q ~= cap
+    scale = 1.0 / param.epsilon
+    r = gammaincinv(param.dim, q) * scale
+    r = np.minimum(r, tau)  # the inverse can overshoot by float error at q ~= cap
     return u * r[:, None]
 
 

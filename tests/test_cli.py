@@ -362,6 +362,20 @@ class TestErrors:
             assert code == 2 and out == "", argv
             assert err.startswith("error:") and "Traceback" not in err
 
+    def test_truncation_mass_underflow_exit_2(self, tmp_path, monkeypatch, capsys):
+        # at d = 300, eps = 1 no mass lies inside tau = 10: every radius was
+        # 0 and perturb echoed its input (exit 0)
+        path = tmp_path / "d300.txt"
+        vectors = np.random.default_rng(0).normal(size=(3, 300))
+        path.write_text("".join(f"w{i} " + " ".join(map(repr, v)) + "\n"
+                                for i, v in enumerate(vectors.tolist())), encoding="utf-8")
+        argv = ["--embeddings", str(path), "perturb", "--mechanism", "trunc_distance",
+                "--epsilon", "1", "--tau", "10"]
+        code, out, err = run(argv, stdin="w0 w1\n", monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "d=300, epsilon=1.0, tau=10.0" in err
+        assert "Traceback" not in err
+
     def test_missing_matrix_row_under_python_O(self, emb, tmp_path):
         # the row-sum check must not be an assert, which -O strips
         path = tmp_path / "m.tsv"

@@ -1,5 +1,7 @@
+import io
 import math
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -134,6 +136,40 @@ class TestLoad:
             load_cache(path)
         with pytest.raises(EmbeddingFormatError):
             save_cache(EmbeddingStore.from_arrays(["a\x00", "a"], [[0.0], [1.0]]), path)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (-1, 2), (2, -2)])
+    def test_cache_vectors_header_must_match_data(self, tmp_path, shape):
+        # the header of vectors.npy declares a shape its 4 values cannot fill
+        npy = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            npy, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        npy.write(np.zeros(4).tobytes())
+        words = io.BytesIO()
+        np.save(words, np.array(["a", "b", "c"]))
+        magic = io.BytesIO()
+        np.save(magic, np.array(CACHE_MAGIC))
+        path = tmp_path / "short.npz"
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, member in (("magic", magic), ("words", words), ("vectors", npy)):
+                zf.writestr(f"{name}.npy", member.getvalue())
+        with pytest.raises(EmbeddingFormatError):
+            load_cache(path)
+
+    def test_cache_load_views_the_vectors(self, tmp_path):
+        # the store's vectors view the bytes read from the zip; np.load's
+        # reader filled its array through 256 KiB chunks, freed at once
+        # (0.42 of the vectors' size at this shape)
+        store = random_store(np.random.default_rng(3), 2000, 50)
+        path = tmp_path / "emb.npz"
+        save_cache(store, path)
+        tracemalloc.start()
+        try:
+            back = load_cache(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.vectors, store.vectors) and not back.vectors.flags.writeable
+        assert peak - kept < store.vectors.nbytes / 4
 
     def test_from_arrays_leaves_the_callers_array_writeable(self):
         v = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])

@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +17,9 @@ from privtext import (
     sample_permutation,
     sample_unit_sphere,
 )
+from privtext import samplers
 from privtext.errors import ConfigError
+from privtext.samplers import truncation_mass
 
 
 class TestRngStream:
@@ -125,6 +132,20 @@ class TestTruncated:
         with pytest.raises(ConfigError):
             sample_mv_laplace_truncated(rng, MultivariateLaplaceParam(2, 1.0), 0.0, size=1)
 
+    def test_underflowing_mass_rejected(self, rng):
+        # at d = 300, eps = 1 the mass inside tau = 10.5 is 0.0: every radius
+        # would be 0 and every draw the input word
+        param = MultivariateLaplaceParam(300, 1.0)
+        assert truncation_mass(param, 10.5) == 0.0
+        with pytest.raises(ConfigError, match=r"d=300, epsilon=1.0, tau=10.5"):
+            sample_mv_laplace_truncated(rng, param, 10.5, size=1)
+
+    def test_smallest_nonzero_mass_draws_radii(self, rng):
+        param = MultivariateLaplaceParam(300, 1.0)
+        assert 0 < truncation_mass(param, 11.0) < 1e-300
+        r = np.linalg.norm(sample_mv_laplace_truncated(rng, param, 11.0, size=2000), axis=1)
+        assert np.all((r > 10.0) & (r <= 11.0))
+
 
 class TestPermutation:
     def test_single_element(self, rng):
@@ -146,3 +167,45 @@ class TestPermutation:
     def test_is_permutation(self, rng):
         p = sample_permutation(rng, 100)
         assert sorted(p.tolist()) == list(range(100))
+
+
+class TestGammaOracle:
+    """The Gamma(d, 1/eps) CDF and inverse CDF behind the truncated sampler
+    are bit-identical to scipy.stats.gamma's."""
+
+    GRID = list(itertools.product((1, 2, 5, 50, 300), (0.1, 1.0, 2.5, 7.0),
+                                  (0.05, 0.5, 3.0, 40.0, 500.0)))
+
+    @pytest.mark.parametrize("d, eps, tau", GRID)
+    def test_cdf_and_ppf(self, d, eps, tau, monkeypatch):
+        param = MultivariateLaplaceParam(d, eps)
+        cap = truncation_mass(param, tau)
+        assert cap == stats.gamma.cdf(tau, a=d, scale=1.0 / eps)
+        if cap == 0.0:
+            with pytest.raises(ConfigError, match="underflows"):
+                sample_mv_laplace_truncated(RngStream(0), param, tau, size=1)
+            return
+        # the sampler's q, uniform on [0, cap) with q = 0 included, fed in
+        # through a stub generator; unit directions e_1 leave each radius
+        # as column 0 of the draw, unrounded
+        q = RngStream(d).gen.uniform(0.0, cap, size=1000)
+        q[0] = 0.0
+        stub = SimpleNamespace(gen=SimpleNamespace(uniform=lambda lo, hi, size: q))
+        e1 = np.zeros((q.size, d))
+        e1[:, 0] = 1.0
+        monkeypatch.setattr(samplers, "sample_unit_sphere", lambda rng, dim, size: e1)
+        r = sample_mv_laplace_truncated(stub, param, tau, size=q.size)[:, 0]
+        expected = np.minimum(stats.gamma.ppf(q, a=d, scale=1.0 / eps), tau)
+        assert np.array_equal(r, expected)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs ~34 MiB and ~0.65 s of every start-up; the package
+    # needs only scipy.spatial and scipy.special
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, privtext, privtext.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
