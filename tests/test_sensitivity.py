@@ -259,3 +259,18 @@ def test_profile_memory_is_below_the_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 2
+
+
+def test_profile_copies_only_the_rows_its_prune_reaches():
+    # at beta = 1 no term can beat a word's own local value here (distances
+    # near 90), so the smooth envelope reads none of the vocabulary's rows
+    store = random_store(np.random.default_rng(37), 300, 4000)
+    store.nn_distances  # made and kept before the measurement
+    tracemalloc.start()
+    try:
+        profile = build_profile(store, 1.0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(profile.per_word_smooth, profile.per_word_local)
+    assert peak - kept < store.vectors.nbytes / 4
