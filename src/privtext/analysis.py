@@ -194,13 +194,12 @@ def attack_accuracy(
     matrix: TransitionMatrix,
     prior,
     n_trials: int,
-    mechanism=None,
 ) -> float:
     """Fraction of trials where the Bayes attack recovers the true word.
 
-    Inputs are drawn from the prior; outputs come from `mechanism` when
-    given, otherwise from the transition matrix itself. The attacker always
-    uses the matrix for its posterior (it knows the mechanism and prior).
+    Inputs are drawn from the prior and outputs from the transition matrix,
+    which the attacker also uses for its posterior (it knows the mechanism
+    and prior).
     """
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
@@ -212,9 +211,6 @@ def attack_accuracy(
     decisions[reachable] = optimal_attack(store, posterior(prior, matrix, reachable))
 
     truths = rng.gen.choice(matrix.size, size=n_trials, p=prior)
-    if mechanism is None:
-        observed = sample_from_matrix(rng, matrix, truths)
-    else:
-        observed = mechanism.perturb_words(rng, truths)
+    observed = sample_from_matrix(rng, matrix, truths)
     hits = decisions[observed] == truths
     return float(np.mean(hits))

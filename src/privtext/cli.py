@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -30,20 +28,6 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 SCHEMA_VERSION = 1
-
-
-def _atomic_write(path: str, text: str) -> None:
-    """Write-to-temp-then-rename so failures never leave partial files."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _read_text(path: str) -> str:
@@ -71,7 +55,8 @@ def _attack_prior(spec: str, n_words: int) -> np.ndarray:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        _atomic_write(args.out, text)
+        with embeddings.atomic_file(args.out) as fh:
+            fh.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -87,13 +72,12 @@ def _add_mechanism_args(parser: argparse.ArgumentParser) -> None:
         "--strategy", default=None, choices=randomizers.TRUNC_STRATEGIES,
         help="trunc_distance handling of out-of-ball noise",
     )
-    parser.add_argument("--mh-burn-in", type=int, default=None)
-    parser.add_argument("--mh-thin", type=int, default=None)
+    parser.add_argument("--mh-steps", type=int, default=None, help="MH chain length (density)")
     parser.add_argument("--mh-step", type=float, default=None)
 
 
 def _mechanism_config(args) -> MechanismConfig:
-    given = {"burn_in": args.mh_burn_in, "thin": args.mh_thin, "proposal_step": args.mh_step}
+    given = {"steps": args.mh_steps, "proposal_step": args.mh_step}
     mh = {name: value for name, value in given.items() if value is not None}
     return MechanismConfig(
         variant=args.mechanism,
@@ -304,7 +288,7 @@ def main(argv=None) -> int:
         args.seed = 0
     try:
         return args.func(args)
-    except (ConfigError, InvalidWordIdError, PrivtextError) as exc:
+    except PrivtextError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

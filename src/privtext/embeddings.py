@@ -13,6 +13,7 @@ import os
 import tempfile
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -588,19 +589,28 @@ def save_cache(store: EmbeddingStore, path) -> None:
     if any(w.endswith("\x00") for w in store.words):
         # a fixed-width unicode array drops trailing NULs
         raise EmbeddingFormatError("a word ending in NUL cannot be cached")
-    tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
+    with atomic_file(path) as fh:
+        np.savez(
+            fh,
+            magic=np.array(CACHE_MAGIC),
+            words=np.array(store.words, dtype=np.str_),
+            vectors=store.vectors,
+        )
+
+
+@contextmanager
+def atomic_file(path):
+    """A binary file opened beside path for writing. It is renamed over path
+    when the block exits cleanly and deleted when the block raises, so path
+    is never left partly written."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
-        with os.fdopen(tmp_fd, "wb") as fh:
-            np.savez(
-                fh,
-                magic=np.array(CACHE_MAGIC),
-                words=np.array(store.words, dtype=np.str_),
-                vectors=store.vectors,
-            )
-        os.replace(tmp_path, path)
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
         raise
 
 

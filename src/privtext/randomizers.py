@@ -17,7 +17,7 @@ noisy point back to the vocabulary):
 Every operation takes an explicit RngStream and is deterministic given it.
 The density variant is only 2*eps d_X-private even under exact sampling,
 because its normalizer Z(w) also moves by up to e^(eps * d); the
-finite-burn-in chain is an approximation of that. No formal privacy
+finite-length chain is an approximation of that. No formal privacy
 guarantee is claimed for the smooth or truncated variants; the analysis
 module measures what they actually provide.
 """
@@ -61,22 +61,21 @@ MATRIX_TSV_MAGIC = "#privtext-matrix-v1"
 
 @dataclass(frozen=True)
 class MHParams:
-    """Metropolis-Hastings chain knobs for the density variant.
+    """Metropolis-Hastings chain knobs for the density variant: each chain
+    runs `steps` random-walk steps and only its final state is decoded.
 
     proposal_step=None resolves to the store's mean nearest-neighbor
     distance, a step comparable to the local geometry.
     """
 
-    burn_in: int = 1000
-    thin: int = 10
+    steps: int = 1010
     proposal_step: float | None = None
 
     def __post_init__(self):
-        # counts in a config are exactly int: not a float or bool, which would
+        # a count in a config is exactly int: not a float or bool, which would
         # be rounded, nor a numpy integer, which its JSON echo cannot write
-        burn_in, thin = self.burn_in, self.thin
-        if type(burn_in) is not int or type(thin) is not int or burn_in < 0 or thin < 1:
-            raise ConfigError("burn_in must be an integer >= 0 and thin an integer >= 1")
+        if type(self.steps) is not int or self.steps < 1:
+            raise ConfigError(f"steps must be an integer >= 1, got {self.steps!r}")
         if self.proposal_step is not None:
             require_real("proposal_step", self.proposal_step)
             if not self.proposal_step > 0:
@@ -341,20 +340,18 @@ class Mechanism:
         return kde_log_prior(self.store, points, self._sigma) - self.config.epsilon * distance
 
     def _density_batch(self, rng, w, n) -> np.ndarray:
-        """Run n independent MH chains in lockstep from phi(w); burn_in steps
-        are discarded, then thin more are taken and each chain's final state
-        is decoded to its nearest word."""
+        """Run n independent MH chains in lockstep from phi(w) for mh.steps
+        steps and decode each chain's final state to its nearest word."""
         x = np.tile(self.store.vector(w), (n, 1))
         logp = self._log_target(x, w)
         mh = self._mh
         gen = rng.gen
-        for _ in range(mh.burn_in + mh.thin):
+        for _ in range(mh.steps):
             prop = x + mh.proposal_step * gen.standard_normal(x.shape)
             logp_prop = self._log_target(prop, w)
             accept = np.log(gen.uniform(size=n)) < logp_prop - logp
             x[accept] = prop[accept]
             logp[accept] = logp_prop[accept]
-        assert np.all(np.isfinite(x)), "MH chain reached a non-finite state"
         return self.store.nearest_words(x)
 
 
@@ -408,9 +405,10 @@ def sample_from_matrix(rng: RngStream, matrix: TransitionMatrix, ids) -> np.ndar
     u = rng.gen.uniform(size=len(ids))
     out = np.empty(len(ids), dtype=np.int64)
     for w, at in _positions_by_word(ids):
-        out[at] = np.searchsorted(np.cumsum(matrix.row(w)), u[at], side="right")
-    # a row summing to just under 1 can leave a uniform past its last entry
-    np.clip(out, 0, matrix.size - 1, out=out)
+        cum = np.cumsum(matrix.row(w))
+        # scaled to the row's own total, which may miss 1 by up to 1e-9, each
+        # uniform lands below it and so inside a cell of nonzero mass
+        out[at] = np.searchsorted(cum, u[at] * cum[-1], side="right")
     return out
 
 

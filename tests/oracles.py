@@ -150,17 +150,16 @@ def attack_decisions_per_observation(store, matrix, prior) -> np.ndarray:
 
 
 def attack_accuracy_per_trial(store, rng, matrix, prior, n_trials) -> float:
-    """attack_accuracy on the matrix path, with per-observation decisions
-    and one inverse-CDF lookup per trial."""
+    """attack_accuracy with per-observation decisions and one inverse-CDF
+    lookup per trial, its uniform scaled to the row's own total."""
     prior = np.asarray(prior, dtype=np.float64)
     decisions = attack_decisions_per_observation(store, matrix, prior)
     truths = rng.gen.choice(matrix.size, size=n_trials, p=prior)
     cum = np.cumsum(matrix.probs, axis=1)
     u = rng.gen.uniform(size=n_trials)
     observed = np.array(
-        [np.searchsorted(cum[truths[i]], u[i], side="right") for i in range(n_trials)]
+        [np.searchsorted(cum[t], x * cum[t, -1], side="right") for t, x in zip(truths, u)]
     )
-    np.clip(observed, 0, matrix.size - 1, out=observed)
     return float(np.mean(decisions[observed] == truths))
 
 

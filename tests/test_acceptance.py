@@ -145,7 +145,7 @@ def test_criterion_3_smooth_sensitivity_axioms():
 def test_criterion_4_density_mechanism():
     store = EmbeddingStore.from_arrays(["p", "q", "r"], [[-1.0], [0.0], [2.0]])
     eps, sigma = 1.0, 0.8
-    mh = MHParams(burn_in=300, thin=5, proposal_step=1.0)
+    mh = MHParams(steps=305, proposal_step=1.0)
     n = 10**5
 
     rng = RngStream(55).fork_named("acceptance.density")

@@ -298,23 +298,6 @@ class TestAttackAccuracy:
             )
         assert accs[0.5] < accs[4.0]
 
-    def test_mechanism_sampling_path(self, toy3, rng):
-        mech = Mechanism(toy3, MechanismConfig("baseline", 1e3))
-        m = build_transition_matrix(toy3, rng.fork(0), MechanismConfig("baseline", 1e3), 5000)
-        acc = attack_accuracy(toy3, rng.fork(1), m, np.full(3, 1 / 3), 2000, mechanism=mech)
-        assert acc >= 0.98
-
-    def test_mechanism_path_pinned_value(self, toy5):
-        # Mechanism.perturb_words makes the same per-word draws as the
-        # inline loop it replaced, so this value is pinned from that loop
-        cfg = MechanismConfig("baseline", 1.5)
-        rng = RngStream(2718)
-        m = build_transition_matrix(toy5, rng.fork(0), cfg, 2000)
-        prior = np.arange(1, 6, dtype=np.float64) ** -1.1
-        prior /= prior.sum()
-        acc = attack_accuracy(toy5, rng.fork(1), m, prior, 3000, mechanism=Mechanism(toy5, cfg))
-        assert acc == 0.469
-
     def test_matches_per_observation_reference(self):
         gen = np.random.default_rng(27)
         for i, (store, matrix) in enumerate(reference_cases()):

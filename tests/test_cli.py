@@ -195,9 +195,8 @@ class TestStats:
 
     def test_mh_flags_left_out_take_the_mhparams_defaults(self, emb, capsys):
         for flags, mh in (
-            (["--mh-step", "0.5"], {"burn_in": 1000, "thin": 10, "proposal_step": 0.5}),
-            (["--mh-burn-in", "3", "--mh-thin", "2"],
-             {"burn_in": 3, "thin": 2, "proposal_step": None}),
+            (["--mh-step", "0.5"], {"steps": 1010, "proposal_step": 0.5}),
+            (["--mh-steps", "5"], {"steps": 5, "proposal_step": None}),
         ):
             code, out, _ = run(
                 ["--embeddings", emb, "stats", "--mechanism", "density", "--epsilon", "1",
@@ -422,9 +421,8 @@ class TestErrors:
         # integer fields given a float or a bool: each was run rounded down,
         # accepted or ended in a TypeError traceback
         not_integers = [
-            {**base, "mechanism": {**density, "mh": {"burn_in": 1.5}}},
-            {**base, "mechanism": {**density, "mh": {"thin": 2.5}}},
-            {**base, "mechanism": {**density, "mh": {"burn_in": True}}},
+            {**base, "mechanism": {**density, "mh": {"steps": 1.5}}},
+            {**base, "mechanism": {**density, "mh": {"steps": True}}},
             {**base, "mechanism": {"variant": "trunc_knn", "epsilon": 1.0, "k": 1.5}},
             {**base, "mechanism": {"variant": "trunc_knn", "epsilon": 1.0, "k": True}},
             {**base, "amplifiers": [{"kind": "kthreshold", "k": 1.5}]},
@@ -451,7 +449,7 @@ class TestErrors:
         # typos that ran another experiment, each named in its error: an
         # unknown corpus kind ran Zipf(1.1), a key the tagged kind does not
         # take or an unknown key was dropped, a string row became one-letter
-        # tokens
+        # tokens; the old burn_in/thin pair would run another chain length
         rows = [["v"], ["w"]]
         silent = [
             ({**base, "corpus": {"kind": "word", "words_per_user": rows}}, "'word'"),
@@ -462,6 +460,8 @@ class TestErrors:
               "corpus": {"kind": "words", "words_per_user": ["vw", "xy"]}}, "words_per_user"),
             ({**base, "amplifier": [{"kind": "shuffle"}]}, "'amplifier'"),
             ({**base, "sead": 5}, "'sead'"),
+            ({**base, "mechanism": {**density, "mh": {"burn_in": 1000}}}, "'burn_in'"),
+            ({**base, "mechanism": {**density, "mh": {"thin": 10}}}, "'thin'"),
         ]
         for config, named in silent:
             path.write_text(json.dumps(config), encoding="utf-8")

@@ -92,6 +92,24 @@ class TestLoad:
         assert back.words == toy3.words
         assert np.array_equal(back.vectors, toy3.vectors)
 
+    @pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()])
+    def test_failed_write_leaves_the_destination(self, tmp_path, toy3, monkeypatch, exc):
+        # the cache and every CLI --out file go through atomic_file: a write
+        # that fails midway keeps the old bytes and leaves no temp file
+        path = tmp_path / "emb.npz"
+        save_cache(toy3, path)
+        before = path.read_bytes()
+
+        def savez_then_fail(fh, **arrays):
+            fh.write(b"PK partial")
+            raise exc
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(type(exc)):
+            save_cache(toy3, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.npz"]
+
     def test_cache_object_array_rejected_unpickled(self, tmp_path):
         # an object array would be unpickled by allow_pickle=True, running
         # whatever its pickle names; the loader must refuse it unread

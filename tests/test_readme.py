@@ -1,8 +1,11 @@
-"""The README's Python examples run as written, and its JSON configs parse."""
+"""The README's Python examples run as written, and its JSON configs and CLI
+lines parse."""
 import json
 import re
+import shlex
 from pathlib import Path
 
+from privtext.cli import build_parser
 from privtext.pipeline import ProtocolConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -21,3 +24,16 @@ def test_json_blocks_are_pipeline_configs():
     assert blocks
     for block in blocks:
         ProtocolConfig.from_dict(json.loads(block))
+
+
+def test_cli_lines_parse():
+    # argparse exits 2 on a flag the CLI no longer has
+    text = README.read_text(encoding="utf-8")
+    lines = re.findall(r"^privtext (.*)$", text, re.M)
+    assert lines
+    for line in lines:
+        args = shlex.split(line)
+        while "<" in args:
+            at = args.index("<")
+            del args[at : at + 2]
+        build_parser().parse_args(args)
