@@ -169,7 +169,17 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _import_audit_scipy() -> None:
+    """Import scipy.spatial, which pairwise_distances needs, before a
+    command reads its store and matrix. Imported later, after the matrix
+    TSV is parsed, SciPy's long-lived objects land above the parse's freed
+    memory in the heap and keep it resident: a verify-dp then attack run at
+    |W| = 1000 peaked about 5 MiB higher that way."""
+    import scipy.spatial.distance  # noqa: F401
+
+
 def cmd_verify_dp(args) -> int:
+    _import_audit_scipy()
     store = _load_store(args)
     matrix = randomizers.matrix_from_tsv(store, _read_text(args.matrix))
     report = analysis.verify_metric_dp(matrix, store, args.epsilon)
@@ -180,6 +190,7 @@ def cmd_verify_dp(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    _import_audit_scipy()
     store = _load_store(args)
     matrix = randomizers.matrix_from_tsv(store, _read_text(args.matrix))
     prior = _attack_prior(args.prior, len(store))

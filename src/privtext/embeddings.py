@@ -3,7 +3,10 @@
 The store is immutable after construction and is the metric space every
 mechanism in this package operates on. Nearest-neighbor queries are exact
 brute force; ties always break toward the lowest word id so that repeated
-runs are bit-identical.
+runs are bit-identical. Every distance that decides a query is
+paired_distances', which equals scipy's cdist bit for bit; only the
+whole-row and |W| x |W| queries (k_nearest, pairwise_distances) call cdist
+itself, and import SciPy when they run.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DimensionMismatchError,
@@ -35,6 +37,8 @@ CACHE_MAGIC = "privtext-embeddings-v2"
 # entries in one (rows x candidates) block: 8 MiB of float64, or 4 MiB of
 # the float32 decode screen
 _NN_BLOCK_ENTRIES = 2**20
+# differences in one paired_distances call of a blocked refinement: 256 KiB
+_EXACT_BLOCK_ENTRIES = 2**15
 # unit roundoff and smallest subnormal of float64 and of float32, for
 # _sq_error_bound
 _U = float(np.finfo(np.float64).eps) / 2
@@ -132,17 +136,18 @@ class EmbeddingStore:
 
     def nearest_words(self, points, candidate_ids=None) -> np.ndarray:
         """Nearest vocabulary word to each row of a (n, d) array of points:
-        the argmin of cdist from the point, ties broken toward the lowest id.
+        the argmin of the exact (cdist) distance from the point, ties broken
+        toward the lowest id.
 
         candidate_ids optionally restricts the argmin to a non-empty set of
         word ids (integers in [0, |W|); repeats are harmless).
 
         Every (row, candidate) pair is screened in float32, on the
         vocabulary-major copy that _screen makes on the first call, by one
-        plain (rows x d) @ (d x candidates) GEMM; float64 cdist decides the rows
-        that the screen cannot: those where another candidate's lower bound
-        reaches the least upper bound, over the candidates that reach it,
-        and those too far out to screen, over every candidate.
+        plain (rows x d) @ (d x candidates) GEMM; paired_distances decides
+        the rows that the screen cannot: those where another candidate's
+        lower bound reaches the least upper bound, over the candidates that
+        reach it, and those too far out to screen, over every candidate.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.dim:
@@ -168,8 +173,9 @@ class EmbeddingStore:
             with np.errstate(over="ignore"):
                 np.multiply(block, screen.scale, out=p32, casting="same_kind")
             p_sq = np.einsum("ij,ij->i", p32, p32, dtype=np.float64)
-            # rows beyond the limit (Inf included) go to cdist whole: their
-            # screen could overflow float32, or cdist's sums float64
+            # rows beyond the limit (Inf included) are decided exactly over
+            # every candidate: their screen could overflow float32, or the
+            # exact sums float64
             far = ~(p_sq <= screen.limit)
             if far.any():
                 p32[far] = 0.0
@@ -216,7 +222,8 @@ class EmbeddingStore:
         sgemm then re-reads and packs the whole copy on every call."""
         top = max(float(self.vectors.max()), -float(self.vectors.min()))
         # a store below 2^-1022 is clamped to that scale (2^-exp must stay
-        # finite); cdist's sums underflow there, and eta sends every row to it
+        # finite); the exact sums underflow there, and eta sends every row
+        # to them
         exp = max(math.frexp(top)[1], -1022)
         scale = math.ldexp(1.0, -exp)
         vectors = np.empty(self.vectors.shape[::-1], dtype=np.float32)
@@ -232,17 +239,21 @@ class EmbeddingStore:
             upper,
             spread,
             scale,
-            # cdist's subnormal step in the screen's units is _ETA * scale^2
+            # the exact sums' subnormal step in the screen's units is
+            # _ETA * scale^2
             eta=max(_ETA32, math.ldexp(_ETA, -2 * exp)),
             # ||p||^2 <= 2^100 keeps every float32 dot product finite (the
             # vectors' components are below 1), and ||p||^2 <= 2^1020 unscaled
-            # every cdist sum to a vector of the store (||v||^2 <= max / 4)
+            # every exact sum to a vector of the store (||v||^2 <= max / 4)
             limit=math.ldexp(1.0, min(100, 1020 - 2 * exp)),
         )
 
     def k_nearest(self, w: int, k: int) -> np.ndarray:
         """Ids of the k closest other vocabulary words to w, sorted by
-        (distance, id), the distances one cdist row."""
+        (distance, id), the distances one cdist row. A whole row is where
+        cdist outruns paired_distances, so SciPy is imported here."""
+        from scipy.spatial.distance import cdist
+
         w = self.check_id(w)
         n = len(self.words)
         if not 1 <= k <= n - 1:
@@ -253,8 +264,10 @@ class EmbeddingStore:
 
     def pairwise_distances(self) -> np.ndarray:
         """Full |W| x |W| Euclidean distance matrix, by cdist. Only the audit
-        (verify_metric_dp, attack_accuracy) holds it; per-word geometry
-        comes from distance_blocks instead."""
+        (verify_metric_dp, attack_accuracy) holds it, and imports SciPy for
+        it; per-word geometry comes from distance_blocks instead."""
+        from scipy.spatial.distance import cdist
+
         return cdist(self.vectors, self.vectors)
 
     def median_nn_distance(self) -> float:
@@ -270,18 +283,20 @@ class EmbeddingStore:
         """Per-word distance to the nearest distinct neighbor, read-only:
         made on first use and kept for the store's lifetime; zeros(1) for a
         one-word vocabulary. Each value is cdist's, the row minimum of
-        pairwise_distances with the diagonal masked. The working memory is
-        about one tile of distance_blocks plus O(|W|).
+        pairwise_distances with the diagonal masked, and is computed by
+        paired_distances. The working memory is about one tile of
+        distance_blocks plus O(|W|).
 
         One distance_blocks pass reduces each tile along its rows and, off
         the diagonal, along its columns, keeping per word the least GEMM-form
         value, a partner holding it and the least of the rest. Every pair of
         word w is within e(w) = _sq_error_bound(||w||^2, max ||v||^2) of its
-        cdist sum, so when the runner-up lies more than 2 e(w) above the
-        least, that partner is the only cdist minimizer and one cdist call
-        gives the value. The other words (duplicates, near-ties, stores far
-        from the origin) take a GEMM row of their own and cdist on every
-        entry within 2 e(w) of their least."""
+        exact sum, so when the runner-up lies more than 2 e(w) above the
+        least, that partner is the only exact minimizer and paired_distances
+        of the pair gives the value, in blocks of _EXACT_BLOCK_ENTRIES
+        differences. The other words (duplicates, near-ties, stores far
+        from the origin) take a GEMM row of their own and exact distances to
+        every entry within 2 e(w) of their least."""
         n = len(self.words)
         d = np.zeros(n)
         if n > 1:
@@ -298,12 +313,11 @@ class EmbeddingStore:
                 del s2  # freed before the generator forms the next tile
             ceiling = least + 2.0 * _sq_error_bound(self.sq_norms, self.sq_norms.max(), self.dim)
             unique = runner_up > ceiling
-            # eight pairs per cdist call, on the diagonal of its 8 x 8 block:
-            # the call overhead, not the 64 sums, is what costs
             ws = np.flatnonzero(unique)
-            for lo in range(0, len(ws), 8):
-                w = ws[lo : lo + 8]
-                d[w] = np.diagonal(cdist(self.vectors[w], self.vectors[partner[w]]))
+            step = max(1, _EXACT_BLOCK_ENTRIES // self.dim)
+            for lo in range(0, len(ws), step):
+                w = ws[lo : lo + step]
+                d[w] = paired_distances(self.vectors[w], self.vectors[partner[w]])
             rest = np.flatnonzero(~unique)
             block_rows = max(1, _NN_BLOCK_ENTRIES // n)
             for lo in range(0, len(rest), block_rows):
@@ -389,8 +403,9 @@ def _gemm_sq_distances(a, a_sq, b, b_sq):
 def _sq_error_bound(a_sq, b_sq, dim, u=_U, eta=_ETA):
     """4 (dim + 4) (u (a_sq + b_sq) + eta), broadcast: a bound on |s2 - q|
     for GEMM-form s2 of two points with squared norms a_sq and b_sq, q the
-    squared distance that cdist sums for the pair, u the unit roundoff and
-    eta the smallest subnormal (float64's by default). It grows with either
+    squared distance that cdist (and paired_distances, in the same order)
+    sums for the pair, u the unit roundoff and eta the smallest subnormal
+    (float64's by default). It grows with either
     norm, so its value at the largest norm bounds a whole row. With float32's
     u and eta raised to cdist's (see below) it bounds the decode screen."""
     # Why this bound. Write g = d u / (1 - d u), na, nb for the exact
@@ -449,17 +464,41 @@ def sq_distance_bounds(a, a_sq, b, b_sq):
     """GEMM-form squared distances s2[i, j] = ||a_i||^2 - 2 a_i.b_j + ||b_j||^2
     from the rows of a to the rows of b, given their squared norms, and the
     _sq_error_bound err[i, j] of each pair. A candidate whose bounds lose to
-    another's therefore loses under cdist too, so only the rest need
+    another's therefore loses on exact distances too, so only the rest need
     exact_distances. Both arrays are new."""
     return _gemm_sq_distances(a, a_sq, b, b_sq), _sq_error_bound(a_sq[:, None], b_sq, a.shape[1])
 
 
 def exact_distances(a, b, keep):
     """For each row i of a (len(a), len(b)) bool mask, yields (i, the indices
-    j kept in row i, cdist distances from a[i] to those b[j])."""
+    j kept in row i, the distances from a[i] to those b[j], cdist's)."""
     for i, row in enumerate(keep):
         cand = np.flatnonzero(row)
-        yield i, cand, cdist(a[i : i + 1], b[cand])[0]
+        yield i, cand, _distances_from(a[i], b, cand)
+
+
+def paired_distances(a, b) -> np.ndarray:
+    """||a_i - b_i|| for each row i of two (n, d) float64 arrays (either may
+    be one row, broadcast), equal bit for bit to scipy's cdist value for the
+    pair. cdist adds the squared differences in index order and then takes
+    the square root; np.add.accumulate keeps that order, where np.sum's
+    pairwise order would not. A sum that overflows is Inf, as in cdist, with
+    no warning. The working memory is one (n, d) array."""
+    with np.errstate(over="ignore"):
+        t = a - b
+        t *= t
+        np.add.accumulate(t, axis=1, out=t)
+        return np.sqrt(t[:, -1])
+
+
+def _distances_from(point, vectors, ids) -> np.ndarray:
+    """cdist(point[None], vectors[ids])[0] by paired_distances, ids in blocks
+    of at most _EXACT_BLOCK_ENTRIES differences."""
+    out = np.empty(len(ids))
+    step = max(1, _EXACT_BLOCK_ENTRIES // vectors.shape[1])
+    for lo in range(0, len(ids), step):
+        out[lo : lo + step] = paired_distances(point[None, :], vectors[ids[lo : lo + step]])
+    return out
 
 
 def _least_two(s2, axis):
@@ -495,13 +534,14 @@ def _merge_least(least, partner, runner_up, offset, tile_least, tile_at, tile_se
 
 
 def _argmin_exact(points, vectors, ids, hi, spread, err):
-    """Argmin per row i of cdist sums q[i, j] (scaled, less a row constant)
+    """Argmin per row i of exact sums q[i, j] (scaled, less a row constant)
     given hi[i, j] + err[i] above each and hi[i, j] - spread[j] - err[i]
     below it. A row where one column's upper end lies below every other
-    column's lower end is decided by that column; the rest by cdist from
-    points to the rows of vectors (ids[j] for column j, or j if ids is
-    None) over the columns whose lower end reaches the least upper end, the
-    lowest column winning a tie. hi is overwritten with the lower ends."""
+    column's lower end is decided by that column; the rest by
+    paired_distances from points to the rows of vectors (ids[j] for column
+    j, or j if ids is None) over the columns whose lower end reaches the
+    least upper end, the lowest column winning a tie. hi is overwritten
+    with the lower ends."""
     rows = np.arange(hi.shape[0])
     out = hi.argmin(axis=1)
     ceiling = hi[rows, out] + 2.0 * err
@@ -512,7 +552,7 @@ def _argmin_exact(points, vectors, ids, hi, spread, err):
     hi[rows, out] = least
     for i in close:
         kept = np.flatnonzero(hi[i] <= ceiling[i])
-        dist = cdist(points[i : i + 1], vectors[kept if ids is None else ids[kept]])[0]
+        dist = _distances_from(points[i], vectors, kept if ids is None else ids[kept])
         out[i] = kept[np.argmin(dist)]
     return out
 

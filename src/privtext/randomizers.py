@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .embeddings import EmbeddingStore
 from .errors import (
@@ -289,6 +288,10 @@ class Mechanism:
         return store.nearest_words(store.vector(w)[None, :] + z, candidate_ids=cands)
 
     def _trunc_distance_batch(self, rng, w, n) -> np.ndarray:
+        # one whole cdist row per word, as k_nearest takes; SciPy loads with
+        # the first truncated draw, not with the package
+        from scipy.spatial.distance import cdist
+
         store, tau = self.store, self.config.tau
         param = MultivariateLaplaceParam(store.dim, self.config.epsilon)
         dists = cdist(store.vectors[w : w + 1], store.vectors)[0]

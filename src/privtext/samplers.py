@@ -12,7 +12,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
 from .errors import ConfigError
 
@@ -99,6 +98,8 @@ def truncation_mass(param: MultivariateLaplaceParam, tau: float) -> float:
     incomplete gamma function P(d, tau / scale), with scale = 1/eps rounded
     first, the operation order of scipy.stats.gamma.cdf (bit-identical).
     """
+    from scipy.special import gammainc  # loaded by the truncated variants only
+
     if not tau > 0:
         raise ConfigError(f"tau must be > 0, got {tau}")
     return float(gammainc(param.dim, tau / (1.0 / param.epsilon)))
@@ -115,6 +116,8 @@ def sample_mv_laplace_truncated(
     off nearly all the mass. A mass that underflows to 0 would make every
     radius 0, so it is a ConfigError.
     """
+    from scipy.special import gammaincinv
+
     cap = truncation_mass(param, tau)
     if not cap > 0:
         raise ConfigError(

@@ -11,8 +11,9 @@ diagonal, so each pair of words is formed once. The smooth envelope first
 prunes by local alone: a word u != w lies at least local(w) from w, so u
 can only win where local(u) e^(-beta local(w)) >= local(w). It then takes
 GEMM-form distances over the remaining (row, candidate) blocks, and
-recomputes with cdist only the terms whose rounding bounds leave them able
-to win. Every value equals that of the full cdist form.
+recomputes exactly, with cdist's sums (embeddings.paired_distances), only
+the terms whose rounding bounds leave them able to win. Every value equals
+that of the full cdist form.
 """
 from __future__ import annotations
 

@@ -1,10 +1,13 @@
 import io
 import math
 import tracemalloc
+import warnings
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from privtext import EmbeddingStore, embeddings, load_embeddings
@@ -272,6 +275,79 @@ class TestDistance:
             assert d[i, k] <= d[i, j] + d[j, k] + 1e-12
             if i != j:
                 assert store.nn_distances[i] <= d[i, j]
+
+
+# exponents of the component scale: subnormal components (1e-310), subnormal
+# squares (1e-160, 1e-200), ordinary, and far from the origin, where squares
+# (1e154) or differences (1e300) overflow
+SCALES = st.sampled_from([-310, -200, -160, -3, 0, 3, 100, 150, 154, 300])
+exact_cases = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestPairedDistances:
+    """paired_distances, the numpy kernel that decides every exact query,
+    against scipy's cdist: equal under array_equal, Inf included."""
+
+    @exact_cases
+    @given(
+        dim=st.sampled_from([1, 2, 3, 8, 9, 17, 50, 300]),
+        rows=st.sampled_from([1, 2, 7, 40]),
+        cols=st.sampled_from([1, 3, 40]),
+        scale=SCALES,
+        offset=st.sampled_from([None, 0, 150, 154, 300]),
+        duplicates=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_cdist(self, dim, rows, cols, scale, offset, duplicates, seed):
+        gen = np.random.default_rng(seed)
+        a = gen.normal(size=(rows, dim)) * 10.0**scale
+        b = gen.normal(size=(cols, dim)) * 10.0**scale
+        if offset is not None:
+            # a cluster far from the origin, or two on either side of it
+            a += 10.0**offset
+            b -= 10.0**offset * gen.integers(-1, 2, size=(cols, 1))
+        if duplicates:
+            b[: min(rows, cols)] = a[: min(rows, cols)]
+        partner = np.arange(rows) % cols
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # one row against every column, as the refinements call it, and
+            # each row against its own partner, as nn_distances does
+            by_row = np.vstack([embeddings.paired_distances(a[i : i + 1], b) for i in range(rows)])
+            paired = embeddings.paired_distances(a, b[partner])
+        expected = cdist(a, b)
+        assert np.array_equal(by_row, expected)
+        assert np.array_equal(paired, expected[np.arange(rows), partner])
+
+    def test_overflow_is_inf_without_a_warning(self):
+        a = np.array([[1e154, 1e154], [1e300, 0.0], [0.0, 0.0]])
+        b = np.array([[-1e154, 0.0], [-1e300, 0.0], [1e-160, 1e-160]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = embeddings.paired_distances(a, b)
+        assert np.array_equal(got, np.diagonal(cdist(a, b)))
+        assert np.isinf(got[:2]).all() and 0 < got[2] < 1e-159
+
+    def test_not_np_sum(self):
+        # the pairwise order of np.sum splits cdist's value by an ulp on
+        # these rows: the kernel has to keep cdist's order
+        gen = np.random.default_rng(3)
+        a, b = gen.normal(size=(200, 300)), gen.normal(size=(200, 300))
+        by_sum = np.sqrt(np.sum((a - b) ** 2, axis=1))
+        expected = np.diagonal(cdist(a, b))
+        assert not np.array_equal(by_sum, expected)
+        assert np.array_equal(embeddings.paired_distances(a, b), expected)
+
+    @pytest.mark.parametrize("budget", [1, 7, 2**15])
+    def test_blocked_rows_equal_one_cdist_row(self, monkeypatch, budget):
+        # exact_distances takes its pairs in blocks of _EXACT_BLOCK_ENTRIES
+        monkeypatch.setattr(embeddings, "_EXACT_BLOCK_ENTRIES", budget)
+        gen = np.random.default_rng(4)
+        a, b = gen.normal(size=(3, 9)), gen.normal(size=(50, 9))
+        keep = gen.random((3, 50)) < 0.6
+        for i, cand, dist in embeddings.exact_distances(a, b, keep):
+            assert np.array_equal(cand, np.flatnonzero(keep[i]))
+            assert np.array_equal(dist, cdist(a[i : i + 1], b[cand])[0])
 
 
 class TestNearestWord:
@@ -623,4 +699,21 @@ def test_nn_pass_memory_is_two_tiles(monkeypatch, kind, budget):
     finally:
         tracemalloc.stop()
     assert peak < 2 * budget * 8 + 32 * n * 8
+    assert np.array_equal(local, local_by_cdist(store))
+
+
+def test_nn_refinement_stays_within_a_tile(monkeypatch):
+    # at d = 300 the unique-partner pass would hold three 4.8 MB (pairs, d)
+    # arrays if it took all 2000 pairs at once; in blocks of
+    # _EXACT_BLOCK_ENTRIES differences the pass stays within the tiles' bound
+    monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", 2**18)
+    n = 2000
+    store = tile_store("random", n, 300)
+    tracemalloc.start()
+    try:
+        local = store.nn_distances
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**18 * 8 + 32 * n * 8
     assert np.array_equal(local, local_by_cdist(store))
