@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingStore
-from .errors import ConfigError, UnreachableObservationError
+from .errors import ConfigError, SingletonVocabularyError, UnreachableObservationError
 from .randomizers import Mechanism, TransitionMatrix, sample_from_matrix
 from .samplers import RngStream
 
@@ -97,10 +97,14 @@ def verify_metric_dp(
 
     Zero denominator estimates are replaced by the exact one-sided
     Clopper-Pearson upper bound at level alpha (1 - alpha^(1/n)); zero
-    numerator estimates give no evidence of violation and are skipped.
+    numerator estimates give no evidence of violation and are skipped. A
+    one-word vocabulary has no pair to check: SingletonVocabularyError.
     """
     if matrix.size != len(store):
         raise ConfigError("matrix size does not match the store vocabulary")
+    # with one word no pair is checked, and the report would read satisfied
+    if len(store) < 2:
+        raise SingletonVocabularyError("metric-DP verification needs at least 2 words")
     # NaN would make every violation NaN, and NaN is never the maximum: the
     # report would read satisfied. inf * 0 is NaN for two words at one point.
     if not 0 <= epsilon < math.inf:

@@ -70,11 +70,17 @@ class EmbeddingStore:
 
     @classmethod
     def from_arrays(cls, words, vectors) -> "EmbeddingStore":
-        """A store over words and their (|W|, d) vectors. The store holds a
-        read-only C-contiguous float64 array: a read-only input of that
-        form, which views no writeable array, is kept as given; any other
-        memory the caller holds is copied, so that the caller may still
-        write to it without changing the store."""
+        """A store over words and their (|W|, d) vectors. The store holds its
+        own read-only C-contiguous float64 copy of vectors, made in one
+        conversion, so the caller may still write to its array."""
+        return cls._adopt(words, np.array(vectors, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _adopt(cls, words, vectors) -> "EmbeddingStore":
+        """A store that takes vectors over: the loaders' path, for an array
+        they have just made and no one else writes. A C-contiguous float64
+        array is kept without a copy and marked read-only; any other is
+        converted once."""
         words = tuple(words)
         if len(words) == 0:
             raise EmptyVocabularyError("vocabulary is empty")
@@ -84,10 +90,7 @@ class EmbeddingStore:
                 if w in seen:
                     raise DuplicateWordError(f"duplicate word {w!r}")
                 seen.add(w)
-        given = vectors
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-        if (vectors is given or vectors.base is not None) and not _no_writer(vectors):
-            vectors = vectors.copy()
         if vectors.ndim != 2 or vectors.shape[0] != len(words) or vectors.shape[1] == 0:
             raise DimensionMismatchError(
                 f"expected ({len(words)}, d) vector array with d >= 1, got shape {vectors.shape}"
@@ -349,17 +352,6 @@ class EmbeddingStore:
                 )
 
 
-def _no_writer(a: np.ndarray) -> bool:
-    """True when nothing can write to the memory of a: a and every array
-    it views are read-only, and the last of them owns its data or views
-    an immutable bytes object."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None or isinstance(a, bytes)
-
-
 def _npy_view(buf: bytes) -> np.ndarray:
     """The array held in the .npy bytes buf, as a read-only view of buf.
 
@@ -378,16 +370,6 @@ def _npy_view(buf: bytes) -> np.ndarray:
     # raises on a negative dimension or a buffer too short for the shape
     return np.ndarray(shape, dtype=dtype, buffer=buf, offset=fh.tell(),
                       order="F" if fortran_order else "C")
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """Mark a and every array it views read-only, for a loader handing an
-    array it has just made to from_arrays, which then keeps it."""
-    b = a
-    while isinstance(b, np.ndarray):
-        b.setflags(write=False)
-        b = b.base
-    return a
 
 
 def _gemm_sq_distances(a, a_sq, b, b_sq):
@@ -572,6 +554,7 @@ def load_embeddings(path) -> EmbeddingStore:
     Format: optional first header line "<count> <dim>", then one record per
     line: word followed by d space-separated decimal floats. Duplicate
     words, ragged dimensions, and non-finite components are all rejected.
+    The store keeps the stacked array the parse makes, with no copy.
     """
     words: list[str] = []
     seen: set[str] = set()
@@ -621,7 +604,7 @@ def load_embeddings(path) -> EmbeddingStore:
         raise EmbeddingFormatError(
             f"{path}: header count {header_count} != {len(words)} records"
         )
-    return EmbeddingStore.from_arrays(words, _freeze(np.vstack(rows)))
+    return EmbeddingStore._adopt(words, np.vstack(rows))
 
 
 def save_cache(store: EmbeddingStore, path) -> None:
@@ -656,7 +639,9 @@ def atomic_file(path):
 
 def load_cache(path) -> EmbeddingStore:
     """Read a cache written by save_cache. Nothing in it is unpickled: the
-    words are a fixed-width unicode array."""
+    words are a fixed-width unicode array. A float64 C-order vector array
+    (save_cache's) is kept as a read-only view of the bytes read from the
+    file, with no copy; any other numeric one is converted once."""
     try:
         with zipfile.ZipFile(path) as zf:
             if str(_npy_view(zf.read("magic.npy"))) != CACHE_MAGIC:
@@ -673,4 +658,4 @@ def load_cache(path) -> EmbeddingStore:
         raise EmbeddingFormatError(f"{path}: cache words are not a 1-D unicode array")
     if vectors.dtype.kind not in "iuf":
         raise EmbeddingFormatError(f"{path}: cache vectors are not a numeric array")
-    return EmbeddingStore.from_arrays(words.tolist(), vectors)
+    return EmbeddingStore._adopt(words.tolist(), vectors)

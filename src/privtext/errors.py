@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, and the checks and the
 echo that the tagged configs share."""
+import sys
 from dataclasses import asdict, fields
 
 
@@ -40,11 +41,14 @@ class ConfigError(PrivtextError):
 
 
 def require_real(name, value) -> None:
-    """ConfigError unless value is a real number: an int or a float, not a
-    bool (which would run as 0 or 1 and be echoed as false or true) nor a
-    string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    """ConfigError unless value is a real number that a float holds: an int
+    or a float, not a bool (which would run as 0 or 1 and be echoed as false
+    or true) nor a string, and finite. An infinity passes a lower bound,
+    runs as no noise or a frozen chain and is echoed as Infinity, which is
+    not JSON; an int beyond the float range fails when first converted."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 
 
 def require_params(config, tag: str, allowed: dict) -> None:

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .embeddings import EmbeddingStore
+from .embeddings import EmbeddingStore, _gemm_sq_distances
 from .errors import (
     ConfigError, InvalidWordIdError, MatrixFormatError, require_params, require_real, set_fields
 )
@@ -171,37 +171,24 @@ class TransitionMatrix:
 
 def kde_log_prior(store: EmbeddingStore, points, sigma: float) -> np.ndarray:
     """Log of the unnormalized RBF kernel density over the vocabulary, at
-    each row of a (n, d) array of points."""
+    each row of a (n, d) array of points. The squared distances take the
+    store's GEMM form and operation order (_gemm_sq_distances) in one
+    (n, |W|) array, which the rest works on in place; the log-sum-exp is
+    shifted by each row's maximum, so a point far from every word still
+    scores finite."""
     if not sigma > 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
     points = np.asarray(points, dtype=np.float64)
-    # squared distances (n, |W|) without materializing the difference tensor
-    p2 = np.einsum("ij,ij->i", points, points)
-    sq = p2[:, None] - 2.0 * points @ store.vectors.T + store.sq_norms[None, :]
+    sq = _gemm_sq_distances(
+        points, np.einsum("ij,ij->i", points, points), store.vectors, store.sq_norms
+    )
     np.maximum(sq, 0.0, out=sq)
     # -sq / (2 sigma^2) in place: dividing by the negated denominator is exact
     np.divide(sq, -(2.0 * sigma**2), out=sq)
-    return _logsumexp_rows(sq)
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(a))) of a (n, m) array with finite row maxima,
-    overwriting a. It is SciPy 1.17's logsumexp formula step for step, and so
-    bit-identical to scipy.special.logsumexp(a, axis=1): with mx the row max
-    and k the count of entries equal to it, log1p(s / k) + log k + mx, where
-    s sums exp(a - mx) over the other entries."""
-    mx = a.max(axis=1, keepdims=True)
-    at_max = a == mx
-    k = at_max.sum(axis=1, keepdims=True, dtype=np.float64)
-    a -= mx
-    np.exp(a, out=a)
-    a[at_max] = 0.0
-    s = a.sum(axis=1, keepdims=True)
-    s /= k
-    out = np.log1p(s)
-    out += np.log(k)
-    out += mx
-    return out[:, 0]
+    mx = sq.max(axis=1)
+    sq -= mx[:, None]
+    np.exp(sq, out=sq)
+    return np.log(sq.sum(axis=1)) + mx
 
 
 class Mechanism:

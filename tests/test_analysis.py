@@ -21,7 +21,9 @@ from privtext import (
     verify_metric_dp,
 )
 from privtext.analysis import Posterior
-from privtext.errors import ConfigError, MatrixFormatError, UnreachableObservationError
+from privtext.errors import (
+    ConfigError, MatrixFormatError, SingletonVocabularyError, UnreachableObservationError
+)
 from privtext.randomizers import TransitionMatrix
 
 from conftest import identity_batch, random_store, uniform_batch
@@ -125,9 +127,17 @@ class TestVerifyMetricDp:
         with pytest.raises(ConfigError):
             verify_metric_dp(identity_matrix(4), toy3, 1.0)
 
+    def test_one_word_vocabulary_rejected(self):
+        # no pair to check: the report read satisfied, with -inf violations
+        store = EmbeddingStore.from_arrays(["a"], [[0.0]])
+        with pytest.raises(SingletonVocabularyError, match="at least 2 words"):
+            verify_metric_dp(identity_matrix(1), store, 1.0)
+
     def test_matches_full_matrix_reference(self, toy5, rng):
         m = build_transition_matrix(toy5, rng, MechanismConfig("baseline", 2.0), 2000)
-        for store, matrix in reference_cases() + [(toy5, m)]:
+        # the one-word case is rejected (test_one_word_vocabulary_rejected)
+        cases = [(store, matrix) for store, matrix in reference_cases() if len(store) > 1]
+        for store, matrix in cases + [(toy5, m)]:
             for eps in (0.5, 3.0):
                 report = verify_metric_dp(matrix, store, eps)
                 assert report == verify_metric_dp_full(matrix, store, eps)

@@ -44,6 +44,17 @@ def run(args, stdin=None, monkeypatch=None, capsys=None):
     return code, out.out, out.err
 
 
+def _non_finite(name):
+    raise ValueError(f"{name} in a report: not JSON")
+
+
+def parse_report(text):
+    """A JSON report parsed strictly: json.dumps writes NaN and +-Infinity
+    for non-finite floats, and they are an error here, as in any strict
+    JSON reader."""
+    return json.loads(text, parse_constant=_non_finite)
+
+
 class TestPerturb:
     def test_high_epsilon_roundtrip(self, emb, monkeypatch, capsys):
         code, out, _ = run(
@@ -148,7 +159,7 @@ class TestVerifyAndAttack:
             capsys=capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = parse_report(out)
         assert payload["satisfied"] is True
 
     def test_attack(self, emb, matrix_file, capsys):
@@ -157,7 +168,7 @@ class TestVerifyAndAttack:
             capsys=capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = parse_report(out)
         assert 0.0 <= payload["accuracy"] <= 1.0
 
 
@@ -171,7 +182,7 @@ class TestStats:
             capsys=capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = parse_report(out)
         assert payload["stats"][0]["p_unchanged"] >= 0.99
         assert payload["metadata"]["mechanism"]["epsilon"] == 1000
 
@@ -189,7 +200,7 @@ class TestStats:
         for extra, words in (([], list(pinned)), (["--words", "v", "z", "v"], ["v", "z", "v"])):
             code, out, _ = run(argv + extra, capsys=capsys)
             assert code == 0
-            payload = json.loads(out)
+            payload = parse_report(out)
             assert payload["trials"] == 300
             assert payload["stats"] == [{"word": w, "n_trials": 300, **pinned[w]} for w in words]
 
@@ -204,7 +215,7 @@ class TestStats:
                 capsys=capsys,
             )
             assert code == 0
-            assert json.loads(out)["metadata"]["mechanism"]["mh"] == mh
+            assert parse_report(out)["metadata"]["mechanism"]["mh"] == mh
 
 
 class TestPipeline:
@@ -227,6 +238,7 @@ class TestPipeline:
             assert code == 0
             reports.append(out)
         assert reports[0] == reports[1]
+        assert parse_report(reports[0])["metadata"]["config"]["seed"] == 11
 
     def test_seed_flag_overrides_config(self, emb, tmp_path, capsys):
         cfg = {
@@ -240,14 +252,14 @@ class TestPipeline:
         _, base, _ = run(
             ["--embeddings", emb, "pipeline", "--config", str(cfg_file)], capsys=capsys
         )
-        assert json.loads(base)["metadata"]["config"]["seed"] == 11
+        assert parse_report(base)["metadata"]["config"]["seed"] == 11
         # argparse takes an unambiguous prefix of --seed as --seed
         for flag in (["--seed", "99"], ["--se=99"], ["--see", "99"]):
             _, other, _ = run(
                 ["--embeddings", emb, *flag, "pipeline", "--config", str(cfg_file)],
                 capsys=capsys,
             )
-            assert json.loads(other)["metadata"]["config"]["seed"] == 99, flag
+            assert parse_report(other)["metadata"]["config"]["seed"] == 99, flag
 
 
 class TestIngest:
@@ -326,7 +338,7 @@ class TestErrors:
             path.write_text(f"#privtext-matrix-v1\n#samples {2**53}\n{rows}", encoding="utf-8")
             code, out, _ = run(argv, capsys=capsys)
         assert code == 0
-        report = json.loads(out)
+        report = parse_report(out)
         assert report["satisfied"] is False and math.isfinite(report["max_violation"])
 
     def test_overflowing_store_exit_2(self, tmp_path, monkeypatch, capsys):
@@ -412,7 +424,7 @@ class TestErrors:
              "--trials", "100"],
             capsys=capsys,
         )
-        assert code == 0 and json.loads(out)["accuracy"] == 1.0
+        assert code == 0 and parse_report(out)["accuracy"] == 1.0
 
     def test_bad_pipeline_config_exit_2(self, emb, tmp_path, capsys):
         path = tmp_path / "lac.json"
@@ -474,16 +486,45 @@ class TestErrors:
     @pytest.mark.parametrize("field", list(REAL_FIELDS))
     def test_real_field_not_a_number_exit_2(self, field, emb, tmp_path, capsys):
         # a bool ran as 0 or 1 and was echoed as given; "s" was parsed from
-        # a string
+        # a string; Infinity passed and was echoed as Infinity, not JSON; an
+        # int beyond the float range ended in an OverflowError
         path = tmp_path / "lac.json"
         base = {"n_users": 2, "m_per_user": 1, "mechanism": {"variant": "baseline", "epsilon": 1.0}}
-        for bad in (True, "0.5"):
+        for bad in (True, "0.5", float("inf"), 10**400):
             path.write_text(json.dumps({**base, **REAL_FIELDS[field](bad)}), encoding="utf-8")
             code, out, err = run(
                 ["--embeddings", emb, "pipeline", "--config", str(path)], capsys=capsys
             )
             assert code == 2 and out == "", (field, bad)
             assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    def test_infinite_real_flags_exit_2(self, emb, monkeypatch, capsys):
+        # --epsilon inf returned every word unchanged; --mh-step inf froze
+        # every chain at its word, with RuntimeWarnings
+        for flags, field in (
+            (["--epsilon", "inf"], "epsilon"),
+            (["--mechanism", "density", "--epsilon", "1", "--mh-step", "inf"], "proposal_step"),
+        ):
+            code, out, err = run(
+                ["--embeddings", emb, "perturb", *flags],
+                stdin="v w\n", monkeypatch=monkeypatch, capsys=capsys,
+            )
+            assert code == 2 and out == "", flags
+            assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    def test_verify_dp_one_word_exit_2(self, tmp_path, capsys):
+        # it reported satisfied: true with -Infinity violations, having
+        # checked no pair
+        one = tmp_path / "one.txt"
+        one.write_text("v 0 0\n", encoding="utf-8")
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text("#privtext-matrix-v1\n#samples 10\nv\tv\t1\n", encoding="utf-8")
+        code, out, err = run(
+            ["--embeddings", str(one), "verify-dp", "--matrix", str(matrix), "--epsilon", "1"],
+            capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "at least 2 words" in err
 
     def test_non_utf8_files_exit_2(self, emb, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.bin"

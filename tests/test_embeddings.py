@@ -202,10 +202,12 @@ class TestLoad:
         for name in ("vectors", "sq_norms", "nn_distances"):
             assert np.array_equal(getattr(store, name), getattr(ref, name))
 
-    def test_from_arrays_keeps_a_read_only_input(self):
+    def test_from_arrays_copies_a_read_only_input(self):
         v = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
         v.setflags(write=False)
-        assert EmbeddingStore.from_arrays(["a", "b", "c"], v).vectors is v
+        store = EmbeddingStore.from_arrays(["a", "b", "c"], v)
+        assert not np.shares_memory(store.vectors, v) and not store.vectors.flags.writeable
+        assert np.array_equal(store.vectors, v)
 
     def test_from_arrays_copies_a_read_only_view_of_a_writeable_array(self):
         v = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
@@ -219,13 +221,13 @@ class TestLoad:
 
     def test_loaders_hand_over_without_a_copy(self, tmp_path, toy3, monkeypatch):
         given = []
-        from_arrays = EmbeddingStore.from_arrays.__func__
+        adopt = EmbeddingStore._adopt.__func__
 
         def recording(cls, words, vectors):
             given.append(vectors)
-            return from_arrays(cls, words, vectors)
+            return adopt(cls, words, vectors)
 
-        monkeypatch.setattr(EmbeddingStore, "from_arrays", classmethod(recording))
+        monkeypatch.setattr(EmbeddingStore, "_adopt", classmethod(recording))
         save_cache(toy3, tmp_path / "c.npz")
         text = tmp_path / "emb.txt"
         text.write_text("a 0 0\nb 3 4\n", encoding="utf-8")

@@ -19,6 +19,7 @@ from privtext import (
     RngStream,
     build_profile,
     build_transition_matrix,
+    embeddings,
     kde_log_prior,
     randomizers,
     run_protocol,
@@ -254,30 +255,71 @@ class TestKdePrior:
         with pytest.raises(ConfigError):
             kde_log_prior(toy3, [[0.0, 0.0]], 0.0)
 
+    @staticmethod
+    def _far(points, store, sigma):
+        """points moved out along the diagonal until every word lies beyond
+        sqrt(2e4) sigma, so each log kernel is at most -1e4 and its
+        unshifted exp underflows to 0."""
+        reach = (
+            math.sqrt(2e4) * sigma
+            + np.linalg.norm(points, axis=1).max()
+            + math.sqrt(store.sq_norms.max())
+        )
+        far = points + reach / math.sqrt(store.dim)
+        assert np.all(cdist(far, store.vectors, "sqeuclidean") / (2.0 * sigma**2) >= 1e4)
+        return far
+
+    @staticmethod
+    def _check(got, a, expected, slack=0.0):
+        """got within slack plus 4 ulps of expected, the ulps taken at the
+        largest of |row max|, log m and 1 for the (n, m) log kernels a: the
+        log-sum-exp of a row lies in [row max, row max + log m]."""
+        scale = np.maximum(np.abs(a.max(axis=1)), max(math.log(a.shape[1]), 1.0))
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - expected) <= slack + 4.0 * np.spacing(scale))
+
     @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("n_rows", [1, 2, 12])
-    def test_logsumexp_is_scipys_bit_for_bit(self, n_rows, tied):
+    def test_logsumexp_matches_scipy(self, n_rows, tied):
+        # the reduction alone: scipy's logsumexp of the same GEMM-form log
+        # kernels
         gen = np.random.default_rng(n_rows + 100 * tied)
         for _ in range(50):
             m = int(gen.integers(1, 400))
-            a = -gen.exponential(size=(n_rows, m)) * gen.uniform(0.01, 100.0)
+            vecs = gen.normal(size=(m, 3)) * gen.uniform(0.1, 10.0)
             if tied:
-                a[:, gen.integers(0, m, size=3)] = a.max(axis=1, keepdims=True)
-            assert np.array_equal(randomizers._logsumexp_rows(a.copy()), logsumexp(a, axis=1))
+                # duplicate words tie the maximum wherever a point sits on them
+                vecs[gen.integers(0, m, size=3)] = vecs[0]
+            store = EmbeddingStore.from_arrays([f"w{i}" for i in range(m)], vecs)
+            sigma = gen.uniform(0.05, 3.0)
+            near = np.concatenate([gen.normal(size=(n_rows, 3)), vecs[:n_rows]])
+            for points in (near, self._far(near, store, sigma)):
+                sq = embeddings._gemm_sq_distances(
+                    points, np.einsum("ij,ij->i", points, points), store.vectors, store.sq_norms
+                )
+                a = np.maximum(sq, 0.0) / -(2.0 * sigma**2)
+                self._check(kde_log_prior(store, points, sigma), a, logsumexp(a, axis=1))
 
     @pytest.mark.parametrize("n_rows", [1, 2, 12])
-    def test_matches_scipy_form_bit_for_bit(self, n_rows):
-        # duplicate words tie the maximum wherever a point sits on them
+    def test_within_the_gemm_bound_of_exact_distances(self, n_rows):
+        # against scipy's logsumexp of cdist's squared distances: each GEMM
+        # entry is within _sq_error_bound of cdist's, and the log-sum-exp
+        # moves by at most the largest change of a row's entries
         gen = np.random.default_rng(n_rows)
         vecs = gen.normal(size=(300, 5))
         vecs[1::2] = vecs[::2]
         store = EmbeddingStore.from_arrays([f"w{i}" for i in range(300)], vecs)
-        for points in (gen.normal(size=(n_rows, 5)), vecs[:n_rows]):
-            p2 = np.einsum("ij,ij->i", points, points)
-            sq = p2[:, None] - 2.0 * points @ store.vectors.T + store.sq_norms[None, :]
-            np.maximum(sq, 0.0, out=sq)
-            expected = logsumexp(-sq / (2.0 * 0.7**2), axis=1)
-            assert np.array_equal(kde_log_prior(store, points, 0.7), expected)
+        sigma = 0.7
+        for near in (gen.normal(size=(n_rows, 5)), vecs[:n_rows]):
+            for points in (near, self._far(near, store, sigma)):
+                a = cdist(points, store.vectors, "sqeuclidean") / -(2.0 * sigma**2)
+                err = embeddings._sq_error_bound(
+                    np.einsum("ij,ij->i", points, points)[:, None], store.sq_norms, store.dim
+                )
+                self._check(
+                    kde_log_prior(store, points, sigma), a, logsumexp(a, axis=1),
+                    slack=err.max(axis=1) / (2.0 * sigma**2),
+                )
 
 
 class TestDensityMechanism:
