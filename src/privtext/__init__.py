@@ -25,7 +25,6 @@ from .pipeline import CorpusSpec, CuratorReport, ProtocolConfig, run_protocol
 from .randomizers import (
     Mechanism,
     MechanismConfig,
-    MHParams,
     TransitionMatrix,
     build_transition_matrix,
     kde_log_prior,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_params, require_real, set_fields
+from .errors import ConfigError, require_count, require_params, require_real, set_fields
 from .samplers import RngStream, sample_permutation
 
 
@@ -31,8 +31,7 @@ class AmplifierConfig:
             if self.q is None or not 0 < self.q <= 1:
                 raise ConfigError(f"subsample requires q in (0, 1], got {self.q}")
         elif self.kind == "kthreshold":
-            if type(self.k) is not int or self.k < 1:
-                raise ConfigError(f"kthreshold requires an integer k >= 1, got {self.k!r}")
+            object.__setattr__(self, "k", require_count("k", self.k))
 
     def to_dict(self) -> dict:
         return set_fields(self)
@@ -64,8 +63,7 @@ def subsample_batch(rng: RngStream, batch, q: float) -> np.ndarray:
 def kthreshold_batch(batch, k: int) -> np.ndarray:
     """Drop messages whose exact payload occurs fewer than k times in the
     batch; survivors keep their order."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    k = require_count("k", k)
     batch = np.asarray(batch, dtype=np.int64)
     return batch[np.bincount(batch)[batch] >= k]
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingStore
-from .errors import ConfigError, SingletonVocabularyError, UnreachableObservationError
+from .errors import (
+    ConfigError, SingletonVocabularyError, UnreachableObservationError, require_count
+)
 from .randomizers import Mechanism, TransitionMatrix, sample_from_matrix
 from .samplers import RngStream
 
@@ -72,8 +74,7 @@ def deniability_stats(
     n_trials draws of mechanism.perturb_words(rng, ids), ids n_trials
     copies of w: the draws of perturb_batch(rng.fork(w), w, n_trials), so a
     repeated word gets the same estimate."""
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = require_count("n_trials", n_trials)
     store = mechanism.store
     w = store.check_id(w)
     outs = mechanism.perturb_words(rng, np.full(n_trials, w))
@@ -205,8 +206,7 @@ def attack_accuracy(
     which the attacker also uses for its posterior (it knows the mechanism
     and prior).
     """
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = require_count("n_trials", n_trials)
     prior = _check_prior(prior, matrix.size)
 
     # the attack decision for every reachable observation, in one product

@@ -5,7 +5,7 @@ pipeline, ingest. Every subcommand is deterministic given its flags and
 --seed, echoes its fully-resolved configuration into output metadata, and
 writes output files atomically (temp file + rename).
 
-Exit codes: 2 config/validation error, 3 I/O error, 4 internal assertion.
+Exit codes: 2 config/validation error, 3 I/O error.
 """
 from __future__ import annotations
 
@@ -19,15 +19,13 @@ import numpy as np
 
 from . import analysis, embeddings, pipeline, randomizers, sensitivity
 from .errors import ConfigError, InvalidWordIdError, PrivtextError
-from .randomizers import Mechanism, MechanismConfig, MHParams
+from .pipeline import SCHEMA_VERSION
+from .randomizers import Mechanism, MechanismConfig
 from .samplers import RngStream
 from .sensitivity import build_profile
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
-EXIT_INTERNAL = 4
-
-SCHEMA_VERSION = 1
 
 
 def _read_text(path: str) -> str:
@@ -49,8 +47,7 @@ def _attack_prior(spec: str, n_words: int) -> np.ndarray:
         s = math.nan
     if kind != "zipf" or not 0 < s < math.inf:
         raise ConfigError(f"--prior must be 'uniform' or 'zipf:<s>' with finite s > 0: {spec!r}")
-    prior = np.arange(1, n_words + 1, dtype=np.float64) ** (-s)
-    return prior / prior.sum()
+    return pipeline.zipf_probs(n_words, s)
 
 
 def _emit(args, text: str) -> None:
@@ -77,8 +74,6 @@ def _add_mechanism_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _mechanism_config(args) -> MechanismConfig:
-    given = {"steps": args.mh_steps, "proposal_step": args.mh_step}
-    mh = {name: value for name, value in given.items() if value is not None}
     return MechanismConfig(
         variant=args.mechanism,
         epsilon=args.epsilon,
@@ -87,7 +82,8 @@ def _mechanism_config(args) -> MechanismConfig:
         tau=args.tau,
         k=args.knn,
         trunc_strategy=args.strategy,
-        mh=MHParams(**mh) if mh else None,
+        mh_steps=args.mh_steps,
+        mh_step=args.mh_step,
     )
 
 
@@ -305,9 +301,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

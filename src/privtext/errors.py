@@ -2,6 +2,7 @@
 echo that the tagged configs share."""
 import sys
 from dataclasses import asdict, fields
+from numbers import Integral
 
 
 class PrivtextError(Exception):
@@ -49,6 +50,14 @@ def require_real(name, value) -> None:
     real = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (real and abs(value) <= sys.float_info.max):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+
+
+def require_count(name, value) -> int:
+    """value as a Python int, which a JSON echo can write; ConfigError
+    unless it is an int or a numpy integer, not a bool, and >= 1."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def require_params(config, tag: str, allowed: dict) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .amplification import AmplifierConfig, amplified_epsilon, apply_amplifier
 from .embeddings import EmbeddingStore
-from .errors import ConfigError, require_params, require_real, set_fields
+from .errors import ConfigError, require_count, require_params, require_real, set_fields
 from .randomizers import Mechanism, MechanismConfig
 from .samplers import RngStream
 from .sensitivity import SensitivityProfile
@@ -69,9 +69,10 @@ class ProtocolConfig:
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
 
     def __post_init__(self):
-        counts = (self.n_users, self.m_per_user)
-        if any(type(v) is not int for v in (*counts, self.seed)) or min(counts) < 1:
-            raise ConfigError("n_users and m_per_user must be integers >= 1 and seed an integer")
+        for name in ("n_users", "m_per_user"):
+            object.__setattr__(self, name, require_count(name, getattr(self, name)))
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "amplifiers", tuple(self.amplifiers))
 
     def to_dict(self) -> dict:
@@ -122,14 +123,20 @@ class CuratorReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def zipf_probs(n_words: int, s: float) -> np.ndarray:
+    """Zipf(s) probabilities over word ids 0..n_words-1: id i has weight
+    (i + 1) ** -s, normalised to sum to 1."""
+    probs = np.arange(1, n_words + 1, dtype=np.float64) ** (-s)
+    probs /= probs.sum()
+    return probs
+
+
 def sample_corpus(store: EmbeddingStore, rng: RngStream, config: ProtocolConfig) -> np.ndarray:
     """(n_users, m_per_user) array of input word ids."""
     n, m = config.n_users, config.m_per_user
     spec = config.corpus
     if spec.kind == "zipf":
-        probs = np.arange(1, len(store) + 1, dtype=np.float64) ** (-spec.s)
-        probs /= probs.sum()
-        return rng.gen.choice(len(store), size=(n, m), p=probs)
+        return rng.gen.choice(len(store), size=(n, m), p=zipf_probs(len(store), spec.s))
     rows = spec.words_per_user
     if len(rows) != n or any(len(r) != m for r in rows):
         raise ConfigError("words_per_user shape does not match (n_users, m_per_user)")

@@ -24,14 +24,15 @@ module measures what they actually provide.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .embeddings import EmbeddingStore, _gemm_sq_distances
 from .errors import (
-    ConfigError, InvalidWordIdError, MatrixFormatError, require_params, require_real, set_fields
+    ConfigError, DimensionMismatchError, InvalidWordIdError, MatrixFormatError,
+    NonFiniteComponentError, require_count, require_params, require_real, set_fields,
 )
 from .samplers import (
     MultivariateLaplaceParam,
@@ -47,7 +48,7 @@ logger = logging.getLogger(__name__)
 # each variant's parameters: the MechanismConfig fields it may set
 _VARIANT_PARAMS = {
     "baseline": (),
-    "density": ("sigma", "mh"),
+    "density": ("sigma", "mh_steps", "mh_step"),
     "smooth": ("beta",),
     "trunc_distance": ("tau", "trunc_strategy"),
     "trunc_knn": ("k",),
@@ -59,32 +60,10 @@ MATRIX_TSV_MAGIC = "#privtext-matrix-v1"
 
 
 @dataclass(frozen=True)
-class MHParams:
-    """Metropolis-Hastings chain knobs for the density variant: each chain
-    runs `steps` random-walk steps and only its final state is decoded.
-
-    proposal_step=None resolves to the store's mean nearest-neighbor
-    distance, a step comparable to the local geometry.
-    """
-
-    steps: int = 1010
-    proposal_step: float | None = None
-
-    def __post_init__(self):
-        # a count in a config is exactly int: not a float or bool, which would
-        # be rounded, nor a numpy integer, which its JSON echo cannot write
-        if type(self.steps) is not int or self.steps < 1:
-            raise ConfigError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if self.proposal_step is not None:
-            require_real("proposal_step", self.proposal_step)
-            if not self.proposal_step > 0:
-                raise ConfigError("proposal_step must be > 0")
-
-
-@dataclass(frozen=True)
 class MechanismConfig:
     """Tagged mechanism descriptor. Only the active variant's parameters
-    may be set; anything else is rejected."""
+    may be set; anything else is rejected. A density chain runs mh_steps
+    random-walk steps (default 1010) and decodes only its final state."""
 
     variant: str
     epsilon: float
@@ -93,19 +72,24 @@ class MechanismConfig:
     tau: float | None = None            # trunc_distance
     k: int | None = None                # trunc_knn
     trunc_strategy: str | None = None   # trunc_distance
-    mh: MHParams | None = None          # density
+    mh_steps: int | None = None         # density: MH chain length
+    mh_step: float | None = None        # density: MH proposal step
 
     def __post_init__(self):
         require_params(self, "variant", _VARIANT_PARAMS)
         require_real("epsilon", self.epsilon)
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        for name in ("sigma", "beta", "tau"):
+        for name in ("sigma", "beta", "tau", "mh_step"):
             if getattr(self, name) is not None:
                 require_real(name, getattr(self, name))
         if self.variant == "density":
-            if self.sigma is not None and not self.sigma > 0:
-                raise ConfigError(f"sigma must be > 0, got {self.sigma}")
+            for name in ("sigma", "mh_step"):
+                value = getattr(self, name)
+                if value is not None and not value > 0:
+                    raise ConfigError(f"{name} must be > 0, got {value}")
+            steps = 1010 if self.mh_steps is None else self.mh_steps
+            object.__setattr__(self, "mh_steps", require_count("mh_steps", steps))
         elif self.variant == "smooth":
             if self.beta is None or self.beta < 0:
                 raise ConfigError("smooth variant requires beta >= 0")
@@ -117,8 +101,7 @@ class MechanismConfig:
                 raise ConfigError(f"unknown truncation strategy {strategy!r}")
             object.__setattr__(self, "trunc_strategy", strategy)
         elif self.variant == "trunc_knn":
-            if type(self.k) is not int or self.k < 1:
-                raise ConfigError(f"trunc_knn variant requires an integer k >= 1, got {self.k!r}")
+            object.__setattr__(self, "k", require_count("k", self.k))
 
     def to_dict(self) -> dict:
         return set_fields(self)
@@ -126,12 +109,8 @@ class MechanismConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "MechanismConfig":
         try:
-            data = dict(data)
-            mh = data.pop("mh", None)
-            if mh is not None:
-                mh = MHParams(**mh)
-            return cls(mh=mh, **data)
-        except (TypeError, ValueError) as exc:
+            return cls(**data)
+        except TypeError as exc:
             raise ConfigError(str(exc)) from None
 
 
@@ -179,6 +158,10 @@ def kde_log_prior(store: EmbeddingStore, points, sigma: float) -> np.ndarray:
     if not sigma > 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
     points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != store.dim:
+        raise DimensionMismatchError(f"points must have shape (n, {store.dim}), got {points.shape}")
+    if not np.isfinite(points).all():
+        raise NonFiniteComponentError("points must be finite")
     sq = _gemm_sq_distances(
         points, np.einsum("ij,ij->i", points, points), store.vectors, store.sq_norms
     )
@@ -316,12 +299,11 @@ class Mechanism:
         return sigma if sigma is not None else self.store.median_nn_distance()
 
     @cached_property
-    def _mh(self) -> MHParams:
-        """MH knobs; the default step is the mean nearest-neighbor distance."""
-        mh = self.config.mh or MHParams()
-        if mh.proposal_step is None:
-            mh = replace(mh, proposal_step=self.store.mean_nn_distance())
-        return mh
+    def _mh_step(self) -> float:
+        """MH proposal step; default the mean nearest-neighbor distance, a
+        step comparable to the local geometry."""
+        step = self.config.mh_step
+        return step if step is not None else self.store.mean_nn_distance()
 
     def _log_target(self, points: np.ndarray, w: int) -> np.ndarray:
         """Unnormalized log density of the density variant centered at w,
@@ -330,14 +312,14 @@ class Mechanism:
         return kde_log_prior(self.store, points, self._sigma) - self.config.epsilon * distance
 
     def _density_batch(self, rng, w, n) -> np.ndarray:
-        """Run n independent MH chains in lockstep from phi(w) for mh.steps
+        """Run n independent MH chains in lockstep from phi(w) for mh_steps
         steps and decode each chain's final state to its nearest word."""
         x = np.tile(self.store.vector(w), (n, 1))
         logp = self._log_target(x, w)
-        mh = self._mh
+        step = self._mh_step
         gen = rng.gen
-        for _ in range(mh.steps):
-            prop = x + mh.proposal_step * gen.standard_normal(x.shape)
+        for _ in range(self.config.mh_steps):
+            prop = x + step * gen.standard_normal(x.shape)
             logp_prop = self._log_target(prop, w)
             accept = np.log(gen.uniform(size=n)) < logp_prop - logp
             x[accept] = prop[accept]
@@ -376,8 +358,7 @@ def build_transition_matrix(
     the output frequencies of one perturb_words call on samples_per_word
     copies of w, the draws of perturb_batch(rng.fork(w), w,
     samples_per_word). Drawing row by row keeps one row's draws in memory."""
-    if samples_per_word < 1:
-        raise ConfigError(f"samples_per_word must be >= 1, got {samples_per_word}")
+    samples_per_word = require_count("samples_per_word", samples_per_word)
     mech = Mechanism(store, config)
     n_words = len(store)
     probs = np.empty((n_words, n_words), dtype=np.float64)

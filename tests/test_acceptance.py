@@ -18,7 +18,6 @@ from privtext import (
     EmbeddingStore,
     Mechanism,
     MechanismConfig,
-    MHParams,
     MultivariateLaplaceParam,
     ProtocolConfig,
     RngStream,
@@ -145,17 +144,17 @@ def test_criterion_3_smooth_sensitivity_axioms():
 def test_criterion_4_density_mechanism():
     store = EmbeddingStore.from_arrays(["p", "q", "r"], [[-1.0], [0.0], [2.0]])
     eps, sigma = 1.0, 0.8
-    mh = MHParams(steps=305, proposal_step=1.0)
+    mh = {"mh_steps": 305, "mh_step": 1.0}
     n = 10**5
 
     rng = RngStream(55).fork_named("acceptance.density")
-    cfg = MechanismConfig("density", eps, sigma=sigma, mh=mh)
+    cfg = MechanismConfig("density", eps, sigma=sigma, **mh)
     outs = Mechanism(store, cfg).perturb_batch(rng.fork(0), 1, n)
     emp = np.bincount(outs, minlength=3) / n
     expected = density_output_distribution(store.vectors[:, 0], 1, eps, sigma)
     tv_mod = total_variation(emp, expected)
 
-    flat_cfg = MechanismConfig("density", eps, sigma=1e6, mh=mh)
+    flat_cfg = MechanismConfig("density", eps, sigma=1e6, **mh)
     flat = np.bincount(
         Mechanism(store, flat_cfg).perturb_batch(rng.fork(1), 1, n), minlength=3
     ) / n

@@ -16,6 +16,7 @@ from privtext import (
     attack_accuracy,
     build_transition_matrix,
     deniability_stats,
+    kthreshold_batch,
     optimal_attack,
     posterior,
     verify_metric_dp,
@@ -66,6 +67,32 @@ def reference_cases():
     cases.append((tetra, uniform_matrix(4)))
     cases.append((tetra, sparse_matrix(gen, 4)))
     return cases
+
+
+# each library function that takes a count, called on a store with it
+COUNT_ARGUMENTS = {
+    "build_transition_matrix": lambda store, n: build_transition_matrix(
+        store, RngStream(0), MechanismConfig("baseline", 1.0), n
+    ),
+    "deniability_stats": lambda store, n: deniability_stats(
+        Mechanism(store, MechanismConfig("baseline", 1.0)), RngStream(0), 0, n
+    ),
+    "attack_accuracy": lambda store, n: attack_accuracy(
+        store, RngStream(0), identity_matrix(len(store)), np.full(len(store), 1 / len(store)), n
+    ),
+    "kthreshold_batch": lambda store, n: kthreshold_batch([0, 0, 0, 1], n),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNT_ARGUMENTS))
+def test_count_argument_is_an_integer_at_least_one(name, toy3):
+    # 1.5 and True ended in numpy TypeErrors in the first three, and
+    # kthreshold_batch ran k = 2.5 as k = 3
+    call = COUNT_ARGUMENTS[name]
+    for bad in (0, 1.5, True, "3"):
+        with pytest.raises(ConfigError):
+            call(toy3, bad)
+    call(toy3, np.int64(3))
 
 
 class TestDeniability:

@@ -17,9 +17,7 @@ TOY = "v 0 0\nw 8 0\nx 0 8\ny 8 8\nz 4 4\n"
 REAL_FIELDS = {
     "epsilon": lambda v: {"mechanism": {"variant": "baseline", "epsilon": v}},
     "sigma": lambda v: {"mechanism": {"variant": "density", "epsilon": 1.0, "sigma": v}},
-    "proposal_step": lambda v: {
-        "mechanism": {"variant": "density", "epsilon": 1.0, "mh": {"proposal_step": v}}
-    },
+    "mh_step": lambda v: {"mechanism": {"variant": "density", "epsilon": 1.0, "mh_step": v}},
     "beta": lambda v: {"mechanism": {"variant": "smooth", "epsilon": 1.0, "beta": v}},
     "tau": lambda v: {"mechanism": {"variant": "trunc_distance", "epsilon": 1.0, "tau": v}},
     "q": lambda v: {"amplifiers": [{"kind": "subsample", "q": v}]},
@@ -204,18 +202,32 @@ class TestStats:
             assert payload["trials"] == 300
             assert payload["stats"] == [{"word": w, "n_trials": 300, **pinned[w]} for w in words]
 
-    def test_mh_flags_left_out_take_the_mhparams_defaults(self, emb, capsys):
-        for flags, mh in (
-            (["--mh-step", "0.5"], {"steps": 1010, "proposal_step": 0.5}),
-            (["--mh-steps", "5"], {"steps": 5, "proposal_step": None}),
+    def test_every_density_echo_holds_mh_steps(self, emb, tmp_path, capsys):
+        # the chain length was echoed only when some chain setting was given,
+        # and a proposal step left out was echoed as null
+        density = {"variant": "density", "epsilon": 1}
+        for given, echo in (
+            ({}, {"mh_steps": 1010}),
+            ({"mh_step": 0.5}, {"mh_steps": 1010, "mh_step": 0.5}),
+            ({"mh_steps": 5}, {"mh_steps": 5}),
         ):
+            flags = [f"--{key.replace('_', '-')}={value}" for key, value in given.items()]
             code, out, _ = run(
                 ["--embeddings", emb, "stats", "--mechanism", "density", "--epsilon", "1",
                  *flags, "--trials", "2", "--words", "v"],
                 capsys=capsys,
             )
             assert code == 0
-            assert parse_report(out)["metadata"]["mechanism"]["mh"] == mh
+            assert parse_report(out)["metadata"]["mechanism"] == {**density, **echo}, flags
+            path = tmp_path / "lac.json"
+            path.write_text(json.dumps({"n_users": 2, "m_per_user": 1,
+                                        "mechanism": {**density, **given}}), encoding="utf-8")
+            code, out, _ = run(
+                ["--embeddings", emb, "pipeline", "--config", str(path)], capsys=capsys
+            )
+            assert code == 0
+            echoed = parse_report(out)["metadata"]["config"]["mechanism"]
+            assert echoed == {**density, **echo}, given
 
 
 class TestPipeline:
@@ -433,8 +445,10 @@ class TestErrors:
         # integer fields given a float or a bool: each was run rounded down,
         # accepted or ended in a TypeError traceback
         not_integers = [
-            {**base, "mechanism": {**density, "mh": {"steps": 1.5}}},
-            {**base, "mechanism": {**density, "mh": {"steps": True}}},
+            {**base, "mechanism": {**density, "mh_steps": 0}},
+            {**base, "mechanism": {**density, "mh_steps": 1.5}},
+            {**base, "mechanism": {**density, "mh_steps": True}},
+            {**base, "mechanism": {**density, "mh_steps": "3"}},
             {**base, "mechanism": {"variant": "trunc_knn", "epsilon": 1.0, "k": 1.5}},
             {**base, "mechanism": {"variant": "trunc_knn", "epsilon": 1.0, "k": True}},
             {**base, "amplifiers": [{"kind": "kthreshold", "k": 1.5}]},
@@ -461,7 +475,8 @@ class TestErrors:
         # typos that ran another experiment, each named in its error: an
         # unknown corpus kind ran Zipf(1.1), a key the tagged kind does not
         # take or an unknown key was dropped, a string row became one-letter
-        # tokens; the old burn_in/thin pair would run another chain length
+        # tokens; the old burn_in/thin pair and the old nested mh object
+        # would run another chain length
         rows = [["v"], ["w"]]
         silent = [
             ({**base, "corpus": {"kind": "word", "words_per_user": rows}}, "'word'"),
@@ -472,8 +487,9 @@ class TestErrors:
               "corpus": {"kind": "words", "words_per_user": ["vw", "xy"]}}, "words_per_user"),
             ({**base, "amplifier": [{"kind": "shuffle"}]}, "'amplifier'"),
             ({**base, "sead": 5}, "'sead'"),
-            ({**base, "mechanism": {**density, "mh": {"burn_in": 1000}}}, "'burn_in'"),
-            ({**base, "mechanism": {**density, "mh": {"thin": 10}}}, "'thin'"),
+            ({**base, "mechanism": {**density, "burn_in": 1000}}, "'burn_in'"),
+            ({**base, "mechanism": {**density, "thin": 10}}, "'thin'"),
+            ({**base, "mechanism": {**density, "mh": {"steps": 5}}}, "'mh'"),
         ]
         for config, named in silent:
             path.write_text(json.dumps(config), encoding="utf-8")
@@ -503,7 +519,7 @@ class TestErrors:
         # every chain at its word, with RuntimeWarnings
         for flags, field in (
             (["--epsilon", "inf"], "epsilon"),
-            (["--mechanism", "density", "--epsilon", "1", "--mh-step", "inf"], "proposal_step"),
+            (["--mechanism", "density", "--epsilon", "1", "--mh-step", "inf"], "mh_step"),
         ):
             code, out, err = run(
                 ["--embeddings", emb, "perturb", *flags],

@@ -211,7 +211,8 @@ VALID_CONFIG = {
     "corpus": {"kind": "zipf", "s": 1.1},
 }
 FIELDS = [(key,) for key in VALID_CONFIG] + [
-    ("mechanism", key) for key in ("variant", "epsilon", "sigma", "beta", "tau", "k", "mh")
+    ("mechanism", key)
+    for key in ("variant", "epsilon", "sigma", "beta", "tau", "k", "mh_steps", "mh_step")
 ] + [("corpus", key) for key in ("kind", "s", "words_per_user")]
 
 

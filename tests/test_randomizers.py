@@ -13,7 +13,6 @@ from privtext import (
     EmbeddingStore,
     Mechanism,
     MechanismConfig,
-    MHParams,
     MultivariateLaplaceParam,
     ProtocolConfig,
     RngStream,
@@ -27,7 +26,13 @@ from privtext import (
     sample_mv_laplace,
 )
 from privtext.cli import main
-from privtext.errors import ConfigError, InvalidWordIdError, MatrixFormatError
+from privtext.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    InvalidWordIdError,
+    MatrixFormatError,
+    NonFiniteComponentError,
+)
 from privtext.randomizers import (
     TransitionMatrix,
     matrix_from_tsv,
@@ -81,19 +86,29 @@ class TestConfig:
         assert cfg.trunc_strategy == "project"
 
     def test_dict_round_trip(self):
-        cfg = MechanismConfig("density", 1.5, sigma=0.7, mh=MHParams(steps=52))
+        cfg = MechanismConfig("density", 1.5, sigma=0.7, mh_steps=52)
+        assert MechanismConfig.from_dict(cfg.to_dict()) == cfg
+        # the chain length defaults to 1010 and is echoed, so the echo
+        # rebuilds the config it came from
+        cfg = MechanismConfig("density", 1.5, mh_step=0.25)
+        assert cfg.to_dict() == {"variant": "density", "epsilon": 1.5, "mh_steps": 1010,
+                                 "mh_step": 0.25}
         assert MechanismConfig.from_dict(cfg.to_dict()) == cfg
         # an int is a real number, and is echoed as given
         cfg = MechanismConfig("smooth", 2, beta=0)
         assert MechanismConfig.from_dict(cfg.to_dict()) == cfg and cfg.to_dict()["epsilon"] == 2
 
     def test_bad_mh_is_a_config_error(self):
-        # each escaped from_dict as a bare TypeError; the old burn_in/thin
-        # pair is an unknown key, and steps is an integer >= 1
-        for mh in ({"foo": 1}, 3, [1], {"burn_in": 1000}, {"thin": 10},
-                   {"steps": 0}, {"steps": 1.5}, {"steps": True}):
+        # the old nested mh object and burn_in/thin pair are unknown keys,
+        # mh_steps is an integer >= 1 and mh_step a real number > 0
+        for bad in ({"mh": {}}, {"mh": {"steps": 5}}, {"burn_in": 1000}, {"thin": 10},
+                    {"mh_steps": 0}, {"mh_steps": 1.5}, {"mh_steps": True}, {"mh_steps": "3"},
+                    {"mh_step": 0}, {"mh_step": True}, {"mh_step": "0.5"}):
             with pytest.raises(ConfigError):
-                MechanismConfig.from_dict({"variant": "density", "epsilon": 1.0, "mh": mh})
+                MechanismConfig.from_dict({"variant": "density", "epsilon": 1.0, **bad})
+        # a numpy integer count is taken as a Python int, which JSON can write
+        cfg = MechanismConfig("density", 1.0, mh_steps=np.int64(3))
+        assert type(cfg.mh_steps) is int and json.dumps(cfg.to_dict())
 
 
 class TestBaseline:
@@ -255,6 +270,16 @@ class TestKdePrior:
         with pytest.raises(ConfigError):
             kde_log_prior(toy3, [[0.0, 0.0]], 0.0)
 
+    def test_points_are_checked(self, toy3):
+        # the first two ended in numpy ValueErrors, the third returned [nan]
+        for points, error in (
+            ([[0.0, 0.0, 0.0]], DimensionMismatchError),
+            ([0.0, 0.0], DimensionMismatchError),
+            ([[math.nan, 0.0]], NonFiniteComponentError),
+        ):
+            with pytest.raises(error):
+                kde_log_prior(toy3, points, 1.0)
+
     @staticmethod
     def _far(points, store, sigma):
         """points moved out along the diagonal until every word lies beyond
@@ -351,9 +376,7 @@ class TestDensityMechanism:
     def test_grid_oracle_small(self, toy1d, rng):
         # quick-mix version of the acceptance check
         eps, sigma = 1.0, 0.8
-        cfg = MechanismConfig(
-            "density", eps, sigma=sigma, mh=MHParams(steps=305, proposal_step=1.0)
-        )
+        cfg = MechanismConfig("density", eps, sigma=sigma, mh_steps=305, mh_step=1.0)
         outs = Mechanism(toy1d, cfg).perturb_batch(rng, 1, 20_000)
         emp = np.bincount(outs, minlength=3) / len(outs)
         expected = density_output_distribution(toy1d.vectors[:, 0], 1, eps, sigma)
@@ -361,16 +384,14 @@ class TestDensityMechanism:
 
     def test_flat_prior_limit_matches_baseline(self, toy1d, rng):
         eps = 1.0
-        cfg = MechanismConfig(
-            "density", eps, sigma=1e6, mh=MHParams(steps=305, proposal_step=1.0)
-        )
+        cfg = MechanismConfig("density", eps, sigma=1e6, mh_steps=305, mh_step=1.0)
         outs = Mechanism(toy1d, cfg).perturb_batch(rng.fork(0), 1, 20_000)
         emp = np.bincount(outs, minlength=3) / len(outs)
         expected = baseline_output_distribution_1d(toy1d.vectors[:, 0], 1, eps)
         assert total_variation(emp, expected) < 0.03
 
     def test_states_stay_finite(self, toy1d, rng):
-        cfg = MechanismConfig("density", 0.1, sigma=0.5, mh=MHParams(steps=101))
+        cfg = MechanismConfig("density", 0.1, sigma=0.5, mh_steps=101)
         outs = Mechanism(toy1d, cfg).perturb_batch(rng, 0, 100)
         assert np.all((outs >= 0) & (outs < 3))
 
@@ -380,12 +401,12 @@ class TestDensityMechanism:
             ["p", "q", "r", "s", "t"], [[-1.0], [0.0], [2.0], [2.5], [5.5]]
         )
         calls = count_passes(monkeypatch)
-        mech = Mechanism(store, MechanismConfig("density", 1.0, mh=MHParams(steps=6)))
+        mech = Mechanism(store, MechanismConfig("density", 1.0, mh_steps=6))
         for w in range(5):
             mech.perturb_batch(rng.fork(w), w, 3)
         # nearest-neighbour distances 1, 1, 0.5, 0.5, 3
         assert mech._sigma == pytest.approx(1.0)
-        assert mech._mh.proposal_step == pytest.approx(1.2)
+        assert mech._mh_step == pytest.approx(1.2)
         assert len(calls) == 1
 
 
