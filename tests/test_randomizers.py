@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -40,7 +41,7 @@ from privtext.randomizers import (
     truncation_mass,
 )
 
-from conftest import count_passes
+from conftest import count_passes, random_store
 from oracles import (
     baseline_output_distribution_1d,
     density_output_distribution,
@@ -706,3 +707,40 @@ class TestTruncKnn:
         with pytest.raises(ConfigError):
             Mechanism(toy3, MechanismConfig("trunc_knn", 1.0, k=3))
         Mechanism(toy3, MechanismConfig("trunc_knn", 1.0, k=2))
+
+
+class TestTruncatedDrawsPinned:
+    """The exact draws of the truncated variants, pinned by a digest of
+    perturb_words: a change to which noise is drawn, in what order, or over
+    which candidates changes the digest. The ids repeat words, so each
+    word's batch holds several draws."""
+
+    CASES = {
+        "trunc_knn": (20, dict(variant="trunc_knn", epsilon=3.5, k=7),
+                      "619c9054f613af6432ea303471fd798ffcf64d8211a5be7fe0515e7a3edf4c63"),
+        "project": (20, dict(variant="trunc_distance", epsilon=3.5, tau=5.5),
+                    "86553f05d398af6188d2fa11e1d260d17d02c1a8a13a803179cb72c4cc4d811b"),
+        "residual": (20, dict(variant="trunc_distance", epsilon=3.5, tau=5.5,
+                              trunc_strategy="residual"),
+                     "f5b19f892a0cb9b1fd170c802228cf7f7aab77eddbc5ba71dca820227731ebb2"),
+        # every word lies within tau: project, with a warning per word
+        "residual-empty-out-region": (20, dict(variant="trunc_distance", epsilon=3.5, tau=1e3,
+                                               trunc_strategy="residual"),
+                                      "63adba705b483f61c00a27b8013d45fe86afb9d3e49baa0d694217fa1c9feb8b"),
+        # the mass inside tau underflows to 0: no draw lands in the ball
+        "residual-underflow": (300, dict(variant="trunc_distance", epsilon=1.0, tau=5.0,
+                                         trunc_strategy="residual"),
+                               "222fa05c5e4ebe0c5658dab121b03ceb392c620535412c54e5c7d6fd5560dad2"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_digest(self, case):
+        dim, params, digest = self.CASES[case]
+        store = random_store(np.random.default_rng(5), 300, dim)
+        ids = np.random.default_rng(6).integers(0, 300, size=1200)
+        out = Mechanism(store, MechanismConfig(**params)).perturb_words(RngStream(7), ids)
+        assert hashlib.sha256(out.astype("<i8").tobytes()).hexdigest() == digest
+        if case == "residual-underflow":
+            assert truncation_mass(MultivariateLaplaceParam(dim, 1.0), 5.0) == 0.0
+            dists = cdist(store.vectors, store.vectors)
+            assert np.all(dists[ids, out] > 5.0)
