@@ -14,7 +14,8 @@ import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import (
-    ConfigError, SingletonVocabularyError, UnreachableObservationError, require_count
+    ConfigError, SingletonVocabularyError, UnreachableObservationError, require_count,
+    require_real,
 )
 from .randomizers import Mechanism, TransitionMatrix, sample_from_matrix
 from .samplers import RngStream
@@ -110,6 +111,10 @@ def verify_metric_dp(
     # report would read satisfied. inf * 0 is NaN for two words at one point.
     if not 0 <= epsilon < math.inf:
         raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon}")
+    # alpha >= 1 makes cp_upper <= 0: zero cells read -inf, the report satisfied
+    require_real("alpha", alpha)
+    if not 0 < alpha < 1:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     n = matrix.sample_count
     if n < 1:
         raise ConfigError("matrix carries no sample count")

@@ -5,8 +5,8 @@ mechanism in this package operates on. Nearest-neighbor queries are exact
 brute force; ties always break toward the lowest word id so that repeated
 runs are bit-identical. Every distance that decides a query is
 paired_distances', which equals scipy's cdist bit for bit; only the
-whole-row and |W| x |W| queries (k_nearest, pairwise_distances) call cdist
-itself, and import SciPy when they run.
+whole-row and |W| x |W| queries (distance_row, pairwise_distances) call
+cdist itself, and import SciPy when they run.
 """
 from __future__ import annotations
 
@@ -251,17 +251,23 @@ class EmbeddingStore:
             limit=math.ldexp(1.0, min(100, 1020 - 2 * exp)),
         )
 
-    def k_nearest(self, w: int, k: int) -> np.ndarray:
-        """Ids of the k closest other vocabulary words to w, sorted by
-        (distance, id), the distances one cdist row. A whole row is where
-        cdist outruns paired_distances, so SciPy is imported here."""
+    def distance_row(self, w: int) -> np.ndarray:
+        """A new (|W|,) array of w's distance to every word, one cdist row. A
+        whole row is where cdist outruns paired_distances, so SciPy is
+        imported here."""
         from scipy.spatial.distance import cdist
 
+        w = self.check_id(w)
+        return cdist(self.vectors[w : w + 1], self.vectors)[0]
+
+    def k_nearest(self, w: int, k: int) -> np.ndarray:
+        """Ids of the k closest other vocabulary words to w, sorted by
+        (distance, id) of distance_row(w)."""
         w = self.check_id(w)
         n = len(self.words)
         if not 1 <= k <= n - 1:
             raise InvalidWordIdError(f"k={k} out of range [1, {n - 1}]")
-        dists = cdist(self.vectors[w : w + 1], self.vectors)[0]
+        dists = self.distance_row(w)
         dists[w] = np.inf
         return np.argsort(dists, kind="stable")[:k]
 
@@ -339,7 +345,7 @@ class EmbeddingStore:
     def distance_blocks(self):
         """One pass over the unordered pairs of the vocabulary: yields
         (i, j, s2), s2 the GEMM-form squared distances from words i, i + 1,
-        ... to words j, j + 1, ..., in sq_distance_bounds' operation order,
+        ... to words j, j + 1, ..., in _gemm_sq_distances' operation order,
         for each square tile of side isqrt(_NN_BLOCK_ENTRIES) on or above
         the diagonal (i <= j). Each pair is formed once off the diagonal
         tiles; the tiles total at most |W| (|W| + side) / 2 entries."""
@@ -440,15 +446,6 @@ def _sq_error_bound(a_sq, b_sq, dim, u=_U, eta=_ETA):
     err += eta
     err *= 4.0 * (dim + 4)
     return err
-
-
-def sq_distance_bounds(a, a_sq, b, b_sq):
-    """GEMM-form squared distances s2[i, j] = ||a_i||^2 - 2 a_i.b_j + ||b_j||^2
-    from the rows of a to the rows of b, given their squared norms, and the
-    _sq_error_bound err[i, j] of each pair. A candidate whose bounds lose to
-    another's therefore loses on exact distances too, so only the rest need
-    exact_distances. Both arrays are new."""
-    return _gemm_sq_distances(a, a_sq, b, b_sq), _sq_error_bound(a_sq[:, None], b_sq, a.shape[1])
 
 
 def exact_distances(a, b, keep):

@@ -123,15 +123,16 @@ class TransitionMatrix:
 
     def __post_init__(self):
         # a float64 holds every count up to 2**53 exactly
-        if not 0 <= self.sample_count <= 2**53:
-            raise MatrixFormatError("the sample count must be in [0, 2**53]")
+        count = self.sample_count
+        if type(count) is not int or not 0 <= count <= 2**53:
+            raise MatrixFormatError(f"the sample count must be an int in [0, 2**53], got {count!r}")
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise MatrixFormatError(f"transition matrix must be square, got shape {p.shape}")
         if not np.all(p >= 0):
             raise MatrixFormatError("transition matrix has negative or NaN entries")
         sums = p.sum(axis=1)
-        bad = np.flatnonzero(~np.isclose(sums, 1.0, atol=1e-9))
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-9))
         if bad.size:
             raise MatrixFormatError(
                 f"transition matrix row {bad[0]} sums to {sums[bad[0]]:.12g}, not 1"
@@ -178,12 +179,13 @@ class Mechanism:
     """A configured mechanism bound to a store: the one place a word is
     perturbed. perturb_words(rng, ids) draws one output per entry of an id
     array by its single-word form, perturb_batch(rng, w, n), which draws n
-    outputs for word w through one of three kernels:
+    outputs for word w through one of two kernels:
 
-    - additive (baseline, smooth, trunc_knn): radial Laplacian noise at a
-      per-word epsilon, decoded over a per-word candidate set (every word,
-      or for trunc_knn the k nearest neighbors of w plus w itself)
-    - trunc_distance: radially truncated noise, plus the residual draw
+    - additive (baseline, smooth, trunc_knn, trunc_distance): radial
+      Laplacian noise at a per-word epsilon, decoded over a per-word
+      candidate set: every word; for trunc_knn the k nearest neighbors of w
+      plus w itself; for trunc_distance the words within tau of w, with the
+      noise truncated at tau (and the residual draw outside the ball)
     - density: a KDE-modulated Metropolis-Hastings chain
 
     Per-word constants are resolved once per Mechanism: the smooth epsilon
@@ -242,54 +244,44 @@ class Mechanism:
         w = self.store.check_id(w)
         if self.config.variant == "density":
             return self._density_batch(rng, w, n)
-        if self.config.variant == "trunc_distance":
-            return self._trunc_distance_batch(rng, w, n)
         return self._additive_batch(rng, w, n)
 
     def _additive_batch(self, rng, w, n) -> np.ndarray:
-        store = self.store
+        """phi(w) plus radial Laplacian noise, decoded to the nearest of w's
+        candidates. trunc_distance truncates the noise at tau and decodes
+        over the ball; under residual, one uniform per draw first decides
+        whether it lands inside (with the truncation mass), and the draws
+        outside become uniform words outside the ball."""
+        store, config = self.store, self.config
         epsilon = float(self._epsilon[w])
         if not epsilon > 0:
             raise ConfigError(f"smooth sensitivity is 0 at word {w}; cannot calibrate")
+        param = MultivariateLaplaceParam(store.dim, epsilon)
         cands = None
-        if self.config.variant == "trunc_knn":
-            cands = np.sort(np.append(store.k_nearest(w, self.config.k), w))
-        z = sample_mv_laplace(rng, MultivariateLaplaceParam(store.dim, epsilon), size=n)
-        return store.nearest_words(store.vector(w)[None, :] + z, candidate_ids=cands)
-
-    def _trunc_distance_batch(self, rng, w, n) -> np.ndarray:
-        # one whole cdist row per word, as k_nearest takes; SciPy loads with
-        # the first truncated draw, not with the package
-        from scipy.spatial.distance import cdist
-
-        store, tau = self.store, self.config.tau
-        param = MultivariateLaplaceParam(store.dim, self.config.epsilon)
-        dists = cdist(store.vectors[w : w + 1], store.vectors)[0]
-        # w's distance to itself is 0 < tau: the ball always holds w
-        inside_ids = np.flatnonzero(dists <= tau)
-        outside_ids = np.flatnonzero(dists > tau)
-
-        def project(count):
-            z = sample_mv_laplace_truncated(rng, param, tau, size=count)
-            return store.nearest_words(store.vector(w)[None, :] + z, candidate_ids=inside_ids)
-
-        if self.config.trunc_strategy == "project":
-            return project(n)
-        if outside_ids.size == 0:
-            logger.warning(
-                "residual truncation at word %d has an empty out-region; falling back to project",
-                w,
-            )
-            return project(n)
-        p_in = truncation_mass(param, tau)
-        inside = rng.gen.uniform(size=n) < p_in
+        inside = np.ones(n, dtype=bool)
+        if config.variant == "trunc_knn":
+            cands = np.append(store.k_nearest(w, config.k), w)
+        elif config.variant == "trunc_distance":
+            dists = store.distance_row(w)
+            # w's distance to itself is 0 < tau: the ball always holds w
+            cands = np.flatnonzero(dists <= config.tau)
+            outside = np.flatnonzero(dists > config.tau)
+            if config.trunc_strategy == "residual" and outside.size:
+                inside = rng.gen.uniform(size=n) < truncation_mass(param, config.tau)
+            elif config.trunc_strategy == "residual":
+                logger.warning("residual truncation at word %d has an empty out-region;"
+                               " falling back to project", w)
         out = np.empty(n, dtype=np.int64)
         n_in = int(inside.sum())
+        # a truncation mass that underflows to 0 sends no draw inside
         if n_in:
-            out[inside] = project(n_in)
-        n_out = n - n_in
-        if n_out:
-            out[~inside] = rng.gen.choice(outside_ids, size=n_out)
+            if config.variant == "trunc_distance":
+                z = sample_mv_laplace_truncated(rng, param, config.tau, size=n_in)
+            else:
+                z = sample_mv_laplace(rng, param, size=n_in)
+            out[inside] = store.nearest_words(store.vector(w)[None, :] + z, candidate_ids=cands)
+        if n_in < n:
+            out[~inside] = rng.gen.choice(outside, size=n - n_in)
         return out
 
     @cached_property

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embeddings
-from .embeddings import EmbeddingStore, exact_distances, sq_distance_bounds
+from .embeddings import EmbeddingStore, exact_distances
 from .errors import ConfigError, SingletonVocabularyError
 
 
@@ -90,7 +90,11 @@ def build_profile(store: EmbeddingStore, beta: float) -> SensitivityProfile:
             stop += 1
         block, k = rows[start:stop], width[rows[stop - 1]]
         start = stop
-        s2, err = sq_distance_bounds(store.vectors[block], store.sq_norms[block], vecs[:k], sq[:k])
+        # GEMM-form squared distances and their rounding bounds: a term whose
+        # bounds lose to another's loses on exact distances too
+        a_sq = store.sq_norms[block]
+        s2 = embeddings._gemm_sq_distances(store.vectors[block], a_sq, vecs[:k], sq[:k])
+        err = embeddings._sq_error_bound(a_sq[:, None], sq[:k], store.dim)
         # each term between its values at the largest and the smallest
         # distance the bounds allow
         floor = np.maximum(_terms(s2 + err, beta, by_local[:k]).max(axis=1), local[block])

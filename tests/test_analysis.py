@@ -150,6 +150,14 @@ class TestVerifyMetricDp:
             with pytest.raises(ConfigError):
                 verify_metric_dp(identity_matrix(3), toy3, eps)
 
+    @pytest.mark.parametrize("alpha", [2.0, 1.0, math.nan, math.inf, 0.0, -0.5, True, "0.01"])
+    def test_alpha_outside_unit_interval_rejected(self, toy3, alpha):
+        # at 2, NaN or inf a matrix with zero cells read satisfied with -inf
+        # violations; at alpha <= 0 math.log raised a bare ValueError
+        with pytest.raises(ConfigError, match="alpha"):
+            verify_metric_dp(identity_matrix(3), toy3, 1.0, alpha=alpha)
+        assert not verify_metric_dp(identity_matrix(3), toy3, 1.0, alpha=0.5).satisfied
+
     def test_store_mismatch(self, toy3):
         with pytest.raises(ConfigError):
             verify_metric_dp(identity_matrix(4), toy3, 1.0)

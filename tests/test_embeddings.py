@@ -567,6 +567,17 @@ class TestScreen:
 
 
 class TestKNearest:
+    def test_distance_row_is_a_cdist_row(self):
+        vecs = np.random.default_rng(0).normal(size=(40, 64))
+        store = EmbeddingStore.from_arrays([f"w{i}" for i in range(40)], vecs)
+        for w in (0, 17, 39):
+            assert np.array_equal(store.distance_row(w), cdist(vecs[w : w + 1], vecs)[0])
+        # a new array each call: k_nearest writes to its own
+        store.k_nearest(17, 3)
+        assert store.distance_row(17)[17] == 0.0
+        with pytest.raises(InvalidWordIdError):
+            store.distance_row(40)
+
     def test_all_others_sorted(self, toy3):
         ids = toy3.k_nearest(0, 2)
         assert ids.dtype == np.int64

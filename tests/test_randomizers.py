@@ -499,6 +499,24 @@ class TestTransitionMatrix:
             with pytest.raises(MatrixFormatError):
                 TransitionMatrix(probs, sample_count=1)
 
+    def test_row_sums_within_1e9_of_one(self, toy3):
+        # np.isclose kept its relative 1e-5 beside atol=1e-9, so a row that
+        # sums to 1.000008 was accepted, from a TSV too
+        with pytest.raises(MatrixFormatError, match="row 0 sums to 1.000008"):
+            TransitionMatrix(np.array([[0.5, 0.500008], [0.0, 1.0]]), sample_count=1)
+        TransitionMatrix(np.array([[0.5, 0.5 + 5e-10], [0.0, 1.0]]), sample_count=1)
+        text = "#privtext-matrix-v1\n#samples 10\na\ta\t1.000008\nb\tb\t1\nc\tc\t1\n"
+        with pytest.raises(MatrixFormatError, match="row 0"):
+            matrix_from_tsv(toy3, text)
+
+    @pytest.mark.parametrize("count", [1.5, True, 2.0, -1, 2**53 + 1, None])
+    def test_sample_count_is_an_int_in_range(self, count):
+        # 1.5 and True were accepted, and verify_metric_dp echoed them back
+        with pytest.raises(MatrixFormatError, match="sample count"):
+            TransitionMatrix(np.eye(2), sample_count=count)
+        for count in (0, 2**53):
+            assert TransitionMatrix(np.eye(2), sample_count=count).sample_count == count
+
     def test_tsv_malformed_lines_rejected(self, toy3):
         head = "#privtext-matrix-v1\n#samples 10\n"
         rows = "a\ta\t1\nb\tb\t1\nc\tc\t1\n"
