@@ -257,8 +257,7 @@ class Mechanism:
         if not epsilon > 0:
             raise ConfigError(f"smooth sensitivity is 0 at word {w}; cannot calibrate")
         param = MultivariateLaplaceParam(store.dim, epsilon)
-        cands = None
-        inside = np.ones(n, dtype=bool)
+        cands, inside, n_in = None, slice(None), n
         if config.variant == "trunc_knn":
             cands = np.append(store.k_nearest(w, config.k), w)
         elif config.variant == "trunc_distance":
@@ -268,11 +267,11 @@ class Mechanism:
             outside = np.flatnonzero(dists > config.tau)
             if config.trunc_strategy == "residual" and outside.size:
                 inside = rng.gen.uniform(size=n) < truncation_mass(param, config.tau)
+                n_in = int(inside.sum())
             elif config.trunc_strategy == "residual":
                 logger.warning("residual truncation at word %d has an empty out-region;"
                                " falling back to project", w)
         out = np.empty(n, dtype=np.int64)
-        n_in = int(inside.sum())
         # a truncation mass that underflows to 0 sends no draw inside
         if n_in:
             if config.variant == "trunc_distance":
