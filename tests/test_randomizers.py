@@ -514,8 +514,8 @@ class TestTransitionMatrix:
         # 1.5 and True were accepted, and verify_metric_dp echoed them back
         with pytest.raises(MatrixFormatError, match="sample count"):
             TransitionMatrix(np.eye(2), sample_count=count)
-        for count in (0, 2**53):
-            assert TransitionMatrix(np.eye(2), sample_count=count).sample_count == count
+        for good in (0, 2**53):
+            assert TransitionMatrix(np.eye(2), sample_count=good).sample_count == good
 
     def test_tsv_malformed_lines_rejected(self, toy3):
         head = "#privtext-matrix-v1\n#samples 10\n"
