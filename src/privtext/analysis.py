@@ -109,8 +109,9 @@ def verify_metric_dp(
         raise SingletonVocabularyError("metric-DP verification needs at least 2 words")
     # NaN would make every violation NaN, and NaN is never the maximum: the
     # report would read satisfied. inf * 0 is NaN for two words at one point.
-    if not 0 <= epsilon < math.inf:
-        raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon}")
+    require_real("epsilon", epsilon)
+    if not epsilon >= 0:
+        raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
     # alpha >= 1 makes cp_upper <= 0: zero cells read -inf, the report satisfied
     require_real("alpha", alpha)
     if not 0 < alpha < 1:

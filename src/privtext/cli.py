@@ -70,10 +70,14 @@ def _add_mechanism_args(parser: argparse.ArgumentParser) -> None:
         help="trunc_distance handling of out-of-ball noise",
     )
     parser.add_argument("--mh-steps", type=int, default=None, help="MH chain length (density)")
-    parser.add_argument("--mh-step", type=float, default=None)
+    # accepted and ignored until perfbench's cli-density-5k stops passing it
+    parser.add_argument("--mh-step", default=None, help=argparse.SUPPRESS)
 
 
 def _mechanism_config(args) -> MechanismConfig:
+    if args.mh_step is not None:
+        print("warning: --mh-step has no effect: the density chain proposes the baseline's noise",
+              file=sys.stderr)
     return MechanismConfig(
         variant=args.mechanism,
         epsilon=args.epsilon,
@@ -83,7 +87,6 @@ def _mechanism_config(args) -> MechanismConfig:
         k=args.knn,
         trunc_strategy=args.strategy,
         mh_steps=args.mh_steps,
-        mh_step=args.mh_step,
     )
 
 

@@ -284,7 +284,8 @@ class EmbeddingStore:
         return float(np.median(self.nn_distances))
 
     def mean_nn_distance(self) -> float:
-        """Mean nearest-distinct-neighbor distance (MH proposal default)."""
+        """Mean nearest-distinct-neighbor distance. The library no longer
+        calls it; perfbench's embeddings.nn_distance span still wraps it."""
         return float(np.mean(self.nn_distances))
 
     @cached_property

@@ -5,7 +5,8 @@ noisy point back to the vocabulary):
 
 - baseline:        radial Laplacian noise with density exp(-eps * ||z||)
 - density:         noise modulated by a KDE prior over the embedding,
-                   sampled with a random-walk Metropolis-Hastings chain
+                   sampled with an independence Metropolis chain that
+                   proposes the baseline's noise
 - smooth:          baseline with the noise scale calibrated per word to the
                    beta-smooth sensitivity bound (normalized so beta = 0
                    reproduces the baseline exactly)
@@ -17,7 +18,8 @@ noisy point back to the vocabulary):
 Every operation takes an explicit RngStream and is deterministic given it.
 The density variant is only 2*eps d_X-private even under exact sampling,
 because its normalizer Z(w) also moves by up to e^(eps * d); the
-finite-length chain is an approximation of that. No formal privacy
+finite-length chain approximates that law and carries no proven bound on
+its distance from it. No formal privacy
 guarantee is claimed for the smooth or truncated variants; the analysis
 module measures what they actually provide.
 """
@@ -48,7 +50,7 @@ logger = logging.getLogger(__name__)
 # each variant's parameters: the MechanismConfig fields it may set
 _VARIANT_PARAMS = {
     "baseline": (),
-    "density": ("sigma", "mh_steps", "mh_step"),
+    "density": ("sigma", "mh_steps"),
     "smooth": ("beta",),
     "trunc_distance": ("tau", "trunc_strategy"),
     "trunc_knn": ("k",),
@@ -63,7 +65,8 @@ MATRIX_TSV_MAGIC = "#privtext-matrix-v1"
 class MechanismConfig:
     """Tagged mechanism descriptor. Only the active variant's parameters
     may be set; anything else is rejected. A density chain runs mh_steps
-    random-walk steps (default 1010) and decodes only its final state."""
+    independence Metropolis steps (default 1010) and decodes only its final
+    state."""
 
     variant: str
     epsilon: float
@@ -73,21 +76,18 @@ class MechanismConfig:
     k: int | None = None                # trunc_knn
     trunc_strategy: str | None = None   # trunc_distance
     mh_steps: int | None = None         # density: MH chain length
-    mh_step: float | None = None        # density: MH proposal step
 
     def __post_init__(self):
         require_params(self, "variant", _VARIANT_PARAMS)
         require_real("epsilon", self.epsilon)
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        for name in ("sigma", "beta", "tau", "mh_step"):
+        for name in ("sigma", "beta", "tau"):
             if getattr(self, name) is not None:
                 require_real(name, getattr(self, name))
         if self.variant == "density":
-            for name in ("sigma", "mh_step"):
-                value = getattr(self, name)
-                if value is not None and not value > 0:
-                    raise ConfigError(f"{name} must be > 0, got {value}")
+            if self.sigma is not None and not self.sigma > 0:
+                raise ConfigError(f"sigma must be > 0, got {self.sigma}")
             steps = 1010 if self.mh_steps is None else self.mh_steps
             object.__setattr__(self, "mh_steps", require_count("mh_steps", steps))
         elif self.variant == "smooth":
@@ -156,6 +156,7 @@ def kde_log_prior(store: EmbeddingStore, points, sigma: float) -> np.ndarray:
     (n, |W|) array, which the rest works on in place; the log-sum-exp is
     shifted by each row's maximum, so a point far from every word still
     scores finite."""
+    require_real("sigma", sigma)
     if not sigma > 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
     points = np.asarray(points, dtype=np.float64)
@@ -186,11 +187,12 @@ class Mechanism:
       candidate set: every word; for trunc_knn the k nearest neighbors of w
       plus w itself; for trunc_distance the words within tau of w, with the
       noise truncated at tau (and the residual draw outside the ball)
-    - density: a KDE-modulated Metropolis-Hastings chain
+    - density: an independence Metropolis chain whose target is the
+      baseline's law at w modulated by a KDE prior over the vocabulary
 
     Per-word constants are resolved once per Mechanism: the smooth epsilon
-    vector here, the density bandwidth and MH step on the first density draw
-    (both from the store's nn_distances, which it computes once and keeps).
+    vector here, the density bandwidth on the first density draw (from the
+    store's nn_distances, which it computes once and keeps).
     """
 
     def __init__(
@@ -289,33 +291,24 @@ class Mechanism:
         sigma = self.config.sigma
         return sigma if sigma is not None else self.store.median_nn_distance()
 
-    @cached_property
-    def _mh_step(self) -> float:
-        """MH proposal step; default the mean nearest-neighbor distance, a
-        step comparable to the local geometry."""
-        step = self.config.mh_step
-        return step if step is not None else self.store.mean_nn_distance()
-
-    def _log_target(self, points: np.ndarray, w: int) -> np.ndarray:
-        """Unnormalized log density of the density variant centered at w,
-        at each row of points: KDE log prior minus eps * ||z - phi(w)||."""
-        distance = np.linalg.norm(points - self.store.vectors[w], axis=1)
-        return kde_log_prior(self.store, points, self._sigma) - self.config.epsilon * distance
-
     def _density_batch(self, rng, w, n) -> np.ndarray:
-        """Run n independent MH chains in lockstep from phi(w) for mh_steps
-        steps and decode each chain's final state to its nearest word."""
-        x = np.tile(self.store.vector(w), (n, 1))
-        logp = self._log_target(x, w)
-        step = self._mh_step
-        gen = rng.gen
+        """n independence Metropolis chains in lockstep, decoded from their
+        states after mh_steps steps. Each chain starts at, and each step
+        proposes, phi(w) plus the baseline's noise at epsilon. The target
+        KDE(z) * exp(-eps * ||z - phi(w)||) over that proposal leaves the KDE
+        ratio as the acceptance ratio: the Laplace factors cancel."""
+        store = self.store
+        center = store.vector(w)[None, :]
+        param = MultivariateLaplaceParam(store.dim, self.config.epsilon)
+        x = center + sample_mv_laplace(rng, param, size=n)
+        logp = kde_log_prior(store, x, self._sigma)
         for _ in range(self.config.mh_steps):
-            prop = x + step * gen.standard_normal(x.shape)
-            logp_prop = self._log_target(prop, w)
-            accept = np.log(gen.uniform(size=n)) < logp_prop - logp
+            prop = center + sample_mv_laplace(rng, param, size=n)
+            logp_prop = kde_log_prior(store, prop, self._sigma)
+            accept = np.log(rng.gen.uniform(size=n)) < logp_prop - logp
             x[accept] = prop[accept]
             logp[accept] = logp_prop[accept]
-        return self.store.nearest_words(x)
+        return store.nearest_words(x)
 
 
 def _word_ids(ids) -> np.ndarray:

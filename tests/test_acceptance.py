@@ -144,7 +144,7 @@ def test_criterion_3_smooth_sensitivity_axioms():
 def test_criterion_4_density_mechanism():
     store = EmbeddingStore.from_arrays(["p", "q", "r"], [[-1.0], [0.0], [2.0]])
     eps, sigma = 1.0, 0.8
-    mh = {"mh_steps": 305, "mh_step": 1.0}
+    mh = {"mh_steps": 305}
     n = 10**5
 
     rng = RngStream(55).fork_named("acceptance.density")

@@ -150,6 +150,12 @@ class TestVerifyMetricDp:
             with pytest.raises(ConfigError):
                 verify_metric_dp(identity_matrix(3), toy3, eps)
 
+    @pytest.mark.parametrize("eps", [True, "1"])
+    def test_epsilon_must_be_a_real_number(self, toy3, eps):
+        # True ran as 1 and the report echoed True; "1" ended in a bare TypeError
+        with pytest.raises(ConfigError, match="epsilon"):
+            verify_metric_dp(identity_matrix(3), toy3, eps)
+
     @pytest.mark.parametrize("alpha", [2.0, 1.0, math.nan, math.inf, 0.0, -0.5, True, "0.01"])
     def test_alpha_outside_unit_interval_rejected(self, toy3, alpha):
         # at 2, NaN or inf a matrix with zero cells read satisfied with -inf

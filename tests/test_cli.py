@@ -17,7 +17,6 @@ TOY = "v 0 0\nw 8 0\nx 0 8\ny 8 8\nz 4 4\n"
 REAL_FIELDS = {
     "epsilon": lambda v: {"mechanism": {"variant": "baseline", "epsilon": v}},
     "sigma": lambda v: {"mechanism": {"variant": "density", "epsilon": 1.0, "sigma": v}},
-    "mh_step": lambda v: {"mechanism": {"variant": "density", "epsilon": 1.0, "mh_step": v}},
     "beta": lambda v: {"mechanism": {"variant": "smooth", "epsilon": 1.0, "beta": v}},
     "tau": lambda v: {"mechanism": {"variant": "trunc_distance", "epsilon": 1.0, "tau": v}},
     "q": lambda v: {"amplifiers": [{"kind": "subsample", "q": v}]},
@@ -73,6 +72,24 @@ class TestPerturb:
         )
         assert code == 0
         assert out == ""
+
+    def test_mh_step_flag_is_ignored_with_one_warning(self, emb, tmp_path, monkeypatch, capsys):
+        # the density chain has no proposal step: the flag changes no draw,
+        # and a pipeline config that names it exits 2
+        argv = ["--embeddings", emb, "--seed", "4", "perturb", "--mechanism", "density",
+                "--epsilon", "1"]
+        plain = run(argv, stdin="v w z\n", monkeypatch=monkeypatch, capsys=capsys)
+        code, out, err = run(
+            argv + ["--mh-step", "0.3"], stdin="v w z\n", monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert plain[0] == code == 0 and plain[2] == "" and out == plain[1]
+        assert len(err.splitlines()) == 1 and "--mh-step has no effect" in err
+        path = tmp_path / "lac.json"
+        path.write_text(json.dumps({"n_users": 2, "m_per_user": 1, "mechanism": {
+            "variant": "density", "epsilon": 1, "mh_step": 0.3}}), encoding="utf-8")
+        code, out, err = run(["--embeddings", emb, "pipeline", "--config", str(path)],
+                             capsys=capsys)
+        assert code == 2 and out == "" and "mh_step" in err and "Traceback" not in err
 
     def test_oov_token_exit_2(self, emb, monkeypatch, capsys):
         code, _, err = run(
@@ -203,14 +220,9 @@ class TestStats:
             assert payload["stats"] == [{"word": w, "n_trials": 300, **pinned[w]} for w in words]
 
     def test_every_density_echo_holds_mh_steps(self, emb, tmp_path, capsys):
-        # the chain length was echoed only when some chain setting was given,
-        # and a proposal step left out was echoed as null
+        # the chain length was echoed only when some chain setting was given
         density = {"variant": "density", "epsilon": 1}
-        for given, echo in (
-            ({}, {"mh_steps": 1010}),
-            ({"mh_step": 0.5}, {"mh_steps": 1010, "mh_step": 0.5}),
-            ({"mh_steps": 5}, {"mh_steps": 5}),
-        ):
+        for given, echo in (({}, {"mh_steps": 1010}), ({"mh_steps": 5}, {"mh_steps": 5})):
             flags = [f"--{key.replace('_', '-')}={value}" for key, value in given.items()]
             code, out, _ = run(
                 ["--embeddings", emb, "stats", "--mechanism", "density", "--epsilon", "1",
@@ -515,11 +527,10 @@ class TestErrors:
             assert err.startswith("error:") and field in err and "Traceback" not in err
 
     def test_infinite_real_flags_exit_2(self, emb, monkeypatch, capsys):
-        # --epsilon inf returned every word unchanged; --mh-step inf froze
-        # every chain at its word, with RuntimeWarnings
+        # --epsilon inf returned every word unchanged
         for flags, field in (
             (["--epsilon", "inf"], "epsilon"),
-            (["--mechanism", "density", "--epsilon", "1", "--mh-step", "inf"], "mh_step"),
+            (["--mechanism", "density", "--epsilon", "1", "--sigma", "inf"], "sigma"),
         ):
             code, out, err = run(
                 ["--embeddings", emb, "perturb", *flags],

@@ -212,7 +212,7 @@ VALID_CONFIG = {
 }
 FIELDS = [(key,) for key in VALID_CONFIG] + [
     ("mechanism", key)
-    for key in ("variant", "epsilon", "sigma", "beta", "tau", "k", "mh_steps", "mh_step")
+    for key in ("variant", "epsilon", "sigma", "beta", "tau", "k", "mh_steps")
 ] + [("corpus", key) for key in ("kind", "s", "words_per_user")]
 
 

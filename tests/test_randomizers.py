@@ -52,6 +52,44 @@ from oracles import (
 )
 
 
+def mixture_store(gen, n_words, dim, spread):
+    """A Gaussian-mixture vocabulary: 50 centres drawn N(0, spread^2), each
+    cluster's scale log-uniform in [spread / 10, spread]."""
+    centres = gen.normal(scale=spread, size=(50, dim))
+    scales = np.exp(gen.uniform(np.log(spread / 10), np.log(spread), size=50))
+    member = gen.integers(50, size=n_words)
+    vectors = centres[member] + scales[member, None] * gen.normal(size=(n_words, dim))
+    return EmbeddingStore.from_arrays([f"w{i}" for i in range(n_words)], vectors)
+
+
+def clustered_store():
+    """40 words in 5 tight clusters (scale 0.3, centres N(0, 9 I)) in d = 5:
+    at epsilon = 1 the baseline's noise mostly lands far from every word,
+    where the KDE is small, so a density chain takes many steps to settle."""
+    gen = np.random.default_rng(0)
+    centres = gen.normal(scale=3.0, size=(5, 5))
+    vectors = centres[gen.integers(5, size=40)] + gen.normal(scale=0.3, size=(40, 5))
+    return EmbeddingStore.from_arrays([f"w{i}" for i in range(40)], vectors)
+
+
+def floor_p_value(xs, ys, n_words, reps=1000):
+    """Permutation p-value of the summed total variation between the
+    output laws of paired samples xs[i], ys[i]: each permutation splits
+    each pooled pair again at random, which draws the TV of two samples of
+    one law, the seed-to-seed floor."""
+    def tv(a, b):
+        return np.abs(np.bincount(a, minlength=n_words) - np.bincount(b, minlength=n_words)).sum()
+
+    gen = np.random.default_rng(0)
+    observed = sum(tv(x, y) for x, y in zip(xs, ys))
+    null = [
+        sum(tv(*np.split(gen.permutation(np.concatenate([x, y])), [len(x)]))
+            for x, y in zip(xs, ys))
+        for _ in range(reps)
+    ]
+    return (1 + np.count_nonzero(np.array(null) >= observed)) / (reps + 1)
+
+
 @pytest.fixture
 def pair():
     # two words a unit apart on the x-axis
@@ -91,20 +129,19 @@ class TestConfig:
         assert MechanismConfig.from_dict(cfg.to_dict()) == cfg
         # the chain length defaults to 1010 and is echoed, so the echo
         # rebuilds the config it came from
-        cfg = MechanismConfig("density", 1.5, mh_step=0.25)
-        assert cfg.to_dict() == {"variant": "density", "epsilon": 1.5, "mh_steps": 1010,
-                                 "mh_step": 0.25}
+        cfg = MechanismConfig("density", 1.5)
+        assert cfg.to_dict() == {"variant": "density", "epsilon": 1.5, "mh_steps": 1010}
         assert MechanismConfig.from_dict(cfg.to_dict()) == cfg
         # an int is a real number, and is echoed as given
         cfg = MechanismConfig("smooth", 2, beta=0)
         assert MechanismConfig.from_dict(cfg.to_dict()) == cfg and cfg.to_dict()["epsilon"] == 2
 
     def test_bad_mh_is_a_config_error(self):
-        # the old nested mh object and burn_in/thin pair are unknown keys,
-        # mh_steps is an integer >= 1 and mh_step a real number > 0
+        # the old nested mh object, burn_in/thin pair and random-walk step
+        # are unknown keys, and mh_steps is an integer >= 1
         for bad in ({"mh": {}}, {"mh": {"steps": 5}}, {"burn_in": 1000}, {"thin": 10},
-                    {"mh_steps": 0}, {"mh_steps": 1.5}, {"mh_steps": True}, {"mh_steps": "3"},
-                    {"mh_step": 0}, {"mh_step": True}, {"mh_step": "0.5"}):
+                    {"mh_step": 0.5}, {"mh_steps": 0}, {"mh_steps": 1.5}, {"mh_steps": True},
+                    {"mh_steps": "3"}):
             with pytest.raises(ConfigError):
                 MechanismConfig.from_dict({"variant": "density", "epsilon": 1.0, **bad})
         # a numpy integer count is taken as a Python int, which JSON can write
@@ -271,6 +308,12 @@ class TestKdePrior:
         with pytest.raises(ConfigError):
             kde_log_prior(toy3, [[0.0, 0.0]], 0.0)
 
+    @pytest.mark.parametrize("sigma", [True, "1"])
+    def test_sigma_must_be_a_real_number(self, toy3, sigma):
+        # True ran as sigma = 1; "1" ended in a bare TypeError
+        with pytest.raises(ConfigError, match="sigma"):
+            kde_log_prior(toy3, [[0.0, 0.0]], sigma)
+
     def test_points_are_checked(self, toy3):
         # the first two ended in numpy ValueErrors, the third returned [nan]
         for points, error in (
@@ -350,34 +393,31 @@ class TestKdePrior:
 
 class TestDensityMechanism:
     def test_acceptance_ratio_oracle(self, toy1d):
-        # log acceptance = min(0, log p(z') - log p(z)) with p evaluated directly,
-        # against the log target the chain scores its states with
-        eps, sigma = 1.0, 0.8
-        mech = Mechanism(toy1d, MechanismConfig("density", eps, sigma=sigma))
+        # the Metropolis-Hastings ratio of target over proposal, evaluated
+        # directly, is the KDE ratio that the chain accepts on: the target is
+        # KDE(z) exp(-eps |z - phi(w)|), the proposal exp(-eps |z - phi(w)|)
+        eps, sigma, w = 1.0, 0.8, 1
         for z, z2 in [([0.3], [0.5]), ([0.0], [2.0]), ([-1.5], [0.2])]:
-            def direct(pt):
-                mu = sum(
-                    math.exp(-((pt[0] - v[0]) ** 2) / (2 * sigma**2))
-                    for v in toy1d.vectors
-                )
-                return math.log(mu) - eps * abs(pt[0] - toy1d.vector(1)[0])
+            def log_kde(pt):
+                return math.log(sum(
+                    math.exp(-((pt[0] - v[0]) ** 2) / (2 * sigma**2)) for v in toy1d.vectors
+                ))
 
-            expected = min(0.0, direct(z2) - direct(z))
-            log_p, log_p2 = mech._log_target(np.array([z, z2]), 1)
-            assert min(0.0, log_p2 - log_p) == pytest.approx(expected, abs=1e-12)
-            assert (log_p, log_p2) == pytest.approx((direct(z), direct(z2)), abs=1e-12)
+            def log_target(pt):
+                return log_kde(pt) - eps * abs(pt[0] - toy1d.vector(w)[0])
 
-    def test_log_target_decomposition(self, toy1d):
-        z = np.array([[0.7]])
-        mech = Mechanism(toy1d, MechanismConfig("density", 2.0, sigma=0.5))
-        assert mech._log_target(z, 0)[0] == pytest.approx(
-            kde_log_prior(toy1d, z, 0.5)[0] - 2.0 * abs(0.7 - (-1.0))
-        )
+            def log_proposal(pt):
+                return -eps * abs(pt[0] - toy1d.vector(w)[0])
+
+            expected = log_target(z2) - log_target(z) - (log_proposal(z2) - log_proposal(z))
+            log_p, log_p2 = kde_log_prior(toy1d, np.array([z, z2]), sigma)
+            assert log_p2 - log_p == pytest.approx(expected, abs=1e-12)
+            assert (log_p, log_p2) == pytest.approx((log_kde(z), log_kde(z2)), abs=1e-12)
 
     def test_grid_oracle_small(self, toy1d, rng):
         # quick-mix version of the acceptance check
         eps, sigma = 1.0, 0.8
-        cfg = MechanismConfig("density", eps, sigma=sigma, mh_steps=305, mh_step=1.0)
+        cfg = MechanismConfig("density", eps, sigma=sigma, mh_steps=101)
         outs = Mechanism(toy1d, cfg).perturb_batch(rng, 1, 20_000)
         emp = np.bincount(outs, minlength=3) / len(outs)
         expected = density_output_distribution(toy1d.vectors[:, 0], 1, eps, sigma)
@@ -385,7 +425,7 @@ class TestDensityMechanism:
 
     def test_flat_prior_limit_matches_baseline(self, toy1d, rng):
         eps = 1.0
-        cfg = MechanismConfig("density", eps, sigma=1e6, mh_steps=305, mh_step=1.0)
+        cfg = MechanismConfig("density", eps, sigma=1e6, mh_steps=101)
         outs = Mechanism(toy1d, cfg).perturb_batch(rng.fork(0), 1, 20_000)
         emp = np.bincount(outs, minlength=3) / len(outs)
         expected = baseline_output_distribution_1d(toy1d.vectors[:, 0], 1, eps)
@@ -396,8 +436,8 @@ class TestDensityMechanism:
         outs = Mechanism(toy1d, cfg).perturb_batch(rng, 0, 100)
         assert np.all((outs >= 0) & (outs < 3))
 
-    def test_default_sigma_and_step_share_one_pass(self, rng, monkeypatch):
-        # both defaults come from the store's nearest-neighbour distances
+    def test_default_sigma_takes_one_pass(self, rng, monkeypatch):
+        # the bandwidth comes from the store's nearest-neighbour distances
         store = EmbeddingStore.from_arrays(
             ["p", "q", "r", "s", "t"], [[-1.0], [0.0], [2.0], [2.5], [5.5]]
         )
@@ -407,8 +447,40 @@ class TestDensityMechanism:
             mech.perturb_batch(rng.fork(w), w, 3)
         # nearest-neighbour distances 1, 1, 0.5, 0.5, 3
         assert mech._sigma == pytest.approx(1.0)
-        assert mech._mh_step == pytest.approx(1.2)
         assert len(calls) == 1
+
+    def test_default_run_changes_words(self, rng):
+        # with the random walk's default step, the mean nearest-neighbour
+        # distance per coordinate, no proposal was accepted on this store and
+        # all 40 words came back unchanged
+        store = mixture_store(np.random.default_rng(0), 200, 10, spread=6.0)
+        ids = np.arange(40)
+        out = Mechanism(store, MechanismConfig("density", 1.0)).perturb_words(rng, ids)
+        assert np.count_nonzero(out != ids) >= 10
+
+    def test_default_chain_length_holds_a_tenfold_margin(self):
+        # The default chain length T is set by this check: the output law
+        # after t steps must match the law after 10 t steps within the
+        # seed-to-seed floor. t = T // 10 passes, so T is ten times a length
+        # that passes; t = T // 100 fails, so a default of T // 10 would
+        # fail this check. The chain's start, a baseline draw, fails against
+        # T steps: on this store the check can tell a chain that has not
+        # settled.
+        store = clustered_store()
+        steps = MechanismConfig("density", 1.0).mh_steps
+        words = range(4)
+
+        def draws(t, fork):
+            # t = 0 draws the chain's start, which has the baseline's law
+            config = (MechanismConfig("density", 1.0, mh_steps=t) if t
+                      else MechanismConfig("baseline", 1.0))
+            mech = Mechanism(store, config)
+            return [mech.perturb_batch(RngStream(3).fork(fork).fork(w), w, 500) for w in words]
+
+        long, tenth, hundredth = draws(steps, 0), draws(steps // 10, 1), draws(steps // 100, 2)
+        assert floor_p_value(tenth, long, len(store)) >= 0.01
+        assert floor_p_value(hundredth, tenth, len(store)) < 0.01
+        assert floor_p_value(draws(0, 3), long, len(store)) < 0.01
 
 
 class TestTransitionMatrix:
@@ -762,3 +834,18 @@ class TestTruncatedDrawsPinned:
             assert truncation_mass(MultivariateLaplaceParam(dim, 1.0), 5.0) == 0.0
             dists = cdist(store.vectors, store.vectors)
             assert np.all(dists[ids, out] > 5.0)
+
+
+class TestDensityDrawsPinned:
+    """The exact draws of the density variant, pinned by a digest of
+    perturb_words as in TestTruncatedDrawsPinned: a change to the starts,
+    proposals or uniforms the chains draw, in what order, or to the KDE's
+    accept decisions changes the digest."""
+
+    def test_digest(self):
+        store = random_store(np.random.default_rng(5), 100, 10)
+        ids = np.random.default_rng(6).integers(0, 10, size=60)
+        config = MechanismConfig("density", 1.0, mh_steps=30)
+        out = Mechanism(store, config).perturb_words(RngStream(7), ids)
+        assert hashlib.sha256(out.astype("<i8").tobytes()).hexdigest() == (
+            "39e3a3807ad061629b5e9456eb17f7c1d418cda13893797905818332b06c1fcb")
