@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_count, require_params, require_real, set_fields
+from .errors import (
+    ConfigError, from_fields, require_count, require_params, require_real, require_word_ids,
+    set_fields,
+)
 from .samplers import RngStream, sample_permutation
 
 
@@ -33,30 +36,24 @@ class AmplifierConfig:
         elif self.kind == "kthreshold":
             object.__setattr__(self, "k", require_count("k", self.k))
 
-    def to_dict(self) -> dict:
-        return set_fields(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AmplifierConfig":
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+    to_dict = set_fields
+    from_dict = classmethod(from_fields)
 
 
 def shuffle_batch(rng: RngStream, batch) -> np.ndarray:
     """Uniformly permute the payloads: the output position says nothing of
     the input position, and the payload multiset is preserved exactly."""
-    batch = np.asarray(batch, dtype=np.int64)
+    batch = require_word_ids(batch)
     return batch[sample_permutation(rng, len(batch))]
 
 
 def subsample_batch(rng: RngStream, batch, q: float) -> np.ndarray:
     """Keep each message independently with probability q (Poisson
     sub-sampling)."""
+    require_real("q", q)
     if not 0 < q <= 1:
         raise ConfigError(f"q must be in (0, 1], got {q}")
-    batch = np.asarray(batch, dtype=np.int64)
+    batch = require_word_ids(batch)
     return batch[rng.gen.uniform(size=len(batch)) < q]
 
 
@@ -64,7 +61,7 @@ def kthreshold_batch(batch, k: int) -> np.ndarray:
     """Drop messages whose exact payload occurs fewer than k times in the
     batch; survivors keep their order."""
     k = require_count("k", k)
-    batch = np.asarray(batch, dtype=np.int64)
+    batch = require_word_ids(batch)
     return batch[np.bincount(batch)[batch] >= k]
 
 
@@ -86,6 +83,8 @@ def amplified_epsilon(epsilon: float, q: float) -> dict:
     as epsilon_amplified. It is >= q * eps for every eps > 0; q * eps is
     reported only as the labelled first-order figure epsilon_first_order.
     """
+    require_real("q", q)
+    require_real("epsilon", epsilon)
     if not 0 < q <= 1:
         raise ConfigError(f"q must be in (0, 1], got {q}")
     if not epsilon > 0:

@@ -117,9 +117,6 @@ def verify_metric_dp(
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     n = matrix.sample_count
-    if n < 1:
-        raise ConfigError("matrix carries no sample count")
-    p = matrix.probs
     eps_dist = store.pairwise_distances()
     eps_dist *= epsilon
     # 1 - alpha^(1/n) without the cancellation that rounds it to 0 at large n
@@ -130,7 +127,7 @@ def verify_metric_dp(
     slack_at_worst = 0.0
     max_adjusted = -np.inf
     for y in range(matrix.size):
-        col = p[:, y]
+        col = matrix.counts[:, y] / n
         # a row with a zero numerator is -inf throughout, so only the rows
         # that reach y can violate; ascending rows keep the row-major argmax
         rows = np.flatnonzero(col > 0)
@@ -181,7 +178,8 @@ def posterior(prior, matrix: TransitionMatrix, observed) -> Posterior:
         raise ConfigError(f"observed ids must be integers in [0, {matrix.size})")
     flat = np.atleast_1d(ids)
     # one row per id, so that each total sums a contiguous row
-    joint = prior * matrix.probs.T[flat]
+    joint = matrix.counts.T[flat] / matrix.sample_count
+    joint *= prior
     total = joint.sum(axis=1)
     if np.any(total <= 0):
         raise UnreachableObservationError(
@@ -217,7 +215,7 @@ def attack_accuracy(
 
     # the attack decision for every reachable observation, in one product
     decisions = np.full(matrix.size, -1, dtype=np.int64)
-    reachable = np.flatnonzero(prior @ matrix.probs > 0)
+    reachable = np.flatnonzero((prior > 0) @ (matrix.counts > 0))
     decisions[reachable] = optimal_attack(store, posterior(prior, matrix, reachable))
 
     truths = rng.gen.choice(matrix.size, size=n_trials, p=prior)

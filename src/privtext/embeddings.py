@@ -30,6 +30,7 @@ from .errors import (
     EmptyVocabularyError,
     InvalidWordIdError,
     NonFiniteComponentError,
+    require_word_ids,
 )
 
 CACHE_MAGIC = "privtext-embeddings-v2"
@@ -204,13 +205,7 @@ class EmbeddingStore:
             raise InvalidWordIdError(
                 f"candidate ids must be a non-empty 1-D list, got shape {ids.shape}"
             )
-        if ids.dtype.kind not in "iu":
-            raise InvalidWordIdError(f"candidate ids must be integers, got {ids.dtype}")
-        ids = np.sort(ids.astype(np.int64))
-        if ids[0] < 0 or ids[-1] >= len(self.words):
-            bad = ids[0] if ids[0] < 0 else ids[-1]
-            raise InvalidWordIdError(f"word id {bad} outside [0, {len(self.words)})")
-        return ids
+        return np.sort(require_word_ids(ids, len(self.words)))
 
     @cached_property
     def _screen(self) -> _Screen:

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package, and the checks and the
-echo that the tagged configs share."""
+"""Exception hierarchy shared across the package, the checks, echo and
+parse that the tagged configs share, and the one rule for word-id arrays."""
 import sys
 from dataclasses import asdict, fields
 from numbers import Integral
+
+import numpy as np
 
 
 class PrivtextError(Exception):
@@ -52,12 +54,26 @@ def require_real(name, value) -> None:
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 
 
-def require_count(name, value) -> int:
+def require_count(name, value, minimum: int = 1) -> int:
     """value as a Python int, which a JSON echo can write; ConfigError
-    unless it is an int or a numpy integer, not a bool, and >= 1."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    unless it is an int or a numpy integer, not a bool, and >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def require_word_ids(ids, size: int | None = None) -> np.ndarray:
+    """ids flattened to int64; InvalidWordIdError unless each is an integer
+    >= 0 and, given a size, < size. A float would be cut to another word's
+    id, and a negative id names no word."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise InvalidWordIdError(f"word ids must be integers, got {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False).ravel()
+    bad = ids[(ids < 0) | (ids >= size)] if size is not None else ids[ids < 0]
+    if bad.size:
+        raise InvalidWordIdError(f"word id {bad[0]} outside [0, {size or 'inf'})")
+    return ids
 
 
 def require_params(config, tag: str, allowed: dict) -> None:
@@ -79,8 +95,17 @@ def set_fields(config) -> dict:
     return {name: v for name, v in asdict(config).items() if v is not None}
 
 
+def from_fields(cls, data: dict):
+    """cls(**data) for a config dataclass, a missing or unknown field (a
+    TypeError) raised as a ConfigError."""
+    try:
+        return cls(**data)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 class MatrixFormatError(PrivtextError):
-    """A transition matrix or its TSV file is malformed or not row-stochastic."""
+    """A transition matrix or its TSV file is malformed, or its row totals differ."""
 
 
 class UnreachableObservationError(PrivtextError):

@@ -55,8 +55,7 @@ class CorpusSpec:
             raise ConfigError("words_per_user entries must be strings")
         object.__setattr__(self, "words_per_user", tuple(tuple(row) for row in rows))
 
-    def to_dict(self) -> dict:
-        return set_fields(self)
+    to_dict = set_fields
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,8 @@ import numpy as np
 from .embeddings import EmbeddingStore, _gemm_sq_distances
 from .errors import (
     ConfigError, DimensionMismatchError, InvalidWordIdError, MatrixFormatError,
-    NonFiniteComponentError, require_count, require_params, require_real, set_fields,
+    NonFiniteComponentError, from_fields, require_count, require_params, require_real,
+    require_word_ids, set_fields,
 )
 from .samplers import (
     MultivariateLaplaceParam,
@@ -58,7 +59,8 @@ _VARIANT_PARAMS = {
 VARIANTS = tuple(_VARIANT_PARAMS)
 TRUNC_STRATEGIES = ("project", "residual")
 
-MATRIX_TSV_MAGIC = "#privtext-matrix-v1"
+MATRIX_TSV_MAGIC = "#privtext-matrix-v2"
+_MAX_COUNT = 2**53  # a float64 holds every count and row total up to it exactly
 
 
 @dataclass(frozen=True)
@@ -103,50 +105,43 @@ class MechanismConfig:
         elif self.variant == "trunc_knn":
             object.__setattr__(self, "k", require_count("k", self.k))
 
-    def to_dict(self) -> dict:
-        return set_fields(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MechanismConfig":
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+    to_dict = set_fields
+    from_dict = classmethod(from_fields)
 
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic |W| x |W| estimate of Pr[M(w) = u]."""
+    """|W| x |W| output counts of a mechanism: counts[w, u] of the
+    sample_count draws at w came out as u, and every row holds the same
+    number of draws, so counts[w, u] / sample_count estimates Pr[M(w) = u]."""
 
-    probs: np.ndarray
-    sample_count: int
+    counts: np.ndarray
 
     def __post_init__(self):
-        # a float64 holds every count up to 2**53 exactly
-        count = self.sample_count
-        if type(count) is not int or not 0 <= count <= 2**53:
-            raise MatrixFormatError(f"the sample count must be an int in [0, 2**53], got {count!r}")
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise MatrixFormatError(f"transition matrix must be square, got shape {p.shape}")
-        if not np.all(p >= 0):
-            raise MatrixFormatError("transition matrix has negative or NaN entries")
-        sums = p.sum(axis=1)
-        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-9))
+        c = np.asarray(self.counts)
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or not c.size:
+            raise MatrixFormatError(f"the matrix must be square and non-empty, got shape {c.shape}")
+        if c.dtype.kind not in "iu" or not (c.min() >= 0 and c.max() <= _MAX_COUNT):
+            raise MatrixFormatError("the matrix counts must be integers in [0, 2**53]")
+        c = c.astype(np.int64, copy=False)
+        # a count above 2**63 / |W| could overflow an int64 total: sum Python ints then
+        totals = c.sum(axis=1, dtype=object if c.max() > 2**63 // len(c) else np.int64)
+        bad = np.flatnonzero(totals != totals[0])
         if bad.size:
-            raise MatrixFormatError(
-                f"transition matrix row {bad[0]} sums to {sums[bad[0]]:.12g}, not 1"
-            )
-        object.__setattr__(self, "probs", p)
+            raise MatrixFormatError(f"matrix row {bad[0]} holds {totals[bad[0]]} samples and"
+                                    f" row 0 {totals[0]}: the rows must hold one total")
+        if not 1 <= totals[0] <= _MAX_COUNT:
+            raise MatrixFormatError(f"the rows hold {totals[0]} samples each, outside [1, 2**53]")
+        object.__setattr__(self, "counts", c)
 
     @property
     def size(self) -> int:
-        return self.probs.shape[0]
+        return self.counts.shape[0]
 
-    def row(self, w: int) -> np.ndarray:
-        if not 0 <= w < self.size:
-            raise InvalidWordIdError(f"word id {w} outside [0, {self.size})")
-        return self.probs[w]
+    @property
+    def sample_count(self) -> int:
+        """The draws per row: each row's total."""
+        return int(self.counts[0].sum())
 
 
 def kde_log_prior(store: EmbeddingStore, points, sigma: float) -> np.ndarray:
@@ -236,7 +231,7 @@ class Mechanism:
         occurrence. Given the word, the draws are i.i.d., so grouping leaves
         the output distribution unchanged.
         """
-        ids = _word_ids(ids)
+        ids = require_word_ids(ids)
         out = np.empty(len(ids), dtype=np.int64)
         for w, at in _positions_by_word(ids):
             out[at] = self.perturb_batch(rng.fork(w), w, len(at))
@@ -311,14 +306,6 @@ class Mechanism:
         return store.nearest_words(x)
 
 
-def _word_ids(ids) -> np.ndarray:
-    """ids flattened to int64; InvalidWordIdError unless integers or empty."""
-    ids = np.asarray(ids)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise InvalidWordIdError(f"word ids must be integers, got {ids.dtype}")
-    return ids.astype(np.int64, copy=False).ravel()
-
-
 def _positions_by_word(ids: np.ndarray):
     """(w, positions of w in order of occurrence) for each distinct word w
     of a 1-D id array, in ascending w."""
@@ -339,77 +326,73 @@ def build_transition_matrix(
     samples_per_word: int,
 ) -> TransitionMatrix:
     """Monte Carlo estimate of the full output distribution: row w holds
-    the output frequencies of one perturb_words call on samples_per_word
-    copies of w, the draws of perturb_batch(rng.fork(w), w,
-    samples_per_word). Drawing row by row keeps one row's draws in memory."""
+    the output counts of one perturb_words call on samples_per_word copies
+    of w, the draws of perturb_batch(rng.fork(w), w, samples_per_word).
+    Drawing row by row keeps one row's draws in memory."""
     samples_per_word = require_count("samples_per_word", samples_per_word)
     mech = Mechanism(store, config)
     n_words = len(store)
-    probs = np.empty((n_words, n_words), dtype=np.float64)
+    counts = np.empty((n_words, n_words), dtype=np.int64)
     for w in range(n_words):
         outs = mech.perturb_words(rng, np.full(samples_per_word, w))
-        probs[w] = np.bincount(outs, minlength=n_words) / samples_per_word
-    return TransitionMatrix(probs=probs, sample_count=samples_per_word)
+        counts[w] = np.bincount(outs, minlength=n_words)
+    return TransitionMatrix(counts)
 
 
 def sample_from_matrix(rng: RngStream, matrix: TransitionMatrix, ids) -> np.ndarray:
-    """One output per entry of a word-id array, drawn from that word's row
-    of the matrix by inverting its cumulative sum at one uniform per entry
-    (the uniforms are drawn in entry order)."""
-    ids = _word_ids(ids)
+    """One output per entry of a word-id array, drawn from that word's row by
+    inverting its cumulative count at u * sample_count, one uniform u in
+    [0, 1) per entry, in entry order. For sample_count <= 2**53, u *
+    sample_count < sample_count, so no draw lands on a zero count."""
+    ids = require_word_ids(ids, matrix.size)
     u = rng.gen.uniform(size=len(ids))
+    u *= matrix.sample_count
     out = np.empty(len(ids), dtype=np.int64)
     for w, at in _positions_by_word(ids):
-        cum = np.cumsum(matrix.row(w))
-        # scaled to the row's own total, which may miss 1 by up to 1e-9, each
-        # uniform lands below it and so inside a cell of nonzero mass
-        out[at] = np.searchsorted(cum, u[at] * cum[-1], side="right")
+        out[at] = np.searchsorted(np.cumsum(matrix.counts[w]), u[at], side="right")
     return out
 
 
 def matrix_to_tsv(store: EmbeddingStore, matrix: TransitionMatrix) -> str:
-    """TSV serialization: input word, output word, probability; zero
-    entries omitted."""
-    lines = [MATRIX_TSV_MAGIC, f"#samples {matrix.sample_count}"]
-    for w in range(matrix.size):
-        row = matrix.probs[w]
-        for u in np.nonzero(row)[0]:
-            lines.append(f"{store.words[w]}\t{store.words[u]}\t{row[u]:.12g}")
+    """TSV serialization, format v2: the magic line, then one line
+    'input word<TAB>output word<TAB>count' per nonzero count, row by row."""
+    words, lines = store.words, [MATRIX_TSV_MAGIC]
+    # row by row: all entries as Python ints at once raised a |W| = 1000 audit's peak 6 MiB
+    for w, row in enumerate(matrix.counts):
+        us = np.flatnonzero(row)
+        lines += [f"{words[w]}\t{words[u]}\t{c}" for u, c in zip(us.tolist(), row[us].tolist())]
     return "\n".join(lines) + "\n"
 
 
 def matrix_from_tsv(store: EmbeddingStore, text: str) -> TransitionMatrix:
     """Parse matrix_to_tsv's format, one line at a time. Blank lines and
-    lines starting with '#' are skipped, except '#samples <n>' lines, the
-    last of which gives the sample count; every other line is
-    'word<TAB>word<TAB>probability', and the last value of a repeated pair
-    wins. The first line that breaks this raises, naming its line: a
-    MatrixFormatError, or an InvalidWordIdError for an unknown word."""
+    '#' lines are skipped; each other line is 'word<TAB>word<TAB>count', the
+    count in ASCII digits and at most 2**53, and the last count of a
+    repeated pair wins. The first line that breaks this raises, naming its
+    line: a MatrixFormatError, or an InvalidWordIdError for an unknown word.
+    A v1 file is refused: its counts would rest on its '#samples' line."""
     lines = text.splitlines()
+    if lines and lines[0] == "#privtext-matrix-v1":
+        raise MatrixFormatError("a v1 matrix TSV holds rounded probabilities, not counts:"
+                                " re-run `privtext matrix` with its flags to write v2")
     if not lines or lines[0] != MATRIX_TSV_MAGIC:
         raise MatrixFormatError("not a privtext transition-matrix TSV")
     word_id = store.word_id
-    sample_count = 0
-    probs = np.zeros((len(store), len(store)))
+    counts = np.zeros((len(store), len(store)), dtype=np.int64)
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line.strip() or line.startswith("#"):
             continue
         try:
-            if line.startswith("#samples"):
-                sample_count = int(line[len("#samples"):])
-                continue
-            if line.startswith("#"):
-                continue
-            w, u, p = line.split("\t")
-            p = float(p)
+            w, u, c = line.split("\t")
+            # int() alone would take '+1', ' 1' and '1_0'
+            if not (c.isascii() and c.isdigit()) or int(c) > _MAX_COUNT:
+                raise ValueError
         except ValueError:
-            raise MatrixFormatError(
-                f"line {lineno}: expected '#samples <n>' or 'word<TAB>word<TAB>probability',"
-                f" got {line!r}"
-            ) from None
+            raise MatrixFormatError(f"line {lineno}: expected 'word<TAB>word<TAB>count' with a"
+                                    f" count in [0, 2**53], got {line!r}") from None
         try:
-            probs[word_id(w), word_id(u)] = p
+            counts[word_id(w), word_id(u)] = int(c)
         except InvalidWordIdError as exc:
             raise InvalidWordIdError(f"line {lineno}: {exc}") from None
-    return TransitionMatrix(probs=probs, sample_count=sample_count)
+    return TransitionMatrix(counts)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_count
 
 _MASK64 = (1 << 64) - 1
 
@@ -134,6 +134,4 @@ def sample_mv_laplace_truncated(
 
 def sample_permutation(rng: RngStream, n: int) -> np.ndarray:
     """Uniform permutation of [0, n)."""
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
-    return rng.gen.permutation(n)
+    return rng.gen.permutation(require_count("n", n, minimum=0))

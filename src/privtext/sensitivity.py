@@ -23,7 +23,7 @@ import numpy as np
 
 from . import embeddings
 from .embeddings import EmbeddingStore, exact_distances
-from .errors import ConfigError, SingletonVocabularyError
+from .errors import ConfigError, SingletonVocabularyError, require_real
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,9 @@ def build_profile(store: EmbeddingStore, beta: float) -> SensitivityProfile:
     distances only where the sort-by-local prune leaves a term that could win."""
     if len(store) < 2:
         raise SingletonVocabularyError("sensitivity needs at least 2 words")
-    if not 0 <= beta < np.inf:
-        raise ConfigError(f"beta must be finite and >= 0, got {beta}")
+    require_real("beta", beta)
+    if not beta >= 0:
+        raise ConfigError(f"beta must be >= 0, got {beta}")
     n = len(store)
     budget = embeddings._NN_BLOCK_ENTRIES
     local = store.nn_distances

@@ -9,6 +9,7 @@ line-by-line matrix TSV parser are kept here as references that the fast
 code must match exactly.
 """
 import math
+import re
 
 import numpy as np
 from scipy import integrate
@@ -142,7 +143,7 @@ def attack_decisions_per_observation(store, matrix, prior) -> np.ndarray:
     dist = cdist(store.vectors, store.vectors)
     decisions = np.full(matrix.size, -1, dtype=np.int64)
     for y in range(matrix.size):
-        joint = prior * matrix.probs[:, y]
+        joint = prior * (matrix.counts[:, y] / matrix.sample_count)
         total = joint.sum()
         if total > 0:
             decisions[y] = int(np.argmin(dist @ (joint / total)))
@@ -151,11 +152,12 @@ def attack_decisions_per_observation(store, matrix, prior) -> np.ndarray:
 
 def attack_accuracy_per_trial(store, rng, matrix, prior, n_trials) -> float:
     """attack_accuracy with per-observation decisions and one inverse-CDF
-    lookup per trial, its uniform scaled to the row's own total."""
+    lookup per trial in the cumulative counts, its uniform scaled to the
+    row's own total."""
     prior = np.asarray(prior, dtype=np.float64)
     decisions = attack_decisions_per_observation(store, matrix, prior)
     truths = rng.gen.choice(matrix.size, size=n_trials, p=prior)
-    cum = np.cumsum(matrix.probs, axis=1)
+    cum = np.cumsum(matrix.counts, axis=1)
     u = rng.gen.uniform(size=n_trials)
     observed = np.array(
         [np.searchsorted(cum[t], x * cum[t, -1], side="right") for t, x in zip(truths, u)]
@@ -167,7 +169,7 @@ def verify_metric_dp_full(matrix, store, epsilon, alpha=1e-3) -> MetricDpReport:
     """verify_metric_dp with full |W| x |W| violation and slack arrays for
     every output word."""
     n = matrix.sample_count
-    p = matrix.probs
+    p = matrix.counts / n
     dist = cdist(store.vectors, store.vectors)
     cp_upper = -math.expm1(math.log(alpha) / n)
     max_violation = -np.inf
@@ -204,28 +206,23 @@ def verify_metric_dp_full(matrix, store, epsilon, alpha=1e-3) -> MetricDpReport:
 
 
 def matrix_from_tsv_by_line(store, text) -> TransitionMatrix:
-    """The transition-matrix TSV read one line at a time: a split, a float
-    and two word lookups per entry line, the first bad line raising."""
+    """The transition-matrix TSV read one line at a time: a split, a digit
+    pattern and two word lookups per entry line, the first bad line raising."""
     lines = text.splitlines()
+    if lines and lines[0] == "#privtext-matrix-v1":
+        raise MatrixFormatError("a v1 matrix TSV holds rounded probabilities, not counts:"
+                                " re-run `privtext matrix` with its flags to write v2")
     if not lines or lines[0] != MATRIX_TSV_MAGIC:
         raise MatrixFormatError("not a privtext transition-matrix TSV")
-    sample_count = 0
-    probs = np.zeros((len(store), len(store)))
+    counts = np.zeros((len(store), len(store)), dtype=np.int64)
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line.strip() or line.startswith("#"):
             continue
-        try:
-            if line.startswith("#samples"):
-                sample_count = int(line[len("#samples"):])
-                continue
-            if line.startswith("#"):
-                continue
-            w_str, u_str, p_str = line.split("\t")
-            p = float(p_str)
-        except ValueError:
+        fields = line.split("\t")
+        if len(fields) != 3 or not re.fullmatch("[0-9]+", fields[2]) or int(fields[2]) > 2**53:
             raise MatrixFormatError(
-                f"line {lineno}: expected '#samples <n>' or 'word<TAB>word<TAB>probability',"
-                f" got {line!r}"
-            ) from None
-        probs[store.word_id(w_str), store.word_id(u_str)] = p
-    return TransitionMatrix(probs=probs, sample_count=sample_count)
+                f"line {lineno}: expected 'word<TAB>word<TAB>count' with a count in"
+                f" [0, 2**53], got {line!r}"
+            )
+        counts[store.word_id(fields[0]), store.word_id(fields[1])] = int(fields[2])
+    return TransitionMatrix(counts)

@@ -210,13 +210,14 @@ def test_criterion_5_truncation_invariants(toy5m, toy3):
 
 
 def test_criterion_6_bayes_attack(toy5m, toy5_matrix_eps2):
-    m2 = TransitionMatrix(np.array([[0.7, 0.3], [0.3, 0.7]]), sample_count=1)
+    m2 = TransitionMatrix([[7, 3], [3, 7]])
     p2 = posterior([0.5, 0.5], m2, observed=0)
     exact2 = abs(p2.probs[0] - 0.7) <= 1e-12 and abs(p2.probs[1] - 0.3) <= 1e-12
 
-    probs3 = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]])
+    counts3 = np.array([[12, 6, 2], [4, 10, 6], [5, 5, 10]])
+    probs3 = counts3 / 20
     prior3 = np.array([0.5, 0.25, 0.25])
-    p3 = posterior(prior3, TransitionMatrix(probs3, sample_count=1), observed=2)
+    p3 = posterior(prior3, TransitionMatrix(counts3), observed=2)
     joint = prior3 * probs3[:, 2]
     exact3 = bool(np.all(np.abs(p3.probs - joint / joint.sum()) <= 1e-12))
 

@@ -15,7 +15,7 @@ from privtext import (
     subsample_batch,
 )
 from privtext.amplification import apply_amplifier
-from privtext.errors import ConfigError
+from privtext.errors import ConfigError, InvalidWordIdError
 
 
 def batch_of(payloads):
@@ -89,6 +89,31 @@ class TestSubsample:
         with pytest.raises(ConfigError):
             subsample_batch(rng, batch_of([]), 1.5)
 
+    @pytest.mark.parametrize("q", [True, "0.5"])
+    def test_q_must_be_a_real_number(self, rng, q):
+        # True kept every message, and "0.5" ended in a bare TypeError
+        with pytest.raises(ConfigError, match="q"):
+            subsample_batch(rng, batch_of([1, 2]), q)
+
+
+class TestPayloadsAreWordIds:
+    # floats were truncated to other words, and a negative id ended in
+    # numpy's bare ValueError inside kthreshold_batch's bincount
+    STAGES = {
+        "shuffle": lambda rng, batch: shuffle_batch(rng, batch),
+        "subsample": lambda rng, batch: subsample_batch(rng, batch, 1.0),
+        "kthreshold": lambda rng, batch: kthreshold_batch(batch, 1),
+    }
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_non_ids_rejected(self, rng, stage):
+        for batch, match in (([0.5, 1.7], "integers"), ([True, False], "integers"),
+                             ([-1, 2], "outside"), (np.array([2**63], np.uint64), "outside")):
+            with pytest.raises(InvalidWordIdError, match=match):
+                self.STAGES[stage](rng, batch)
+        assert sorted(self.STAGES[stage](rng, np.array([3, 0], np.uint8)).tolist()) == [0, 3]
+        assert self.STAGES[stage](rng, []).shape == (0,)
+
 
 class TestKThreshold:
     def test_k_one_identity(self):
@@ -156,6 +181,14 @@ class TestAmplifiedEpsilon:
             amplified_epsilon(1.0, 0.0)
         with pytest.raises(ConfigError):
             amplified_epsilon(0.0, 0.5)
+
+    @pytest.mark.parametrize("epsilon, q", [(1.0, True), ("1", 0.5), (1.0, "0.5"),
+                                            (math.inf, 0.5), (True, 0.5)])
+    def test_arguments_must_be_real_numbers(self, epsilon, q):
+        # q = True was echoed as "q": true, "1" ended in a bare TypeError, and
+        # an infinite epsilon was reported as Infinity, which is not JSON
+        with pytest.raises(ConfigError, match="finite real number"):
+            amplified_epsilon(epsilon, q)
 
 
 class TestConfigAndIo:

@@ -37,19 +37,20 @@ from oracles import (
 
 
 def identity_matrix(n, samples=10**5):
-    return TransitionMatrix(np.eye(n), sample_count=samples)
+    return TransitionMatrix(np.diag([samples] * n))
 
 
-def uniform_matrix(n, samples=10**5):
-    return TransitionMatrix(np.full((n, n), 1.0 / n), sample_count=samples)
+def uniform_matrix(n, per_cell=10**4):
+    return TransitionMatrix(np.full((n, n), per_cell))
 
 
-def sparse_matrix(gen, n, samples=1000):
-    """Row-stochastic estimate from small integer counts: many zero cells
-    and repeated probabilities; the diagonal keeps every row nonzero."""
-    counts = gen.integers(0, 4, size=(n, n)) * (gen.uniform(size=(n, n)) < 0.4)
-    counts[np.arange(n), np.arange(n)] += 1
-    return TransitionMatrix(counts / counts.sum(axis=1, keepdims=True), sample_count=samples)
+def sparse_matrix(gen, n, samples=12):
+    """samples draws per row over a random support of about 40% of the
+    words, the diagonal always in it: many zero cells and repeated
+    probabilities."""
+    support = gen.uniform(size=(n, n)) < 0.4
+    support[np.arange(n), np.arange(n)] = True
+    return TransitionMatrix(np.stack([gen.multinomial(samples, s / s.sum()) for s in support]))
 
 
 def reference_cases():
@@ -61,7 +62,7 @@ def reference_cases():
         vecs = gen.normal(size=(n, dim))
         vecs[-1] = vecs[0]
         store = EmbeddingStore.from_arrays([f"w{i}" for i in range(n)], vecs)
-        cases.append((store, sparse_matrix(gen, n, samples=int(gen.integers(1, 10**6)))))
+        cases.append((store, sparse_matrix(gen, n, samples=int(gen.integers(1, 1000)))))
     verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
     tetra = EmbeddingStore.from_arrays(["a", "b", "c", "d"], verts)
     cases.append((tetra, uniform_matrix(4)))
@@ -194,28 +195,29 @@ class TestVerifyMetricDp:
         # the worst pair is a and c, one unit apart
         assert report.max_violation == pytest.approx(-math.log(cp_upper) - 2.0, rel=1e-9)
         for count in (-1, 2**53 + 1, 10**400):
-            with pytest.raises(MatrixFormatError, match="sample count"):
+            with pytest.raises(MatrixFormatError, match=r"2\*\*53"):
                 identity_matrix(3, samples=count)
 
 
 class TestPosterior:
     def test_hand_bayes_2x2(self):
-        m = TransitionMatrix(np.array([[0.7, 0.3], [0.3, 0.7]]), sample_count=1)
+        m = TransitionMatrix([[7, 3], [3, 7]])
         post = posterior([0.5, 0.5], m, observed=0)
         assert post.probs[0] == pytest.approx(0.7, abs=1e-12)
         assert post.probs[1] == pytest.approx(0.3, abs=1e-12)
 
     def test_hand_bayes_3x3_nonuniform_prior(self):
-        probs = np.array([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.25, 0.25, 0.5]])
+        counts = np.array([[10, 6, 4], [2, 16, 2], [5, 5, 10]])
+        probs = counts / 20
         prior = np.array([0.2, 0.5, 0.3])
-        m = TransitionMatrix(probs, sample_count=1)
+        m = TransitionMatrix(counts)
         post = posterior(prior, m, observed=1)
         joint = prior * probs[:, 1]
         expected = joint / joint.sum()
         assert np.allclose(post.probs, expected, atol=1e-12)
 
     def test_point_mass_prior_dominates(self):
-        m = TransitionMatrix(np.array([[0.7, 0.3], [0.3, 0.7]]), sample_count=1)
+        m = TransitionMatrix([[7, 3], [3, 7]])
         post = posterior([0.0, 1.0], m, observed=0)
         assert post.probs.tolist() == [0.0, 1.0]
 
@@ -223,16 +225,16 @@ class TestPosterior:
         gen = np.random.default_rng(4)
         for _ in range(20):
             n = int(gen.integers(2, 8))
-            probs = gen.uniform(size=(n, n))
-            probs /= probs.sum(axis=1, keepdims=True)
-            m = TransitionMatrix(probs, sample_count=1)
+            counts = gen.multinomial(1000, gen.dirichlet(np.ones(n)), size=n)
+            probs = counts / 1000
+            m = TransitionMatrix(counts)
             y = int(gen.integers(0, n))
             post = posterior(np.full(n, 1.0 / n), m, y)
             col = probs[:, y]
             assert np.allclose(post.probs, col / col.sum(), atol=1e-12)
 
     def test_unreachable_observation(self):
-        m = TransitionMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]), sample_count=1)
+        m = TransitionMatrix([[1, 0], [1, 0]])
         for observed in (1, np.array([0, 1])):
             with pytest.raises(UnreachableObservationError):
                 posterior([0.5, 0.5], m, observed=observed)
@@ -243,7 +245,7 @@ class TestPosterior:
         prior = gen.uniform(size=8) * (gen.uniform(size=8) < 0.7)
         prior[0] = 0.5
         prior /= prior.sum()
-        ids = np.flatnonzero(prior @ m.probs > 0)[[3, 0, 2, 0, 1]]
+        ids = np.flatnonzero(prior @ m.counts > 0)[[3, 0, 2, 0, 1]]
         post = posterior(prior, m, ids)
         stacked = np.stack([posterior(prior, m, int(y)).probs for y in ids], axis=1)
         assert post.probs.shape == (8, 5)
@@ -280,9 +282,7 @@ class TestPosterior:
 
     def test_normalization(self):
         gen = np.random.default_rng(8)
-        probs = gen.uniform(size=(5, 5))
-        probs /= probs.sum(axis=1, keepdims=True)
-        m = TransitionMatrix(probs, sample_count=1)
+        m = TransitionMatrix(gen.multinomial(1000, np.full(5, 0.2), size=5))
         prior = gen.uniform(size=5)
         prior /= prior.sum()
         for y in range(5):
@@ -371,10 +371,10 @@ class TestAttackAccuracy:
         store = EmbeddingStore.from_arrays([f"w{i}" for i in range(5)], vecs)
         perm = np.array([3, 0, 4, 1, 2])
         store_p = EmbeddingStore.from_arrays([f"w{i}" for i in range(5)], vecs[perm])
-        probs = gen.uniform(0.05, 1.0, size=(5, 5))
-        probs /= probs.sum(axis=1, keepdims=True)
-        m = TransitionMatrix(probs, sample_count=10**5)
-        m_p = TransitionMatrix(probs[np.ix_(perm, perm)], sample_count=10**5)
+        counts = np.stack([gen.multinomial(10**5, p / p.sum())
+                           for p in gen.uniform(0.05, 1.0, size=(5, 5))])
+        m = TransitionMatrix(counts)
+        m_p = TransitionMatrix(counts[np.ix_(perm, perm)])
         prior = gen.uniform(0.1, 1.0, size=5)
         prior /= prior.sum()
         acc = attack_accuracy(store, rng.fork(0), m, prior, 10**4)

@@ -132,14 +132,13 @@ class TestMatrix:
             capsys=capsys,
         )
         assert code == 0
+        lines = out_file.read_text().splitlines()
+        assert lines[0] == "#privtext-matrix-v2"
         sums = {}
-        for line in out_file.read_text().splitlines():
-            if line.startswith("#"):
-                continue
-            w, _, p = line.split("\t")
-            sums[w] = sums.get(w, 0.0) + float(p)
-        assert len(sums) == 5
-        assert all(abs(s - 1.0) < 1e-9 for s in sums.values())
+        for line in lines[1:]:
+            w, _, count = line.split("\t")
+            sums[w] = sums.get(w, 0) + int(count)
+        assert sums == dict.fromkeys("vwxyz", 1000)
 
 
 class TestSensitivity:
@@ -185,6 +184,47 @@ class TestVerifyAndAttack:
         assert code == 0
         payload = parse_report(out)
         assert 0.0 <= payload["accuracy"] <= 1.0
+
+
+class TestAuditReportsPinned:
+    """The verify-dp and attack reports of a seeded matrix -> verify-dp ->
+    attack run, metadata dropped, pinned by their digests: a change to the
+    matrix's draws, the verifier or the attack changes a digest. With 200
+    samples every c/200 is a short decimal, so a file of probabilities
+    rounded to 12 digits gave these digests too."""
+
+    CASES = {
+        "baseline": (["--epsilon", "2"],
+                     "8ebc3aa37e3f86eb74113d81f289f14873c555558d06632499b28a43312440d1",
+                     "0739958e476571b20f09293b5bab06874de54472e8ca7386a9582351b1dbedc7"),
+        "smooth": (["--mechanism", "smooth", "--epsilon", "2", "--beta", "0.5"],
+                   "ae07b5153471b18a0bf3c4db8fe2c75cb47ca1335dc7e80a2ea1131f762927bb",
+                   "2de3a4e33a8030b83063b9265a123e4186bf07a2be3903f353c23a5bb05208ce"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_digests(self, tmp_path, capsys, case):
+        import hashlib
+
+        flags, verify_digest, attack_digest = self.CASES[case]
+        vectors = np.random.default_rng(11).normal(scale=2.0, size=(30, 3))
+        emb = tmp_path / "emb.txt"
+        emb.write_text("".join(f"w{i} " + " ".join(map(repr, v)) + "\n"
+                               for i, v in enumerate(vectors.tolist())), encoding="utf-8")
+        matrix = str(tmp_path / "m.tsv")
+        head = ["--embeddings", str(emb), "--seed", "3"]
+        assert run([*head, "--quiet", "--out", matrix, "matrix", *flags, "--samples", "200"],
+                   capsys=capsys)[0] == 0
+        digests = []
+        for command in (["verify-dp", "--epsilon", "2"],
+                        ["attack", "--prior", "zipf:1.1", "--trials", "3000"]):
+            code, out, _ = run([*head, command[0], "--matrix", matrix, *command[1:]],
+                               capsys=capsys)
+            assert code == 0
+            report = parse_report(out)
+            del report["metadata"]
+            digests.append(hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
+        assert digests == [verify_digest, attack_digest]
 
 
 class TestStats:
@@ -328,12 +368,16 @@ class TestErrors:
         assert err.startswith("error:") and "k=5" in err
 
     def test_malformed_matrix_exit_2(self, emb, tmp_path, capsys):
-        head = "#privtext-matrix-v1\n#samples 10\n"
-        rows = "".join(f"{w}\t{w}\t1\n" for w in "vwxyz")
+        head = "#privtext-matrix-v2\n"
+        rows = "".join(f"{w}\t{w}\t10\n" for w in "vwxyz")
         for text in (
             head + "v\tw\n" + rows,
-            "#privtext-matrix-v1\n#samples x\n" + rows,
-            head + rows.replace("z\tz\t1\n", ""),  # missing row
+            head + "v\tw\t0.5\n" + rows,
+            head + rows.replace("z\tz\t10\n", ""),  # missing row
+            head + rows.replace("z\tz\t10\n", "z\tz\t9\n"),  # rows that differ
+            head + rows.replace("z\tz\t10\n", "z\tz\t0\n"),  # an all-zero row
+            head + rows.replace("z\tz\t10\n", f"z\tz\t{2**64}\n"),
+            "#privtext-matrix-v1\n#samples 10\n" + rows,
         ):
             path = tmp_path / "m.tsv"
             path.write_text(text, encoding="utf-8")
@@ -345,21 +389,46 @@ class TestErrors:
                 assert code == 2, (text, command, err)
                 assert err.startswith("error:") and err.strip() != "error:"
 
+    def test_verdict_follows_the_counts_alone(self, tmp_path, capsys):
+        # one v1 file's three rows read satisfied under '#samples 2' and
+        # violated under '#samples 1000000'; a v2 file's counts give the
+        # total, and a '#samples' line there is a comment
+        emb = tmp_path / "e.txt"
+        emb.write_text("a 0\nb 1\nc 2\n", encoding="utf-8")
+        path = tmp_path / "m.tsv"
+        argv = ["--embeddings", str(emb), "verify-dp", "--matrix", str(path), "--epsilon", "1"]
+        rows = ((1, 1, 0), (1, 1, 0), (0, 1, 1))
+        reports = {}
+        for scale in (1, 500_000):
+            body = "".join(f"{w}\t{u}\t{c * scale}\n"
+                           for w, row in zip("abc", rows) for u, c in zip("abc", row) if c)
+            for comment in ("", "#samples 2\n", "#samples 1000000\n"):
+                path.write_text("#privtext-matrix-v2\n" + comment + body, encoding="utf-8")
+                code, out, _ = run(argv, capsys=capsys)
+                assert code == 0
+                reports.setdefault(scale, set()).add(out)
+        assert [len(outs) for outs in reports.values()] == [1, 1]
+        verdicts = [parse_report(outs.pop()) for outs in reports.values()]
+        assert [(r["sample_count"], r["satisfied"]) for r in verdicts] == [
+            (2, True), (1_000_000, False)
+        ]
+
     def test_huge_sample_count_exit_2(self, emb, tmp_path, capsys):
         # at 1e20, 1 - alpha**(1/n) rounded to 0 and the report read inf with
         # divide-by-zero warnings; 1e400 escaped as an OverflowError
-        rows = "".join(f"{w}\t{w}\t1\n" for w in "vwxyz")
         path = tmp_path / "m.tsv"
         argv = ["--embeddings", emb, "verify-dp", "--matrix", str(path), "--epsilon", "1"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for count in (10**20, 10**400, -1):
-                path.write_text(f"#privtext-matrix-v1\n#samples {count}\n{rows}", encoding="utf-8")
+                rows = "".join(f"{w}\t{w}\t{count}\n" for w in "vwxyz")
+                path.write_text(f"#privtext-matrix-v2\n{rows}", encoding="utf-8")
                 code, out, err = run(argv, capsys=capsys)
                 assert code == 2, count
-                assert err.startswith("error:") and "sample count" in err and out == ""
+                assert err.startswith("error:") and "count in [0, 2**53]" in err and out == ""
             # the largest count a float64 holds exactly still verifies
-            path.write_text(f"#privtext-matrix-v1\n#samples {2**53}\n{rows}", encoding="utf-8")
+            rows = "".join(f"{w}\t{w}\t{2**53}\n" for w in "vwxyz")
+            path.write_text(f"#privtext-matrix-v2\n{rows}", encoding="utf-8")
             code, out, _ = run(argv, capsys=capsys)
         assert code == 0
         report = parse_report(out)
@@ -415,8 +484,7 @@ class TestErrors:
         # the row-sum check must not be an assert, which -O strips
         path = tmp_path / "m.tsv"
         path.write_text(
-            "#privtext-matrix-v1\n#samples 10\n"
-            + "".join(f"{w}\t{w}\t1\n" for w in "vwxy"),
+            "#privtext-matrix-v2\n" + "".join(f"{w}\t{w}\t10\n" for w in "vwxy"),
             encoding="utf-8",
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -433,7 +501,7 @@ class TestErrors:
     def test_bad_attack_prior_exit_2(self, emb, tmp_path, capsys):
         path = tmp_path / "m.tsv"
         path.write_text(
-            "#privtext-matrix-v1\n#samples 10\n" + "".join(f"{w}\t{w}\t1\n" for w in "vwxyz"),
+            "#privtext-matrix-v2\n" + "".join(f"{w}\t{w}\t10\n" for w in "vwxyz"),
             encoding="utf-8",
         )
         for prior in ("zipf:abc", "foo", "zipf", "zipf:", "zipf:nan", "zipf:-1", "uniform:2"):
@@ -545,7 +613,7 @@ class TestErrors:
         one = tmp_path / "one.txt"
         one.write_text("v 0 0\n", encoding="utf-8")
         matrix = tmp_path / "m.tsv"
-        matrix.write_text("#privtext-matrix-v1\n#samples 10\nv\tv\t1\n", encoding="utf-8")
+        matrix.write_text("#privtext-matrix-v2\nv\tv\t10\n", encoding="utf-8")
         code, out, err = run(
             ["--embeddings", str(one), "verify-dp", "--matrix", str(matrix), "--epsilon", "1"],
             capsys=capsys,

@@ -129,22 +129,33 @@ def test_embedding_cache_never_crashes(files, data):
 
 # --- transition-matrix TSV ----------------------------------------------------
 
-probability = st.one_of(st.floats().map(repr), st.sampled_from(["0.2", "1", "-1", "x", ""]))
+# counts in range and past it (2**53, 2**63, 2**64), and what int() alone
+# would take or round: '1.0', '1_0', '+1', ' 1'
+count = st.one_of(
+    st.integers(-2, 2**70).map(str),
+    st.sampled_from(["0", "1", "10", "1.0", "-1", "1_0", "+1", " 1", "0.2", "x", "", str(2**53),
+                     str(2**53 + 1), str(2**63), str(2**64 + 1)]),
+    st.floats().map(repr),
+)
 tsv_line = st.one_of(
-    st.tuples(st.sampled_from(WORDS + ["q", ""]), st.sampled_from(WORDS), probability)
+    st.tuples(st.sampled_from(WORDS + ["q", ""]), st.sampled_from(WORDS), count)
     .map("\t".join),
     st.sampled_from(["#samples 10", "#samples x", "#samples", "#samples -3", "#note", ""]),
     st.integers(-2, 10**30).map(lambda n: f"#samples {n}"),
     utf8_text,
 )
 tsv_text = st.tuples(
-    st.sampled_from([MATRIX_TSV_MAGIC, "", "#other"]), st.lists(tsv_line, max_size=10)
+    st.sampled_from([MATRIX_TSV_MAGIC, "#privtext-matrix-v1", "", "#other"]),
+    st.lists(tsv_line, max_size=10),
 ).map(lambda t: "\n".join([t[0], *t[1]]))
-# a valid permutation matrix, then arbitrary extra lines
+# a permutation matrix of one count per row, valid when it is in
+# [1, 2**53], with a '#samples' comment, then arbitrary extra lines
 valid_tsv = st.tuples(
-    st.permutations(WORDS), st.integers(-2, 10**30), st.lists(tsv_line, max_size=3)
+    st.permutations(WORDS), st.one_of(st.integers(1, 2**53), st.integers(-2, 2**70)),
+    st.integers(-2, 10**30), st.lists(tsv_line, max_size=3),
 ).map(lambda t: "\n".join(
-    [MATRIX_TSV_MAGIC, f"#samples {t[1]}", *(f"{a}\t{b}\t1" for a, b in zip(WORDS, t[0])), *t[2]]
+    [MATRIX_TSV_MAGIC, f"#samples {t[2]}", *(f"{a}\t{b}\t{t[1]}" for a, b in zip(WORDS, t[0])),
+     *t[3]]
 ))
 
 
@@ -159,13 +170,13 @@ def test_matrix_tsv_never_crashes(files, data):
 
 
 def parse_outcome(parse, store, text):
-    """What a matrix parser makes of text: the matrix and sample count, or
+    """What a matrix parser makes of text: the counts and sample count, or
     the error's type and message."""
     try:
         matrix = parse(store, text)
     except (MatrixFormatError, InvalidWordIdError) as exc:
         return type(exc), str(exc)
-    return matrix.probs.tobytes(), matrix.sample_count
+    return matrix.counts.tobytes(), matrix.sample_count
 
 
 # lines a parser could class wrongly: two-tab comments and blank lines,
@@ -173,6 +184,7 @@ def parse_outcome(parse, store, text):
 odd_line = st.sampled_from([
     "#c\tv\t1", "#samples\t3\t4", "\t\t", " \t \t ", "\tv\t1", " #x\tv\t1",
     "v\tv\t0.5", "v\tv\t1", "v\tv\t1\t", "\u3000\t\t", "#samples 7\r", "v\tw\t1_0",
+    "v\tv\t1.0", "v\tv\t-1", "v\tv\t+1", "v\tv\t\u0661", f"v\tv\t{2**63}", f"v\tv\t{2**64 + 1}",
 ])
 parser_tsv = st.tuples(
     st.one_of(tsv_text, valid_tsv),

@@ -249,7 +249,7 @@ class TestPerturbWords:
     def test_ids_must_be_integers(self, toy5, rng):
         # floats and bools were cast to int64 and drawn for other words
         mech = Mechanism(toy5, MechanismConfig("baseline", 1.0))
-        matrix = TransitionMatrix(np.full((5, 5), 0.2), sample_count=1)
+        matrix = TransitionMatrix(np.ones((5, 5), dtype=np.int64))
         for ids in ([1.7, 2.2], [True, False], np.array([[1.9]])):
             with pytest.raises(InvalidWordIdError, match="integers"):
                 mech.perturb_words(rng, ids)
@@ -279,7 +279,7 @@ class TestPerturbWords:
         assert main(["--embeddings", str(path), "perturb", "--epsilon", "0.1"]) == 0
         assert capsys.readouterr().out == "v w v\nw\n"
         # one call per matrix row, and one per distinct word that stats lists
-        assert np.array_equal(build_transition_matrix(toy5, rng, cfg, 6).probs, np.eye(5))
+        assert np.array_equal(build_transition_matrix(toy5, rng, cfg, 6).counts, 6 * np.eye(5))
         argv = ["--embeddings", str(path), "stats", "--epsilon", "0.1", "--trials", "9"]
         assert main(argv + ["--words", "w", "v", "w"]) == 0
         rows = json.loads(capsys.readouterr().out)["stats"]
@@ -486,7 +486,8 @@ class TestDensityMechanism:
 class TestTransitionMatrix:
     def test_rows_sum_to_one(self, toy3, rng):
         m = build_transition_matrix(toy3, rng, MechanismConfig("baseline", 1.0), 500)
-        assert np.allclose(m.probs.sum(axis=1), 1.0)
+        assert m.counts.dtype == np.int64 and m.sample_count == 500
+        assert np.all(m.counts.sum(axis=1) == 500)
 
     def test_row_is_the_words_own_draws(self, toy5, rng):
         s = 300
@@ -495,17 +496,17 @@ class TestTransitionMatrix:
             mech = Mechanism(toy5, cfg)
             for w in range(len(toy5)):
                 draws = mech.perturb_batch(rng.fork(w), w, s)
-                assert np.array_equal(m.probs[w], np.bincount(draws, minlength=len(toy5)) / s)
+                assert np.array_equal(m.counts[w], np.bincount(draws, minlength=len(toy5)))
 
     def test_high_epsilon_identity(self, toy3, rng):
         m = build_transition_matrix(toy3, rng, MechanismConfig("baseline", 1e3), 2000)
-        assert np.all(np.diag(m.probs) >= 0.99)
+        assert np.all(np.diag(m.counts) >= 0.99 * 2000)
 
     def test_two_word_quadrature(self, pair, rng):
         m = build_transition_matrix(pair, rng, MechanismConfig("baseline", 2.0), 10**6)
         expected = half_plane_mass(2.0, 0.5)
-        assert m.probs[0, 1] == pytest.approx(expected, abs=0.005)
-        assert m.probs[1, 0] == pytest.approx(expected, abs=0.005)
+        assert m.counts[0, 1] / 10**6 == pytest.approx(expected, abs=0.005)
+        assert m.counts[1, 0] / 10**6 == pytest.approx(expected, abs=0.005)
 
     def test_diagonal_monotone_in_epsilon(self, toy5, rng):
         diags = []
@@ -513,23 +514,23 @@ class TestTransitionMatrix:
             m = build_transition_matrix(
                 toy5, rng.fork_named(f"eps{eps}"), MechanismConfig("baseline", eps), 20_000
             )
-            diags.append(np.diag(m.probs))
+            diags.append(np.diag(m.counts) / 20_000)
         for lo, hi in zip(diags, diags[1:]):
             assert np.all(hi >= lo - 0.01)
 
     def test_sample_point_mass(self, rng):
-        m = TransitionMatrix(np.array([[0.0, 1.0], [0.0, 1.0]]), sample_count=1)
+        m = TransitionMatrix([[0, 1], [0, 1]])
         assert sample_from_matrix(rng, m, np.zeros(50, dtype=np.int64)).tolist() == [1] * 50
 
     def test_sample_uniform_row(self, rng):
-        m = TransitionMatrix(np.full((4, 4), 0.25), sample_count=1)
+        m = TransitionMatrix(np.ones((4, 4), dtype=np.int64))
         draws = sample_from_matrix(rng, m, np.full(10**5, 2))
         freqs = np.bincount(draws, minlength=4) / len(draws)
         assert np.all(np.abs(freqs - 0.25) < 0.01)
 
     def test_sample_binomial_concentration(self, rng):
         row = np.array([0.1, 0.2, 0.3, 0.4])
-        m = TransitionMatrix(np.tile(row, (4, 1)), sample_count=1)
+        m = TransitionMatrix(np.tile([1, 2, 3, 4], (4, 1)))
         n = 10**5
         draws = sample_from_matrix(rng, m, np.zeros(n, dtype=np.int64))
         freqs = np.bincount(draws, minlength=4) / n
@@ -538,73 +539,110 @@ class TestTransitionMatrix:
 
     def test_sample_rows_in_entry_order(self, rng):
         # mixed ids draw one uniform per entry, in entry order, each
-        # inverted through its own row's cumulative sum
-        probs = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]])
-        m = TransitionMatrix(probs, sample_count=1)
+        # inverted through its own row's cumulative count
+        counts = np.array([[5, 5, 0], [0, 0, 10], [2, 3, 5]])
+        m = TransitionMatrix(counts)
         ids = np.array([2, 0, 1, 2, 0, 2, 1])
         draws = sample_from_matrix(rng.fork(0), m, ids)
         u = rng.fork(0).gen.uniform(size=len(ids))
-        expected = [np.searchsorted(np.cumsum(probs[w]), x, side="right") for w, x in zip(ids, u)]
+        expected = [np.searchsorted(np.cumsum(counts[w]), x * 10, side="right")
+                    for w, x in zip(ids, u)]
         assert draws.tolist() == expected
 
     def test_sample_never_returns_a_zero_cell(self):
-        # a row 6e-10 short of 1, inside the row-sum tolerance: a uniform past
-        # its total was clipped to the last word, whose probability is 0
-        probs = np.array([[0.5, 0.5 - 6e-10, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        m = TransitionMatrix(probs, sample_count=1)
-        top = SimpleNamespace(gen=SimpleNamespace(uniform=lambda size: np.full(size, 1 - 1e-10)))
-        assert sample_from_matrix(top, m, [0, 0]).tolist() == [1, 1]
+        # the largest uniform below 1 times n stays below n, for n = 2**k
+        # and for odd n, so it lands in the last nonzero cell, not after it
+        top = SimpleNamespace(gen=SimpleNamespace(uniform=lambda size: np.full(size, 1 - 2**-53)))
+        low = SimpleNamespace(gen=SimpleNamespace(uniform=lambda size: np.zeros(size)))
+        for n in (1, 2, 3, 7, 2**20, 2**20 + 1, 2**53 - 1, 2**53):
+            m = TransitionMatrix([[0, n - n // 2, 0, n // 2, 0], *[[0, n, 0, 0, 0]] * 4])
+            last = 3 if n // 2 else 1
+            assert sample_from_matrix(top, m, [0, 1]).tolist() == [last, 1], n
+            assert sample_from_matrix(low, m, [0, 1]).tolist() == [1, 1], n
 
     def test_tsv_round_trip(self, toy3, rng):
         m = build_transition_matrix(toy3, rng, MechanismConfig("baseline", 1.0), 300)
-        back = matrix_from_tsv(toy3, matrix_to_tsv(toy3, m))
-        assert np.allclose(back.probs, m.probs)
-        assert back.sample_count == m.sample_count
+        text = matrix_to_tsv(toy3, m)
+        assert text.startswith("#privtext-matrix-v2\n") and "#samples" not in text
+        back = matrix_from_tsv(toy3, text)
+        assert np.array_equal(back.counts, m.counts)
+        assert back.sample_count == m.sample_count == 300
 
     def test_invalid_matrix_rejected(self):
-        for probs in (
-            np.full((2, 3), 1 / 3),  # not square
-            np.array([[1.5, -0.5], [0.0, 1.0]]),  # negative entry
-            np.array([[1.0, 0.0], [0.0, 0.0]]),  # missing row
-            np.array([[np.nan, 1.0], [0.0, 1.0]]),
+        for counts in (
+            np.ones((2, 3), dtype=np.int64),  # not square
+            np.zeros((0, 0), dtype=np.int64),  # empty
+            np.array([[2, -1], [0, 1]]),  # negative entry
+            np.array([[1, 0], [0, 0]]),  # missing row
+            np.array([[0.5, 0.5], [0.0, 1.0]]),  # probabilities
+            np.array([[1.0, 0.0], [0.0, 1.0]]),  # whole floats
+            np.array([[True, False], [False, True]]),
         ):
             with pytest.raises(MatrixFormatError):
-                TransitionMatrix(probs, sample_count=1)
+                TransitionMatrix(counts)
 
-    def test_row_sums_within_1e9_of_one(self, toy3):
-        # np.isclose kept its relative 1e-5 beside atol=1e-9, so a row that
-        # sums to 1.000008 was accepted, from a TSV too
-        with pytest.raises(MatrixFormatError, match="row 0 sums to 1.000008"):
-            TransitionMatrix(np.array([[0.5, 0.500008], [0.0, 1.0]]), sample_count=1)
-        TransitionMatrix(np.array([[0.5, 0.5 + 5e-10], [0.0, 1.0]]), sample_count=1)
-        text = "#privtext-matrix-v1\n#samples 10\na\ta\t1.000008\nb\tb\t1\nc\tc\t1\n"
-        with pytest.raises(MatrixFormatError, match="row 0"):
+    def test_rows_must_hold_one_total(self, toy3):
+        # the sample count is each row's total: rows that differ are refused,
+        # not read as probabilities of some common count
+        with pytest.raises(MatrixFormatError, match="row 1 holds 4 samples and row 0 3"):
+            TransitionMatrix([[1, 2, 0], [1, 1, 2], [3, 0, 0]])
+        # 2048 counts of 2**53 and one of 10 total 2**64 + 10, which an int64
+        # sum wraps to a valid-looking 10
+        wide = np.zeros((2049, 2049), dtype=np.int64)
+        wide[:, :2048] = 2**53
+        wide[:, 2048] = 10
+        assert np.all(wide.sum(axis=1) == 10)
+        with pytest.raises(MatrixFormatError, match=f"{2**64 + 10} samples each, outside"):
+            TransitionMatrix(wide)
+        text = "#privtext-matrix-v2\na\ta\t10\nb\tb\t10\nc\tc\t9\n"
+        with pytest.raises(MatrixFormatError, match="row 2 holds 9"):
             matrix_from_tsv(toy3, text)
 
     @pytest.mark.parametrize("count", [1.5, True, 2.0, -1, 2**53 + 1, None])
     def test_sample_count_is_an_int_in_range(self, count):
-        # 1.5 and True were accepted, and verify_metric_dp echoed them back
-        with pytest.raises(MatrixFormatError, match="sample count"):
-            TransitionMatrix(np.eye(2), sample_count=count)
-        for good in (0, 2**53):
-            assert TransitionMatrix(np.eye(2), sample_count=good).sample_count == good
+        # each row's total is the sample count: an int in [1, 2**53]
+        with pytest.raises(MatrixFormatError, match=r"2\*\*53"):
+            TransitionMatrix(np.diag([count] * 2))
+        for good in (1, 2**53):
+            assert TransitionMatrix(np.diag([good] * 2)).sample_count == good
+        with pytest.raises(MatrixFormatError, match="0 samples each"):
+            TransitionMatrix([[0, 0], [0, 0]])
 
     def test_tsv_malformed_lines_rejected(self, toy3):
-        head = "#privtext-matrix-v1\n#samples 10\n"
-        rows = "a\ta\t1\nb\tb\t1\nc\tc\t1\n"
+        head = "#privtext-matrix-v2\n"
+        rows = "a\ta\t10\nb\tb\t10\nc\tc\t10\n"
         assert matrix_from_tsv(toy3, head + rows).sample_count == 10
+        # a '#samples' line is a comment: the counts alone give the total
+        assert matrix_from_tsv(toy3, head + "#samples 99\n" + rows).sample_count == 10
         for text in (
             "not a matrix\n",
             head + "a\tb\n" + rows,  # two fields
             head + "a\tb\tc\td\n" + rows,  # four fields
-            head + "a\tb\tlots\n" + rows,  # non-numeric probability
+            head + "a\tb\tlots\n" + rows,  # non-numeric count
             head + "a\tnope\tlots\n" + rows,  # reported before the unknown word
-            "#privtext-matrix-v1\n#samples x\n" + rows,
-            "#privtext-matrix-v1\n#samples\n" + rows,
+            head + "a\tb\t0.5\n" + rows,  # a probability
             head + "a\ta\t1\nb\tb\t1\n",  # row c missing
+            "#privtext-matrix-v1\n#samples 10\n" + rows,
         ):
             with pytest.raises(MatrixFormatError):
                 matrix_from_tsv(toy3, text)
+
+    def test_v1_file_says_to_rerun_the_matrix(self, toy3):
+        text = "#privtext-matrix-v1\n#samples 10\na\ta\t1\nb\tb\t1\nc\tc\t1\n"
+        with pytest.raises(MatrixFormatError, match="v1 .* re-run `privtext matrix`"):
+            matrix_from_tsv(toy3, text)
+
+    @pytest.mark.parametrize("count", ["1.0", "-1", "+1", " 1", "1_0", "1e3", "\u0661",
+                                       str(2**53 + 1), str(2**63), str(2**64 + 5),
+                                       pytest.param("9" * 5000, id="5000-digits")])
+    def test_tsv_count_is_ascii_digits_at_most_2_53(self, toy3, count):
+        # int() alone takes '+1', ' 1', '1_0' and Arabic-Indic digits, and a
+        # count past 2**63 overflowed the int64 array
+        rows = "b\tb\t10\nc\tc\t10\n"
+        with pytest.raises(MatrixFormatError, match="^line 2: "):
+            matrix_from_tsv(toy3, f"#privtext-matrix-v2\na\ta\t{count}\n{rows}")
+        big = f"#privtext-matrix-v2\na\ta\t{2**53}\nb\tb\t{2**53}\nc\tc\t{2**53}\n"
+        assert matrix_from_tsv(toy3, big).sample_count == 2**53
 
     @pytest.mark.parametrize("seed", [7, 2**20])
     def test_tsv_fault_deep_in_a_file_names_its_line(self, rng, seed):
@@ -617,21 +655,21 @@ class TestTransitionMatrix:
         k = len(lines) - 7
         assert k > 500
         # blank lines and comments, two-tab ones included, change nothing;
-        # nor does an entry given 0.5 early on and its own value deep down,
-        # as the last value of a pair wins
-        first = lines[2]
-        early = lines[:2] + [first.rsplit("\t", 1)[0] + "\t0.5"] + lines[3:]
-        for extra, head in (("", lines), ("   ", lines), ("#note", lines),
+        # nor does an entry given 7 early on and its own count deep down,
+        # as the last count of a pair wins
+        first = lines[1]
+        early = lines[:1] + [first.rsplit("\t", 1)[0] + "\t7"] + lines[2:]
+        for extra, head in (("", lines), ("   ", lines), ("#note", lines), ("#samples 3", lines),
                             ("#a\tb\tc", lines), ("\t\t", lines), (first, early)):
             text = "\n".join(head[:k] + [extra] + head[k:])
-            assert np.array_equal(matrix_from_tsv(store, text).probs, m.probs)
-            assert np.array_equal(matrix_from_tsv_by_line(store, text).probs, m.probs)
+            assert np.array_equal(matrix_from_tsv(store, text).counts, m.counts)
+            assert np.array_equal(matrix_from_tsv_by_line(store, text).counts, m.counts)
         for bad, error in (
             ("w3\tw4\tlots", MatrixFormatError),
             ("w3\tw4", MatrixFormatError),
-            ("w3\tw4\t0.1\t0.2", MatrixFormatError),
-            ("#samples many", MatrixFormatError),
-            ("w3\tnope\t0.1", InvalidWordIdError),
+            ("w3\tw4\t1\t2", MatrixFormatError),
+            ("w3\tw4\t0.1", MatrixFormatError),
+            ("w3\tnope\t1", InvalidWordIdError),
         ):
             text = "\n".join(lines[:k] + [bad] + lines[k:])
             with pytest.raises(error, match=f"^line {k + 1}: "):

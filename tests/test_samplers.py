@@ -168,6 +168,13 @@ class TestPermutation:
         p = sample_permutation(rng, 100)
         assert sorted(p.tolist()) == list(range(100))
 
+    @pytest.mark.parametrize("n", [2.5, True, "3", None])
+    def test_n_must_be_an_integer_at_least_zero(self, rng, n):
+        # 2.5 ended in numpy's bare AxisError, and True permuted one item
+        with pytest.raises(ConfigError, match="n must be an integer >= 0"):
+            sample_permutation(rng, n)
+        assert sample_permutation(rng, np.int64(2)).shape == (2,)
+
 
 class TestGammaOracle:
     """The Gamma(d, 1/eps) CDF and inverse CDF behind the truncated sampler

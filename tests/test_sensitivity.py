@@ -84,6 +84,12 @@ class TestSmooth:
         with pytest.raises(ConfigError):
             build_profile(toy3, -0.1)
 
+    @pytest.mark.parametrize("beta", [True, "1"])
+    def test_beta_must_be_a_real_number(self, toy3, beta):
+        # True ran as beta = 1, and "1" ended in a bare TypeError
+        with pytest.raises(ConfigError, match="beta"):
+            build_profile(toy3, beta)
+
 
 class TestProfile:
     def test_beta_zero_constant_equal_to_global(self, toy3):
