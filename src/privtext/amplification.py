@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError, from_fields, require_count, require_params, require_real, require_word_ids,
+    ConfigError, from_fields, require_count, require_params, require_positive, require_word_ids,
     set_fields,
 )
 from .samplers import RngStream, sample_permutation
@@ -29,15 +29,19 @@ class AmplifierConfig:
     def __post_init__(self):
         require_params(self, "kind", {"shuffle": (), "subsample": ("q",), "kthreshold": ("k",)})
         if self.kind == "subsample":
-            if self.q is not None:
-                require_real("q", self.q)
-            if self.q is None or not 0 < self.q <= 1:
-                raise ConfigError(f"subsample requires q in (0, 1], got {self.q}")
+            _require_rate(self.q)
         elif self.kind == "kthreshold":
             object.__setattr__(self, "k", require_count("k", self.k))
 
     to_dict = set_fields
     from_dict = classmethod(from_fields)
+
+
+def _require_rate(q) -> None:
+    """ConfigError unless q is a sub-sampling rate: a real in (0, 1]."""
+    require_positive("q", q)
+    if not q <= 1:
+        raise ConfigError(f"q must be in (0, 1], got {q!r}")
 
 
 def shuffle_batch(rng: RngStream, batch) -> np.ndarray:
@@ -50,9 +54,7 @@ def shuffle_batch(rng: RngStream, batch) -> np.ndarray:
 def subsample_batch(rng: RngStream, batch, q: float) -> np.ndarray:
     """Keep each message independently with probability q (Poisson
     sub-sampling)."""
-    require_real("q", q)
-    if not 0 < q <= 1:
-        raise ConfigError(f"q must be in (0, 1], got {q}")
+    _require_rate(q)
     batch = require_word_ids(batch)
     return batch[rng.gen.uniform(size=len(batch)) < q]
 
@@ -83,12 +85,8 @@ def amplified_epsilon(epsilon: float, q: float) -> dict:
     as epsilon_amplified. It is >= q * eps for every eps > 0; q * eps is
     reported only as the labelled first-order figure epsilon_first_order.
     """
-    require_real("q", q)
-    require_real("epsilon", epsilon)
-    if not 0 < q <= 1:
-        raise ConfigError(f"q must be in (0, 1], got {q}")
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
+    _require_rate(q)
+    require_positive("epsilon", epsilon)
     # the same bound as eps + ln(1 - (1 - q)(1 - e^-eps)): no overflow at large eps
     tight = epsilon + math.log1p((1.0 - q) * math.expm1(-epsilon))
     return {

@@ -15,7 +15,7 @@ import numpy as np
 from .embeddings import EmbeddingStore
 from .errors import (
     ConfigError, SingletonVocabularyError, UnreachableObservationError, require_count,
-    require_real,
+    require_real, require_word_ids,
 )
 from .randomizers import Mechanism, TransitionMatrix, sample_from_matrix
 from .samplers import RngStream
@@ -43,11 +43,7 @@ class Posterior:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        # written so that NaN fails every comparison
-        if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=0) - 1.0) <= 1e-9)):
-            raise ConfigError("every posterior column must be a probability vector")
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _probability_vectors("each posterior column", self.probs))
 
 
 @dataclass(frozen=True)
@@ -158,12 +154,20 @@ def verify_metric_dp(
     )
 
 
+def _probability_vectors(name: str, p) -> np.ndarray:
+    """p as float64; ConfigError unless it is >= 0 and each column sums to 1 within 1e-9."""
+    p = np.asarray(p, dtype=np.float64)
+    # written so that NaN fails every comparison
+    if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=0) - 1.0) <= 1e-9)):
+        raise ConfigError(f"{name} must be a probability vector")
+    return p
+
+
 def _check_prior(prior, size: int) -> np.ndarray:
     prior = np.asarray(prior, dtype=np.float64)
-    # written so that NaN fails every comparison
-    if prior.shape != (size,) or not (np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-9):
-        raise ConfigError("prior must be a probability vector over the vocabulary")
-    return prior
+    if prior.shape != (size,):
+        raise ConfigError(f"prior must have shape ({size},), got {prior.shape}")
+    return _probability_vectors("prior", prior)
 
 
 def posterior(prior, matrix: TransitionMatrix, observed) -> Posterior:
@@ -173,10 +177,9 @@ def posterior(prior, matrix: TransitionMatrix, observed) -> Posterior:
     posterior column per id, each equal to the posterior of that id alone.
     """
     prior = _check_prior(prior, matrix.size)
-    ids = np.asarray(observed)
-    if ids.ndim > 1 or ids.dtype.kind not in "iu" or not np.all((ids >= 0) & (ids < matrix.size)):
-        raise ConfigError(f"observed ids must be integers in [0, {matrix.size})")
-    flat = np.atleast_1d(ids)
+    if np.ndim(observed) > 1:
+        raise ConfigError("observed must be one id or a 1-D array of ids")
+    flat = require_word_ids(observed, matrix.size)
     # one row per id, so that each total sums a contiguous row
     joint = matrix.counts.T[flat] / matrix.sample_count
     joint *= prior
@@ -186,7 +189,7 @@ def posterior(prior, matrix: TransitionMatrix, observed) -> Posterior:
             f"observed word {flat[np.argmax(total <= 0)]} has zero likelihood under every input"
         )
     probs = (joint / total[:, None]).T
-    return Posterior(observed=observed, probs=probs if ids.ndim else probs[:, 0])
+    return Posterior(observed=observed, probs=probs if np.ndim(observed) else probs[:, 0])
 
 
 def optimal_attack(store: EmbeddingStore, post: Posterior) -> int | np.ndarray:

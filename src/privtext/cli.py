@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -42,12 +41,11 @@ def _attack_prior(spec: str, n_words: int) -> np.ndarray:
         return np.full(n_words, 1.0 / n_words)
     kind, _, value = spec.partition(":")
     try:
-        s = float(value)
-    except ValueError:
-        s = math.nan
-    if kind != "zipf" or not 0 < s < math.inf:
-        raise ConfigError(f"--prior must be 'uniform' or 'zipf:<s>' with finite s > 0: {spec!r}")
-    return pipeline.zipf_probs(n_words, s)
+        if kind == "zipf":
+            return pipeline.zipf_probs(n_words, float(value))
+    except (ValueError, ConfigError):
+        pass
+    raise ConfigError(f"--prior must be 'uniform' or 'zipf:<s>' with finite s > 0: {spec!r}")
 
 
 def _emit(args, text: str) -> None:

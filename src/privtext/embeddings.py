@@ -30,6 +30,7 @@ from .errors import (
     EmptyVocabularyError,
     InvalidWordIdError,
     NonFiniteComponentError,
+    require_count,
     require_word_ids,
 )
 
@@ -128,12 +129,10 @@ class EmbeddingStore:
     def check_id(self, w: int) -> int:
         """w as an int, or InvalidWordIdError: w must be an int or a numpy
         integer (not a bool, a float or a string) in [0, |W|)."""
-        if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
-            raise InvalidWordIdError(f"a word id must be an integer, got {w!r}")
-        w = int(w)
-        if not 0 <= w < len(self.words):
-            raise InvalidWordIdError(f"word id {w} outside [0, {len(self.words)})")
-        return w
+        n = len(self.words)
+        if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or not 0 <= w < n:
+            raise InvalidWordIdError(f"a word id must be an integer in [0, {n}), got {w!r}")
+        return int(w)
 
     def vector(self, w: int) -> np.ndarray:
         return self.vectors[self.check_id(w)]
@@ -257,9 +256,9 @@ class EmbeddingStore:
 
     def k_nearest(self, w: int, k: int) -> np.ndarray:
         """Ids of the k closest other vocabulary words to w, sorted by
-        (distance, id) of distance_row(w)."""
-        w = self.check_id(w)
-        n = len(self.words)
+        (distance, id) of distance_row(w). A k that is no integer is a
+        ConfigError; an integer k outside [1, |W| - 1], an InvalidWordIdError."""
+        w, k, n = self.check_id(w), require_count("k", k, minimum=None), len(self.words)
         if not 1 <= k <= n - 1:
             raise InvalidWordIdError(f"k={k} out of range [1, {n - 1}]")
         dists = self.distance_row(w)

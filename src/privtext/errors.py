@@ -1,8 +1,15 @@
 """Exception hierarchy shared across the package, the checks, echo and
-parse that the tagged configs share, and the one rule for word-id arrays."""
+parse that the tagged configs share, and the one rule per kind of public
+argument, by which every module checks its arguments:
+
+- a real (require_real): an int or a float, not a bool, and finite;
+- a positive real (require_positive): a real > 0;
+- a count (require_count): an int or a numpy integer, not a bool, at least
+  its minimum (1 unless given); a seed or stream id has no minimum;
+- word ids (require_word_ids; EmbeddingStore.check_id for one): integers in
+  [0, |W|), else an InvalidWordIdError; the other rules raise ConfigError."""
 import sys
 from dataclasses import asdict, fields
-from numbers import Integral
 
 import numpy as np
 
@@ -44,21 +51,28 @@ class ConfigError(PrivtextError):
 
 
 def require_real(name, value) -> None:
-    """ConfigError unless value is a real number that a float holds: an int
-    or a float, not a bool (which would run as 0 or 1 and be echoed as false
-    or true) nor a string, and finite. An infinity passes a lower bound,
-    runs as no noise or a frozen chain and is echoed as Infinity, which is
-    not JSON; an int beyond the float range fails when first converted."""
+    """The real rule. A bool would run as 0 or 1 and be echoed as false or
+    true; an infinity passes a lower bound, runs as no noise or a frozen
+    chain and is echoed as Infinity, which is not JSON."""
     real = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (real and abs(value) <= sys.float_info.max):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 
 
-def require_count(name, value, minimum: int = 1) -> int:
-    """value as a Python int, which a JSON echo can write; ConfigError
-    unless it is an int or a numpy integer, not a bool, and >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def require_positive(name, value) -> None:
+    """The positive-real rule: the (0, inf) parameters, epsilon among them."""
+    require_real(name, value)
+    if not value > 0:
+        raise ConfigError(f"{name} must be > 0, got {value!r}")
+
+
+def require_count(name, value, minimum: int | None = 1) -> int:
+    """The count rule, no bound at minimum None; value as an int a JSON echo can write."""
+    # concrete types: numbers.Integral is an ABC check, several times slower per draw
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 

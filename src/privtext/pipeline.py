@@ -20,7 +20,7 @@ import numpy as np
 
 from .amplification import AmplifierConfig, amplified_epsilon, apply_amplifier
 from .embeddings import EmbeddingStore
-from .errors import ConfigError, require_count, require_params, require_real, set_fields
+from .errors import ConfigError, require_count, require_params, require_positive, set_fields
 from .randomizers import Mechanism, MechanismConfig
 from .samplers import RngStream
 from .sensitivity import SensitivityProfile
@@ -42,9 +42,7 @@ class CorpusSpec:
         require_params(self, "kind", {"zipf": ("s",), "words": ("words_per_user",)})
         if self.kind == "zipf":
             s = 1.1 if self.s is None else self.s
-            require_real("s", s)
-            if not s > 0:
-                raise ConfigError(f"zipf exponent must be > 0, got {s}")
+            require_positive("s", s)
             object.__setattr__(self, "s", float(s))
             return
         rows = self.words_per_user
@@ -68,10 +66,8 @@ class ProtocolConfig:
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
 
     def __post_init__(self):
-        for name in ("n_users", "m_per_user"):
-            object.__setattr__(self, name, require_count(name, getattr(self, name)))
-        if type(self.seed) is not int:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        for name, minimum in (("n_users", 1), ("m_per_user", 1), ("seed", None)):
+            object.__setattr__(self, name, require_count(name, getattr(self, name), minimum))
         object.__setattr__(self, "amplifiers", tuple(self.amplifiers))
 
     def to_dict(self) -> dict:
@@ -125,7 +121,8 @@ class CuratorReport:
 def zipf_probs(n_words: int, s: float) -> np.ndarray:
     """Zipf(s) probabilities over word ids 0..n_words-1: id i has weight
     (i + 1) ** -s, normalised to sum to 1."""
-    probs = np.arange(1, n_words + 1, dtype=np.float64) ** (-s)
+    require_positive("s", s)
+    probs = np.arange(1, require_count("n_words", n_words) + 1, dtype=np.float64) ** (-s)
     probs /= probs.sum()
     return probs
 

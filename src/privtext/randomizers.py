@@ -34,8 +34,8 @@ import numpy as np
 from .embeddings import EmbeddingStore, _gemm_sq_distances
 from .errors import (
     ConfigError, DimensionMismatchError, InvalidWordIdError, MatrixFormatError,
-    NonFiniteComponentError, from_fields, require_count, require_params, require_real,
-    require_word_ids, set_fields,
+    NonFiniteComponentError, from_fields, require_count, require_params, require_positive,
+    require_real, require_word_ids, set_fields,
 )
 from .samplers import (
     MultivariateLaplaceParam,
@@ -81,23 +81,18 @@ class MechanismConfig:
 
     def __post_init__(self):
         require_params(self, "variant", _VARIANT_PARAMS)
-        require_real("epsilon", self.epsilon)
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        for name in ("sigma", "beta", "tau"):
-            if getattr(self, name) is not None:
-                require_real(name, getattr(self, name))
+        require_positive("epsilon", self.epsilon)
         if self.variant == "density":
-            if self.sigma is not None and not self.sigma > 0:
-                raise ConfigError(f"sigma must be > 0, got {self.sigma}")
+            if self.sigma is not None:
+                require_positive("sigma", self.sigma)
             steps = 1010 if self.mh_steps is None else self.mh_steps
             object.__setattr__(self, "mh_steps", require_count("mh_steps", steps))
         elif self.variant == "smooth":
-            if self.beta is None or self.beta < 0:
-                raise ConfigError("smooth variant requires beta >= 0")
+            require_real("beta", self.beta)
+            if self.beta < 0:
+                raise ConfigError(f"beta must be >= 0, got {self.beta!r}")
         elif self.variant == "trunc_distance":
-            if self.tau is None or not self.tau > 0:
-                raise ConfigError("trunc_distance variant requires tau > 0")
+            require_positive("tau", self.tau)
             strategy = self.trunc_strategy or "project"
             if strategy not in TRUNC_STRATEGIES:
                 raise ConfigError(f"unknown truncation strategy {strategy!r}")
@@ -151,9 +146,7 @@ def kde_log_prior(store: EmbeddingStore, points, sigma: float) -> np.ndarray:
     (n, |W|) array, which the rest works on in place; the log-sum-exp is
     shifted by each row's maximum, so a point far from every word still
     scores finite."""
-    require_real("sigma", sigma)
-    if not sigma > 0:
-        raise ConfigError(f"sigma must be > 0, got {sigma}")
+    require_positive("sigma", sigma)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != store.dim:
         raise DimensionMismatchError(f"points must have shape (n, {store.dim}), got {points.shape}")
@@ -239,6 +232,7 @@ class Mechanism:
 
     def perturb_batch(self, rng: RngStream, w: int, n: int) -> np.ndarray:
         w = self.store.check_id(w)
+        n = require_count("n", n, minimum=0)
         if self.config.variant == "density":
             return self._density_batch(rng, w, n)
         return self._additive_batch(rng, w, n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_count
+from .errors import ConfigError, require_count, require_positive
 
 _MASK64 = (1 << 64) - 1
 
@@ -31,8 +31,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        self.seed = int(seed) & _MASK64
-        self.path = tuple(int(p) & _MASK64 for p in path)
+        self.seed = require_count("seed", seed, minimum=None) & _MASK64
+        self.path = tuple(require_count("stream id", p, minimum=None) & _MASK64 for p in path)
         self._gen = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         )
@@ -59,17 +59,14 @@ class MultivariateLaplaceParam:
     epsilon: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        object.__setattr__(self, "dim", require_count("dim", self.dim))
+        require_positive("epsilon", self.epsilon)
 
 
 def sample_unit_sphere(rng: RngStream, dim: int, size: int) -> np.ndarray:
     """(size, dim) uniform directions on the unit sphere in R^dim."""
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
-    g = rng.gen.standard_normal((size, dim))
+    dim = require_count("dim", dim)
+    g = rng.gen.standard_normal((require_count("size", size, minimum=0), dim))
     norms = np.linalg.norm(g, axis=1)
     # a zero draw has probability 0 but would divide by zero; redraw those rows
     while np.any(norms == 0.0):
@@ -100,8 +97,7 @@ def truncation_mass(param: MultivariateLaplaceParam, tau: float) -> float:
     """
     from scipy.special import gammainc  # loaded by the truncated variants only
 
-    if not tau > 0:
-        raise ConfigError(f"tau must be > 0, got {tau}")
+    require_positive("tau", tau)
     return float(gammainc(param.dim, tau / (1.0 / param.epsilon)))
 
 

@@ -40,6 +40,7 @@ class SensitivityProfile:
                 f"local and smooth sensitivities must be two non-empty vectors of one"
                 f" length, got shapes {local.shape} and {smooth.shape}"
             )
+        require_real("beta", self.beta)
         # written so that NaN fails the comparison
         if not np.all(smooth >= local - 1e-12):
             raise ConfigError("smooth sensitivity must be at least the local sensitivity")

@@ -23,9 +23,10 @@ from privtext import (
 )
 from privtext.analysis import Posterior
 from privtext.errors import (
-    ConfigError, MatrixFormatError, SingletonVocabularyError, UnreachableObservationError
+    ConfigError, InvalidWordIdError, MatrixFormatError, SingletonVocabularyError,
+    UnreachableObservationError,
 )
-from privtext.randomizers import TransitionMatrix
+from privtext.randomizers import TransitionMatrix, sample_from_matrix
 
 from conftest import identity_batch, random_store, uniform_batch
 from oracles import (
@@ -238,6 +239,16 @@ class TestPosterior:
         for observed in (1, np.array([0, 1])):
             with pytest.raises(UnreachableObservationError):
                 posterior([0.5, 0.5], m, observed=observed)
+
+    def test_bad_observed_id_is_the_samplers_error(self, rng):
+        # posterior raised a ConfigError of its own for the id that
+        # sample_from_matrix rejects as an InvalidWordIdError
+        m = TransitionMatrix([[7, 3], [3, 7]])
+        with pytest.raises(InvalidWordIdError) as by_sampler:
+            sample_from_matrix(rng, m, -1)
+        with pytest.raises(InvalidWordIdError) as by_posterior:
+            posterior([0.5, 0.5], m, -1)
+        assert str(by_posterior.value) == str(by_sampler.value)
 
     def test_array_of_ids_stacks_scalar_posteriors(self):
         gen = np.random.default_rng(23)

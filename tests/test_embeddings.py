@@ -13,6 +13,7 @@ from scipy.spatial.distance import cdist
 from privtext import EmbeddingStore, embeddings, load_embeddings
 from privtext.embeddings import CACHE_MAGIC, load_cache, save_cache
 from privtext.errors import (
+    ConfigError,
     DimensionMismatchError,
     DuplicateWordError,
     EmbeddingFormatError,
@@ -595,6 +596,12 @@ class TestKNearest:
     def test_k_too_large_rejected(self, toy3):
         with pytest.raises(InvalidWordIdError):
             toy3.k_nearest(0, 3)
+
+    @pytest.mark.parametrize("k", [True, 1.5, 1.0, "1", None])
+    def test_k_must_be_an_integer(self, toy3, k):
+        # True returned one neighbour; 1.5 ended in a bare TypeError
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            toy3.k_nearest(0, k)
 
     def test_full_sort_oracle_large_vocab(self):
         gen = np.random.default_rng(21)

@@ -1,24 +1,34 @@
 """Property tests of the CLI's input parsers: whatever the bytes of an
 embedding file, an embedding cache, a transition-matrix TSV or a pipeline
 config, the CLI exits 0 (the input happened to be valid), 2 or 3. It never
-raises, which would be a traceback, and never exits 4."""
+raises, which would be a traceback, and never exits 4. And of the library's
+public arguments: each count, real and word id that is not one raises the
+typed error of its kind."""
 import contextlib
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from privtext import EmbeddingStore
+from privtext import (
+    EmbeddingStore, Mechanism, MultivariateLaplaceParam, RngStream, SensitivityProfile,
+    TransitionMatrix, amplified_epsilon, attack_accuracy, build_profile, build_transition_matrix,
+    deniability_stats, kde_log_prior, kthreshold_batch, posterior, sample_from_matrix,
+    sample_mv_laplace, sample_mv_laplace_truncated, sample_permutation, sample_unit_sphere,
+    shuffle_batch, subsample_batch, verify_metric_dp,
+)
 from privtext.amplification import AmplifierConfig
 from privtext.cli import main
 from privtext.embeddings import CACHE_MAGIC
-from privtext.errors import InvalidWordIdError, MatrixFormatError
-from privtext.pipeline import CorpusSpec, ProtocolConfig
+from privtext.errors import ConfigError, InvalidWordIdError, MatrixFormatError
+from privtext.pipeline import CorpusSpec, ProtocolConfig, zipf_probs
 from privtext.randomizers import MATRIX_TSV_MAGIC, VARIANTS, MechanismConfig, matrix_from_tsv
+from privtext.samplers import truncation_mass
 
 from oracles import matrix_from_tsv_by_line
 
@@ -282,3 +292,130 @@ def test_pipeline_config_unknown_key_exits_2(files, data):
     files["input"].write_bytes(as_bytes(data))
     argv = ["--embeddings", files["emb"], "pipeline", "--config", str(files["input"])]
     assert exit_code(argv) == 2
+
+
+# --- public library arguments -------------------------------------------------
+
+# Each entry passes its value to one public argument, valid values to the
+# rest; every entry succeeds at the kind's valid value (1 for a count, 0.5
+# for a real, 0 for a word id). A check of its own that drifts from the
+# errors rules (a bool read as 0 or 1, an infinity that passes a lower
+# bound, a float cut to an int) makes its entry fail.
+TABLE_STORE = EmbeddingStore.from_arrays(WORDS, [[0, 0], [8, 0], [0, 8], [8, 8], [4, 4]])
+TABLE_MATRIX = TransitionMatrix(np.full((5, 5), 2))
+BASELINE = Mechanism(TABLE_STORE, MechanismConfig("baseline", 1.0))
+UNIFORM = np.full(5, 0.2)
+
+
+def rng():
+    return RngStream(0)
+
+
+def laplace(dim=2, epsilon=1.0):
+    return MultivariateLaplaceParam(dim, epsilon)
+
+
+def protocol(n_users=1, m_per_user=1, seed=0):
+    return ProtocolConfig(n_users, m_per_user, MechanismConfig("baseline", 1.0), seed=seed)
+
+
+COUNT_ARGS = {
+    "RngStream.seed": lambda v: RngStream(v),
+    "RngStream.fork.stream_id": lambda v: rng().fork(v),
+    "MultivariateLaplaceParam.dim": lambda v: laplace(dim=v),
+    "sample_unit_sphere.dim": lambda v: sample_unit_sphere(rng(), v, 2),
+    "sample_unit_sphere.size": lambda v: sample_unit_sphere(rng(), 2, v),
+    "sample_mv_laplace.size": lambda v: sample_mv_laplace(rng(), laplace(), v),
+    "sample_mv_laplace_truncated.size":
+        lambda v: sample_mv_laplace_truncated(rng(), laplace(), 1.0, v),
+    "sample_permutation.n": lambda v: sample_permutation(rng(), v),
+    "EmbeddingStore.k_nearest.k": lambda v: TABLE_STORE.k_nearest(0, v),
+    "MechanismConfig.k": lambda v: MechanismConfig("trunc_knn", 1.0, k=v),
+    "MechanismConfig.mh_steps": lambda v: MechanismConfig("density", 1.0, mh_steps=v),
+    "Mechanism.perturb_batch.n": lambda v: BASELINE.perturb_batch(rng(), 0, v),
+    "build_transition_matrix.samples_per_word": lambda v: build_transition_matrix(
+        TABLE_STORE, rng(), MechanismConfig("baseline", 1.0), v),
+    "deniability_stats.n_trials": lambda v: deniability_stats(BASELINE, rng(), 0, v),
+    "attack_accuracy.n_trials":
+        lambda v: attack_accuracy(TABLE_STORE, rng(), TABLE_MATRIX, UNIFORM, v),
+    "AmplifierConfig.k": lambda v: AmplifierConfig("kthreshold", k=v),
+    "kthreshold_batch.k": lambda v: kthreshold_batch(np.array([1, 1, 2]), v),
+    "ProtocolConfig.n_users": lambda v: protocol(n_users=v),
+    "ProtocolConfig.m_per_user": lambda v: protocol(m_per_user=v),
+    "ProtocolConfig.seed": lambda v: protocol(seed=v),
+    "zipf_probs.n_words": lambda v: zipf_probs(v, 1.1),
+}
+REAL_ARGS = {
+    "MultivariateLaplaceParam.epsilon": lambda v: laplace(epsilon=v),
+    "truncation_mass.tau": lambda v: truncation_mass(laplace(), v),
+    "sample_mv_laplace_truncated.tau":
+        lambda v: sample_mv_laplace_truncated(rng(), laplace(), v, 2),
+    "MechanismConfig.epsilon": lambda v: MechanismConfig("baseline", v),
+    "MechanismConfig.sigma": lambda v: MechanismConfig("density", 1.0, sigma=v),
+    "MechanismConfig.beta": lambda v: MechanismConfig("smooth", 1.0, beta=v),
+    "MechanismConfig.tau": lambda v: MechanismConfig("trunc_distance", 1.0, tau=v),
+    "kde_log_prior.sigma": lambda v: kde_log_prior(TABLE_STORE, np.zeros((1, 2)), v),
+    "verify_metric_dp.epsilon": lambda v: verify_metric_dp(TABLE_MATRIX, TABLE_STORE, v),
+    "verify_metric_dp.alpha": lambda v: verify_metric_dp(TABLE_MATRIX, TABLE_STORE, 1.0, v),
+    "AmplifierConfig.q": lambda v: AmplifierConfig("subsample", q=v),
+    "subsample_batch.q": lambda v: subsample_batch(rng(), np.array([1, 2]), v),
+    "amplified_epsilon.epsilon": lambda v: amplified_epsilon(v, 0.5),
+    "amplified_epsilon.q": lambda v: amplified_epsilon(1.0, v),
+    "CorpusSpec.s": lambda v: CorpusSpec("zipf", s=v),
+    "zipf_probs.s": lambda v: zipf_probs(5, v),
+    "SensitivityProfile.beta": lambda v: SensitivityProfile(np.ones(5), v, np.ones(5)),
+    "build_profile.beta": lambda v: build_profile(TABLE_STORE, v),
+}
+WORD_ID_ARGS = {
+    "EmbeddingStore.check_id.w": lambda v: TABLE_STORE.check_id(v),
+    "EmbeddingStore.vector.w": lambda v: TABLE_STORE.vector(v),
+    "EmbeddingStore.distance_row.w": lambda v: TABLE_STORE.distance_row(v),
+    "EmbeddingStore.k_nearest.w": lambda v: TABLE_STORE.k_nearest(v, 1),
+    "Mechanism.perturb_batch.w": lambda v: BASELINE.perturb_batch(rng(), v, 1),
+    "Mechanism.perturb_words.ids": lambda v: BASELINE.perturb_words(rng(), [v]),
+    "deniability_stats.w": lambda v: deniability_stats(BASELINE, rng(), v, 1),
+    "posterior.observed": lambda v: posterior(UNIFORM, TABLE_MATRIX, v),
+    "sample_from_matrix.ids": lambda v: sample_from_matrix(rng(), TABLE_MATRIX, [v]),
+    "shuffle_batch.batch": lambda v: shuffle_batch(rng(), [v]),
+    "subsample_batch.batch": lambda v: subsample_batch(rng(), [v], 0.5),
+    "kthreshold_batch.batch": lambda v: kthreshold_batch([v], 1),
+}
+ARG_TABLES = {"count": (COUNT_ARGS, 1), "real": (REAL_ARGS, 0.5), "word id": (WORD_ID_ARGS, 0)}
+
+special = st.sampled_from([True, False, math.nan, math.inf, -math.inf])
+# small floats: a check that let one through must not ask for a huge array
+not_a_count = st.one_of(special, st.floats(-4, 4), st.text(max_size=3))
+not_a_real = st.one_of(special, st.text(max_size=3), st.just(2**1024))
+not_a_word_id = st.one_of(not_a_count, st.just(-1))
+table_fuzz = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind, (table, _) in ARG_TABLES.items()
+                                        for name in table])
+def test_argument_table_accepts_valid_values(kind, name):
+    table, valid = ARG_TABLES[kind]
+    table[name](valid)
+
+
+@table_fuzz
+@given(value=not_a_count)
+@pytest.mark.parametrize("name", COUNT_ARGS)
+def test_public_counts_reject_non_counts(name, value):
+    with pytest.raises(ConfigError):
+        COUNT_ARGS[name](value)
+
+
+@table_fuzz
+@given(value=not_a_real)
+@pytest.mark.parametrize("name", REAL_ARGS)
+def test_public_reals_reject_non_reals(name, value):
+    with pytest.raises(ConfigError):
+        REAL_ARGS[name](value)
+
+
+@table_fuzz
+@given(value=not_a_word_id)
+@pytest.mark.parametrize("name", WORD_ID_ARGS)
+def test_public_word_ids_reject_non_ids(name, value):
+    with pytest.raises(InvalidWordIdError):
+        WORD_ID_ARGS[name](value)

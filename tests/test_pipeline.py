@@ -177,6 +177,16 @@ class TestProtocol:
         )
         assert ProtocolConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
+    def test_numpy_integer_seed_is_echoed_as_an_int(self, toy5):
+        # a numpy integer seed was rejected, while RngStream took it
+        config = make_config(seed=np.int64(5))
+        assert type(config.to_dict()["seed"]) is int
+        assert run_protocol(toy5, config).to_json(toy5) == run_protocol(
+            toy5, make_config(seed=5)).to_json(toy5)
+        for seed in (True, 5.0, "5"):
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                make_config(seed=seed)
+
     def test_utility_improves_with_epsilon(self, toy5):
         # quick version of the monotonicity acceptance check
         wins = 0

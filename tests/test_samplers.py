@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,21 @@ class TestRngStream:
         b = RngStream(0).fork_named("pipeline.local").gen.uniform()
         assert a == b
 
+    @pytest.mark.parametrize("seed, stream_id", [(1.7, 0), (True, 0), ("3", 0), (0, 2.5),
+                                                 (0, True), (0, math.nan)])
+    def test_seed_and_stream_id_must_be_integers(self, seed, stream_id):
+        # 1.7 ran as seed 1, "3" as seed 3, and 2.5 forked stream 2
+        with pytest.raises(ConfigError, match="must be an integer"):
+            RngStream(seed).fork(stream_id)
+
+    def test_numpy_integer_seed_and_stream_id_draw_as_ints(self):
+        def draws(seed, stream_id):
+            return RngStream(seed).fork(stream_id).gen.uniform(size=4)
+
+        assert np.array_equal(draws(np.int64(7), np.int64(2)), draws(7, 2))
+        # any sign is masked to 64 bits
+        assert np.array_equal(draws(np.int64(-5), np.uint8(3)), draws(2**64 - 5, 3))
+
 
 class TestLaplace:
     """In one dimension the radial Laplacian is Laplace(0, 1/eps)."""
@@ -73,8 +89,10 @@ class TestUnitSphere:
         assert np.all(np.abs(draws.mean(axis=0)) < 0.005)
 
     def test_zero_dim_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            sample_unit_sphere(rng, 0, size=1)
+        # dim True ran as 1, and 2.5 ended in a bare TypeError
+        for dim in (0, True, 2.5, "2"):
+            with pytest.raises(ConfigError):
+                sample_unit_sphere(rng, dim, size=1)
 
 
 class TestMvLaplace:
@@ -101,10 +119,18 @@ class TestMvLaplace:
             assert abs(rho) < 0.01
 
     def test_invalid_param_rejected(self):
-        with pytest.raises(ConfigError):
-            MultivariateLaplaceParam(2, 0.0)
-        with pytest.raises(ConfigError):
-            MultivariateLaplaceParam(0, 1.0)
+        # dim True ran as 1 and epsilon True as 1; an infinite epsilon drew no noise
+        for dim, eps in ((2, 0.0), (0, 1.0), (True, 1.0), (2.5, 1.0), (3, True), (3, math.inf),
+                         (3, math.nan), (3, "1")):
+            with pytest.raises(ConfigError):
+                MultivariateLaplaceParam(dim, eps)
+
+    def test_infinite_epsilon_is_no_noise_and_rejected(self, rng):
+        # both samplers returned all-zero noise: every output the input word
+        with pytest.raises(ConfigError, match="epsilon must be a finite real number"):
+            sample_mv_laplace(rng, MultivariateLaplaceParam(3, math.inf), size=4)
+        with pytest.raises(ConfigError, match="epsilon must be a finite real number"):
+            sample_mv_laplace_truncated(rng, MultivariateLaplaceParam(3, math.inf), 1.0, size=4)
 
 
 class TestTruncated:
@@ -131,6 +157,10 @@ class TestTruncated:
     def test_nonpositive_tau_rejected(self, rng):
         with pytest.raises(ConfigError):
             sample_mv_laplace_truncated(rng, MultivariateLaplaceParam(2, 1.0), 0.0, size=1)
+        # tau True gave a mass of 0.080 and an infinite tau 1.0
+        for tau in (True, math.inf, math.nan, "1"):
+            with pytest.raises(ConfigError):
+                truncation_mass(MultivariateLaplaceParam(3, 1.0), tau)
 
     def test_underflowing_mass_rejected(self, rng):
         # at d = 300, eps = 1 the mass inside tau = 10.5 is 0.0: every radius
