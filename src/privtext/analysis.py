@@ -15,7 +15,7 @@ import numpy as np
 from .embeddings import EmbeddingStore
 from .errors import (
     ConfigError, SingletonVocabularyError, UnreachableObservationError, require_count,
-    require_real, require_word_ids,
+    require_nonnegative, require_probabilities, require_real, require_word_ids,
 )
 from .randomizers import Mechanism, TransitionMatrix, sample_from_matrix
 from .samplers import RngStream
@@ -43,7 +43,7 @@ class Posterior:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _probability_vectors("each posterior column", self.probs))
+        object.__setattr__(self, "probs", require_probabilities("posterior", self.probs))
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,13 @@ def verify_metric_dp(
     numerator estimates give no evidence of violation and are skipped. A
     one-word vocabulary has no pair to check: SingletonVocabularyError.
     """
-    if matrix.size != len(store):
-        raise ConfigError("matrix size does not match the store vocabulary")
+    _same_size(store, matrix.size, "matrix")
     # with one word no pair is checked, and the report would read satisfied
     if len(store) < 2:
         raise SingletonVocabularyError("metric-DP verification needs at least 2 words")
     # NaN would make every violation NaN, and NaN is never the maximum: the
     # report would read satisfied. inf * 0 is NaN for two words at one point.
-    require_real("epsilon", epsilon)
-    if not epsilon >= 0:
-        raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
+    require_nonnegative("epsilon", epsilon)
     # alpha >= 1 makes cp_upper <= 0: zero cells read -inf, the report satisfied
     require_real("alpha", alpha)
     if not 0 < alpha < 1:
@@ -154,20 +151,10 @@ def verify_metric_dp(
     )
 
 
-def _probability_vectors(name: str, p) -> np.ndarray:
-    """p as float64; ConfigError unless it is >= 0 and each column sums to 1 within 1e-9."""
-    p = np.asarray(p, dtype=np.float64)
-    # written so that NaN fails every comparison
-    if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=0) - 1.0) <= 1e-9)):
-        raise ConfigError(f"{name} must be a probability vector")
-    return p
-
-
-def _check_prior(prior, size: int) -> np.ndarray:
-    prior = np.asarray(prior, dtype=np.float64)
-    if prior.shape != (size,):
-        raise ConfigError(f"prior must have shape ({size},), got {prior.shape}")
-    return _probability_vectors("prior", prior)
+def _same_size(store: EmbeddingStore, size: int, what: str) -> None:
+    """The audit's agreement check: a matrix or posterior over size words fits the store."""
+    if size != len(store):
+        raise ConfigError(f"{what} over {size} words does not match the store's {len(store)}")
 
 
 def posterior(prior, matrix: TransitionMatrix, observed) -> Posterior:
@@ -176,7 +163,7 @@ def posterior(prior, matrix: TransitionMatrix, observed) -> Posterior:
     observed is one output id, or a 1-D array of them; an array gives one
     posterior column per id, each equal to the posterior of that id alone.
     """
-    prior = _check_prior(prior, matrix.size)
+    prior = require_probabilities("prior", prior, matrix.size)
     if np.ndim(observed) > 1:
         raise ConfigError("observed must be one id or a 1-D array of ids")
     flat = require_word_ids(observed, matrix.size)
@@ -196,6 +183,7 @@ def optimal_attack(store: EmbeddingStore, post: Posterior) -> int | np.ndarray:
     """Adversary guess minimizing the posterior-expected embedding distance
     to the true word, one guess per posterior column (an int for a 1-D
     posterior); ties break to the lowest id."""
+    _same_size(store, post.probs.shape[0], "posterior")
     guess = np.argmin(store.pairwise_distances() @ post.probs, axis=0)
     return int(guess) if guess.ndim == 0 else guess
 
@@ -214,7 +202,8 @@ def attack_accuracy(
     and prior).
     """
     n_trials = require_count("n_trials", n_trials)
-    prior = _check_prior(prior, matrix.size)
+    _same_size(store, matrix.size, "matrix")
+    prior = require_probabilities("prior", prior, matrix.size)
 
     # the attack decision for every reachable observation, in one product
     decisions = np.full(matrix.size, -1, dtype=np.int64)

@@ -193,15 +193,8 @@ def cmd_attack(args) -> int:
     prior = _attack_prior(args.prior, len(store))
     rng = RngStream(args.seed).fork_named("cli.attack")
     acc = analysis.attack_accuracy(store, rng, matrix, prior, args.trials)
-    _report(
-        args,
-        {
-            "metadata": _resolved(args),
-            "prior": args.prior,
-            "n_trials": args.trials,
-            "accuracy": acc,
-        },
-    )
+    _report(args, {"metadata": _resolved(args), "prior": args.prior, "n_trials": args.trials,
+                   "accuracy": acc})
     return 0
 
 

@@ -24,14 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
-    DuplicateWordError,
-    EmbeddingFormatError,
-    EmptyVocabularyError,
-    InvalidWordIdError,
-    NonFiniteComponentError,
-    require_count,
-    require_word_ids,
+    DimensionMismatchError, DuplicateWordError, EmbeddingFormatError, EmptyVocabularyError,
+    InvalidWordIdError, NonFiniteComponentError, require_count, require_points, require_word_ids,
 )
 
 CACHE_MAGIC = "privtext-embeddings-v2"
@@ -86,19 +80,18 @@ class EmbeddingStore:
         words = tuple(words)
         if len(words) == 0:
             raise EmptyVocabularyError("vocabulary is empty")
-        if len(set(words)) != len(words):
-            seen = set()
-            for w in words:
-                if w in seen:
-                    raise DuplicateWordError(f"duplicate word {w!r}")
-                seen.add(w)
+        word_to_id = {w: i for i, w in enumerate(words)}
+        if len(word_to_id) != len(words):
+            bad = next(w for i, w in enumerate(words) if word_to_id[w] != i)
+            raise DuplicateWordError(f"duplicate word {bad!r}")
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] != len(words) or vectors.shape[1] == 0:
             raise DimensionMismatchError(
                 f"expected ({len(words)}, d) vector array with d >= 1, got shape {vectors.shape}"
             )
-        if not np.all(np.isfinite(vectors)):
-            raise NonFiniteComponentError("embedding contains NaN or Inf")
+        if not np.isfinite(vectors).all():
+            bad = words[np.argmin(np.isfinite(vectors).all(axis=1))]
+            raise NonFiniteComponentError(f"the vector of word {bad!r} holds NaN or Inf")
         # every squared distance is at most 4 max ||v||^2: if that overflows,
         # distances, sensitivities and decodes turn into Inf and NaN
         sq_norms = np.einsum("ij,ij->i", vectors, vectors)
@@ -111,7 +104,7 @@ class EmbeddingStore:
             vectors=vectors,
             dim=vectors.shape[1],
             sq_norms=sq_norms,
-            _word_to_id={w: i for i, w in enumerate(words)},
+            _word_to_id=word_to_id,
         )
 
     def __len__(self) -> int:
@@ -152,13 +145,7 @@ class EmbeddingStore:
         lower bound reaches the least upper bound, over the candidates that
         reach it, and those too far out to screen, over every candidate.
         """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"expected (n, {self.dim}) points, got shape {points.shape}"
-            )
-        if not np.all(np.isfinite(points)):
-            raise NonFiniteComponentError("query points contain NaN or Inf")
+        points = require_points("points", points, self.dim)
         screen = self._screen
         if candidate_ids is None:
             ids = None
@@ -544,29 +531,27 @@ def load_embeddings(path) -> EmbeddingStore:
     """Parse a text embedding file into an EmbeddingStore.
 
     Format: optional first header line "<count> <dim>", then one record per
-    line: word followed by d space-separated decimal floats. Duplicate
-    words, ragged dimensions, and non-finite components are all rejected.
+    line: word followed by d space-separated decimal floats. The parse
+    rejects a record with no components, a non-numeric component and a row
+    of another width, naming the line, and a header count that is not the
+    record count; EmbeddingStore._adopt rejects duplicate words and
+    non-finite components, naming the word. Every error names the file.
     The store keeps the stacked array the parse makes, with no copy.
     """
     words: list[str] = []
-    seen: set[str] = set()
     rows: list[np.ndarray] = []
-    header_count = None
-    header_dim = None
-    dim = None
+    header_count = dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
             tokens = line.split()
+            if not tokens:
+                continue
             if lineno == 1 and len(tokens) == 2:
                 try:
-                    header_count, header_dim = int(tokens[0]), int(tokens[1])
+                    header_count, dim = int(tokens[0]), int(tokens[1])
                 except ValueError:
                     pass
                 else:
-                    dim = header_dim
                     continue
             word, comps = tokens[0], tokens[1:]
             if not comps:
@@ -574,29 +559,23 @@ def load_embeddings(path) -> EmbeddingStore:
             try:
                 vec = np.array([float(t) for t in comps], dtype=np.float64)
             except ValueError:
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: non-numeric component"
-                ) from None
+                raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
             if dim is None:
                 dim = vec.shape[0]
             if vec.shape[0] != dim:
                 raise DimensionMismatchError(
                     f"{path}:{lineno}: expected {dim} components, got {vec.shape[0]}"
                 )
-            if not np.all(np.isfinite(vec)):
-                raise NonFiniteComponentError(f"{path}:{lineno}: NaN/Inf component")
-            if word in seen:
-                raise DuplicateWordError(f"{path}:{lineno}: duplicate word {word!r}")
-            seen.add(word)
             words.append(word)
             rows.append(vec)
     if not words:
         raise EmptyVocabularyError(f"{path}: no embedding records")
     if header_count is not None and header_count != len(words):
-        raise EmbeddingFormatError(
-            f"{path}: header count {header_count} != {len(words)} records"
-        )
-    return EmbeddingStore._adopt(words, np.vstack(rows))
+        raise EmbeddingFormatError(f"{path}: header count {header_count} != {len(words)} records")
+    try:
+        return EmbeddingStore._adopt(words, np.vstack(rows))
+    except EmbeddingFormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_cache(store: EmbeddingStore, path) -> None:

@@ -4,10 +4,14 @@ argument, by which every module checks its arguments:
 
 - a real (require_real): an int or a float, not a bool, and finite;
 - a positive real (require_positive): a real > 0;
+- a non-negative real (require_nonnegative): a real >= 0;
 - a count (require_count): an int or a numpy integer, not a bool, at least
   its minimum (1 unless given); a seed or stream id has no minimum;
 - word ids (require_word_ids; EmbeddingStore.check_id for one): integers in
-  [0, |W|), else an InvalidWordIdError; the other rules raise ConfigError."""
+  [0, |W|), else an InvalidWordIdError;
+- probability vectors (require_probabilities) and points (require_points,
+  else a DimensionMismatchError or NonFiniteComponentError): arrays of
+  numbers. The other rules raise ConfigError."""
 import sys
 from dataclasses import asdict, fields
 
@@ -66,6 +70,13 @@ def require_positive(name, value) -> None:
         raise ConfigError(f"{name} must be > 0, got {value!r}")
 
 
+def require_nonnegative(name, value) -> None:
+    """The non-negative-real rule: smooth beta and the audit's epsilon."""
+    require_real(name, value)
+    if not value >= 0:
+        raise ConfigError(f"{name} must be >= 0, got {value!r}")
+
+
 def require_count(name, value, minimum: int | None = 1) -> int:
     """The count rule, no bound at minimum None; value as an int a JSON echo can write."""
     # concrete types: numbers.Integral is an ABC check, several times slower per draw
@@ -88,6 +99,44 @@ def require_word_ids(ids, size: int | None = None) -> np.ndarray:
     if bad.size:
         raise InvalidWordIdError(f"word id {bad[0]} outside [0, {size or 'inf'})")
     return ids
+
+
+def _floats(name, value) -> np.ndarray:
+    """value as float64, or ConfigError unless it holds ints and floats only:
+    a bool would run as 0 or 1; a string, an object or a ragged list is none."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        arr = np.asarray(None)
+    # compared first: float64 is the hot path's type, and the cheapest test
+    if arr.dtype != np.float64:
+        if arr.dtype.kind not in "iuf":
+            raise ConfigError(f"{name} must hold numbers only, not bools, strings or objects")
+        arr = arr.astype(np.float64)
+    return arr
+
+
+def require_probabilities(name, p, size: int | None = None) -> np.ndarray:
+    """p as float64 probability vectors, one per column (>= 0, each column
+    summing to 1 within 1e-9), of at least one dimension; given a size, (size,)."""
+    p = _floats(name, p)
+    if p.ndim == 0 or size is not None and p.shape != (size,):
+        raise ConfigError(f"{name} has shape {p.shape}, not {(size,) if size else '(n, ...)'}")
+    # written so that NaN fails every comparison
+    if not ((p >= 0).all() and (abs(p.sum(axis=0) - 1.0) <= 1e-9).all()):
+        raise ConfigError(f"{name} must be a probability vector")
+    return p
+
+
+def require_points(name, points, dim: int) -> np.ndarray:
+    """points as a finite float64 (n, dim) array: the same array when it is
+    one already, so that a decode or KDE pays no copy."""
+    points = _floats(name, points)
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise DimensionMismatchError(f"{name} must have shape (n, {dim}), got {points.shape}")
+    if not np.isfinite(points).all():
+        raise NonFiniteComponentError(f"{name} contain NaN or Inf")
+    return points
 
 
 def require_params(config, tag: str, allowed: dict) -> None:

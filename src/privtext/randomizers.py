@@ -33,9 +33,9 @@ import numpy as np
 
 from .embeddings import EmbeddingStore, _gemm_sq_distances
 from .errors import (
-    ConfigError, DimensionMismatchError, InvalidWordIdError, MatrixFormatError,
-    NonFiniteComponentError, from_fields, require_count, require_params, require_positive,
-    require_real, require_word_ids, set_fields,
+    ConfigError, InvalidWordIdError, MatrixFormatError, from_fields, require_count,
+    require_nonnegative, require_params, require_points, require_positive, require_word_ids,
+    set_fields,
 )
 from .samplers import (
     MultivariateLaplaceParam,
@@ -88,9 +88,7 @@ class MechanismConfig:
             steps = 1010 if self.mh_steps is None else self.mh_steps
             object.__setattr__(self, "mh_steps", require_count("mh_steps", steps))
         elif self.variant == "smooth":
-            require_real("beta", self.beta)
-            if self.beta < 0:
-                raise ConfigError(f"beta must be >= 0, got {self.beta!r}")
+            require_nonnegative("beta", self.beta)
         elif self.variant == "trunc_distance":
             require_positive("tau", self.tau)
             strategy = self.trunc_strategy or "project"
@@ -147,11 +145,7 @@ def kde_log_prior(store: EmbeddingStore, points, sigma: float) -> np.ndarray:
     shifted by each row's maximum, so a point far from every word still
     scores finite."""
     require_positive("sigma", sigma)
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != store.dim:
-        raise DimensionMismatchError(f"points must have shape (n, {store.dim}), got {points.shape}")
-    if not np.isfinite(points).all():
-        raise NonFiniteComponentError("points must be finite")
+    points = require_points("points", points, store.dim)
     sq = _gemm_sq_distances(
         points, np.einsum("ij,ij->i", points, points), store.vectors, store.sq_norms
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import embeddings
 from .embeddings import EmbeddingStore, exact_distances
-from .errors import ConfigError, SingletonVocabularyError, require_real
+from .errors import ConfigError, SingletonVocabularyError, require_nonnegative
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class SensitivityProfile:
                 f"local and smooth sensitivities must be two non-empty vectors of one"
                 f" length, got shapes {local.shape} and {smooth.shape}"
             )
-        require_real("beta", self.beta)
+        require_nonnegative("beta", self.beta)
         # written so that NaN fails the comparison
         if not np.all(smooth >= local - 1e-12):
             raise ConfigError("smooth sensitivity must be at least the local sensitivity")
@@ -58,9 +58,7 @@ def build_profile(store: EmbeddingStore, beta: float) -> SensitivityProfile:
     distances only where the sort-by-local prune leaves a term that could win."""
     if len(store) < 2:
         raise SingletonVocabularyError("sensitivity needs at least 2 words")
-    require_real("beta", beta)
-    if not beta >= 0:
-        raise ConfigError(f"beta must be >= 0, got {beta}")
+    require_nonnegative("beta", beta)
     n = len(store)
     budget = embeddings._NN_BLOCK_ENTRIES
     local = store.nn_distances
@@ -128,8 +126,6 @@ def profile_tsv(store: EmbeddingStore, profile: SensitivityProfile) -> str:
     """TSV dump: word, local, smooth per row, plus a trailing #global line."""
     lines = ["word\tlocal\tsmooth"]
     for i, word in enumerate(store.words):
-        lines.append(
-            f"{word}\t{profile.per_word_local[i]:.12g}\t{profile.per_word_smooth[i]:.12g}"
-        )
+        lines.append(f"{word}\t{profile.per_word_local[i]:.12g}\t{profile.per_word_smooth[i]:.12g}")
     lines.append(f"#global {profile.global_sensitivity:.12g}")
     return "\n".join(lines) + "\n"

@@ -277,6 +277,26 @@ class TestPosterior:
             with pytest.raises(ConfigError):
                 Posterior(0, np.array(probs))
 
+    def test_string_prior_rejected(self):
+        # ended in a bare ValueError from the float conversion
+        with pytest.raises(ConfigError, match="prior must hold numbers"):
+            posterior("ab", TransitionMatrix([[7, 3], [3, 7]]), 0)
+
+    def test_bool_prior_rejected(self):
+        # was taken as the prior [1.0, 0.0]
+        with pytest.raises(ConfigError, match="prior must hold numbers"):
+            posterior([True, False], TransitionMatrix([[7, 3], [3, 7]]), 0)
+
+    def test_string_posterior_rejected(self):
+        # ended in a bare ValueError from the float conversion
+        with pytest.raises(ConfigError, match="posterior must hold numbers"):
+            Posterior(0, ["x", "y"])
+
+    def test_zero_dimensional_posterior_rejected(self):
+        # was accepted as a 0-d array
+        with pytest.raises(ConfigError, match=r"posterior has shape \(\)"):
+            Posterior(0, 1.0)
+
     def test_bad_posterior_rejected_under_optimize(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
@@ -332,8 +352,18 @@ class TestOptimalAttack:
         medoid = int(np.argmin(d.sum(axis=1)))
         assert optimal_attack(store, Posterior(0, probs)) == medoid
 
+    def test_store_mismatch(self, toy3):
+        # ended in numpy's bare matmul ValueError
+        with pytest.raises(ConfigError, match="posterior over 2 words"):
+            optimal_attack(toy3, Posterior(0, np.array([0.5, 0.5])))
+
 
 class TestAttackAccuracy:
+    def test_store_mismatch(self, toy3, rng):
+        # ended in numpy's bare matmul ValueError
+        with pytest.raises(ConfigError, match="matrix over 2 words"):
+            attack_accuracy(toy3, rng, TransitionMatrix([[7, 3], [3, 7]]), [0.5, 0.5], 10)
+
     def test_identity_mechanism(self, toy3, rng):
         acc = attack_accuracy(toy3, rng, identity_matrix(3), np.full(3, 1 / 3), 2000)
         assert acc == 1.0

@@ -621,6 +621,16 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "at least 2 words" in err
 
+    def test_bad_vector_file_names_the_file_and_the_word_exit_2(self, tmp_path, capsys):
+        # the store checks both; the text loader adds only the path
+        for text, word in (("v 0 0\nw 1 nan\n", "'w'"), ("v 0 0\nw 1 1\nv 2 2\n", "'v'")):
+            path = tmp_path / "bad.txt"
+            path.write_text(text, encoding="utf-8")
+            code, out, err = run(["--embeddings", str(path), "sensitivity", "--beta", "0"],
+                                 capsys=capsys)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {path}: ") and word in err
+
     def test_non_utf8_files_exit_2(self, emb, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"v 0 0\n\xff\xfe 1 1\n")

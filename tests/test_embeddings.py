@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 import warnings
 import zipfile
@@ -81,6 +82,16 @@ class TestLoad:
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyVocabularyError):
             load_embeddings(write(tmp_path, ""))
+
+    @pytest.mark.parametrize("text, error, word", [
+        ("a 0 0\nb 1 inf\nc nan 2\n", NonFiniteComponentError, "'b'"),
+        ("a 0 0\nb 1 1\nb 2 2\na 3 3\n", DuplicateWordError, "'a'"),
+    ])
+    def test_store_checks_name_the_file_and_the_word(self, tmp_path, text, error, word):
+        # the loader leaves finiteness and duplicates to EmbeddingStore._adopt
+        path = write(tmp_path, text)
+        with pytest.raises(error, match=f"^{re.escape(path)}: .*{word}"):
+            load_embeddings(path)
 
     def test_deterministic_round_trip(self, tmp_path):
         path = write(tmp_path, "a 0.25 -1\nb 3 4\n")
@@ -378,6 +389,12 @@ class TestNearestWord:
         for bad in ([[np.nan, 0.0]], [[0.0, 0.0], [np.inf, 1.0]]):
             with pytest.raises(NonFiniteComponentError):
                 toy3.nearest_words(bad)
+
+    @pytest.mark.parametrize("points", [[["x", "y"]], [[True, False]], [[1.0], [1.0, 2.0]]])
+    def test_points_must_be_numbers(self, toy3, points):
+        # strings ended in a bare ValueError and bools were decoded as 1 and 0
+        with pytest.raises(ConfigError, match="points must hold numbers"):
+            toy3.nearest_words(points)
 
     def test_batch_matches_scalar(self):
         gen = np.random.default_rng(11)

@@ -2,8 +2,8 @@
 embedding file, an embedding cache, a transition-matrix TSV or a pipeline
 config, the CLI exits 0 (the input happened to be valid), 2 or 3. It never
 raises, which would be a traceback, and never exits 4. And of the library's
-public arguments: each count, real and word id that is not one raises the
-typed error of its kind."""
+public arguments: each count, real, word id, probability vector and point
+array that is not one raises the typed error of its kind."""
 import contextlib
 import dataclasses
 import io
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from privtext import (
@@ -23,9 +23,13 @@ from privtext import (
     shuffle_batch, subsample_batch, verify_metric_dp,
 )
 from privtext.amplification import AmplifierConfig
+from privtext.analysis import Posterior
 from privtext.cli import main
 from privtext.embeddings import CACHE_MAGIC
-from privtext.errors import ConfigError, InvalidWordIdError, MatrixFormatError
+from privtext.errors import (
+    ConfigError, DimensionMismatchError, InvalidWordIdError, MatrixFormatError,
+    NonFiniteComponentError,
+)
 from privtext.pipeline import CorpusSpec, ProtocolConfig, zipf_probs
 from privtext.randomizers import MATRIX_TSV_MAGIC, VARIANTS, MechanismConfig, matrix_from_tsv
 from privtext.samplers import truncation_mass
@@ -380,7 +384,17 @@ WORD_ID_ARGS = {
     "subsample_batch.batch": lambda v: subsample_batch(rng(), [v], 0.5),
     "kthreshold_batch.batch": lambda v: kthreshold_batch([v], 1),
 }
-ARG_TABLES = {"count": (COUNT_ARGS, 1), "real": (REAL_ARGS, 0.5), "word id": (WORD_ID_ARGS, 0)}
+PROBABILITY_ARGS = {
+    "posterior.prior": lambda v: posterior(v, TABLE_MATRIX, 0),
+    "attack_accuracy.prior": lambda v: attack_accuracy(TABLE_STORE, rng(), TABLE_MATRIX, v, 1),
+    "Posterior.probs": lambda v: Posterior(0, v),
+}
+POINT_ARGS = {
+    "EmbeddingStore.nearest_words.points": lambda v: TABLE_STORE.nearest_words(v),
+    "kde_log_prior.points": lambda v: kde_log_prior(TABLE_STORE, v, 1.0),
+}
+ARG_TABLES = {"count": (COUNT_ARGS, 1), "real": (REAL_ARGS, 0.5), "word id": (WORD_ID_ARGS, 0),
+              "probability vector": (PROBABILITY_ARGS, UNIFORM), "points": (POINT_ARGS, [[0.5, 0.5]])}
 
 special = st.sampled_from([True, False, math.nan, math.inf, -math.inf])
 # small floats: a check that let one through must not ask for a huge array
@@ -388,6 +402,41 @@ not_a_count = st.one_of(special, st.floats(-4, 4), st.text(max_size=3))
 not_a_real = st.one_of(special, st.text(max_size=3), st.just(2**1024))
 not_a_word_id = st.one_of(not_a_count, st.just(-1))
 table_fuzz = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+
+def with_entry(vector, at, value):
+    out = list(vector)
+    out[at % len(out)] = value
+    return out
+
+
+def negative_entry(at, x):
+    """The uniform vector over 5 words with entry at made -x and the next
+    raised to keep the sum 1: only the sign is wrong."""
+    out = [0.2] * 5
+    out[at % 5], out[(at + 1) % 5] = -x, 0.4 + x
+    return out
+
+
+bad_entry = st.sampled_from([math.nan, math.inf, -math.inf, "x", None, 2**1024])
+# a 0-d value is neither a vector nor a point array
+zero_dimensional = st.one_of(special, st.floats(-4, 4), st.text(max_size=3))
+not_a_probability_vector = st.one_of(
+    zero_dimensional,
+    st.builds(with_entry, st.just([0.2] * 5), st.integers(0, 4), bad_entry),
+    st.builds(negative_entry, st.integers(0, 4), st.floats(1e-3, 4)),
+    # bools that sum to 1, and vectors of the wrong width that sum to k / 5
+    st.permutations([True, False, False, False, False]),
+    st.sampled_from([1, 2, 3, 4, 6, 10]).map(lambda k: [0.2] * k),
+)
+not_points = st.one_of(
+    zero_dimensional,
+    st.lists(st.floats(-4, 4), min_size=2, max_size=2),
+    st.lists(st.floats(-4, 4), max_size=4).filter(lambda row: len(row) != 2).map(lambda r: [r]),
+    st.builds(with_entry, st.just([0.5, 0.5]), st.integers(0, 1), bad_entry).map(lambda r: [r]),
+    st.lists(st.booleans(), min_size=2, max_size=2).map(lambda r: [r]),
+    st.just([[1.0], [1.0, 2.0]]),
+)
 
 
 @pytest.mark.parametrize("kind, name", [(kind, name) for kind, (table, _) in ARG_TABLES.items()
@@ -419,3 +468,31 @@ def test_public_reals_reject_non_reals(name, value):
 def test_public_word_ids_reject_non_ids(name, value):
     with pytest.raises(InvalidWordIdError):
         WORD_ID_ARGS[name](value)
+
+
+@table_fuzz
+@given(value=not_a_probability_vector)
+# the probes that ended in a bare ValueError or were accepted, whatever
+# the strategy draws
+@example(value="ab")
+@example(value=[True, False, False, False, False])
+@example(value=1.0)
+@example(value=[0.6, -0.2, 0.2, 0.2, 0.2])
+@example(value=[0.2] * 4)
+@pytest.mark.parametrize("name", PROBABILITY_ARGS)
+def test_public_probability_vectors_reject_non_vectors(name, value):
+    with pytest.raises(ConfigError):
+        PROBABILITY_ARGS[name](value)
+
+
+@table_fuzz
+@given(value=not_points)
+@example(value=[["x", "y"]])
+@example(value=[[True, False]])
+@example(value=[[math.nan, 0.0]])
+@example(value=[[0.0, 0.0, 0.0]])
+@example(value=0.5)
+@pytest.mark.parametrize("name", POINT_ARGS)
+def test_public_points_reject_non_points(name, value):
+    with pytest.raises((ConfigError, DimensionMismatchError, NonFiniteComponentError)):
+        POINT_ARGS[name](value)

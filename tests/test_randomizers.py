@@ -324,6 +324,12 @@ class TestKdePrior:
             with pytest.raises(error):
                 kde_log_prior(toy3, points, 1.0)
 
+    @pytest.mark.parametrize("points", [[["x", "y"]], [[True, False]]])
+    def test_points_must_be_numbers(self, toy3, points):
+        # strings ended in a bare ValueError and bools were scored as 1 and 0
+        with pytest.raises(ConfigError, match="points must hold numbers"):
+            kde_log_prior(toy3, points, 1.0)
+
     @staticmethod
     def _far(points, store, sigma):
         """points moved out along the diagonal until every word lies beyond

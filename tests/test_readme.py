@@ -1,10 +1,11 @@
-"""The README's Python examples run as written, and its JSON configs and CLI
-lines parse."""
+"""The README's Python examples run as written, its JSON configs and CLI
+lines parse, and its notes name every argument rule."""
 import json
 import re
 import shlex
 from pathlib import Path
 
+from privtext import errors
 from privtext.cli import build_parser
 from privtext.pipeline import ProtocolConfig
 
@@ -37,3 +38,13 @@ def test_cli_lines_parse():
             at = args.index("<")
             del args[at : at + 2]
         build_parser().parse_args(args)
+
+
+def test_semantics_notes_name_every_rule():
+    # the notes say every public argument is checked by one rule of
+    # privtext.errors: a rule they leave out is a check they do not describe
+    text = README.read_text(encoding="utf-8")
+    notes = text.split("\n## Notes on semantics\n", 1)[1].split("\n## ", 1)[0]
+    rules = [name for name in vars(errors) if name.startswith("require_")]
+    assert rules
+    assert [name for name in rules if f"`{name}`" not in notes] == []

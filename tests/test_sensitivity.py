@@ -157,6 +157,11 @@ class TestProfile:
             with pytest.raises(ConfigError):
                 SensitivityProfile(np.array(local), 1.0, np.array(smooth))
 
+    def test_negative_beta_rejected(self):
+        # accepted: the profile's beta had no lower bound
+        with pytest.raises(ConfigError, match="beta must be >= 0"):
+            SensitivityProfile(np.ones(3), -2.0, np.ones(3))
+
     def test_bad_profile_rejected_under_optimize(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
