@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError, DuplicateWordError, EmbeddingFormatError, EmptyVocabularyError,
-    InvalidWordIdError, NonFiniteComponentError, require_count, require_points, require_word_ids,
+    InvalidWordIdError, NonFiniteComponentError, _floats, require_count, require_points,
+    require_word_ids,
 )
 
 CACHE_MAGIC = "privtext-embeddings-v2"
@@ -66,10 +67,14 @@ class EmbeddingStore:
 
     @classmethod
     def from_arrays(cls, words, vectors) -> "EmbeddingStore":
-        """A store over words and their (|W|, d) vectors. The store holds its
-        own read-only C-contiguous float64 copy of vectors, made in one
-        conversion, so the caller may still write to its array."""
-        return cls._adopt(words, np.array(vectors, dtype=np.float64, order="C"))
+        """A store over words and their (|W|, d) vectors, which must hold
+        numbers only (errors._floats). The store holds its own read-only
+        C-contiguous float64 copy of vectors, made in one conversion, so the
+        caller may still write to its array."""
+        arr = _floats("vectors", vectors)
+        # _floats made a new array of a list or of any other dtype: copy only the caller's
+        return cls._adopt(words, arr if arr.flags.owndata and arr is not vectors
+                          else np.array(arr, order="C"))
 
     @classmethod
     def _adopt(cls, words, vectors) -> "EmbeddingStore":
@@ -572,8 +577,13 @@ def load_embeddings(path) -> EmbeddingStore:
         raise EmptyVocabularyError(f"{path}: no embedding records")
     if header_count is not None and header_count != len(words):
         raise EmbeddingFormatError(f"{path}: header count {header_count} != {len(words)} records")
+    return _adopt_naming(path, words, np.vstack(rows))
+
+
+def _adopt_naming(path, words, vectors) -> EmbeddingStore:
+    """EmbeddingStore._adopt for a loader: its errors name the file."""
     try:
-        return EmbeddingStore._adopt(words, np.vstack(rows))
+        return EmbeddingStore._adopt(words, vectors)
     except EmbeddingFormatError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -612,7 +622,8 @@ def load_cache(path) -> EmbeddingStore:
     """Read a cache written by save_cache. Nothing in it is unpickled: the
     words are a fixed-width unicode array. A float64 C-order vector array
     (save_cache's) is kept as a read-only view of the bytes read from the
-    file, with no copy; any other numeric one is converted once."""
+    file, with no copy; any other numeric one is converted once. Every error
+    names the file."""
     try:
         with zipfile.ZipFile(path) as zf:
             if str(_npy_view(zf.read("magic.npy"))) != CACHE_MAGIC:
@@ -629,4 +640,4 @@ def load_cache(path) -> EmbeddingStore:
         raise EmbeddingFormatError(f"{path}: cache words are not a 1-D unicode array")
     if vectors.dtype.kind not in "iuf":
         raise EmbeddingFormatError(f"{path}: cache vectors are not a numeric array")
-    return EmbeddingStore._adopt(words.tolist(), vectors)
+    return _adopt_naming(path, words.tolist(), vectors)

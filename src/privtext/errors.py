@@ -112,7 +112,7 @@ def _floats(name, value) -> np.ndarray:
     if arr.dtype != np.float64:
         if arr.dtype.kind not in "iuf":
             raise ConfigError(f"{name} must hold numbers only, not bools, strings or objects")
-        arr = arr.astype(np.float64)
+        arr = arr.astype(np.float64, order="C")
     return arr
 
 

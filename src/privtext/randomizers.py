@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, _gemm_sq_distances
+from .embeddings import _NN_BLOCK_ENTRIES, EmbeddingStore, _gemm_sq_distances
 from .errors import (
     ConfigError, InvalidWordIdError, MatrixFormatError, from_fields, require_count,
     require_nonnegative, require_params, require_points, require_positive, require_word_ids,
@@ -279,18 +279,35 @@ class Mechanism:
         states after mh_steps steps. Each chain starts at, and each step
         proposes, phi(w) plus the baseline's noise at epsilon. The target
         KDE(z) * exp(-eps * ||z - phi(w)||) over that proposal leaves the KDE
-        ratio as the acceptance ratio: the Laplace factors cancel."""
-        store = self.store
+        ratio as the acceptance ratio: the Laplace factors cancel.
+
+        A proposal does not depend on the state, so the steps are taken a
+        block at a time: each step's n proposals and then its n uniforms are
+        drawn from rng in step order, one kde_log_prior call scores the
+        block's proposals, and the accept decisions are a scan over the
+        scores. A block holds as many steps as fit n rows each in
+        _NN_BLOCK_ENTRIES // |W| rows, and at least one, so its KDE array
+        stays within one nearest-neighbour tile."""
+        store, sigma, steps = self.store, self._sigma, self.config.mh_steps
         center = store.vector(w)[None, :]
         param = MultivariateLaplaceParam(store.dim, self.config.epsilon)
         x = center + sample_mv_laplace(rng, param, size=n)
-        logp = kde_log_prior(store, x, self._sigma)
-        for _ in range(self.config.mh_steps):
-            prop = center + sample_mv_laplace(rng, param, size=n)
-            logp_prop = kde_log_prior(store, prop, self._sigma)
-            accept = np.log(rng.gen.uniform(size=n)) < logp_prop - logp
-            x[accept] = prop[accept]
-            logp[accept] = logp_prop[accept]
+        logp = kde_log_prior(store, x, sigma)
+        per_block = max(1, _NN_BLOCK_ENTRIES // len(store) // max(n, 1))
+        for lo in range(0, steps, per_block):
+            k = min(per_block, steps - lo)
+            props = np.empty((k, n, store.dim))
+            log_u = np.empty((k, n))
+            for t in range(k):
+                props[t] = sample_mv_laplace(rng, param, size=n)
+                log_u[t] = rng.gen.uniform(size=n)
+            props += center
+            np.log(log_u, out=log_u)
+            logp_props = kde_log_prior(store, props.reshape(k * n, store.dim), sigma).reshape(k, n)
+            for prop, logp_prop, lu in zip(props, logp_props, log_u):
+                accept = lu < logp_prop - logp
+                x[accept] = prop[accept]
+                logp[accept] = logp_prop[accept]
         return store.nearest_words(x)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import embeddings
 from .embeddings import EmbeddingStore, exact_distances
-from .errors import ConfigError, SingletonVocabularyError, require_nonnegative
+from .errors import ConfigError, SingletonVocabularyError, _floats, require_nonnegative
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class SensitivityProfile:
     per_word_smooth: np.ndarray  # (|W|,)
 
     def __post_init__(self):
-        local = np.asarray(self.per_word_local, dtype=np.float64)
-        smooth = np.asarray(self.per_word_smooth, dtype=np.float64)
+        local = _floats("per_word_local", self.per_word_local)
+        smooth = _floats("per_word_smooth", self.per_word_smooth)
         if local.ndim != 1 or local.size == 0 or smooth.shape != local.shape:
             raise ConfigError(
                 f"local and smooth sensitivities must be two non-empty vectors of one"

@@ -4,9 +4,9 @@ These deliberately avoid the library's own sampling/evaluation code paths:
 quadrature and grid enumeration here, Monte Carlo there. The loop forms of
 the batched analysis paths (per-observation attack, full-matrix verifier),
 the full-matrix cdist forms of the blocked geometry (local and smooth
-sensitivity), the one-point and cdist forms of the decode and the
-line-by-line matrix TSV parser are kept here as references that the fast
-code must match exactly.
+sensitivity), the one-point and cdist forms of the decode, the
+line-by-line matrix TSV parser and the one-step-at-a-time density chain are
+kept here as references that the fast code must match exactly.
 """
 import math
 import re
@@ -17,7 +17,8 @@ from scipy.spatial.distance import cdist
 
 from privtext.analysis import MetricDpReport
 from privtext.errors import MatrixFormatError
-from privtext.randomizers import MATRIX_TSV_MAGIC, TransitionMatrix
+from privtext.randomizers import MATRIX_TSV_MAGIC, TransitionMatrix, kde_log_prior
+from privtext.samplers import MultivariateLaplaceParam, sample_mv_laplace
 
 
 def half_plane_mass(epsilon: float, half_gap: float) -> float:
@@ -226,3 +227,21 @@ def matrix_from_tsv_by_line(store, text) -> TransitionMatrix:
             )
         counts[store.word_id(fields[0]), store.word_id(fields[1])] = int(fields[2])
     return TransitionMatrix(counts)
+
+
+def density_chain_by_step(store, rng, w, n, epsilon, sigma, mh_steps) -> np.ndarray:
+    """n density chains for word w, one step at a time: each step draws its
+    n proposals and then its n uniforms from rng and scores the proposals
+    with one kde_log_prior call before the next step draws. The chains'
+    final states are decoded once."""
+    center = store.vector(w)[None, :]
+    param = MultivariateLaplaceParam(store.dim, epsilon)
+    x = center + sample_mv_laplace(rng, param, size=n)
+    logp = kde_log_prior(store, x, sigma)
+    for _ in range(mh_steps):
+        prop = center + sample_mv_laplace(rng, param, size=n)
+        logp_prop = kde_log_prior(store, prop, sigma)
+        accept = np.log(rng.gen.uniform(size=n)) < logp_prop - logp
+        x[accept] = prop[accept]
+        logp[accept] = logp_prop[accept]
+    return store.nearest_words(x)

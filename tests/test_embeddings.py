@@ -93,6 +93,38 @@ class TestLoad:
         with pytest.raises(error, match=f"^{re.escape(path)}: .*{word}"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("words, vectors, error, word", [
+        (["a", "b", "a"], np.zeros((3, 2)), DuplicateWordError, "'a'"),
+        (["a", "b"], np.array([[0.0, 1.0], [np.nan, 2.0]]), NonFiniteComponentError, "'b'"),
+    ])
+    def test_cache_store_checks_name_the_file_and_the_word(self, tmp_path, words, vectors,
+                                                           error, word):
+        path = tmp_path / "bad.npz"
+        np.savez(path, magic=np.array(CACHE_MAGIC), words=np.array(words), vectors=vectors)
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: .*{word}"):
+            load_cache(path)
+
+    @pytest.mark.parametrize("vectors", [
+        [["x"], ["y"]], [[True], [False]], np.array([[True], [False]]), [[1.0], None],
+    ])
+    def test_from_arrays_takes_numbers_only(self, vectors):
+        with pytest.raises(ConfigError):
+            EmbeddingStore.from_arrays(["a", "b"], vectors)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_from_arrays_makes_one_copy(self, dtype, order):
+        v = np.asarray(np.random.default_rng(4).normal(size=(2000, 50)) * 100, dtype, order=order)
+        tracemalloc.start()
+        try:
+            store = EmbeddingStore.from_arrays([f"w{i}" for i in range(2000)], v)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(store.vectors, v) and np.array_equal(store.vectors, v)
+        # a second float64 copy would add the whole 0.8 MB to the peak
+        assert peak - kept < store.vectors.nbytes / 4
+
     def test_deterministic_round_trip(self, tmp_path):
         path = write(tmp_path, "a 0.25 -1\nb 3 4\n")
         s1 = load_embeddings(path)

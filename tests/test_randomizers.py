@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,6 +45,7 @@ from privtext.randomizers import (
 from conftest import count_passes, random_store
 from oracles import (
     baseline_output_distribution_1d,
+    density_chain_by_step,
     density_output_distribution,
     distance,
     half_plane_mass,
@@ -878,6 +880,40 @@ class TestTruncatedDrawsPinned:
             assert truncation_mass(MultivariateLaplaceParam(dim, 1.0), 5.0) == 0.0
             dists = cdist(store.vectors, store.vectors)
             assert np.all(dists[ids, out] > 5.0)
+
+
+class TestDensityBlocks:
+    """The density chain scores its proposals a block of steps at a time;
+    it must draw and decide exactly as the chain that scores each step
+    alone."""
+
+    # block caps in rows: the default (the whole chain in one block on this
+    # store), 7 (a boundary mid-chain, 31 steps not a multiple of the
+    # block's steps) and 2 (n = 3 alone exceeds it: one step per block)
+    @pytest.mark.parametrize("rows", [None, 7, 2])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_matches_the_chain_by_step(self, monkeypatch, rows, n):
+        store = clustered_store()
+        if rows is not None:
+            monkeypatch.setattr(randomizers, "_NN_BLOCK_ENTRIES", rows * len(store))
+        config = MechanismConfig("density", 1.0, sigma=0.5, mh_steps=31)
+        for w in range(4):
+            got = Mechanism(store, config).perturb_batch(RngStream(11).fork(w), w, n)
+            want = density_chain_by_step(store, RngStream(11).fork(w), w, n, 1.0, 0.5, 31)
+            assert np.array_equal(got, want)
+
+    def test_block_stays_within_one_tile(self):
+        # |W| = 5000: a block is 209 rows x |W|, 2**20 entries at most; the
+        # whole 1010-step chain scored at once would hold 80 MB for n = 2
+        store = random_store(np.random.default_rng(12), 5000, 50)
+        mech = Mechanism(store, MechanismConfig("density", 1.0, sigma=1.0))
+        tracemalloc.start()
+        try:
+            mech.perturb_batch(RngStream(13), 0, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < embeddings._NN_BLOCK_ENTRIES * 8 + 2**20
 
 
 class TestDensityDrawsPinned:

@@ -108,6 +108,13 @@ class TestProfile:
                 smooth_sensitivity_by_balls(toy3, w, 1.3)
             )
 
+    @pytest.mark.parametrize("local, smooth", [
+        (["a", "b"], ["b", "c"]), ([True, False], [True, True]), (np.ones(2), np.ones(2, bool)),
+    ])
+    def test_vectors_take_numbers_only(self, local, smooth):
+        with pytest.raises(ConfigError):
+            SensitivityProfile(local, 1.0, smooth)
+
     def test_smooth_dominates_local(self):
         gen = np.random.default_rng(5)
         for _ in range(10):
