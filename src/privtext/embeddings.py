@@ -162,32 +162,46 @@ class EmbeddingStore:
         block_rows = max(1, _NN_BLOCK_ENTRIES // cand.shape[1])
         for lo in range(0, points.shape[0], block_rows):
             block = points[lo : lo + block_rows]
-            # the same exact scaling as the vectors', then one rounding to
-            # float32; a point too large for float32 comes out as Inf
-            p32 = np.empty(block.shape, dtype=np.float32)
-            with np.errstate(over="ignore"):
-                np.multiply(block, screen.scale, out=p32, casting="same_kind")
-            p_sq = np.einsum("ij,ij->i", p32, p32, dtype=np.float64)
-            # rows beyond the limit (Inf included) are decided exactly over
-            # every candidate: their screen could overflow float32, or the
-            # exact sums float64
-            far = ~(p_sq <= screen.limit)
-            if far.any():
-                p32[far] = 0.0
-                p_sq[far] = np.inf
-            # ||c||^2 - 2 c.p in float32 stands for the scaled D - ||p||^2,
-            # D the exact squared distance, within the candidate's reach plus
-            # the point's err (see _sq_error_bound): hi, with the reach
-            # added, lies at most err below D - ||p||^2. Scaling by -2 is
-            # exact.
-            hi = p32 @ cand
-            hi *= -2.0
-            hi += upper
+            hi, p_sq = self._screen_rows(block, cand, upper)
+            # a row past the screen's limit (err Inf) is decided exactly
+            # over every candidate
             err = _sq_error_bound(p_sq, 0.0, self.dim, _U32, screen.eta)
             out[lo : lo + block.shape[0]] = _argmin_exact(block, self.vectors, ids, hi, spread, err)
         if ids is not None:
             out = ids[out]
         return out
+
+    def _screen_rows(self, points, cand, upper):
+        """(hi, p_sq) for a (rows, d) float64 block of points against screen
+        columns cand with their upper: with err = _sq_error_bound(p_sq, 0,
+        d, _U32, screen.eta), hi[i, j] + err[i] lies above, and
+        hi[i, j] - spread[j] - err[i] below, the scaled exact squared
+        distance (cdist's sum) from point i to candidate j less the row's
+        constant ||p^||^2, p^ the scaled float32 point, of which p_sq is the
+        float64 sum. A row past the screen's limit, Inf included, is
+        screened as the origin with p_sq Inf."""
+        screen = self._screen
+        # the same exact scaling as the vectors', then one rounding to
+        # float32; a point too large for float32 comes out as Inf
+        p32 = np.empty(points.shape, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            np.multiply(points, screen.scale, out=p32, casting="same_kind")
+        p_sq = np.einsum("ij,ij->i", p32, p32, dtype=np.float64)
+        # beyond the limit the screen could overflow float32, or the exact
+        # sums float64
+        far = ~(p_sq <= screen.limit)
+        if far.any():
+            p32[far] = 0.0
+            p_sq[far] = np.inf
+        # ||c||^2 - 2 c.p in float32 stands for the scaled D - ||p||^2, D the
+        # exact squared distance, within the candidate's reach plus the
+        # point's err (see _sq_error_bound): hi, with the reach added, lies
+        # at most err below D - ||p||^2. Doubling the point is exact, and
+        # costs a pass over the (rows, d) point, not the (rows, |W|) hi.
+        p32 *= -2.0
+        hi = p32 @ cand
+        hi += upper
+        return hi, p_sq
 
     def _candidate_ids(self, candidate_ids) -> np.ndarray:
         """candidate_ids as sorted int64 word ids, or InvalidWordIdError."""
@@ -404,7 +418,9 @@ def _sq_error_bound(a_sq, b_sq, dim, u=_U, eta=_ETA):
     # The nearest_words screen scales points a and vectors b by one power of
     # two s, exactly (short of float64 subnormals), rounds them to float32,
     # a^ and b^, and forms s2 = fl(Nb - 2 P) from those in float32, without
-    # the row's Na. Now u = 2^-24 and eta32 = 2^-149; norms are the scaled
+    # the row's Na. It forms -2 P as the product of the doubled point -2 a^
+    # (doubling is exact): its errors are twice P's, or less among the
+    # subnormals. Now u = 2^-24 and eta32 = 2^-149; norms are the scaled
     # ones, and a^, b^ have them within a relative 2 u + O(u^2) and an
     # absolute O(d eta32), which the spare 8 u (na + nb) and the eta term
     # absorb.
@@ -450,11 +466,17 @@ def paired_distances(a, b) -> np.ndarray:
     the square root; np.add.accumulate keeps that order, where np.sum's
     pairwise order would not. A sum that overflows is Inf, as in cdist, with
     no warning. The working memory is one (n, d) array."""
+    return np.sqrt(_paired_sq_distances(a, b))
+
+
+def _paired_sq_distances(a, b) -> np.ndarray:
+    """paired_distances before the square root: the squared differences
+    of each pair added in index order, Inf where the sum overflows."""
     with np.errstate(over="ignore"):
         t = a - b
         t *= t
         np.add.accumulate(t, axis=1, out=t)
-        return np.sqrt(t[:, -1])
+        return t[:, -1]
 
 
 def _distances_from(point, vectors, ids) -> np.ndarray:

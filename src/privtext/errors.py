@@ -103,7 +103,11 @@ def require_word_ids(ids, size: int | None = None) -> np.ndarray:
 
 def _floats(name, value) -> np.ndarray:
     """value as float64, or ConfigError unless it holds ints and floats only:
-    a bool would run as 0 or 1; a string, an object or a ragged list is none."""
+    a bool would run as 0 or 1; a string, an object or a ragged list is none.
+    An array is judged by its dtype; a list or tuple also by its elements,
+    since NumPy reads bools mixed with numbers as numbers."""
+    if isinstance(value, (list, tuple)) and _holds_bool(value):
+        raise ConfigError(f"{name} must hold numbers only, not bools, strings or objects")
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged list
@@ -114,6 +118,22 @@ def _floats(name, value) -> np.ndarray:
             raise ConfigError(f"{name} must hold numbers only, not bools, strings or objects")
         arr = arr.astype(np.float64, order="C")
     return arr
+
+
+def _holds_bool(seq) -> bool:
+    """Whether a list or tuple holds a bool or a bool array at any depth.
+    Each list or tuple is read once, so a repeated or self-containing one
+    ends the walk."""
+    seen, stack = {id(seq)}, [seq]
+    while stack:
+        for v in stack.pop():
+            if isinstance(v, (list, tuple)):
+                if id(v) not in seen:
+                    seen.add(id(v))
+                    stack.append(v)
+            elif isinstance(v, (bool, np.bool_)) or isinstance(v, np.ndarray) and v.dtype == bool:
+                return True
+    return False
 
 
 def require_probabilities(name, p, size: int | None = None) -> np.ndarray:

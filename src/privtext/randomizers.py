@@ -26,12 +26,16 @@ module measures what they actually provide.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .embeddings import _NN_BLOCK_ENTRIES, EmbeddingStore, _gemm_sq_distances
+from .embeddings import (
+    _EXACT_BLOCK_ENTRIES, _NN_BLOCK_ENTRIES, _U, _U32, EmbeddingStore, _gemm_sq_distances,
+    _paired_sq_distances, _sq_error_bound,
+)
 from .errors import (
     ConfigError, InvalidWordIdError, MatrixFormatError, from_fields, require_count,
     require_nonnegative, require_params, require_points, require_positive, require_word_ids,
@@ -156,6 +160,153 @@ def kde_log_prior(store: EmbeddingStore, points, sigma: float) -> np.ndarray:
     sq -= mx[:, None]
     np.exp(sq, out=sq)
     return np.log(sq.sum(axis=1)) + mx
+
+
+def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
+    """(values, bounds): kde_log_prior's log-KDE at each row of a (n, d)
+    array of points, scored on the store's float32 decode screen, and a
+    bound on each value's distance from _canonical_log_kde's. One float32
+    GEMM against the screen forms the squared distances, the scale, shift
+    and exp passes run in float32 in place, and the sum in float64. A row
+    the pass cannot bound (past the screen's limit, or so far out that the
+    scaled kernels could overflow float32) has value 0 and bound Inf."""
+    points = require_points("points", points, store.dim)
+    screen, n_words = store._screen, len(store)
+    with np.errstate(over="ignore", divide="ignore"):
+        # the log kernel of a scaled squared distance s^2 q is kappa s^2 q
+        kappa = float(np.float64(1.0) / -(2.0 * sigma**2) / screen.scale / screen.scale)
+    # ||p^||^2 <= lim keeps every |kappa h_j| (below) under 2^100 (2 d + 2),
+    # within float32; a kappa outside float32's normal range screens no row
+    lim = (min(screen.limit, 2.0**100 / abs(kappa)) if 2.0**-100 <= abs(kappa) <= 2.0**100
+           else -1.0)
+    half_spread = float(screen.spread.max()) / 2
+    hi, p_sq = store._screen_rows(points, screen.vectors, screen.upper)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        hi *= np.float32(kappa)
+        top = hi.max(axis=1)
+        hi -= top[:, None]
+        np.exp(hi, out=hi)
+        # einsum adds in float64 without a float64 copy, faster than sum
+        values = np.log(np.einsum("ij->i", hi, dtype=np.float64))
+    top = top.astype(np.float64)
+    values += top
+    values += kappa * (p_sq - half_spread)
+    # Why this bound. Write q_j for the squared distance from the point to
+    # word j that cdist (and _paired_sq_distances, in its order) sums, den =
+    # -(2 sigma^2) as rounded, N = |W|, LSE for log-sum-exp and u, u32 for
+    # the unit roundoffs. LSE is monotone and moves by c when every entry
+    # does, so it moves by at most the largest change of an entry: it is
+    # 1-Lipschitz in the max norm. The canonical value is LSE(q / den),
+    # rounded as below.
+    # - The screen: s^2 q_j - P lies in [h_j - spread_j - err, h_j + err]
+    #   (_screen_rows), s the screen's scale, P = ||p^||^2 the row's
+    #   constant, h_j the float32 entry and err = _sq_error_bound at u32 and
+    #   screen.eta. With kappa = 1 / (s^2 den) < 0 and g_j = kappa h_j,
+    #   q_j / den = kappa (s^2 q_j - P) + kappa P lies in
+    #   [g_j - |kappa| err, g_j + |kappa| (spread_j + err)]. So LSE(q / den)
+    #   is within |kappa| (err + S / 2) of LSE(g) + kappa (P - S / 2), S the
+    #   largest spread; p_sq is P within a relative d u.
+    # - The scale: a_j = fl32(fl32(kappa) h_j) = g_j (1 + e_j) + f_j with
+    #   |e_j| <= 2.01 u32 and |f_j| <= eta32 (a subnormal product). With
+    #   G = max g and x_j = G - g_j >= 0, a_j lies within |e_j| |G| + f_j of
+    #   G - x_j (1 + e_j), and |G| is at most |top| (1 + 3 u32) + eta32,
+    #   top = max a. As a function of t, LSE(-t x) has slope minus the
+    #   softmax mean of x, which is at most log N / t (t E[x] is at most the
+    #   entropy, log N, since the largest term is 1). So a relative change of
+    #   every x_j by at most e moves LSE by at most e log N / (1 - e), and
+    #   the scale costs at most 3 u32 (|top| + log N) + eta32.
+    # - The shift a_j - top, exact at the maximum, changes each x_j by a
+    #   relative u32: u32 log N more.
+    # - exp: within 4 ulps of e^t, 8 u32 of it, plus 2^-126 for a result
+    #   among float32's subnormals (numpy's float32 exp is within 2.5 ulps;
+    #   tests check the budget). With the sum at least 1 (the maximum's term
+    #   is e^0), that moves the log by at most 8 u32 + N 2^-126.
+    # - float64: the sum of N terms, in any order, is within a relative
+    #   1.01 N u; the log and the additions, the canonical value's own
+    #   division, exp (4 ulps), fsum and log, and the rounding of a
+    #   difference of two values in the accept test, add c u for c < 64 times
+    #   |top| + log N + |kappa| (P + S), which the rounded-up u32 terms and
+    #   the factor 1 + 2^-20 on the first term (err >= 20 u32 P) cover.
+    # In all: |kappa| (err + S / 2)(1 + 2^-20) + 4 u32 |top|
+    # + 5 u32 (log N + 2) + 2 N u, the absolute terms (eta32, N 2^-126)
+    # within the last u32.
+    bounds = _sq_error_bound(p_sq, 0.0, store.dim, _U32, screen.eta)
+    bounds += half_spread
+    bounds *= abs(kappa) * (1 + 2.0**-20)
+    bounds += 4 * _U32 * np.abs(top)
+    bounds += 5 * _U32 * (math.log(n_words) + 2) + 2 * n_words * _U
+    bad = ~(p_sq <= lim)
+    if bad.any():
+        values[bad] = 0.0
+        bounds[bad] = np.inf
+    return values, bounds
+
+
+def _canonical_log_kde(store: EmbeddingStore, point, sigma: float) -> float:
+    """The log-KDE at one point (d,) by a path that no BLAS kernel enters:
+    each squared distance summed in _paired_sq_distances' order, in blocks
+    of _EXACT_BLOCK_ENTRIES differences, divided by -(2 sigma^2) as
+    kde_log_prior divides, and the shifted exponentials added by math.fsum."""
+    step = max(1, _EXACT_BLOCK_ENTRIES // store.dim)
+    sq = np.concatenate([
+        _paired_sq_distances(point[None, :], store.vectors[lo : lo + step])
+        for lo in range(0, len(store), step)
+    ])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq /= -(2.0 * sigma**2)
+        mx = sq.max()
+        return math.log(math.fsum(np.exp(sq - mx))) + mx
+
+
+def _accept_block(store, sigma, states, values, bounds, log_u) -> np.ndarray:
+    """The row of states that each of n chains holds after a block of k
+    steps. states (k + 1, n, d) holds the chains' states in row 0 and step
+    t's proposals in row t + 1; values and bounds (k + 1, n) are their
+    _screened_log_kde; log_u (k, n) the steps' log uniforms.
+
+    The accept test ln u < L(prop) - L(x) runs on the screened values as a
+    scan over the steps. A decision whose margin exceeds the proposal's
+    bound plus the state's is the one the canonical values make (the bounds
+    hold the rounding of the difference); the largest bound among a chain's
+    rows stands in for its state's, which needs no gather. Each chain with
+    another decision is settled from its first such step on. Canonical
+    values replace screened ones, with bound 0, as they are computed."""
+    k, n = log_u.shape
+    took = np.empty((k, n), dtype=bool)
+    margin = np.empty((k, n))
+    held = values[0].copy()
+    for t in range(k):
+        np.subtract(values[t + 1], held, out=margin[t])
+        np.less(log_u[t], margin[t], out=took[t])
+        np.copyto(held, values[t + 1], where=took[t])
+    margin -= log_u
+    # NaN-safe: a margin that is not certainly clear is settled
+    sure = np.abs(margin) > bounds[1:] + bounds.max(axis=0)
+    last = (took * np.arange(1, k + 1)[:, None]).max(axis=0)
+    for i in np.flatnonzero(~sure.all(axis=0)):
+        t = int(np.argmin(sure[:, i]))
+        moved = np.flatnonzero(took[:t, i])
+        held = int(moved[-1]) + 1 if moved.size else 0
+        last[i] = _settle(store, sigma, states[:, i], values[:, i], bounds[:, i], log_u[:, i],
+                          held, t)
+    return last
+
+
+def _settle(store, sigma, states, values, bounds, log_u, held, start) -> int:
+    """One chain's steps of a block from step start on, with held the row
+    it holds before that step: each decision on the values when its margin
+    exceeds their bounds, else on the canonical values of its two rows.
+    Returns the row held after the block. Each step is taken once."""
+    for t in range(start, len(log_u)):
+        p = t + 1
+        if not abs(values[p] - values[held] - log_u[t]) > bounds[p] + bounds[held]:
+            for r in (p, held):
+                if bounds[r]:
+                    values[r] = _canonical_log_kde(store, states[r], sigma)
+                    bounds[r] = 0.0
+        if log_u[t] < values[p] - values[held]:
+            held = p
+    return held
 
 
 class Mechanism:
@@ -283,31 +434,37 @@ class Mechanism:
 
         A proposal does not depend on the state, so the steps are taken a
         block at a time: each step's n proposals and then its n uniforms are
-        drawn from rng in step order, one kde_log_prior call scores the
-        block's proposals, and the accept decisions are a scan over the
-        scores. A block holds as many steps as fit n rows each in
-        _NN_BLOCK_ENTRIES // |W| rows, and at least one, so its KDE array
-        stays within one nearest-neighbour tile."""
+        drawn from rng in step order, and one _screened_log_kde call scores
+        the block's proposals in float32. _accept_block certifies every
+        accept decision against the values' bounds and decides the rest on
+        the canonical, BLAS-free log-KDE, so each decision is the one the
+        canonical values make, whatever the BLAS kernel. A block holds as
+        many steps as fit n rows each in _NN_BLOCK_ENTRIES // |W| rows, and
+        at least one, so its float32 KDE array stays within one decode
+        block."""
         store, sigma, steps = self.store, self._sigma, self.config.mh_steps
         center = store.vector(w)[None, :]
         param = MultivariateLaplaceParam(store.dim, self.config.epsilon)
         x = center + sample_mv_laplace(rng, param, size=n)
-        logp = kde_log_prior(store, x, sigma)
+        value, bound = _screened_log_kde(store, x, sigma)
         per_block = max(1, _NN_BLOCK_ENTRIES // len(store) // max(n, 1))
+        cols = np.arange(n)
         for lo in range(0, steps, per_block):
             k = min(per_block, steps - lo)
-            props = np.empty((k, n, store.dim))
+            states = np.empty((k + 1, n, store.dim))
             log_u = np.empty((k, n))
             for t in range(k):
-                props[t] = sample_mv_laplace(rng, param, size=n)
+                states[t + 1] = sample_mv_laplace(rng, param, size=n)
                 log_u[t] = rng.gen.uniform(size=n)
-            props += center
+            states[1:] += center
+            states[0] = x
             np.log(log_u, out=log_u)
-            logp_props = kde_log_prior(store, props.reshape(k * n, store.dim), sigma).reshape(k, n)
-            for prop, logp_prop, lu in zip(props, logp_props, log_u):
-                accept = lu < logp_prop - logp
-                x[accept] = prop[accept]
-                logp[accept] = logp_prop[accept]
+            values, bounds = np.empty((k + 1, n)), np.empty((k + 1, n))
+            values[0], bounds[0] = value, bound
+            scored = _screened_log_kde(store, states[1:].reshape(k * n, store.dim), sigma)
+            values[1:], bounds[1:] = (a.reshape(k, n) for a in scored)
+            held = _accept_block(store, sigma, states, values, bounds, log_u)
+            x, value, bound = states[held, cols], values[held, cols], bounds[held, cols]
         return store.nearest_words(x)
 
 

@@ -67,13 +67,15 @@ def sample_unit_sphere(rng: RngStream, dim: int, size: int) -> np.ndarray:
     """(size, dim) uniform directions on the unit sphere in R^dim."""
     dim = require_count("dim", dim)
     g = rng.gen.standard_normal((require_count("size", size, minimum=0), dim))
-    norms = np.linalg.norm(g, axis=1)
+    # np.linalg.norm's own reduction, bit for bit, without its checks
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))
     # a zero draw has probability 0 but would divide by zero; redraw those rows
-    while np.any(norms == 0.0):
+    while not norms.all():
         bad = norms == 0.0
         g[bad] = rng.gen.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(g, axis=1)
-    return g / norms[:, None]
+        norms = np.sqrt(np.add.reduce(g * g, axis=1))
+    g /= norms[:, None]
+    return g
 
 
 def sample_mv_laplace(rng: RngStream, param: MultivariateLaplaceParam, size: int) -> np.ndarray:
@@ -84,8 +86,8 @@ def sample_mv_laplace(rng: RngStream, param: MultivariateLaplaceParam, size: int
     turns that radius law into exactly the stated density.
     """
     u = sample_unit_sphere(rng, param.dim, size)
-    r = rng.gen.gamma(shape=param.dim, scale=1.0 / param.epsilon, size=size)
-    return u * r[:, None]
+    u *= rng.gen.gamma(shape=param.dim, scale=1.0 / param.epsilon, size=size)[:, None]
+    return u
 
 
 def truncation_mass(param: MultivariateLaplaceParam, tau: float) -> float:

@@ -287,6 +287,16 @@ class TestPosterior:
         with pytest.raises(ConfigError, match="prior must hold numbers"):
             posterior([True, False], TransitionMatrix([[7, 3], [3, 7]]), 0)
 
+    def test_bool_among_numbers_rejected(self):
+        # [True, 0.0] sums to 1 and was taken as [1.0, 0.0], also in a prior
+        # and nested in a column of posteriors
+        with pytest.raises(ConfigError, match="posterior must hold numbers"):
+            Posterior(0, [True, 0.0])
+        with pytest.raises(ConfigError, match="prior must hold numbers"):
+            posterior([0.0, True], TransitionMatrix([[7, 3], [3, 7]]), 0)
+        with pytest.raises(ConfigError, match="posterior must hold numbers"):
+            Posterior(0, [[0.5, 0.0], [0.5, True]])
+
     def test_string_posterior_rejected(self):
         # ended in a bare ValueError from the float conversion
         with pytest.raises(ConfigError, match="posterior must hold numbers"):

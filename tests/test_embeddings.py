@@ -106,6 +106,10 @@ class TestLoad:
 
     @pytest.mark.parametrize("vectors", [
         [["x"], ["y"]], [[True], [False]], np.array([[True], [False]]), [[1.0], None],
+        # a bool among numbers, which NumPy reads as 0 or 1: in a row, as a
+        # numpy bool in a tuple, and as a bool array in a list
+        [[True, 0.5], [0.0, 1.0]], ([0.5, 1.0], (np.True_, 0.0)),
+        [np.array([True, False]), [0.5, 1.0]],
     ])
     def test_from_arrays_takes_numbers_only(self, vectors):
         with pytest.raises(ConfigError):

@@ -2,11 +2,17 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
@@ -929,3 +935,161 @@ class TestDensityDrawsPinned:
         out = Mechanism(store, config).perturb_words(RngStream(7), ids)
         assert hashlib.sha256(out.astype("<i8").tobytes()).hexdigest() == (
             "39e3a3807ad061629b5e9456eb17f7c1d418cda13893797905818332b06c1fcb")
+
+
+class TestScreenedKde:
+    """The density chain's float32 log-KDE and the bound on its distance
+    from the canonical, BLAS-free one."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.sampled_from([1, 2, 50, 300]),
+        kind=st.sampled_from(["random", "duplicates", "offset"]),
+        n_words=st.sampled_from([1, 3, 40]),
+        log_sigma=st.sampled_from([-8, -2, 0, 1, 6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_value_within_its_bound_of_the_canonical(self, dim, kind, n_words, log_sigma, seed):
+        # offset: a store far from the origin (1e6 + 1e-3 N(0, 1), as in
+        # test_embeddings), whose float32 distances lose every digit that
+        # separates the words; sigma from 1e-8 to 1e6 of the store's spread
+        gen = np.random.default_rng(seed)
+        vecs = gen.normal(size=(n_words, dim))
+        if kind == "duplicates":
+            vecs[n_words // 2 :] = vecs[: n_words - n_words // 2]
+        elif kind == "offset":
+            vecs = 1e6 + 1e-3 * vecs
+        store = EmbeddingStore.from_arrays([f"w{i}" for i in range(n_words)], vecs)
+        spread = 1e-3 if kind == "offset" else 1.0
+        sigma = spread * 10.0**log_sigma
+        points = np.vstack([
+            vecs[gen.integers(0, n_words, size=5)] + spread * gen.normal(size=(5, dim)),
+            vecs[gen.integers(0, n_words, size=3)],
+            vecs.mean(axis=0) + 30 * spread * gen.normal(size=(3, dim)),
+            gen.normal(size=(2, dim)),
+        ])
+        # past the screen's limit: 2^100 in the screen's units
+        beyond = 1e40 * np.abs(vecs).max() * gen.normal(size=(2, dim))
+        values, bounds = randomizers._screened_log_kde(store, np.vstack([points, beyond]), sigma)
+        assert np.all(bounds[-2:] == np.inf)
+        values, bounds = values[:-2], bounds[:-2]
+        canonical = np.array([randomizers._canonical_log_kde(store, p, sigma) for p in points])
+        assert np.all(bounds > 0)
+        sure = np.isfinite(bounds)
+        assert np.all(np.abs(values - canonical)[sure] <= bounds[sure])
+
+    def test_bound_is_small_on_the_benchmark_scale(self):
+        # d = 50, spread 6, sigma near the median nn distance: about 1e-4,
+        # against accept margins of order 1
+        store = mixture_store(np.random.default_rng(3), 2000, 50, spread=6.0)
+        sigma = store.median_nn_distance()
+        points = store.vectors[:50] + sample_mv_laplace(
+            RngStream(5), MultivariateLaplaceParam(50, 1.0), size=50)
+        values, bounds = randomizers._screened_log_kde(store, points, sigma)
+        canonical = np.array([randomizers._canonical_log_kde(store, p, sigma) for p in points])
+        assert np.all(np.abs(values - canonical) <= bounds)
+        assert np.all(bounds < 1e-3)
+
+    def test_float32_exp_within_its_budget(self):
+        # the shift leaves every exponent at most 0; the bound budgets 4 ulps
+        # (8 u32 of the result) plus 2^-126 for results among the subnormals,
+        # where float32 exp returns 0 below about -104
+        u32 = 2.0**-24
+        grid = np.linspace(-110.0, 0.0, 2_000_001).astype(np.float32)
+        t = np.unique(np.concatenate([
+            grid,
+            np.nextafter(grid, np.float32(0.0)),
+            -np.abs(np.random.default_rng(8).standard_normal(200_000)).astype(np.float32),
+            np.float32([0.0, -0.0, -1e-30, -87.3, -103.9, -104.0, -1e4]),
+        ]))
+        got = np.exp(t).astype(np.float64)
+        exact = np.exp(t.astype(np.float64))
+        assert np.all(np.abs(got - exact) <= 8 * u32 * exact + 2.0**-126)
+
+
+class TestCertificateForcedOff:
+    """With every screened bound Inf, every accept decision is taken on the
+    canonical log-KDE; the pinned draws and the chain by step must not move."""
+
+    @pytest.fixture(autouse=True)
+    def canonical_only(self, monkeypatch):
+        screened, canonical = randomizers._screened_log_kde, randomizers._canonical_log_kde
+        self.canonical_rows = 0
+
+        def no_bound(store, points, sigma):
+            values, bounds = screened(store, points, sigma)
+            return values, np.full_like(bounds, np.inf)
+
+        def counted(store, point, sigma):
+            self.canonical_rows += 1
+            return canonical(store, point, sigma)
+
+        monkeypatch.setattr(randomizers, "_screened_log_kde", no_bound)
+        monkeypatch.setattr(randomizers, "_canonical_log_kde", counted)
+
+    def test_pinned_digest(self):
+        TestDensityDrawsPinned().test_digest()
+        # every start and every proposal: 60 chains of 1 + 30 rows
+        assert self.canonical_rows == 60 * 31
+
+    @pytest.mark.parametrize("rows", [None, 7, 2])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_matches_the_chain_by_step(self, monkeypatch, rows, n):
+        TestDensityBlocks().test_matches_the_chain_by_step(monkeypatch, rows, n)
+
+
+def test_errors_within_the_bounds_change_no_draw(monkeypatch):
+    # screened values moved by up to 0.3, each within a bound widened to
+    # cover it: the float scan then errs on many decisions, and the settled
+    # chains must still make the canonical ones
+    screened = randomizers._screened_log_kde
+    gen = np.random.default_rng(17)
+
+    def moved(store, points, sigma):
+        values, bounds = screened(store, points, sigma)
+        shift = gen.uniform(-0.3, 0.3, size=values.shape)
+        return values + shift, bounds + np.abs(shift) * (1 + 2.0**-20)
+
+    monkeypatch.setattr(randomizers, "_screened_log_kde", moved)
+    store = clustered_store()
+    config = MechanismConfig("density", 1.0, sigma=0.5, mh_steps=61)
+    for w in range(6):
+        for n in (1, 4):
+            got = Mechanism(store, config).perturb_batch(RngStream(19).fork(w), w, n)
+            want = density_chain_by_step(store, RngStream(19).fork(w), w, n, 1.0, 0.5, 61)
+            assert np.array_equal(got, want)
+
+
+CORETYPE_PROBE = """
+import hashlib, sys
+import numpy as np
+from privtext import Mechanism, MechanismConfig, RngStream, EmbeddingStore
+gen = np.random.default_rng(0)
+a = gen.normal(size=(200, 50)).astype(np.float32)
+b = gen.normal(size=(50, 2000)).astype(np.float32)
+print(hashlib.sha256((a @ b).tobytes()).hexdigest())
+gen = np.random.default_rng(5)
+store = EmbeddingStore.from_arrays([f"w{i}" for i in range(2000)], 6 * gen.normal(size=(2000, 50)))
+ids = gen.integers(0, 2000, size=20)
+out = Mechanism(store, MechanismConfig("density", 1.0, mh_steps=200)).perturb_words(RngStream(7), ids)
+print(hashlib.sha256(out.astype("<i8").tobytes()).hexdigest())
+"""
+
+
+def test_density_draws_do_not_depend_on_the_blas_kernel():
+    # Two OpenBLAS kernels whose float32 GEMMs differ in their last bits
+    # give the density chain different screened values; every accept
+    # decision is certified or taken on the canonical log-KDE, so the draws
+    # agree. OPENBLAS_CORETYPE is set in the children's environment only.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for core in ("Haswell", "Sandybridge"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", CORETYPE_PROBE], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    (gemm_a, draws_a), (gemm_b, draws_b) = outputs
+    if gemm_a == gemm_b:
+        pytest.skip("the two OpenBLAS kernels give the same float32 GEMM bytes on this host")
+    assert draws_a == draws_b

@@ -125,6 +125,52 @@ class TestMvLaplace:
             with pytest.raises(ConfigError):
                 MultivariateLaplaceParam(dim, eps)
 
+    @staticmethod
+    def _composed(rng, param, size):
+        """The sampler as it was composed: a unit direction from
+        np.linalg.norm, divided into a new array, times a new radius array."""
+        g = rng.gen.standard_normal((size, param.dim))
+        norms = np.linalg.norm(g, axis=1)
+        while np.any(norms == 0.0):
+            bad = norms == 0.0
+            g[bad] = rng.gen.standard_normal((int(bad.sum()), param.dim))
+            norms = np.linalg.norm(g, axis=1)
+        r = rng.gen.gamma(shape=param.dim, scale=1.0 / param.epsilon, size=size)
+        return g / norms[:, None] * r[:, None]
+
+    @pytest.mark.parametrize("dim", [1, 2, 50, 300])
+    def test_same_draws_as_the_composed_sampler(self, dim):
+        # the in-place form draws the same stream and computes the same bits
+        param = MultivariateLaplaceParam(dim, 1.3)
+        for seed, size in itertools.product((0, 1, 2929), (0, 1, 2, 209, 1000)):
+            got = sample_mv_laplace(RngStream(seed), param, size)
+            assert np.array_equal(got, self._composed(RngStream(seed), param, size))
+
+    def test_zero_row_is_redrawn_as_before(self):
+        # a generator whose first standard_normal block starts with a zero
+        # row: the row is redrawn, then the radii are drawn
+        class ZeroFirst:
+            def __init__(self, seed):
+                self.inner = np.random.default_rng(seed)
+                self.first = True
+
+            def standard_normal(self, shape):
+                g = self.inner.standard_normal(shape)
+                if self.first:
+                    g[0] = 0.0
+                    self.first = False
+                return g
+
+            def gamma(self, **kwargs):
+                return self.inner.gamma(**kwargs)
+
+        param = MultivariateLaplaceParam(4, 2.0)
+        for size in (1, 3):
+            got = sample_mv_laplace(SimpleNamespace(gen=ZeroFirst(5)), param, size)
+            want = self._composed(SimpleNamespace(gen=ZeroFirst(5)), param, size)
+            assert np.array_equal(got, want)
+            assert np.all(np.linalg.norm(got, axis=1) > 0)
+
     def test_infinite_epsilon_is_no_noise_and_rejected(self, rng):
         # both samplers returned all-zero noise: every output the input word
         with pytest.raises(ConfigError, match="epsilon must be a finite real number"):
