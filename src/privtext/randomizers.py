@@ -46,6 +46,7 @@ from .samplers import (
     RngStream,
     sample_mv_laplace,
     sample_mv_laplace_truncated,
+    sample_unit_sphere,
     truncation_mass,
 )
 from .sensitivity import SensitivityProfile, build_profile
@@ -433,35 +434,45 @@ class Mechanism:
         ratio as the acceptance ratio: the Laplace factors cancel.
 
         A proposal does not depend on the state, so the steps are taken a
-        block at a time: each step's n proposals and then its n uniforms are
-        drawn from rng in step order, and one _screened_log_kde call scores
-        the block's proposals in float32. _accept_block certifies every
-        accept decision against the values' bounds and decides the rest on
-        the canonical, BLAS-free log-KDE, so each decision is the one the
-        canonical values make, whatever the BLAS kernel. A block holds as
-        many steps as fit n rows each in _NN_BLOCK_ENTRIES // |W| rows, and
-        at least one, so its float32 KDE array stays within one decode
-        block."""
+        block at a time, and so are the draws. Each kind of draw has its own
+        stream: forks 0, 1 and 2 of a stream seeded by one integer drawn
+        from rng give the noise's unit directions, its Gamma(d, 1/eps) radii
+        (sample_mv_laplace's law) and the accept uniforms. Each stream gives
+        the starts' n rows first (the uniforms have none), then each step's
+        n rows in step order, one generator call per block. NumPy's
+        standard_normal, gamma and uniform give the same values however a
+        stream's draws are split into calls, so the draws do not depend on
+        the block size. One _screened_log_kde call scores the block's
+        proposals in float32. _accept_block certifies every accept decision
+        against the values' bounds and decides the rest on the canonical,
+        BLAS-free log-KDE, so each decision is the one the canonical values
+        make, whatever the BLAS kernel. A block holds as many steps as fit n
+        rows each in _NN_BLOCK_ENTRIES // |W| rows, and at least one, so its
+        float32 KDE array stays within one decode block."""
         store, sigma, steps = self.store, self._sigma, self.config.mh_steps
+        dim, scale = store.dim, 1.0 / self.config.epsilon
         center = store.vector(w)[None, :]
-        param = MultivariateLaplaceParam(store.dim, self.config.epsilon)
-        x = center + sample_mv_laplace(rng, param, size=n)
+        streams = RngStream(int(rng.gen.integers(2**63)))
+        directions, radii, uniforms = (streams.fork(kind) for kind in range(3))
+
+        def proposals(rows):
+            z = sample_unit_sphere(directions, dim, rows)
+            z *= radii.gen.gamma(shape=dim, scale=scale, size=rows)[:, None]
+            return z
+
+        x = center + proposals(n)
         value, bound = _screened_log_kde(store, x, sigma)
         per_block = max(1, _NN_BLOCK_ENTRIES // len(store) // max(n, 1))
         cols = np.arange(n)
         for lo in range(0, steps, per_block):
             k = min(per_block, steps - lo)
-            states = np.empty((k + 1, n, store.dim))
-            log_u = np.empty((k, n))
-            for t in range(k):
-                states[t + 1] = sample_mv_laplace(rng, param, size=n)
-                log_u[t] = rng.gen.uniform(size=n)
-            states[1:] += center
+            states = np.empty((k + 1, n, dim))
             states[0] = x
-            np.log(log_u, out=log_u)
+            np.add(proposals(k * n).reshape(k, n, dim), center, out=states[1:])
+            log_u = np.log(uniforms.gen.uniform(size=(k, n)))
             values, bounds = np.empty((k + 1, n)), np.empty((k + 1, n))
             values[0], bounds[0] = value, bound
-            scored = _screened_log_kde(store, states[1:].reshape(k * n, store.dim), sigma)
+            scored = _screened_log_kde(store, states[1:].reshape(k * n, dim), sigma)
             values[1:], bounds[1:] = (a.reshape(k, n) for a in scored)
             held = _accept_block(store, sigma, states, values, bounds, log_u)
             x, value, bound = states[held, cols], values[held, cols], bounds[held, cols]

@@ -6,7 +6,9 @@ the batched analysis paths (per-observation attack, full-matrix verifier),
 the full-matrix cdist forms of the blocked geometry (local and smooth
 sensitivity), the one-point and cdist forms of the decode, the
 line-by-line matrix TSV parser and the one-step-at-a-time density chain are
-kept here as references that the fast code must match exactly.
+kept here as references that the fast code must match exactly. The density
+chain on its former single stream, and the permutation test that compares
+two chains' output laws, check that a change of the draws keeps the law.
 """
 import math
 import re
@@ -18,7 +20,9 @@ from scipy.spatial.distance import cdist
 from privtext.analysis import MetricDpReport
 from privtext.errors import MatrixFormatError
 from privtext.randomizers import MATRIX_TSV_MAGIC, TransitionMatrix, kde_log_prior
-from privtext.samplers import MultivariateLaplaceParam, sample_mv_laplace
+from privtext.samplers import (
+    MultivariateLaplaceParam, RngStream, sample_mv_laplace, sample_unit_sphere,
+)
 
 
 def half_plane_mass(epsilon: float, half_gap: float) -> float:
@@ -230,18 +234,71 @@ def matrix_from_tsv_by_line(store, text) -> TransitionMatrix:
 
 
 def density_chain_by_step(store, rng, w, n, epsilon, sigma, mh_steps) -> np.ndarray:
-    """n density chains for word w, one step at a time: each step draws its
-    n proposals and then its n uniforms from rng and scores the proposals
-    with one kde_log_prior call before the next step draws. The chains'
-    final states are decoded once."""
-    center = store.vector(w)[None, :]
+    """n density chains for word w, one step at a time (_chain_by_step), on
+    the library's streams: forks 0, 1 and 2 of a stream seeded by one
+    integer drawn from rng give the unit directions, the Gamma(d, 1/eps)
+    radii and the uniforms."""
+    streams = RngStream(int(rng.gen.integers(2**63)))
+    directions, radii, uniforms = (streams.fork(kind) for kind in range(3))
+
+    def noise():
+        z = sample_unit_sphere(directions, store.dim, n)
+        z *= radii.gen.gamma(shape=store.dim, scale=1.0 / epsilon, size=n)[:, None]
+        return z
+
+    return _chain_by_step(store, w, sigma, mh_steps, noise, lambda: uniforms.gen.uniform(size=n))
+
+
+def density_chain_single_stream(store, rng, w, n, epsilon, sigma, mh_steps) -> np.ndarray:
+    """The same chains on one stream, in the order the library drew before
+    it split its draws by kind: each step's n proposals by
+    sample_mv_laplace, then its n uniforms, all from rng. Its law is the
+    library's and its draws are not: the reference of the law tests."""
     param = MultivariateLaplaceParam(store.dim, epsilon)
-    x = center + sample_mv_laplace(rng, param, size=n)
+    return _chain_by_step(store, w, sigma, mh_steps, lambda: sample_mv_laplace(rng, param, size=n),
+                          lambda: rng.gen.uniform(size=n))
+
+
+def _chain_by_step(store, w, sigma, mh_steps, noise, uniform) -> np.ndarray:
+    """Chains that start at phi(w) + noise() and take mh_steps steps, each
+    drawing its proposals phi(w) + noise() and then its uniform(), and
+    scoring the proposals with one kde_log_prior call before the next step
+    draws. The chains' final states are decoded once."""
+    center = store.vector(w)[None, :]
+    x = center + noise()
     logp = kde_log_prior(store, x, sigma)
     for _ in range(mh_steps):
-        prop = center + sample_mv_laplace(rng, param, size=n)
+        prop = center + noise()
         logp_prop = kde_log_prior(store, prop, sigma)
-        accept = np.log(rng.gen.uniform(size=n)) < logp_prop - logp
+        accept = np.log(uniform()) < logp_prop - logp
         x[accept] = prop[accept]
         logp[accept] = logp_prop[accept]
     return store.nearest_words(x)
+
+
+def floor_p_value(xs, ys, n_words, reps=1000):
+    """The two-sample law test: a permutation p-value of the summed total
+    variation between the output laws of paired samples xs[i], ys[i] (word
+    ids below n_words; pair i may have its own law). Each permutation
+    splits each pooled pair again at random, which draws the TV of two
+    samples of one law, the seed-to-seed floor.
+
+    It is a permutation test, so its false-alarm rate is at most alpha by
+    construction: when each pair's pooled draws are exchangeable (i.i.d.
+    from one law), the observed TV is exchangeable with the permuted ones,
+    and (1 + #{null >= observed}) / (reps + 1) is at most alpha with
+    probability at most alpha, over the draws and the permutations. The
+    permutations come from a fixed seed, so each p-value is reproducible.
+    Its smallest value is 1 / (reps + 1). Its measured power on the density
+    chain is in test_randomizers.TestDensityLaw."""
+    def tv(a, b):
+        return np.abs(np.bincount(a, minlength=n_words) - np.bincount(b, minlength=n_words)).sum()
+
+    gen = np.random.default_rng(0)
+    observed = sum(tv(x, y) for x, y in zip(xs, ys))
+    null = [
+        sum(tv(*np.split(gen.permutation(np.concatenate([x, y])), [len(x)]))
+            for x, y in zip(xs, ys))
+        for _ in range(reps)
+    ]
+    return (1 + np.count_nonzero(np.array(null) >= observed)) / (reps + 1)

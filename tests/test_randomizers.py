@@ -52,8 +52,10 @@ from conftest import count_passes, random_store
 from oracles import (
     baseline_output_distribution_1d,
     density_chain_by_step,
+    density_chain_single_stream,
     density_output_distribution,
     distance,
+    floor_p_value,
     half_plane_mass,
     matrix_from_tsv_by_line,
     total_variation,
@@ -78,24 +80,6 @@ def clustered_store():
     centres = gen.normal(scale=3.0, size=(5, 5))
     vectors = centres[gen.integers(5, size=40)] + gen.normal(scale=0.3, size=(40, 5))
     return EmbeddingStore.from_arrays([f"w{i}" for i in range(40)], vectors)
-
-
-def floor_p_value(xs, ys, n_words, reps=1000):
-    """Permutation p-value of the summed total variation between the
-    output laws of paired samples xs[i], ys[i]: each permutation splits
-    each pooled pair again at random, which draws the TV of two samples of
-    one law, the seed-to-seed floor."""
-    def tv(a, b):
-        return np.abs(np.bincount(a, minlength=n_words) - np.bincount(b, minlength=n_words)).sum()
-
-    gen = np.random.default_rng(0)
-    observed = sum(tv(x, y) for x, y in zip(xs, ys))
-    null = [
-        sum(tv(*np.split(gen.permutation(np.concatenate([x, y])), [len(x)]))
-            for x, y in zip(xs, ys))
-        for _ in range(reps)
-    ]
-    return (1 + np.count_nonzero(np.array(null) >= observed)) / (reps + 1)
 
 
 @pytest.fixture
@@ -908,6 +892,22 @@ class TestDensityBlocks:
             want = density_chain_by_step(store, RngStream(11).fork(w), w, n, 1.0, 0.5, 31)
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_block_caps_draw_alike(self, monkeypatch, n):
+        # each kind of draw has its own stream, so a cap that splits the
+        # chain into other blocks draws the same values
+        store = clustered_store()
+        config = MechanismConfig("density", 1.0, sigma=0.5, mh_steps=31)
+        default, outs = randomizers._NN_BLOCK_ENTRIES, []
+        for rows in (None, 7, 2):
+            monkeypatch.setattr(randomizers, "_NN_BLOCK_ENTRIES",
+                                default if rows is None else rows * len(store))
+            outs.append(np.concatenate([
+                Mechanism(store, config).perturb_batch(RngStream(23).fork(w), w, n)
+                for w in range(4)
+            ]))
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
     def test_block_stays_within_one_tile(self):
         # |W| = 5000: a block is 209 rows x |W|, 2**20 entries at most; the
         # whole 1010-step chain scored at once would hold 80 MB for n = 2
@@ -934,7 +934,78 @@ class TestDensityDrawsPinned:
         config = MechanismConfig("density", 1.0, mh_steps=30)
         out = Mechanism(store, config).perturb_words(RngStream(7), ids)
         assert hashlib.sha256(out.astype("<i8").tobytes()).hexdigest() == (
-            "39e3a3807ad061629b5e9456eb17f7c1d418cda13893797905818332b06c1fcb")
+            "7f7d210e1d66f8a181a5f01506737ff157f102717f108b14bdd6c39b30276e3a")
+
+
+@pytest.mark.parametrize("variant", ["baseline", "density"])
+def test_two_calls_on_one_stream_draw_anew(variant):
+    # the density chain seeds its streams from a draw of rng's generator; a
+    # fork of rng depends only on its path and would repeat on the next call
+    config = MechanismConfig(variant, 1.0, **({"mh_steps": 31} if variant == "density" else {}))
+    mech, rng = Mechanism(clustered_store(), config), RngStream(29)
+    assert not np.array_equal(mech.perturb_batch(rng, 0, 200), mech.perturb_batch(rng, 0, 200))
+
+
+class TestDensityLaw:
+    """The chain's output law is the one it had on a single stream
+    (oracles.density_chain_single_stream), by floor_p_value at alpha =
+    0.01: 500 draws from each of words 0-3, on the tight 40-word store at
+    the default length, and on a 500-word, d = 10, spread-6 mixture at a
+    tenth of it. The two chains have one law at every length; the shorter
+    mixture run keeps the reference's cost down. A chain that accepts on
+    the wrong sign of the log-KDE ratio is rejected.
+
+    Measured power at alpha = 0.01, as here (500 draws from each of words
+    0-3), against a default-length chain, 20 seeds per row:
+    - the wrong-sign chain: rejected 20 of 20 on each store, and 20 of 20
+      at a tenth of the length on the mixture;
+    - mh_steps // 100 steps: rejected 20 of 20 on the tight store and 0 of
+      20 on the mixture. There the chain's start, the baseline's law, was
+      rejected 1 time in 10: on the mixture the KDE moves the output law
+      too little for 2000 draws to show, and the tight store carries the
+      test's power against a chain that has not settled;
+    - a second default-length chain, the same law: rejected 0 of 20 on
+      each store; the single-stream chain, 0 of 10 on the tight store."""
+
+    STORES = {
+        "tight": (clustered_store, 1),
+        "mixture": (lambda: mixture_store(np.random.default_rng(0), 500, 10, spread=6.0), 10),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(STORES))
+    def case(self, request):
+        make, divisor = self.STORES[request.param]
+        store = make()
+        steps = MechanismConfig("density", 1.0).mh_steps // divisor
+        sigma = store.median_nn_distance()
+        reference = [density_chain_single_stream(store, RngStream(31).fork(w), w, 500, 1.0,
+                                                 sigma, steps)
+                     for w in range(4)]
+        return store, steps, reference
+
+    @staticmethod
+    def draws(store, steps):
+        mech = Mechanism(store, MechanismConfig("density", 1.0, mh_steps=steps))
+        return [mech.perturb_batch(RngStream(37).fork(w), w, 500) for w in range(4)]
+
+    def test_same_law_as_the_single_stream_chain(self, case):
+        store, steps, reference = case
+        assert floor_p_value(self.draws(store, steps), reference, len(store)) >= 0.01
+
+    def test_wrong_sign_chain_is_rejected(self, case, monkeypatch):
+        # negated log-KDEs keep every certificate (|-v + c| = |v - c|) and
+        # turn each accept decision to the wrong sign of the ratio
+        store, steps, reference = case
+        screened, canonical = randomizers._screened_log_kde, randomizers._canonical_log_kde
+
+        def negated(store, points, sigma):
+            values, bounds = screened(store, points, sigma)
+            return -values, bounds
+
+        monkeypatch.setattr(randomizers, "_screened_log_kde", negated)
+        monkeypatch.setattr(randomizers, "_canonical_log_kde",
+                            lambda store, point, sigma: -canonical(store, point, sigma))
+        assert floor_p_value(self.draws(store, steps), reference, len(store)) < 0.01
 
 
 class TestScreenedKde:

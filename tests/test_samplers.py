@@ -95,6 +95,27 @@ class TestUnitSphere:
                 sample_unit_sphere(rng, dim, size=1)
 
 
+class TestSplitDraws:
+    """The density chain draws each block's directions, radii and uniforms
+    in one call per stream, and its draws do not depend on the block size
+    because NumPy buffers none of these three between calls: drawn in two
+    calls, they equal one call of the summed size."""
+
+    DRAWS = {
+        "standard_normal": lambda gen, rows: gen.standard_normal((rows, 7)),
+        "gamma": lambda gen, rows: gen.gamma(shape=50, scale=1.0 / 1.3, size=rows),
+        "uniform": lambda gen, rows: gen.uniform(size=rows),
+    }
+
+    @pytest.mark.parametrize("kind", DRAWS)
+    def test_two_calls_equal_one(self, kind):
+        draw = self.DRAWS[kind]
+        for seed, (a, b) in itertools.product((0, 2929), ((0, 5), (1, 1), (3, 209), (209, 7))):
+            gen = RngStream(seed).fork(1).gen
+            split = np.concatenate([draw(gen, a), draw(gen, b)])
+            assert np.array_equal(split, draw(RngStream(seed).fork(1).gen, a + b))
+
+
 class TestMvLaplace:
     def test_mean_norm_d2(self, rng):
         z = sample_mv_laplace(rng, MultivariateLaplaceParam(2, 1.0), size=10**6)
