@@ -27,7 +27,6 @@ from .randomizers import (
     MechanismConfig,
     TransitionMatrix,
     build_transition_matrix,
-    kde_log_prior,
     sample_from_matrix,
 )
 from .samplers import (

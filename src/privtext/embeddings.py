@@ -162,24 +162,23 @@ class EmbeddingStore:
         block_rows = max(1, _NN_BLOCK_ENTRIES // cand.shape[1])
         for lo in range(0, points.shape[0], block_rows):
             block = points[lo : lo + block_rows]
-            hi, p_sq = self._screen_rows(block, cand, upper)
             # a row past the screen's limit (err Inf) is decided exactly
             # over every candidate
-            err = _sq_error_bound(p_sq, 0.0, self.dim, _U32, screen.eta)
+            hi, _, err = self._screen_rows(block, cand, upper)
             out[lo : lo + block.shape[0]] = _argmin_exact(block, self.vectors, ids, hi, spread, err)
         if ids is not None:
             out = ids[out]
         return out
 
     def _screen_rows(self, points, cand, upper):
-        """(hi, p_sq) for a (rows, d) float64 block of points against screen
-        columns cand with their upper: with err = _sq_error_bound(p_sq, 0,
-        d, _U32, screen.eta), hi[i, j] + err[i] lies above, and
-        hi[i, j] - spread[j] - err[i] below, the scaled exact squared
+        """(hi, p_sq, err) for a (rows, d) float64 block of points against
+        screen columns cand with their upper: hi[i, j] + err[i] lies above,
+        and hi[i, j] - spread[j] - err[i] below, the scaled exact squared
         distance (cdist's sum) from point i to candidate j less the row's
         constant ||p^||^2, p^ the scaled float32 point, of which p_sq is the
-        float64 sum. A row past the screen's limit, Inf included, is
-        screened as the origin with p_sq Inf."""
+        float64 sum, and err = _sq_error_bound(p_sq, 0, d, _U32,
+        screen.eta). A row past the screen's limit, Inf included, is
+        screened as the origin with p_sq and err Inf."""
         screen = self._screen
         # the same exact scaling as the vectors', then one rounding to
         # float32; a point too large for float32 comes out as Inf
@@ -201,7 +200,7 @@ class EmbeddingStore:
         p32 *= -2.0
         hi = p32 @ cand
         hi += upper
-        return hi, p_sq
+        return hi, p_sq, _sq_error_bound(p_sq, 0.0, self.dim, _U32, screen.eta)
 
     def _candidate_ids(self, candidate_ids) -> np.ndarray:
         """candidate_ids as sorted int64 word ids, or InvalidWordIdError."""
@@ -480,12 +479,18 @@ def _paired_sq_distances(a, b) -> np.ndarray:
 
 
 def _distances_from(point, vectors, ids) -> np.ndarray:
-    """cdist(point[None], vectors[ids])[0] by paired_distances, ids in blocks
-    of at most _EXACT_BLOCK_ENTRIES differences."""
+    """cdist(point[None], vectors[ids])[0]: the square roots of _sq_distances_from."""
+    return np.sqrt(_sq_distances_from(point, vectors, ids))
+
+
+def _sq_distances_from(point, vectors, ids) -> np.ndarray:
+    """The squared distances from point to vectors[ids] as cdist sums them
+    (_paired_sq_distances), the rows of ids gathered in blocks of at most
+    _EXACT_BLOCK_ENTRIES differences."""
     out = np.empty(len(ids))
     step = max(1, _EXACT_BLOCK_ENTRIES // vectors.shape[1])
     for lo in range(0, len(ids), step):
-        out[lo : lo + step] = paired_distances(point[None, :], vectors[ids[lo : lo + step]])
+        out[lo : lo + step] = _paired_sq_distances(point[None, :], vectors[ids[lo : lo + step]])
     return out
 
 

@@ -4,6 +4,8 @@ argument, by which every module checks its arguments:
 
 - a real (require_real): an int or a float, not a bool, and finite;
 - a positive real (require_positive): a real > 0;
+- a bandwidth (require_bandwidth): a positive real whose 2 sigma^2 is a
+  normal float;
 - a non-negative real (require_nonnegative): a real >= 0;
 - a count (require_count): an int or a numpy integer, not a bool, at least
   its minimum (1 unless given); a seed or stream id has no minimum;
@@ -68,6 +70,19 @@ def require_positive(name, value) -> None:
     require_real(name, value)
     if not value > 0:
         raise ConfigError(f"{name} must be > 0, got {value!r}")
+
+
+def require_bandwidth(name, value) -> None:
+    """The bandwidth rule: the density KDE's sigma, a positive real whose
+    2 sigma^2, the log kernels' denominator, is a normal float. Past it
+    sigma**2 overflows (an OverflowError); below it 2 sigma^2 rounds to 0
+    or a subnormal, and the chain scores NaN and never accepts."""
+    require_positive(name, value)
+    with np.errstate(over="ignore"):
+        den = 2.0 * np.float64(value) ** 2
+    if not sys.float_info.min <= den <= sys.float_info.max:
+        raise ConfigError(f"{name} must make 2 sigma^2 a normal float, sigma in about"
+                          f" [1.06e-154, 9.48e153], got {value!r}")
 
 
 def require_nonnegative(name, value) -> None:

@@ -32,14 +32,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .embeddings import (
-    _EXACT_BLOCK_ENTRIES, _NN_BLOCK_ENTRIES, _U, _U32, EmbeddingStore, _gemm_sq_distances,
-    _paired_sq_distances, _sq_error_bound,
-)
+from .embeddings import _NN_BLOCK_ENTRIES, _U, _U32, EmbeddingStore, _sq_distances_from
 from .errors import (
-    ConfigError, InvalidWordIdError, MatrixFormatError, from_fields, require_count,
-    require_nonnegative, require_params, require_points, require_positive, require_word_ids,
-    set_fields,
+    ConfigError, InvalidWordIdError, MatrixFormatError, from_fields, require_bandwidth,
+    require_count, require_nonnegative, require_params, require_points, require_positive,
+    require_word_ids, set_fields,
 )
 from .samplers import (
     MultivariateLaplaceParam,
@@ -89,7 +86,7 @@ class MechanismConfig:
         require_positive("epsilon", self.epsilon)
         if self.variant == "density":
             if self.sigma is not None:
-                require_positive("sigma", self.sigma)
+                require_bandwidth("sigma", self.sigma)
             steps = 1010 if self.mh_steps is None else self.mh_steps
             object.__setattr__(self, "mh_steps", require_count("mh_steps", steps))
         elif self.variant == "smooth":
@@ -142,38 +139,18 @@ class TransitionMatrix:
         return int(self.counts[0].sum())
 
 
-def kde_log_prior(store: EmbeddingStore, points, sigma: float) -> np.ndarray:
-    """Log of the unnormalized RBF kernel density over the vocabulary, at
-    each row of a (n, d) array of points. The squared distances take the
-    store's GEMM form and operation order (_gemm_sq_distances) in one
-    (n, |W|) array, which the rest works on in place; the log-sum-exp is
-    shifted by each row's maximum, so a point far from every word still
-    scores finite."""
-    require_positive("sigma", sigma)
-    points = require_points("points", points, store.dim)
-    sq = _gemm_sq_distances(
-        points, np.einsum("ij,ij->i", points, points), store.vectors, store.sq_norms
-    )
-    np.maximum(sq, 0.0, out=sq)
-    # -sq / (2 sigma^2) in place: dividing by the negated denominator is exact
-    np.divide(sq, -(2.0 * sigma**2), out=sq)
-    mx = sq.max(axis=1)
-    sq -= mx[:, None]
-    np.exp(sq, out=sq)
-    return np.log(sq.sum(axis=1)) + mx
-
-
 def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
-    """(values, bounds): kde_log_prior's log-KDE at each row of a (n, d)
-    array of points, scored on the store's float32 decode screen, and a
-    bound on each value's distance from _canonical_log_kde's. One float32
-    GEMM against the screen forms the squared distances, the scale, shift
-    and exp passes run in float32 in place, and the sum in float64. A row
+    """(values, bounds): the log of the unnormalized RBF kernel density over
+    the vocabulary at each row of a (n, d) array of points, scored on the
+    store's float32 decode screen, and a bound on each value's distance from
+    _canonical_log_kde's. One float32 GEMM against the screen forms the
+    squared distances, the scale, shift and exp passes run in float32 in
+    place, and the sum in float64. A row
     the pass cannot bound (past the screen's limit, or so far out that the
     scaled kernels could overflow float32) has value 0 and bound Inf."""
     points = require_points("points", points, store.dim)
     screen, n_words = store._screen, len(store)
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore"):
         # the log kernel of a scaled squared distance s^2 q is kappa s^2 q
         kappa = float(np.float64(1.0) / -(2.0 * sigma**2) / screen.scale / screen.scale)
     # ||p^||^2 <= lim keeps every |kappa h_j| (below) under 2^100 (2 d + 2),
@@ -181,7 +158,7 @@ def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
     lim = (min(screen.limit, 2.0**100 / abs(kappa)) if 2.0**-100 <= abs(kappa) <= 2.0**100
            else -1.0)
     half_spread = float(screen.spread.max()) / 2
-    hi, p_sq = store._screen_rows(points, screen.vectors, screen.upper)
+    hi, p_sq, bounds = store._screen_rows(points, screen.vectors, screen.upper)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hi *= np.float32(kappa)
         top = hi.max(axis=1)
@@ -231,8 +208,7 @@ def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
     # In all: |kappa| (err + S / 2)(1 + 2^-20) + 4 u32 |top|
     # + 5 u32 (log N + 2) + 2 N u, the absolute terms (eta32, N 2^-126)
     # within the last u32.
-    bounds = _sq_error_bound(p_sq, 0.0, store.dim, _U32, screen.eta)
-    bounds += half_spread
+    bounds += half_spread  # onto err, the screen's bound
     bounds *= abs(kappa) * (1 + 2.0**-20)
     bounds += 4 * _U32 * np.abs(top)
     bounds += 5 * _U32 * (math.log(n_words) + 2) + 2 * n_words * _U
@@ -245,15 +221,11 @@ def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
 
 def _canonical_log_kde(store: EmbeddingStore, point, sigma: float) -> float:
     """The log-KDE at one point (d,) by a path that no BLAS kernel enters:
-    each squared distance summed in _paired_sq_distances' order, in blocks
-    of _EXACT_BLOCK_ENTRIES differences, divided by -(2 sigma^2) as
-    kde_log_prior divides, and the shifted exponentials added by math.fsum."""
-    step = max(1, _EXACT_BLOCK_ENTRIES // store.dim)
-    sq = np.concatenate([
-        _paired_sq_distances(point[None, :], store.vectors[lo : lo + step])
-        for lo in range(0, len(store), step)
-    ])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    the squared distances _sq_distances_from sums (cdist's), each divided
+    by -(2 sigma^2), and the exponentials, shifted by their maximum, added
+    by math.fsum."""
+    sq = _sq_distances_from(point, store.vectors, np.arange(len(store)))
+    with np.errstate(invalid="ignore"):
         sq /= -(2.0 * sigma**2)
         mx = sq.max()
         return math.log(math.fsum(np.exp(sq - mx))) + mx
@@ -270,8 +242,7 @@ def _accept_block(store, sigma, states, values, bounds, log_u) -> np.ndarray:
     bound plus the state's is the one the canonical values make (the bounds
     hold the rounding of the difference); the largest bound among a chain's
     rows stands in for its state's, which needs no gather. Each chain with
-    another decision is settled from its first such step on. Canonical
-    values replace screened ones, with bound 0, as they are computed."""
+    another decision is walked again from the block's start by _settle."""
     k, n = log_u.shape
     took = np.empty((k, n), dtype=bool)
     margin = np.empty((k, n))
@@ -285,20 +256,18 @@ def _accept_block(store, sigma, states, values, bounds, log_u) -> np.ndarray:
     sure = np.abs(margin) > bounds[1:] + bounds.max(axis=0)
     last = (took * np.arange(1, k + 1)[:, None]).max(axis=0)
     for i in np.flatnonzero(~sure.all(axis=0)):
-        t = int(np.argmin(sure[:, i]))
-        moved = np.flatnonzero(took[:t, i])
-        held = int(moved[-1]) + 1 if moved.size else 0
-        last[i] = _settle(store, sigma, states[:, i], values[:, i], bounds[:, i], log_u[:, i],
-                          held, t)
+        last[i] = _settle(store, sigma, states[:, i], values[:, i], bounds[:, i], log_u[:, i])
     return last
 
 
-def _settle(store, sigma, states, values, bounds, log_u, held, start) -> int:
-    """One chain's steps of a block from step start on, with held the row
-    it holds before that step: each decision on the values when its margin
-    exceeds their bounds, else on the canonical values of its two rows.
-    Returns the row held after the block. Each step is taken once."""
-    for t in range(start, len(log_u)):
+def _settle(store, sigma, states, values, bounds, log_u) -> int:
+    """One chain's steps of a block, from its start: each decision on the
+    values when its margin exceeds its two rows' bounds, else on their
+    canonical values, which replace the screened ones with bound 0. Returns
+    the row held after the block. A step the scan was sure of is decided
+    alike, with no canonical value."""
+    held = 0
+    for t in range(len(log_u)):
         p = t + 1
         if not abs(values[p] - values[held] - log_u[t]) > bounds[p] + bounds[held]:
             for r in (p, held):
@@ -422,9 +391,14 @@ class Mechanism:
 
     @cached_property
     def _sigma(self) -> float:
-        """Density KDE bandwidth; default the median nearest-neighbor distance."""
-        sigma = self.config.sigma
-        return sigma if sigma is not None else self.store.median_nn_distance()
+        """Density KDE bandwidth; default the median nearest-neighbor distance,
+        refused like a given one (it is 0 if most words have a duplicate)."""
+        if self.config.sigma is not None:
+            return self.config.sigma
+        sigma = self.store.median_nn_distance()
+        require_bandwidth("the default sigma, the median nearest-neighbour distance"
+                          " (set sigma, --sigma in the CLI),", sigma)
+        return sigma
 
     def _density_batch(self, rng, w, n) -> np.ndarray:
         """n independence Metropolis chains in lockstep, decoded from their

@@ -19,7 +19,8 @@ from scipy.spatial.distance import cdist
 
 from privtext.analysis import MetricDpReport
 from privtext.errors import MatrixFormatError
-from privtext.randomizers import MATRIX_TSV_MAGIC, TransitionMatrix, kde_log_prior
+from privtext.embeddings import _gemm_sq_distances
+from privtext.randomizers import MATRIX_TSV_MAGIC, TransitionMatrix, _canonical_log_kde
 from privtext.samplers import (
     MultivariateLaplaceParam, RngStream, sample_mv_laplace, sample_unit_sphere,
 )
@@ -237,7 +238,8 @@ def density_chain_by_step(store, rng, w, n, epsilon, sigma, mh_steps) -> np.ndar
     """n density chains for word w, one step at a time (_chain_by_step), on
     the library's streams: forks 0, 1 and 2 of a stream seeded by one
     integer drawn from rng give the unit directions, the Gamma(d, 1/eps)
-    radii and the uniforms."""
+    radii and the uniforms. Each step is decided on _canonical_log_kde
+    values, which the library certifies each of its decisions against."""
     streams = RngStream(int(rng.gen.integers(2**63)))
     directions, radii, uniforms = (streams.fork(kind) for kind in range(3))
 
@@ -246,30 +248,51 @@ def density_chain_by_step(store, rng, w, n, epsilon, sigma, mh_steps) -> np.ndar
         z *= radii.gen.gamma(shape=store.dim, scale=1.0 / epsilon, size=n)[:, None]
         return z
 
-    return _chain_by_step(store, w, sigma, mh_steps, noise, lambda: uniforms.gen.uniform(size=n))
+    def log_kde(points):
+        return np.array([_canonical_log_kde(store, p, sigma) for p in points])
+
+    return _chain_by_step(store, w, mh_steps, noise, lambda: uniforms.gen.uniform(size=n), log_kde)
 
 
 def density_chain_single_stream(store, rng, w, n, epsilon, sigma, mh_steps) -> np.ndarray:
     """The same chains on one stream, in the order the library drew before
     it split its draws by kind: each step's n proposals by
-    sample_mv_laplace, then its n uniforms, all from rng. Its law is the
-    library's and its draws are not: the reference of the law tests."""
+    sample_mv_laplace, then its n uniforms, all from rng, each step decided
+    on gemm_log_kde values. Its law is the library's and its draws are not:
+    the reference of the law tests."""
     param = MultivariateLaplaceParam(store.dim, epsilon)
-    return _chain_by_step(store, w, sigma, mh_steps, lambda: sample_mv_laplace(rng, param, size=n),
-                          lambda: rng.gen.uniform(size=n))
+    return _chain_by_step(store, w, mh_steps, lambda: sample_mv_laplace(rng, param, size=n),
+                          lambda: rng.gen.uniform(size=n),
+                          lambda points: gemm_log_kde(store, points, sigma))
 
 
-def _chain_by_step(store, w, sigma, mh_steps, noise, uniform) -> np.ndarray:
+def gemm_log_kde(store, points, sigma) -> np.ndarray:
+    """The log-KDE at each row of a (n, d) array of points in float64, the
+    squared distances in the store's GEMM form (_gemm_sq_distances) in one
+    (n, |W|) array worked on in place, the log-sum-exp shifted by each row's
+    maximum: the form the library scored with before its float32 one, kept
+    so that the law tests' reference draws stay as they were."""
+    sq = _gemm_sq_distances(points, np.einsum("ij,ij->i", points, points), store.vectors,
+                            store.sq_norms)
+    np.maximum(sq, 0.0, out=sq)
+    np.divide(sq, -(2.0 * sigma**2), out=sq)
+    mx = sq.max(axis=1)
+    sq -= mx[:, None]
+    np.exp(sq, out=sq)
+    return np.log(sq.sum(axis=1)) + mx
+
+
+def _chain_by_step(store, w, mh_steps, noise, uniform, log_kde) -> np.ndarray:
     """Chains that start at phi(w) + noise() and take mh_steps steps, each
     drawing its proposals phi(w) + noise() and then its uniform(), and
-    scoring the proposals with one kde_log_prior call before the next step
-    draws. The chains' final states are decoded once."""
+    scoring the proposals with one log_kde call before the next step draws.
+    The chains' final states are decoded once."""
     center = store.vector(w)[None, :]
     x = center + noise()
-    logp = kde_log_prior(store, x, sigma)
+    logp = log_kde(x)
     for _ in range(mh_steps):
         prop = center + noise()
-        logp_prop = kde_log_prior(store, prop, sigma)
+        logp_prop = log_kde(prop)
         accept = np.log(uniform()) < logp_prop - logp
         x[accept] = prop[accept]
         logp[accept] = logp_prop[accept]

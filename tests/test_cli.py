@@ -466,6 +466,23 @@ class TestErrors:
             assert code == 2 and out == "", argv
             assert err.startswith("error:") and "Traceback" not in err
 
+    def test_density_bandwidth_exit_2(self, emb, tmp_path, monkeypatch, capsys):
+        # a default sigma of 0 (most words duplicated) and a sigma of 1e-200
+        # exited 0 with a chain that never accepted; 1e200 ended in an
+        # OverflowError traceback, exit 1
+        dup = tmp_path / "dup.txt"
+        dup.write_text("a 0 0\nb 0 0\nc 3 4\n", encoding="utf-8")
+        for path, stdin, flags, says in (
+            (str(dup), "a b c\n", [], "median nearest-neighbour distance"),
+            (emb, "v w x\n", ["--sigma", "1e200"], "normal float"),
+            (emb, "v w x\n", ["--sigma", "1e-200"], "normal float"),
+        ):
+            code, out, err = run(["--embeddings", path, "perturb", "--mechanism", "density",
+                                  "--epsilon", "1", *flags], stdin=stdin,
+                                 monkeypatch=monkeypatch, capsys=capsys)
+            assert code == 2 and out == "", flags
+            assert err.startswith("error:") and says in err and err.count("\n") == 1, flags
+
     def test_truncation_mass_underflow_exit_2(self, tmp_path, monkeypatch, capsys):
         # at d = 300, eps = 1 no mass lies inside tau = 10: every radius was
         # 0 and perturb echoed its input (exit 0)

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from privtext import (
     EmbeddingStore, Mechanism, MultivariateLaplaceParam, RngStream, SensitivityProfile,
     TransitionMatrix, amplified_epsilon, attack_accuracy, build_profile, build_transition_matrix,
-    deniability_stats, kde_log_prior, kthreshold_batch, posterior, sample_from_matrix,
-    sample_mv_laplace, sample_mv_laplace_truncated, sample_permutation, sample_unit_sphere,
-    shuffle_batch, subsample_batch, verify_metric_dp,
+    deniability_stats, kthreshold_batch, posterior, sample_from_matrix, sample_mv_laplace,
+    sample_mv_laplace_truncated, sample_permutation, sample_unit_sphere, shuffle_batch,
+    subsample_batch, verify_metric_dp,
 )
 from privtext.amplification import AmplifierConfig
 from privtext.analysis import Posterior
@@ -358,7 +358,6 @@ REAL_ARGS = {
     "MechanismConfig.sigma": lambda v: MechanismConfig("density", 1.0, sigma=v),
     "MechanismConfig.beta": lambda v: MechanismConfig("smooth", 1.0, beta=v),
     "MechanismConfig.tau": lambda v: MechanismConfig("trunc_distance", 1.0, tau=v),
-    "kde_log_prior.sigma": lambda v: kde_log_prior(TABLE_STORE, np.zeros((1, 2)), v),
     "verify_metric_dp.epsilon": lambda v: verify_metric_dp(TABLE_MATRIX, TABLE_STORE, v),
     "verify_metric_dp.alpha": lambda v: verify_metric_dp(TABLE_MATRIX, TABLE_STORE, 1.0, v),
     "AmplifierConfig.q": lambda v: AmplifierConfig("subsample", q=v),
@@ -391,7 +390,6 @@ PROBABILITY_ARGS = {
 }
 POINT_ARGS = {
     "EmbeddingStore.nearest_words.points": lambda v: TABLE_STORE.nearest_words(v),
-    "kde_log_prior.points": lambda v: kde_log_prior(TABLE_STORE, v, 1.0),
 }
 ARG_TABLES = {"count": (COUNT_ARGS, 1), "real": (REAL_ARGS, 0.5), "word id": (WORD_ID_ARGS, 0),
               "probability vector": (PROBABILITY_ARGS, UNIFORM), "points": (POINT_ARGS, [[0.5, 0.5]])}

@@ -27,20 +27,13 @@ from privtext import (
     build_profile,
     build_transition_matrix,
     embeddings,
-    kde_log_prior,
     randomizers,
     run_protocol,
     sample_from_matrix,
     sample_mv_laplace,
 )
 from privtext.cli import main
-from privtext.errors import (
-    ConfigError,
-    DimensionMismatchError,
-    InvalidWordIdError,
-    MatrixFormatError,
-    NonFiniteComponentError,
-)
+from privtext.errors import ConfigError, InvalidWordIdError, MatrixFormatError
 from privtext.randomizers import (
     TransitionMatrix,
     matrix_from_tsv,
@@ -281,46 +274,29 @@ class TestPerturbWords:
         assert sizes == [12, 4, 6, 6, 6, 6, 6, 9, 9]
 
 
+def canonical_log_kdes(store, points, sigma):
+    """_canonical_log_kde at each row of a (n, d) array of points."""
+    return np.array([randomizers._canonical_log_kde(store, p, sigma)
+                     for p in np.asarray(points, dtype=np.float64)])
+
+
 class TestKdePrior:
+    """The canonical log-KDE, the one every accept decision of the density
+    chain is certified against."""
+
     def test_single_word_exact(self):
         store = EmbeddingStore.from_arrays(["a"], [[1.0, 2.0]])
         z = np.array([3.0, 4.0])
         expected = -np.sum((z - np.array([1.0, 2.0])) ** 2) / (2 * 0.5**2)
-        assert kde_log_prior(store, z[None, :], 0.5)[0] == pytest.approx(expected)
+        assert randomizers._canonical_log_kde(store, z, 0.5) == pytest.approx(expected)
 
     def test_at_word_at_least_one(self, toy3):
-        assert np.all(kde_log_prior(toy3, toy3.vectors, 1.0) >= 0.0)
+        assert np.all(canonical_log_kdes(toy3, toy3.vectors, 1.0) >= 0.0)
 
     def test_two_far_words(self):
         store = EmbeddingStore.from_arrays(["a", "b"], [[0.0], [10.0]])
-        val = kde_log_prior(store, [[0.0]], 1.0)[0]
+        val = randomizers._canonical_log_kde(store, np.array([0.0]), 1.0)
         assert val == pytest.approx(math.log(1 + math.exp(-50)), abs=1e-12)
-
-    def test_nonpositive_sigma(self, toy3):
-        with pytest.raises(ConfigError):
-            kde_log_prior(toy3, [[0.0, 0.0]], 0.0)
-
-    @pytest.mark.parametrize("sigma", [True, "1"])
-    def test_sigma_must_be_a_real_number(self, toy3, sigma):
-        # True ran as sigma = 1; "1" ended in a bare TypeError
-        with pytest.raises(ConfigError, match="sigma"):
-            kde_log_prior(toy3, [[0.0, 0.0]], sigma)
-
-    def test_points_are_checked(self, toy3):
-        # the first two ended in numpy ValueErrors, the third returned [nan]
-        for points, error in (
-            ([[0.0, 0.0, 0.0]], DimensionMismatchError),
-            ([0.0, 0.0], DimensionMismatchError),
-            ([[math.nan, 0.0]], NonFiniteComponentError),
-        ):
-            with pytest.raises(error):
-                kde_log_prior(toy3, points, 1.0)
-
-    @pytest.mark.parametrize("points", [[["x", "y"]], [[True, False]]])
-    def test_points_must_be_numbers(self, toy3, points):
-        # strings ended in a bare ValueError and bools were scored as 1 and 0
-        with pytest.raises(ConfigError, match="points must hold numbers"):
-            kde_log_prior(toy3, points, 1.0)
 
     @staticmethod
     def _far(points, store, sigma):
@@ -337,19 +313,20 @@ class TestKdePrior:
         return far
 
     @staticmethod
-    def _check(got, a, expected, slack=0.0):
-        """got within slack plus 4 ulps of expected, the ulps taken at the
-        largest of |row max|, log m and 1 for the (n, m) log kernels a: the
-        log-sum-exp of a row lies in [row max, row max + log m]."""
+    def _check(store, points, sigma):
+        """The canonical log-KDE at each point within 4 ulps of scipy's
+        logsumexp of cdist's log kernels, the ulps taken at the largest of
+        |row max|, log |W| and 1: the log-sum-exp of a row lies in
+        [row max, row max + log |W|]."""
+        a = cdist(points, store.vectors, "sqeuclidean") / -(2.0 * sigma**2)
+        got = canonical_log_kdes(store, points, sigma)
         scale = np.maximum(np.abs(a.max(axis=1)), max(math.log(a.shape[1]), 1.0))
         assert np.all(np.isfinite(got))
-        assert np.all(np.abs(got - expected) <= slack + 4.0 * np.spacing(scale))
+        assert np.all(np.abs(got - logsumexp(a, axis=1)) <= 4.0 * np.spacing(scale))
 
     @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("n_rows", [1, 2, 12])
     def test_logsumexp_matches_scipy(self, n_rows, tied):
-        # the reduction alone: scipy's logsumexp of the same GEMM-form log
-        # kernels
         gen = np.random.default_rng(n_rows + 100 * tied)
         for _ in range(50):
             m = int(gen.integers(1, 400))
@@ -361,17 +338,12 @@ class TestKdePrior:
             sigma = gen.uniform(0.05, 3.0)
             near = np.concatenate([gen.normal(size=(n_rows, 3)), vecs[:n_rows]])
             for points in (near, self._far(near, store, sigma)):
-                sq = embeddings._gemm_sq_distances(
-                    points, np.einsum("ij,ij->i", points, points), store.vectors, store.sq_norms
-                )
-                a = np.maximum(sq, 0.0) / -(2.0 * sigma**2)
-                self._check(kde_log_prior(store, points, sigma), a, logsumexp(a, axis=1))
+                self._check(store, points, sigma)
 
     @pytest.mark.parametrize("n_rows", [1, 2, 12])
     def test_within_the_gemm_bound_of_exact_distances(self, n_rows):
-        # against scipy's logsumexp of cdist's squared distances: each GEMM
-        # entry is within _sq_error_bound of cdist's, and the log-sum-exp
-        # moves by at most the largest change of a row's entries
+        # every word duplicated, d = 5: the canonical sums are cdist's, so
+        # the slack a GEMM-form log-KDE needed for its distances is 0 here
         gen = np.random.default_rng(n_rows)
         vecs = gen.normal(size=(300, 5))
         vecs[1::2] = vecs[::2]
@@ -379,14 +351,7 @@ class TestKdePrior:
         sigma = 0.7
         for near in (gen.normal(size=(n_rows, 5)), vecs[:n_rows]):
             for points in (near, self._far(near, store, sigma)):
-                a = cdist(points, store.vectors, "sqeuclidean") / -(2.0 * sigma**2)
-                err = embeddings._sq_error_bound(
-                    np.einsum("ij,ij->i", points, points)[:, None], store.sq_norms, store.dim
-                )
-                self._check(
-                    kde_log_prior(store, points, sigma), a, logsumexp(a, axis=1),
-                    slack=err.max(axis=1) / (2.0 * sigma**2),
-                )
+                self._check(store, points, sigma)
 
 
 class TestDensityMechanism:
@@ -408,7 +373,7 @@ class TestDensityMechanism:
                 return -eps * abs(pt[0] - toy1d.vector(w)[0])
 
             expected = log_target(z2) - log_target(z) - (log_proposal(z2) - log_proposal(z))
-            log_p, log_p2 = kde_log_prior(toy1d, np.array([z, z2]), sigma)
+            log_p, log_p2 = canonical_log_kdes(toy1d, [z, z2], sigma)
             assert log_p2 - log_p == pytest.approx(expected, abs=1e-12)
             assert (log_p, log_p2) == pytest.approx((log_kde(z), log_kde(z2)), abs=1e-12)
 
@@ -446,6 +411,26 @@ class TestDensityMechanism:
         # nearest-neighbour distances 1, 1, 0.5, 0.5, 3
         assert mech._sigma == pytest.approx(1.0)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, 1e200, 1e-200])
+    def test_bandwidth_outside_its_range_is_refused(self, sigma):
+        # 1e200 ended in an OverflowError from sigma**2; at 1e-200, 2 sigma^2
+        # rounded to 0, every log kernel was NaN and no proposal was accepted
+        with pytest.raises(ConfigError, match="^sigma must"):
+            MechanismConfig("density", 1.0, sigma=sigma)
+
+    def test_small_bandwidth_still_runs(self, toy1d, rng):
+        # 2 sigma^2 = 2e-300 is normal: every row takes the canonical path
+        config = MechanismConfig("density", 1.0, sigma=1e-150, mh_steps=5)
+        assert Mechanism(toy1d, config).perturb_batch(rng, 1, 4).shape == (4,)
+
+    def test_default_bandwidth_of_duplicates_is_refused(self, rng):
+        # two of three words share a point: the median nearest-neighbour
+        # distance is 0, and the chain scored NaN and never accepted
+        store = EmbeddingStore.from_arrays(["a", "b", "c"], [[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
+        mech = Mechanism(store, MechanismConfig("density", 1.0, mh_steps=5))
+        with pytest.raises(ConfigError, match="median nearest-neighbour distance.*--sigma"):
+            mech.perturb_batch(rng, 0, 1)
 
     def test_default_run_changes_words(self, rng):
         # with the random walk's default step, the mean nearest-neighbour
@@ -1129,6 +1114,41 @@ def test_errors_within_the_bounds_change_no_draw(monkeypatch):
             got = Mechanism(store, config).perturb_batch(RngStream(19).fork(w), w, n)
             want = density_chain_by_step(store, RngStream(19).fork(w), w, n, 1.0, 0.5, 61)
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_one_uncertain_step_settles_its_two_rows(monkeypatch, n):
+    # one mid-block proposal's bound widened to Inf: its chain is walked
+    # again from the block's start, and only that step's proposal and the
+    # state it is weighed against take the canonical path
+    screened, canonical = randomizers._screened_log_kde, randomizers._canonical_log_kde
+    step, chain, widened, settled = 15, n // 2, [], []
+
+    def one_uncertain(store, points, sigma):
+        values, bounds = screened(store, points, sigma)
+        if len(points) > n:  # the block's proposals, not the starts
+            bounds[step * n + chain] = np.inf
+            widened.append(points[step * n + chain].copy())
+        return values, bounds
+
+    def recorded(store, point, sigma):
+        settled.append(point.copy())
+        return canonical(store, point, sigma)
+
+    monkeypatch.setattr(randomizers, "_screened_log_kde", one_uncertain)
+    monkeypatch.setattr(randomizers, "_canonical_log_kde", recorded)
+    store = clustered_store()
+    config = MechanismConfig("density", 1.0, sigma=0.5, mh_steps=31)
+    for w in range(4):
+        widened.clear()
+        settled.clear()
+        got = Mechanism(store, config).perturb_batch(RngStream(41).fork(w), w, n)
+        # the whole chain is one block on this store
+        assert len(widened) == 1
+        assert len(settled) == 2 and np.array_equal(settled[0], widened[0])
+        assert not np.array_equal(settled[1], widened[0])
+        want = density_chain_by_step(store, RngStream(41).fork(w), w, n, 1.0, 0.5, 31)
+        assert np.array_equal(got, want)
 
 
 CORETYPE_PROBE = """
