@@ -45,16 +45,29 @@ _ETA32 = float(np.finfo(np.float32).smallest_subnormal)
 
 
 class _Screen(NamedTuple):
-    """The float32 copy of a store that nearest_words screens with. The
-    error bound of a pair splits into the vector's part, reach =
-    _sq_error_bound(||v||^2, 0, d, _U32, 0), and the point's."""
+    """The float32 copy of a store that nearest_words screens with, one
+    augmented array [v^; upper; 1] so that a GEMM against it forms a whole
+    screened quantity, norms and constants included. The error bound of a
+    pair splits into the vector's part, reach = _sq_error_bound(||v||^2, 0,
+    d, _U32, 0), and the point's."""
 
-    vectors: np.ndarray  # (d, |W|) float32: the vectors times scale, transposed, read-only
-    upper: np.ndarray  # (|W|,) float32 ||vectors||^2 + reach, read-only
+    # (d + 2, |W|) float32, C-contiguous, read-only: the vectors times scale,
+    # transposed, then upper = ||vectors||^2 + reach, then ones
+    aug: np.ndarray
     spread: np.ndarray  # (|W|,) float32 2 reach, read-only
     scale: float  # the power of two that brings max |component| into [0.5, 1)
     eta: float  # the absolute term of the screen's _sq_error_bound
     limit: float  # a scaled point with a larger ||p||^2 is not screened
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """(d, |W|): the scaled vectors, a view of aug."""
+        return self.aug[:-2]
+
+    @property
+    def upper(self) -> np.ndarray:
+        """(|W|,): ||vectors||^2 + reach, a view of aug."""
+        return self.aug[-2]
 
 
 @dataclass(frozen=True)
@@ -145,62 +158,62 @@ class EmbeddingStore:
 
         Every (row, candidate) pair is screened in float32, on the
         vocabulary-major copy that _screen makes on the first call, by one
-        plain (rows x d) @ (d x candidates) GEMM; paired_distances decides
-        the rows that the screen cannot: those where another candidate's
-        lower bound reaches the least upper bound, over the candidates that
-        reach it, and those too far out to screen, over every candidate.
+        plain (rows x (d + 1)) @ ((d + 1) x candidates) GEMM against the
+        screen's vectors and upper; paired_distances decides the rows that
+        the screen cannot: those where another candidate's lower bound
+        reaches the least upper bound, over the candidates that reach it,
+        and those too far out to screen, over every candidate.
         """
         points = require_points("points", points, self.dim)
         screen = self._screen
         if candidate_ids is None:
             ids = None
-            cand, upper, spread = screen.vectors, screen.upper, screen.spread
+            cand, spread = screen.aug[:-1], screen.spread
         else:
             ids = self._candidate_ids(candidate_ids)
-            cand, upper, spread = screen.vectors[:, ids], screen.upper[ids], screen.spread[ids]
-        out = np.empty(points.shape[0], dtype=np.int64)
+            cand, spread = screen.aug[:-1, ids], screen.spread[ids]
+        out, d = np.empty(points.shape[0], dtype=np.int64), self.dim
         block_rows = max(1, _NN_BLOCK_ENTRIES // cand.shape[1])
         for lo in range(0, points.shape[0], block_rows):
             block = points[lo : lo + block_rows]
-            # a row past the screen's limit (err Inf) is decided exactly
-            # over every candidate
-            hi, _, err = self._screen_rows(block, cand, upper)
-            out[lo : lo + block.shape[0]] = _argmin_exact(block, self.vectors, ids, hi, spread, err)
+            # hi = [-2 p^, 1] @ [c; upper] = ||c||^2 + reach - 2 c.p in
+            # float32 stands for the scaled D - ||p^||^2, D the exact squared
+            # distance (cdist's sum), within the candidate's reach plus the
+            # point's err (see _sq_error_bound): hi + err lies above it and
+            # hi - spread - err below. Doubling the point is exact. A row
+            # past the screen's limit (err Inf) is decided exactly over
+            # every candidate.
+            a, _, err = self._screen_points(block, d + 1)
+            a[:, :d] *= -2.0
+            a[:, d] = 1.0
+            out[lo : lo + block.shape[0]] = _argmin_exact(block, self.vectors, ids, a @ cand,
+                                                          spread, err)
         if ids is not None:
             out = ids[out]
         return out
 
-    def _screen_rows(self, points, cand, upper):
-        """(hi, p_sq, err) for a (rows, d) float64 block of points against
-        screen columns cand with their upper: hi[i, j] + err[i] lies above,
-        and hi[i, j] - spread[j] - err[i] below, the scaled exact squared
-        distance (cdist's sum) from point i to candidate j less the row's
-        constant ||p^||^2, p^ the scaled float32 point, of which p_sq is the
-        float64 sum, and err = _sq_error_bound(p_sq, 0, d, _U32,
+    def _screen_points(self, points, width):
+        """(a, p_sq, err): a new (rows, width) float32 array whose first d
+        columns hold the (rows, d) float64 points scaled as the screen's
+        vectors are and rounded once to float32, p^, the rest left for the
+        caller to fill; the float64 sums p_sq = ||p^||^2; and the point's
+        part of the screen's bound, err = _sq_error_bound(p_sq, 0, d, _U32,
         screen.eta). A row past the screen's limit, Inf included, is
-        screened as the origin with p_sq and err Inf."""
-        screen = self._screen
+        screened as the origin with p_sq and err Inf: beyond it the screen
+        could overflow float32, or the exact sums float64."""
+        screen, d = self._screen, self.dim
+        a = np.empty((points.shape[0], width), dtype=np.float32)
+        p32 = a[:, :d]
         # the same exact scaling as the vectors', then one rounding to
         # float32; a point too large for float32 comes out as Inf
-        p32 = np.empty(points.shape, dtype=np.float32)
         with np.errstate(over="ignore"):
             np.multiply(points, screen.scale, out=p32, casting="same_kind")
         p_sq = np.einsum("ij,ij->i", p32, p32, dtype=np.float64)
-        # beyond the limit the screen could overflow float32, or the exact
-        # sums float64
         far = ~(p_sq <= screen.limit)
         if far.any():
             p32[far] = 0.0
             p_sq[far] = np.inf
-        # ||c||^2 - 2 c.p in float32 stands for the scaled D - ||p||^2, D the
-        # exact squared distance, within the candidate's reach plus the
-        # point's err (see _sq_error_bound): hi, with the reach added, lies
-        # at most err below D - ||p||^2. Doubling the point is exact, and
-        # costs a pass over the (rows, d) point, not the (rows, |W|) hi.
-        p32 *= -2.0
-        hi = p32 @ cand
-        hi += upper
-        return hi, p_sq, _sq_error_bound(p_sq, 0.0, self.dim, _U32, screen.eta)
+        return a, p_sq, _sq_error_bound(p_sq, 0.0, d, _U32, screen.eta)
 
     def _candidate_ids(self, candidate_ids) -> np.ndarray:
         """candidate_ids as sorted int64 word ids, or InvalidWordIdError."""
@@ -218,9 +231,9 @@ class EmbeddingStore:
         two is exact, so each component is rounded once; the copy is built
         in place, with no float64 temporary of the vocabulary.
 
-        The copy is stored vocabulary-major, (d, |W|) and C-contiguous, so
-        each decode is one plain GEMM against it. Against a (|W|, d) copy the
-        GEMM takes its operand transposed, and for a few rows OpenBLAS's
+        The copy is stored vocabulary-major, (d + 2, |W|) and C-contiguous,
+        so each decode is one plain GEMM against it. Against a (|W|, d) copy
+        the GEMM takes its operand transposed, and for a few rows OpenBLAS's
         sgemm then re-reads and packs the whole copy on every call."""
         top = max(float(self.vectors.max()), -float(self.vectors.min()))
         # a store below 2^-1022 is clamped to that scale (2^-exp must stay
@@ -228,17 +241,19 @@ class EmbeddingStore:
         # to them
         exp = max(math.frexp(top)[1], -1022)
         scale = math.ldexp(1.0, -exp)
-        vectors = np.empty(self.vectors.shape[::-1], dtype=np.float32)
+        d = self.dim
+        aug = np.empty((d + 2, len(self.words)), dtype=np.float32)
+        vectors = aug[:d]
         np.multiply(self.vectors.T, scale, out=vectors, casting="same_kind")
         sq_norms = np.einsum("ji,ji->i", vectors, vectors)
-        reach = _sq_error_bound(sq_norms.astype(np.float64), 0.0, self.dim, _U32, 0.0)
-        upper = (sq_norms + reach).astype(np.float32)
+        reach = _sq_error_bound(sq_norms.astype(np.float64), 0.0, d, _U32, 0.0)
+        aug[d] = sq_norms + reach
+        aug[d + 1] = 1.0
         spread = (2.0 * reach).astype(np.float32)
-        for arr in (vectors, upper, spread):
+        for arr in (aug, spread):
             arr.setflags(write=False)
         return _Screen(
-            vectors,
-            upper,
+            aug,
             spread,
             scale,
             # the exact sums' subnormal step in the screen's units is
@@ -279,8 +294,61 @@ class EmbeddingStore:
         return cdist(self.vectors, self.vectors)
 
     def median_nn_distance(self) -> float:
-        """Median distance to the nearest distinct neighbor (sigma default)."""
-        return float(np.median(self.nn_distances))
+        """Median distance to the nearest distinct neighbor (the density
+        sigma default): float(np.median(nn_distances)) bit for bit, and 0
+        for a one-word vocabulary, with no nn_distances computed.
+
+        One pass over the symmetric tiles of side isqrt(_NN_BLOCK_ENTRIES)
+        forms each tile by one float32 GEMM of the row block's [-2 v^_i, 1,
+        upper_i] against the screen's [v^_j; upper_j; 1], into one reused
+        tile, and keeps each word's least entry m, the diagonal masked. The
+        word's scaled least squared distance lies in [m - spread_w - S - E,
+        m + E], S the largest spread and E the screen's absolute error term
+        (see _sq_error_bound). np.median reads the ranks n // 2 and, for
+        even n, n // 2 - 1; only the words whose interval can hold one of
+        them take the exact path (_nn_rows), and np.median of the exact
+        values at those ranks is the result. The pass holds one float32 tile
+        and O(|W| d) float32."""
+        n = len(self.words)
+        if n == 1:
+            return 0.0
+        screen, d = self._screen, self.dim
+        side = min(n, max(1, math.isqrt(_NN_BLOCK_ENTRIES)))
+        least = np.full(n, np.inf, dtype=np.float32)
+        tile = np.empty(side * side, dtype=np.float32)
+        for i in range(0, n, side):
+            block = screen.aug[:, i : i + side]
+            rows = slice(i, i + block.shape[1])
+            a = np.empty((block.shape[1], d + 2), dtype=np.float32)
+            np.multiply(block[:d].T, -2.0, out=a[:, :d])
+            a[:, d] = 1.0
+            a[:, d + 1] = block[d]
+            for j in range(i, n, side):
+                others = screen.aug[:, j : j + side]
+                s2 = np.matmul(a, others, out=tile[: a.shape[0] * others.shape[1]]
+                               .reshape(a.shape[0], others.shape[1]))
+                if i == j:
+                    np.fill_diagonal(s2, np.inf)
+                np.minimum(least[rows], s2.min(axis=1), out=least[rows])
+                if i != j:
+                    cols = slice(j, j + others.shape[1])
+                    np.minimum(least[cols], s2.min(axis=0), out=least[cols])
+        del tile, s2
+        least = least.astype(np.float64)
+        e = _sq_error_bound(0.0, 0.0, d, _U32, screen.eta)
+        upper = least + e
+        lower = least - screen.spread
+        lower -= float(screen.spread.max()) + e
+        k = n // 2
+        first = k - 1 if n % 2 == 0 else k
+        # a word whose upper end lies below the first rank's least possible
+        # value is certainly below it, one whose lower end lies above the
+        # last rank's greatest possible value certainly above it
+        below = upper < np.partition(lower, first)[first]
+        ws = np.flatnonzero(~below & (lower <= np.partition(upper, k)[k]))
+        exact = np.sort(self._nn_rows(ws))
+        skip = np.count_nonzero(below)
+        return float(np.median(exact[first - skip : k - skip + 1]))
 
     def mean_nn_distance(self) -> float:
         """Mean nearest-distinct-neighbor distance. The library no longer
@@ -304,8 +372,7 @@ class EmbeddingStore:
         least, that partner is the only exact minimizer and paired_distances
         of the pair gives the value, in blocks of _EXACT_BLOCK_ENTRIES
         differences. The other words (duplicates, near-ties, stores far
-        from the origin) take a GEMM row of their own and exact distances to
-        every entry within 2 e(w) of their least."""
+        from the origin) take the exact path of _nn_rows."""
         n = len(self.words)
         d = np.zeros(n)
         if n > 1:
@@ -328,19 +395,30 @@ class EmbeddingStore:
                 w = ws[lo : lo + step]
                 d[w] = paired_distances(self.vectors[w], self.vectors[partner[w]])
             rest = np.flatnonzero(~unique)
-            block_rows = max(1, _NN_BLOCK_ENTRIES // n)
-            for lo in range(0, len(rest), block_rows):
-                ws = rest[lo : lo + block_rows]
-                s2 = _gemm_sq_distances(
-                    self.vectors[ws], self.sq_norms[ws], self.vectors, self.sq_norms
-                )
-                s2[np.arange(len(ws)), ws] = np.inf
-                keep = s2 <= ceiling[ws, None]
-                del s2
-                for k, _, dist in exact_distances(self.vectors[ws], self.vectors, keep):
-                    d[ws[k]] = dist.min()
+            d[rest] = self._nn_rows(rest)
         d.setflags(write=False)
         return d
+
+    def _nn_rows(self, ws) -> np.ndarray:
+        """The nearest-distinct-neighbor distance (cdist's) of each word in
+        ws, by the exact path: float64 GEMM rows against the vocabulary, at
+        most _NN_BLOCK_ENTRIES entries at a time, and paired_distances to
+        every word within 2 e(w) of the row's least entry. Each entry is
+        within e(w) of its exact sum, so that least is within e(w) of the
+        exact least and every exact minimizer is kept."""
+        n = len(self.words)
+        out = np.empty(len(ws))
+        slack = 2.0 * _sq_error_bound(self.sq_norms[ws], self.sq_norms.max(), self.dim)
+        block_rows = max(1, _NN_BLOCK_ENTRIES // n)
+        for lo in range(0, len(ws), block_rows):
+            w = ws[lo : lo + block_rows]
+            s2 = _gemm_sq_distances(self.vectors[w], self.sq_norms[w], self.vectors, self.sq_norms)
+            s2[np.arange(len(w)), w] = np.inf
+            keep = s2 <= (s2.min(axis=1) + slack[lo : lo + block_rows])[:, None]
+            del s2
+            for k, _, dist in exact_distances(self.vectors[w], self.vectors, keep):
+                out[lo + k] = dist.min()
+        return out
 
     def distance_blocks(self):
         """One pass over the unordered pairs of the vocabulary: yields
@@ -416,15 +494,18 @@ def _sq_error_bound(a_sq, b_sq, dim, u=_U, eta=_ETA):
     #   subnormal differences are exact. 4 (d + 4) eta covers both.
     # The nearest_words screen scales points a and vectors b by one power of
     # two s, exactly (short of float64 subnormals), rounds them to float32,
-    # a^ and b^, and forms s2 = fl(Nb - 2 P) from those in float32, without
-    # the row's Na. It forms -2 P as the product of the doubled point -2 a^
-    # (doubling is exact): its errors are twice P's, or less among the
-    # subnormals. Now u = 2^-24 and eta32 = 2^-149; norms are the scaled
-    # ones, and a^, b^ have them within a relative 2 u + O(u^2) and an
-    # absolute O(d eta32), which the spare 8 u (na + nb) and the eta term
-    # absorb.
-    # - Arithmetic: as above with one addition fewer,
-    #   |s2 - (||b^ - a^||^2 - ||a^||^2)| <= (2 d + 2) u (na + nb)(1 + O(d u)).
+    # a^ and b^, and forms s2 = [-2 a^, 1] . [b^, U] in float32, one
+    # (d + 1)-term dot product with U = fl(Nb + reach) (below), without the
+    # row's Na. Doubling the point is exact: the products' errors are twice
+    # P's, or less among the subnormals. Now u = 2^-24 and eta32 = 2^-149;
+    # norms are the scaled ones, and a^, b^ have them within a relative
+    # 2 u + O(u^2) and an absolute O(d eta32), which the spare and the eta
+    # term absorb.
+    # - Arithmetic: the dot product's terms add up to at most na + 2 nb in
+    #   size (the doubled cross terms na + nb, U about nb), so it is within
+    #   (d + 1) u (na + 2 nb) of its exact value, and Nb within d u nb:
+    #   |s2 - (||b^ - a^||^2 - ||a^||^2 + reach)| <= (3 d + 2) u (na + nb)
+    #   (1 + O(d u)).
     # - Rounding to float32: e = (b^ - s b) - (a^ - s a) has
     #   |e_k| <= u m_k + 2 eta32, m_k = s (|a_k| + |b_k|), and
     #   ||b^ - a^||^2 - s^2 D = 2 s (b - a).e + ||e||^2. As |b_k - a_k| <= m_k
@@ -432,15 +513,24 @@ def _sq_error_bound(a_sq, b_sq, dim, u=_U, eta=_ETA):
     #   3 u sum m_k^2 + O(d eta32^2 / u) <= 6 u (na + nb) + O(d eta32^2 / u).
     # - cdist, in the screen's units: (2 d + 4) 2^-53 (na + nb), below
     #   2 u (na + nb) for any d < 2^28, and d s^2 eta64 / 2 absolute.
-    # - The screen adds the vector's part of the bound, 4 (d + 4) u nb, to Nb
-    #   ahead of time in float32 and takes twice it off again for the lower
-    #   end: three more roundings, at most 3 u (na + nb)(1 + O(u)).
-    # - Together: s2 is within (2 d + 13) u (na + nb)(1 + O(d u)) of
+    # - The screen adds the vector's part of the bound, reach = 4 (d + 4) u
+    #   nb, to Nb ahead of time in float32 and takes twice it off again for
+    #   the lower end: three more roundings, at most 3 u (na + nb)(1 + O(u)).
+    # - Together: s2 is within (3 d + 13) u (na + nb)(1 + O(d u)) of
     #   s^2 q - ||a^||^2, and ||a^||^2 is the same for every entry of the
-    #   row. That is within 4 (d + 4) u (na + nb) for every d >= 1. The
+    #   row. That is within 4 (d + 4) u (na + nb) for every d >= 1, with
+    #   (d + 3) u (na + nb) to spare for the O(d u) terms (d < 2^16). The
     #   absolute terms (d eta32 from P, d eta32 / 2 from Nb, the rounding's
     #   O(d eta32^2 / u) and cdist's d s^2 eta64 / 2) are within
     #   4 (d + 4) eta for eta = max(eta32, s^2 eta64), which _screen passes.
+    # median_nn_distance forms a word pair as [-2 a^, 1, U_a] . [b^, U_b, 1],
+    # a (d + 2)-term dot product whose terms add up to at most 2 (na + nb):
+    # with Na and Nb, within (3 d + 5) u (na + nb)(1 + O(d u)) of ||b^ -
+    # a^||^2 + reach_a + reach_b. The roundings of U_a and U_b, of a^ and b^
+    # to float32 and cdist's sum add 9 u (na + nb), so s2 - reach_a - reach_b
+    # is within (3 d + 14) u (na + nb)(1 + O(d u)) <= reach_a + reach_b, plus
+    # the absolute 4 (d + 4) eta, of s^2 q: s^2 q lies in [s2 - spread_a -
+    # spread_b - 4 (d + 4) eta, s2 + 4 (d + 4) eta].
     # Rounded addition and multiplication are monotone, so the computed
     # bound never falls when a_sq or b_sq grows.
     err = a_sq + b_sq

@@ -63,6 +63,9 @@ TRUNC_STRATEGIES = ("project", "residual")
 
 MATRIX_TSV_MAGIC = "#privtext-matrix-v2"
 _MAX_COUNT = 2**53  # a float64 holds every count and row total up to it exactly
+# columns per float32 partial sum of a KDE row: each is within gamma_63 of
+# its terms' sum, where one float32 sum of the row would carry gamma_{|W|-1}
+_SUM_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -143,81 +146,122 @@ def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
     """(values, bounds): the log of the unnormalized RBF kernel density over
     the vocabulary at each row of a (n, d) array of points, scored on the
     store's float32 decode screen, and a bound on each value's distance from
-    _canonical_log_kde's. One float32 GEMM against the screen forms the
-    squared distances, the scale, shift and exp passes run in float32 in
-    place, and the sum in float64. A row
-    the pass cannot bound (past the screen's limit, or so far out that the
-    scaled kernels could overflow float32) has value 0 and bound Inf."""
+    _canonical_log_kde's. One float32 GEMM of the rows [kappa' (-2 p^),
+    kappa', kappa (P - S / 2)] against the screen's [v^; upper; 1] forms
+    the centred log kernels; exp runs on them in place, float32 sums of 64
+    columns each (np.matmul) and the float64 sum of those give each row's
+    sum. A row whose kernels all lie within u32 of 1 takes a closed form
+    instead. A row the pass cannot bound (past the screen's limit, or so
+    far out that the scaled kernels could overflow float32) has value 0
+    and bound Inf."""
     points = require_points("points", points, store.dim)
-    screen, n_words = store._screen, len(store)
+    screen, n_words, dim = store._screen, len(store), store.dim
     with np.errstate(over="ignore"):
         # the log kernel of a scaled squared distance s^2 q is kappa s^2 q
         kappa = float(np.float64(1.0) / -(2.0 * sigma**2) / screen.scale / screen.scale)
-    # ||p^||^2 <= lim keeps every |kappa h_j| (below) under 2^100 (2 d + 2),
-    # within float32; a kappa outside float32's normal range screens no row
+    # ||p^||^2 <= lim keeps every term of a row's dot product, and every
+    # partial sum, under 2^100 (2 d + 3), within float32; a kappa outside
+    # float32's normal range sends no row through the GEMM
     lim = (min(screen.limit, 2.0**100 / abs(kappa)) if 2.0**-100 <= abs(kappa) <= 2.0**100
            else -1.0)
     half_spread = float(screen.spread.max()) / 2
-    hi, p_sq, bounds = store._screen_rows(points, screen.vectors, screen.upper)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hi *= np.float32(kappa)
-        top = hi.max(axis=1)
-        hi -= top[:, None]
-        np.exp(hi, out=hi)
-        # einsum adds in float64 without a float64 copy, faster than sum
-        values = np.log(np.einsum("ij->i", hi, dtype=np.float64))
-    top = top.astype(np.float64)
-    values += top
-    values += kappa * (p_sq - half_spread)
+    a, p_sq, err = store._screen_points(points, dim + 2)
+    values, bounds = np.zeros(len(points)), np.full(len(points), np.inf)
+    # q_top bounds the scaled squared distance from the row to every word:
+    # (||p|| + ||v||)^2 <= 2 (||p||^2 + ||v||^2), with the rounding of p^,
+    # of upper and of cdist's sum inside the factor 1 + 2^-20 (d < 2^16)
+    q_top = p_sq + float(screen.upper.max())
+    q_top *= 2.0 * (1 + 2.0**-20)
+    with np.errstate(invalid="ignore"):
+        flat = abs(kappa) * q_top <= _U32
+    # Every log kernel of a flat row lies in [kappa q_top, 0] (kappa within
+    # a relative u of 1 / (s^2 den), or 0 where that underflows, and then
+    # below 2^-900 in size), so its log-KDE lies in [log N + kappa q_top,
+    # log N]: the midpoint is within |kappa| q_top / 2 <= u32 / 2 of it,
+    # below the GEMM path's floor of 75 u32. The float64 roundings of both
+    # values, c u (log N + 1) for c < 64, take the last term.
+    values[flat] = math.log(n_words) + kappa * q_top[flat] / 2
+    bounds[flat] = (abs(kappa) * q_top[flat] / 2 * (1 + 2.0**-20)
+                    + 64 * _U * (math.log(n_words) + 1))
+    rows = np.flatnonzero((p_sq <= lim) & ~flat)
+    if not rows.size:
+        return values, bounds
+    a, p_sq, err = a[rows], p_sq[rows], err[rows]
+    # kappa' (-2 p^) in one rounding: doubling kappa' is exact
+    a[:, :dim] *= np.float32(-2.0) * np.float32(kappa)
+    a[:, dim] = kappa
+    a[:, dim + 1] = kappa * (p_sq - half_spread)
+    g = a @ screen.aug
+    top = g.max(axis=1)
+    # a row left unshifted keeps its largest term e^top within [2^-64,
+    # 2^64]: its 64-term float32 sums stay below 2^70, and the subnormals'
+    # absolute errors within N 2^-62 of its sum
+    shift = np.where(np.abs(top) <= 64 * math.log(2), np.float32(0.0), top)
+    if shift.any():
+        g -= shift[:, None]
+    np.exp(g, out=g)
+    split = n_words - n_words % _SUM_COLUMNS
+    sums = np.einsum("ij->i", g[:, split:], dtype=np.float64)
+    if split:
+        parts = np.matmul(g[:, :split].reshape(len(rows), -1, _SUM_COLUMNS),
+                          np.ones(_SUM_COLUMNS, dtype=np.float32))
+        sums += np.einsum("ij->i", parts, dtype=np.float64)
+    values[rows] = np.log(sums) + shift
     # Why this bound. Write q_j for the squared distance from the point to
     # word j that cdist (and _paired_sq_distances, in its order) sums, den =
     # -(2 sigma^2) as rounded, N = |W|, LSE for log-sum-exp and u, u32 for
     # the unit roundoffs. LSE is monotone and moves by c when every entry
     # does, so it moves by at most the largest change of an entry: it is
-    # 1-Lipschitz in the max norm. The canonical value is LSE(q / den),
-    # rounded as below.
-    # - The screen: s^2 q_j - P lies in [h_j - spread_j - err, h_j + err]
-    #   (_screen_rows), s the screen's scale, P = ||p^||^2 the row's
-    #   constant, h_j the float32 entry and err = _sq_error_bound at u32 and
-    #   screen.eta. With kappa = 1 / (s^2 den) < 0 and g_j = kappa h_j,
-    #   q_j / den = kappa (s^2 q_j - P) + kappa P lies in
-    #   [g_j - |kappa| err, g_j + |kappa| (spread_j + err)]. So LSE(q / den)
-    #   is within |kappa| (err + S / 2) of LSE(g) + kappa (P - S / 2), S the
-    #   largest spread; p_sq is P within a relative d u.
-    # - The scale: a_j = fl32(fl32(kappa) h_j) = g_j (1 + e_j) + f_j with
-    #   |e_j| <= 2.01 u32 and |f_j| <= eta32 (a subnormal product). With
-    #   G = max g and x_j = G - g_j >= 0, a_j lies within |e_j| |G| + f_j of
-    #   G - x_j (1 + e_j), and |G| is at most |top| (1 + 3 u32) + eta32,
-    #   top = max a. As a function of t, LSE(-t x) has slope minus the
-    #   softmax mean of x, which is at most log N / t (t E[x] is at most the
-    #   entropy, log N, since the largest term is 1). So a relative change of
-    #   every x_j by at most e moves LSE by at most e log N / (1 - e), and
-    #   the scale costs at most 3 u32 (|top| + log N) + eta32.
-    # - The shift a_j - top, exact at the maximum, changes each x_j by a
-    #   relative u32: u32 log N more.
-    # - exp: within 4 ulps of e^t, 8 u32 of it, plus 2^-126 for a result
+    # 1-Lipschitz in the max norm. The canonical value is LSE(t), t_j =
+    # q_j / den, rounded as below.
+    # - The GEMM. With s the screen's scale, kappa = 1 / (s^2 den) < 0,
+    #   P = ||p^||^2, nb_j = ||v^_j||^2, S the largest spread and err =
+    #   _sq_error_bound(P, 0, d, u32, screen.eta): exactly, [-2 p^, 1, P] .
+    #   [v^_j, upper_j, 1] = ||v^_j - p^||^2 + reach_j + (upper_j's own
+    #   rounding, (d + 1) u32 nb_j), and ||v^_j - p^||^2 is within 8 u32
+    #   (P + nb_j) of s^2 q_j (the rounding of p^ and v^, and cdist's sum:
+    #   see _sq_error_bound). The row [kappa' (-2 p^), kappa', kappa (P -
+    #   S / 2)] as computed adds kappa' for kappa, u32 |kappa| (P + 2 nb_j),
+    #   its two roundings, u32 |kappa| (P + nb_j) and u32 |kappa| (P +
+    #   S / 2), and the (d + 2)-term dot product adds gamma_{d+2} times its
+    #   terms' absolute sum, at most |kappa| (2 P + 2 nb_j + S / 2). In all,
+    #   g_j = t_j + |kappa| (S / 2 - reach_j) + |kappa| f_j with |f_j| <=
+    #   (2 d + 15) u32 P + (3 d + 16) u32 nb_j + (d + 3) u32 S / 2, up to a
+    #   factor 1 + O(d u32): within err + reach_j + (d + 3) u32 S / 2, as err
+    #   holds 4 (d + 4) u32 P and reach_j 4 (d + 4) u32 nb_j, which leaves
+    #   2 d + 1 and d for the O(d u32) terms (d < 2^16). The absolute terms
+    #   of rounding p^, v^ and cdist's sum are within err's eta term, as in
+    #   _sq_error_bound; the GEMM's products among the subnormals, (2 d + 3)
+    #   eta32, go in the last u32. With 0 <= reach_j <= S / 2, g_j is within
+    #   |kappa| (err + S / 2 (1 + (d + 3) u32)) of t_j, and LSE(g) of LSE(t).
+    # - The shift g_j - top, on the few rows where exp would leave float32's
+    #   normal range, is exact at the maximum and changes each x_j = top -
+    #   g_j >= 0 by a relative u32. As a function of r, LSE(-r x) has slope
+    #   minus the softmax mean of x, which is at most log N / r (r E[x] is at
+    #   most the entropy, log N, since the largest term is 1), so that moves
+    #   LSE by at most u32 log N.
+    # - exp: within 4 ulps of e^x, 8 u32 of it, plus 2^-126 for a result
     #   among float32's subnormals (numpy's float32 exp is within 2.5 ulps;
-    #   tests check the budget). With the sum at least 1 (the maximum's term
-    #   is e^0), that moves the log by at most 8 u32 + N 2^-126.
-    # - float64: the sum of N terms, in any order, is within a relative
-    #   1.01 N u; the log and the additions, the canonical value's own
+    #   tests check the budget). The subnormals' errors are within N 2^-62
+    #   < u32 of the sum (N < 2^38; see the shift).
+    # - The sums: a float32 sum of at most 64 positive terms, in whatever
+    #   order the BLAS adds them, is within a relative gamma_63 < 64 u32 of
+    #   theirs; the float64 sum of the partial sums and the tail, within
+    #   N u. With exp, the row's sum is within a relative 73 u32 + N u, and
+    #   its log within 74 u32 + 2 N u.
+    # - float64: the log and the additions, the canonical value's own
     #   division, exp (4 ulps), fsum and log, and the rounding of a
     #   difference of two values in the accept test, add c u for c < 64 times
-    #   |top| + log N + |kappa| (P + S), which the rounded-up u32 terms and
-    #   the factor 1 + 2^-20 on the first term (err >= 20 u32 P) cover.
-    # In all: |kappa| (err + S / 2)(1 + 2^-20) + 4 u32 |top|
-    # + 5 u32 (log N + 2) + 2 N u, the absolute terms (eta32, N 2^-126)
-    # within the last u32.
-    bounds += half_spread  # onto err, the screen's bound
-    bounds *= abs(kappa) * (1 + 2.0**-20)
-    bounds += 4 * _U32 * np.abs(top)
-    bounds += 5 * _U32 * (math.log(n_words) + 2) + 2 * n_words * _U
-    bad = ~(p_sq <= lim)
-    if bad.any():
-        values[bad] = 0.0
-        bounds[bad] = np.inf
+    #   |top| + log N + |kappa| (P + S), which u32 (|top| + log N) and the
+    #   factor 1 + 2^-20 on the first term (err >= 20 u32 P) cover.
+    # In all: |kappa| (err + S / 2 (1 + (d + 3) u32)) (1 + 2^-20)
+    # + u32 (|top| + 2 log N + 75) + 2 N u.
+    err += half_spread * (1 + (dim + 3) * _U32)
+    err *= abs(kappa) * (1 + 2.0**-20)
+    err += _U32 * np.abs(top)
+    err += _U32 * (2 * math.log(n_words) + 75) + 2 * n_words * _U
+    bounds[rows] = err
     return values, bounds
-
 
 def _canonical_log_kde(store: EmbeddingStore, point, sigma: float) -> float:
     """The log-KDE at one point (d,) by a path that no BLAS kernel enters:
@@ -294,8 +338,9 @@ class Mechanism:
       baseline's law at w modulated by a KDE prior over the vocabulary
 
     Per-word constants are resolved once per Mechanism: the smooth epsilon
-    vector here, the density bandwidth on the first density draw (from the
-    store's nn_distances, which it computes once and keeps).
+    vector here, the density bandwidth on the first density draw (by the
+    store's median_nn_distance, one float32 pass that computes no
+    nn_distances).
     """
 
     def __init__(

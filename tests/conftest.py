@@ -29,6 +29,16 @@ def random_store(gen: np.random.Generator, n_words: int, dim: int) -> EmbeddingS
     return EmbeddingStore.from_arrays(words, gen.normal(size=(n_words, dim)))
 
 
+def mixture_store(gen, n_words, dim, spread):
+    """A Gaussian-mixture vocabulary: 50 centres drawn N(0, spread^2), each
+    cluster's scale log-uniform in [spread / 10, spread]."""
+    centres = gen.normal(scale=spread, size=(50, dim))
+    scales = np.exp(gen.uniform(np.log(spread / 10), np.log(spread), size=50))
+    member = gen.integers(50, size=n_words)
+    vectors = centres[member] + scales[member, None] * gen.normal(size=(n_words, dim))
+    return EmbeddingStore.from_arrays([f"w{i}" for i in range(n_words)], vectors)
+
+
 def count_passes(monkeypatch) -> list:
     """Record each EmbeddingStore.distance_blocks pass in the returned list;
     fail on any full distance matrix."""

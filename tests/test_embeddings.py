@@ -23,7 +23,7 @@ from privtext.errors import (
     NonFiniteComponentError,
 )
 
-from conftest import count_passes, random_store
+from conftest import count_passes, mixture_store, random_store
 from oracles import distance, local_by_cdist, nearest_by_cdist, nearest_word
 
 
@@ -790,3 +790,113 @@ def test_nn_refinement_stays_within_a_tile(monkeypatch):
         tracemalloc.stop()
     assert peak < 2 * 2**18 * 8 + 32 * n * 8
     assert np.array_equal(local, local_by_cdist(store))
+
+
+def record_refined(monkeypatch) -> list:
+    """Record the number of words each exact-path call (_nn_rows) takes."""
+    refined, rows = [], EmbeddingStore._nn_rows
+
+    def recording(self, ws):
+        refined.append(len(ws))
+        return rows(self, ws)
+
+    monkeypatch.setattr(EmbeddingStore, "_nn_rows", recording)
+    return refined
+
+
+class TestMedianSelection:
+    """median_nn_distance selects np.median's ranks from a float32 tile pass
+    and refines only the words whose interval can hold them; its value must
+    be np.median of the cdist nearest-neighbour distances, bit for bit."""
+
+    @staticmethod
+    def check(store):
+        got = store.median_nn_distance()
+        want = float(np.median(local_by_cdist(store))) if len(store) > 1 else 0.0
+        assert type(got) is float and got == want
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.one_of(st.integers(1, 4), st.integers(5, 90)),
+        dim=st.sampled_from([1, 2, 50, 300]),
+        kind=st.sampled_from(["random", "duplicates", "offset", "grid", "chain"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_median_of_cdist(self, n, dim, kind, seed):
+        # duplicates: every word of the first half repeated, so the median
+        # is 0 or ties cross it; offset: 1e6 + 1e-3 N(0, 1), where every
+        # interval overlaps; grid: a coarse grid with many exact cdist ties;
+        # chain: words a unit apart along a line at 1000, their distances
+        # apart by about 1e-6, below what float32 resolves there
+        gen = np.random.default_rng(seed)
+        vecs = gen.normal(size=(n, dim))
+        if kind == "duplicates":
+            vecs[n // 2 :] = vecs[: n - n // 2]
+        elif kind == "offset":
+            vecs = 1e6 + 1e-3 * vecs
+        elif kind == "grid":
+            vecs = gen.integers(0, 3, size=(n, dim)) * 0.5
+        elif kind == "chain":
+            vecs *= 1e-3
+            vecs[:, 0] = 1000 + gen.permutation(n) + 1e-6 * gen.normal(size=n)
+        self.check(EmbeddingStore.from_arrays([f"w{i}" for i in range(n)], vecs))
+
+    @pytest.mark.parametrize("xs", [
+        [3.0],
+        [0.0, 1.5],
+        [0.0, 1.0, 3.0],
+        [0.0, 1.0, 3.0, 7.0],
+        # nearest-neighbour distances 1, 1, 1, 1, 7, 10: a tie at ranks 2 and 3
+        [0.0, 1.0, 2.0, 3.0, 10.0, 20.0],
+        # 1, 1, 1, 1, 2, 2, 2, 2: the ranks 3 and 4 fall on either side of a tie
+        [0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 9.0, 11.0],
+        # duplicates: 0, 0, 5, 5, 5 with the median 5, and 0, 0, 0, 10, 10, 10
+        # with the median halfway between a duplicate and a distinct word
+        [0.0, 0.0, 5.0, 10.0, 15.0],
+        [0.0, 0.0, 0.0, 10.0, 20.0, 30.0],
+        # more than half duplicates: the median is 0
+        [4.0, 4.0, 4.0, 9.0, 9.0, 30.0, 60.0],
+    ])
+    def test_fixed_cases(self, xs):
+        self.check(EmbeddingStore.from_arrays([f"w{i}" for i in range(len(xs))],
+                                              np.array(xs)[:, None]))
+
+    @pytest.mark.parametrize("n", [2, 3, 41, 64, 301])
+    def test_offset_store_refines_every_word(self, monkeypatch, n):
+        # far from the origin the float32 screen separates no word: every
+        # interval overlaps every other, so every word takes the exact path
+        refined = record_refined(monkeypatch)
+        store = tile_store("offset", n, 4)
+        self.check(store)
+        assert refined == [n]
+
+    @pytest.mark.parametrize("budget", [1, 16, 50, 2**20])
+    def test_tile_sizes(self, monkeypatch, budget):
+        monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", budget)
+        for kind, n in (("random", 29), ("random", 30), ("duplicates", 30), ("offset", 29)):
+            self.check(tile_store(kind, n, 3))
+
+    def test_benchmark_scale_refines_few_words(self, monkeypatch):
+        # a 2000 x 50, spread-6 mixture: a handful of words can hold the
+        # median's ranks, and no float64 distance_blocks pass runs
+        store = mixture_store(np.random.default_rng(77), 2000, 50, spread=6.0)
+        passes, refined = count_passes(monkeypatch), record_refined(monkeypatch)
+        self.check(store)
+        assert len(refined) == 1 and refined[0] <= 32
+        assert passes == []
+
+    def test_pass_holds_one_float32_tile(self):
+        # 2000 words: three tiles of up to 1024 x 1024; a float64 tile, or a
+        # new tile per GEMM alongside the last one, would be 8 MiB
+        n, dim = 2000, 50
+        store = mixture_store(np.random.default_rng(78), n, dim, spread=6.0)
+        store._screen
+        side = math.isqrt(embeddings._NN_BLOCK_ENTRIES)
+        tracemalloc.start()
+        try:
+            got = store.median_nn_distance()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * side**2 + 4 * n * (dim + 2) * 4
+        assert got == float(np.median(local_by_cdist(store)))

@@ -41,7 +41,7 @@ from privtext.randomizers import (
     truncation_mass,
 )
 
-from conftest import count_passes, random_store
+from conftest import count_passes, mixture_store, random_store
 from oracles import (
     baseline_output_distribution_1d,
     density_chain_by_step,
@@ -53,16 +53,6 @@ from oracles import (
     matrix_from_tsv_by_line,
     total_variation,
 )
-
-
-def mixture_store(gen, n_words, dim, spread):
-    """A Gaussian-mixture vocabulary: 50 centres drawn N(0, spread^2), each
-    cluster's scale log-uniform in [spread / 10, spread]."""
-    centres = gen.normal(scale=spread, size=(50, dim))
-    scales = np.exp(gen.uniform(np.log(spread / 10), np.log(spread), size=50))
-    member = gen.integers(50, size=n_words)
-    vectors = centres[member] + scales[member, None] * gen.normal(size=(n_words, dim))
-    return EmbeddingStore.from_arrays([f"w{i}" for i in range(n_words)], vectors)
 
 
 def clustered_store():
@@ -400,17 +390,26 @@ class TestDensityMechanism:
         assert np.all((outs >= 0) & (outs < 3))
 
     def test_default_sigma_takes_one_pass(self, rng, monkeypatch):
-        # the bandwidth comes from the store's nearest-neighbour distances
+        # the bandwidth is the store's median nearest-neighbour distance,
+        # selected once per Mechanism without a distance_blocks pass
         store = EmbeddingStore.from_arrays(
             ["p", "q", "r", "s", "t"], [[-1.0], [0.0], [2.0], [2.5], [5.5]]
         )
-        calls = count_passes(monkeypatch)
+        passes = count_passes(monkeypatch)
+        medians, median = [], EmbeddingStore.median_nn_distance
+
+        def counted(self):
+            medians.append(1)
+            return median(self)
+
+        monkeypatch.setattr(EmbeddingStore, "median_nn_distance", counted)
         mech = Mechanism(store, MechanismConfig("density", 1.0, mh_steps=6))
         for w in range(5):
             mech.perturb_batch(rng.fork(w), w, 3)
         # nearest-neighbour distances 1, 1, 0.5, 0.5, 3
         assert mech._sigma == pytest.approx(1.0)
-        assert len(calls) == 1
+        assert len(medians) == 1
+        assert len(passes) == 0
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, 1e200, 1e-200])
     def test_bandwidth_outside_its_range_is_refused(self, sigma):
@@ -1149,6 +1148,66 @@ def test_one_uncertain_step_settles_its_two_rows(monkeypatch, n):
         assert not np.array_equal(settled[1], widened[0])
         want = density_chain_by_step(store, RngStream(41).fork(w), w, n, 1.0, 0.5, 31)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sigma", [1e20, 1e150])
+def test_flat_prior_takes_the_closed_form(monkeypatch, sigma):
+    # a bandwidth so wide that every kernel is within u32 of 1: each row's
+    # log-KDE is certified by the closed form, no row takes the canonical
+    # path, and the chain still makes the canonical decisions
+    store = clustered_store()
+    canonical, calls = randomizers._canonical_log_kde, []
+    gen = np.random.default_rng(47)
+    points = store.vectors[gen.integers(0, len(store), size=20)] + 3 * gen.normal(size=(20, 5))
+    values, bounds = randomizers._screened_log_kde(store, points, sigma)
+    want = np.array([canonical(store, p, sigma) for p in points])
+    assert np.all(np.abs(values - want) <= bounds) and np.all(bounds < 2.0**-24)
+
+    def counted(store, point, sigma):
+        calls.append(1)
+        return canonical(store, point, sigma)
+
+    monkeypatch.setattr(randomizers, "_canonical_log_kde", counted)
+    config = MechanismConfig("density", 1.0, sigma=sigma, mh_steps=31)
+    for w in range(4):
+        got = Mechanism(store, config).perturb_batch(RngStream(43).fork(w), w, 3)
+        assert calls == []
+        want = density_chain_by_step(store, RngStream(43).fork(w), w, 3, 1.0, sigma, 31)
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_words=st.sampled_from([64, 65, 200, 1000]),
+    log_sigma=st.sampled_from([-3, -1, 0, 1, 3, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partial_sums_within_the_bound(n_words, log_sigma, seed):
+    # vocabularies of at least 64 words, summed 64 columns at a time plus
+    # a tail; small bandwidths shift the far rows, large ones leave them
+    gen = np.random.default_rng(seed)
+    store = EmbeddingStore.from_arrays([f"w{i}" for i in range(n_words)],
+                                       gen.normal(size=(n_words, 8)))
+    sigma = 10.0**log_sigma
+    points = np.vstack([store.vectors[gen.integers(0, n_words, size=6)]
+                        + gen.normal(size=(6, 8)), 20 * gen.normal(size=(3, 8))])
+    values, bounds = randomizers._screened_log_kde(store, points, sigma)
+    canonical = np.array([randomizers._canonical_log_kde(store, p, sigma) for p in points])
+    assert np.all(np.isfinite(bounds))
+    assert np.all(np.abs(values - canonical) <= bounds)
+
+
+def test_float32_exp_within_its_budget_above_zero():
+    # a row left unshifted has exponents up to 64 ln 2; the bound budgets
+    # the same 4 ulps there
+    u32 = 2.0**-24
+    t = np.unique(np.concatenate([
+        np.linspace(0.0, 64 * math.log(2), 2_000_001).astype(np.float32),
+        np.abs(np.random.default_rng(9).standard_normal(200_000)).astype(np.float32),
+    ]))
+    got = np.exp(t).astype(np.float64)
+    exact = np.exp(t.astype(np.float64))
+    assert np.all(np.abs(got - exact) <= 8 * u32 * exact)
 
 
 CORETYPE_PROBE = """
