@@ -18,7 +18,7 @@ import zipfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -288,7 +288,7 @@ class EmbeddingStore:
     def pairwise_distances(self) -> np.ndarray:
         """Full |W| x |W| Euclidean distance matrix, by cdist. Only the audit
         (verify_metric_dp, attack_accuracy) holds it, and imports SciPy for
-        it; per-word geometry comes from distance_blocks instead."""
+        it; per-word geometry comes from _tile_pass instead."""
         from scipy.spatial.distance import cdist
 
         return cdist(self.vectors, self.vectors)
@@ -298,42 +298,33 @@ class EmbeddingStore:
         sigma default): float(np.median(nn_distances)) bit for bit, and 0
         for a one-word vocabulary, with no nn_distances computed.
 
-        One pass over the symmetric tiles of side isqrt(_NN_BLOCK_ENTRIES)
-        forms each tile by one float32 GEMM of the row block's [-2 v^_i, 1,
-        upper_i] against the screen's [v^_j; upper_j; 1], into one reused
-        tile, and keeps each word's least entry m, the diagonal masked. The
-        word's scaled least squared distance lies in [m - spread_w - S - E,
-        m + E], S the largest spread and E the screen's absolute error term
-        (see _sq_error_bound). np.median reads the ranks n // 2 and, for
-        even n, n // 2 - 1; only the words whose interval can hold one of
-        them take the exact path (_nn_rows), and np.median of the exact
-        values at those ranks is the result. The pass holds one float32 tile
-        and O(|W| d) float32."""
+        One _tile_pass forms each tile by one float32 GEMM of the rows'
+        [-2 v^_i, 1, upper_i] against the screen's [v^_j; upper_j; 1] and
+        keeps each word's least entry m. The word's scaled least squared
+        distance lies in [m - spread_w - S - E, m + E], S the largest spread
+        and E the screen's absolute error term (see _sq_error_bound).
+        np.median reads the ranks n // 2 and, for even n, n // 2 - 1; only
+        the words whose interval can hold one of them take the exact path
+        (_nn_rows), and np.median of the exact values at those ranks is the
+        result. The pass holds one float32 tile and O(|W| d) float32."""
         n = len(self.words)
         if n == 1:
             return 0.0
         screen, d = self._screen, self.dim
-        side = min(n, max(1, math.isqrt(_NN_BLOCK_ENTRIES)))
         least = np.full(n, np.inf, dtype=np.float32)
-        tile = np.empty(side * side, dtype=np.float32)
-        for i in range(0, n, side):
-            block = screen.aug[:, i : i + side]
-            rows = slice(i, i + block.shape[1])
+
+        def form(rows, cols, out):
+            block = screen.aug[:, rows]
             a = np.empty((block.shape[1], d + 2), dtype=np.float32)
             np.multiply(block[:d].T, -2.0, out=a[:, :d])
             a[:, d] = 1.0
             a[:, d + 1] = block[d]
-            for j in range(i, n, side):
-                others = screen.aug[:, j : j + side]
-                s2 = np.matmul(a, others, out=tile[: a.shape[0] * others.shape[1]]
-                               .reshape(a.shape[0], others.shape[1]))
-                if i == j:
-                    np.fill_diagonal(s2, np.inf)
-                np.minimum(least[rows], s2.min(axis=1), out=least[rows])
-                if i != j:
-                    cols = slice(j, j + others.shape[1])
-                    np.minimum(least[cols], s2.min(axis=0), out=least[cols])
-        del tile, s2
+            np.matmul(a, screen.aug[:, cols], out=out)
+
+        def fold(words, _, tile, axis):
+            np.minimum(least[words], tile.min(axis=axis), out=least[words])
+
+        self._tile_pass(form, np.float32, fold)
         least = least.astype(np.float64)
         e = _sq_error_bound(0.0, 0.0, d, _U32, screen.eta)
         upper = least + e
@@ -361,39 +352,32 @@ class EmbeddingStore:
         made on first use and kept for the store's lifetime; zeros(1) for a
         one-word vocabulary. Each value is cdist's, the row minimum of
         pairwise_distances with the diagonal masked, and is computed by
-        paired_distances. The working memory is about one tile of
-        distance_blocks plus O(|W|).
+        paired_distances. The working memory is one float64 tile plus O(|W|).
 
-        One distance_blocks pass reduces each tile along its rows and, off
-        the diagonal, along its columns, keeping per word the least GEMM-form
-        value, a partner holding it and the least of the rest. Every pair of
-        word w is within e(w) = _sq_error_bound(||w||^2, max ||v||^2) of its
-        exact sum, so when the runner-up lies more than 2 e(w) above the
-        least, that partner is the only exact minimizer and paired_distances
-        of the pair gives the value, in blocks of _EXACT_BLOCK_ENTRIES
-        differences. The other words (duplicates, near-ties, stores far
-        from the origin) take the exact path of _nn_rows."""
+        One _tile_pass forms each tile in _gemm_sq_distances' order and
+        keeps per word the least value, a partner holding it and the least
+        of the rest (_fold_least). Every pair of word w is within e(w) =
+        _sq_error_bound(||w||^2, max ||v||^2) of its exact sum, so when the
+        runner-up lies more than 2 e(w) above the least, that partner is the
+        only exact minimizer and paired_distances of the pair gives the
+        value, in blocks of _EXACT_BLOCK_ENTRIES differences. The other
+        words (duplicates, near-ties, stores far from the origin) take the
+        exact path of _nn_rows."""
         n = len(self.words)
         d = np.zeros(n)
         if n > 1:
-            least = np.full(n, np.inf)
-            partner = np.zeros(n, dtype=np.int64)
-            runner_up = np.full(n, np.inf)
-            for i, j, s2 in self.distance_blocks():
-                rows, cols = slice(i, i + s2.shape[0]), slice(j, j + s2.shape[1])
-                if i == j:
-                    np.fill_diagonal(s2, np.inf)
-                _merge_least(least[rows], partner[rows], runner_up[rows], j, *_least_two(s2, 1))
-                if i != j:
-                    _merge_least(least[cols], partner[cols], runner_up[cols], i, *_least_two(s2, 0))
-                del s2  # freed before the generator forms the next tile
-            ceiling = least + 2.0 * _sq_error_bound(self.sq_norms, self.sq_norms.max(), self.dim)
+            v, sq = self.vectors, self.sq_norms
+            nearest = least, partner, runner_up = (
+                np.full(n, np.inf), np.zeros(n, dtype=np.int64), np.full(n, np.inf))
+            self._tile_pass(lambda r, c, out: _gemm_sq_distances(v[r], sq[r], v[c], sq[c], out),
+                            np.float64, partial(_fold_least, *nearest))
+            ceiling = least + 2.0 * _sq_error_bound(sq, sq.max(), self.dim)
             unique = runner_up > ceiling
             ws = np.flatnonzero(unique)
             step = max(1, _EXACT_BLOCK_ENTRIES // self.dim)
             for lo in range(0, len(ws), step):
                 w = ws[lo : lo + step]
-                d[w] = paired_distances(self.vectors[w], self.vectors[partner[w]])
+                d[w] = paired_distances(v[w], v[partner[w]])
             rest = np.flatnonzero(~unique)
             d[rest] = self._nn_rows(rest)
         d.setflags(write=False)
@@ -420,20 +404,28 @@ class EmbeddingStore:
                 out[lo + k] = dist.min()
         return out
 
-    def distance_blocks(self):
-        """One pass over the unordered pairs of the vocabulary: yields
-        (i, j, s2), s2 the GEMM-form squared distances from words i, i + 1,
-        ... to words j, j + 1, ..., in _gemm_sq_distances' operation order,
-        for each square tile of side isqrt(_NN_BLOCK_ENTRIES) on or above
-        the diagonal (i <= j). Each pair is formed once off the diagonal
-        tiles; the tiles total at most |W| (|W| + side) / 2 entries."""
-        n, side = len(self.words), max(1, math.isqrt(_NN_BLOCK_ENTRIES))
+    def _tile_pass(self, form, dtype, fold):
+        """One walk over the unordered pairs of the vocabulary, by square
+        tiles of side min(|W|, isqrt(_NN_BLOCK_ENTRIES)) on and above the
+        diagonal, so each pair off the diagonal tiles is formed once.
+        form(rows, cols, out) writes the tile of words rows x cols into out,
+        a view of one dtype buffer kept for the whole pass. The walk sets a
+        diagonal tile's diagonal to Inf and calls fold(rows, cols.start,
+        tile, 1) and, off the diagonal, fold(cols, rows.start, tile, 0)."""
+        n = len(self.words)
+        side = min(n, max(1, math.isqrt(_NN_BLOCK_ENTRIES)))
+        buf = np.empty(side * side, dtype=dtype)
         for i in range(0, n, side):
-            a, a_sq = self.vectors[i : i + side], self.sq_norms[i : i + side]
+            rows = slice(i, min(i + side, n))
             for j in range(i, n, side):
-                yield i, j, _gemm_sq_distances(
-                    a, a_sq, self.vectors[j : j + side], self.sq_norms[j : j + side]
-                )
+                cols = slice(j, min(j + side, n))
+                tile = buf[: (rows.stop - i) * (cols.stop - j)].reshape(rows.stop - i, -1)
+                form(rows, cols, tile)
+                if i == j:
+                    np.fill_diagonal(tile, np.inf)
+                fold(rows, j, tile, 1)
+                if i != j:
+                    fold(cols, i, tile, 0)
 
 
 def _npy_view(buf: bytes) -> np.ndarray:
@@ -456,10 +448,11 @@ def _npy_view(buf: bytes) -> np.ndarray:
                       order="F" if fortran_order else "C")
 
 
-def _gemm_sq_distances(a, a_sq, b, b_sq):
-    """s2[i, j] = ||a_i||^2 - 2 a_i.b_j + ||b_j||^2, built in place in one
-    fixed operation order, the one _sq_error_bound is derived for."""
-    s2 = a @ b.T
+def _gemm_sq_distances(a, a_sq, b, b_sq, out=None):
+    """s2[i, j] = ||a_i||^2 - 2 a_i.b_j + ||b_j||^2, built in place (in out,
+    if given) in one fixed operation order, the one _sq_error_bound is
+    derived for."""
+    s2 = np.matmul(a, b.T, out=out)
     s2 *= -2.0
     s2 += b_sq
     s2 += a_sq[:, None]
@@ -584,10 +577,11 @@ def _sq_distances_from(point, vectors, ids) -> np.ndarray:
     return out
 
 
-def _least_two(s2, axis):
-    """Along each row (axis 1) or column (axis 0) of s2: the least value, an
-    index holding it and the least of the other entries. s2 is left as it
-    was, infinities included."""
+def _fold_least(least, partner, runner_up, words, offset, s2, axis):
+    """Fold each row's (axis 1) or column's (axis 0) least value of s2, an
+    index holding it plus offset, and the least of its other entries into
+    the running least, partner and runner-up of those words, in place. s2
+    is left as it was, infinities included."""
     n = s2.shape[1 - axis]
     if axis == 1:
         at = s2.argmin(axis=1)
@@ -598,22 +592,15 @@ def _least_two(s2, axis):
         at = np.empty(n, dtype=np.int64)
         at[hits % n] = hits // n
     idx = (np.arange(n), at) if axis == 1 else (at, np.arange(n))
-    least = s2[idx]
+    tile_least = s2[idx]
     s2[idx] = np.inf
     second = s2.min(axis=axis)
-    s2[idx] = least
-    return least, at, second
-
-
-def _merge_least(least, partner, runner_up, offset, tile_least, tile_at, tile_second):
-    """Fold one tile's _least_two into the running least, partner and
-    runner-up of the same words (views, updated in place)."""
-    better = tile_least < least
-    runner_up[:] = np.where(
-        better, np.minimum(least, tile_second), np.minimum(runner_up, tile_least)
-    )
-    partner[better] = tile_at[better] + offset
-    least[better] = tile_least[better]
+    s2[idx] = tile_least
+    better = tile_least < least[words]
+    runner_up[words] = np.where(better, np.minimum(least[words], second),
+                                np.minimum(runner_up[words], tile_least))
+    partner[words][better] = at[better] + offset
+    least[words][better] = tile_least[better]
 
 
 def _argmin_exact(points, vectors, ids, hi, spread, err):

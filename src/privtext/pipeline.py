@@ -21,7 +21,7 @@ import numpy as np
 from .amplification import AmplifierConfig, amplified_epsilon, apply_amplifier
 from .embeddings import EmbeddingStore
 from .errors import ConfigError, require_count, require_params, require_positive, set_fields
-from .randomizers import Mechanism, MechanismConfig
+from .randomizers import NO_CLAIM, Mechanism, MechanismConfig, claimed_factor
 from .samplers import RngStream
 from .sensitivity import SensitivityProfile
 
@@ -183,7 +183,9 @@ def run_protocol(
 
     utility_l1 compares the amplified histogram against the pre-noise
     histogram of the same sampled corpus, isolating mechanism error from
-    corpus sampling error.
+    corpus sampling error. Behind a subsample stage, the metadata carries
+    the subsampled bound of the variant's claimed_factor, or, for a
+    variant that claims none, "guarantee": null and the reason.
     """
     root = RngStream(config.seed)
     inputs = sample_corpus(store, root.fork_named("corpus"), config)
@@ -201,9 +203,13 @@ def run_protocol(
         "n_messages_local": len(messages),
         "n_messages_amplified": len(amplified),
     }
+    factor = claimed_factor(config.mechanism)
     for amp in config.amplifiers:
-        if amp.kind == "subsample":
-            metadata["amplified_epsilon"] = amplified_epsilon(config.mechanism.epsilon, amp.q)
+        if amp.kind == "subsample" and factor is None:
+            metadata.update(guarantee=None, guarantee_note=NO_CLAIM[config.mechanism.variant])
+        elif amp.kind == "subsample":
+            metadata["amplified_epsilon"] = {**amplified_epsilon(factor, amp.q),
+                                             "unit": "per unit of embedding distance"}
     return CuratorReport(
         histogram=hist,
         true_histogram=true_hist,

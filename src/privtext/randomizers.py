@@ -107,6 +107,21 @@ class MechanismConfig:
     from_dict = classmethod(from_fields)
 
 
+# why a variant claims no d_X-privacy factor (claimed_factor)
+NO_CLAIM = {
+    "density": "the chain has no proven distance from its target, whose factor is 2 eps",
+    "smooth": "the per-word epsilon eps * GS / s_beta(w) is at least eps; no factor is proven",
+    "trunc_distance": "truncation gives up d_X-privacy at large distances",
+    "trunc_knn": "a word outside the k nearest neighbours is an output of probability 0",
+}
+
+
+def claimed_factor(config: MechanismConfig) -> float | None:
+    """The variant's claimed d_X-privacy factor, per unit of embedding
+    distance: eps for baseline, None for the variants of NO_CLAIM."""
+    return None if config.variant in NO_CLAIM else config.epsilon
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """|W| x |W| output counts of a mechanism: counts[w, u] of the

@@ -6,10 +6,11 @@ an interpretation, see README). The smooth bound exponentially relaxes the
 local values across the metric so that nearby words get nearby scales.
 
 Neither is computed from a |W| x |W| matrix. Local is the store's
-nn_distances, one GEMM pass over the square tiles on and above the
-diagonal, so each pair of words is formed once. The smooth envelope first
-prunes by local alone: a word u != w lies at least local(w) from w, so u
-can only win where local(u) e^(-beta local(w)) >= local(w). It then takes
+nn_distances, one float64 walk of EmbeddingStore._tile_pass over the
+square tiles on and above the diagonal, so each pair of words is formed
+once. The smooth envelope first prunes by local alone: a word u != w
+lies at least local(w) from w, so u can only win where local(u)
+e^(-beta local(w)) >= local(w). It then takes
 GEMM-form distances over the remaining (row, candidate) blocks, and
 recomputes exactly, with cdist's sums (embeddings.paired_distances), only
 the terms whose rounding bounds leave them able to win. Every value equals

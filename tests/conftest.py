@@ -40,19 +40,20 @@ def mixture_store(gen, n_words, dim, spread):
 
 
 def count_passes(monkeypatch) -> list:
-    """Record each EmbeddingStore.distance_blocks pass in the returned list;
+    """Record the dtype of each EmbeddingStore._tile_pass (float64 for
+    nn_distances, float32 for the median's screen) in the returned list;
     fail on any full distance matrix."""
     calls = []
-    blocks = EmbeddingStore.distance_blocks
+    walk = EmbeddingStore._tile_pass
 
-    def counting(self):
-        calls.append(1)
-        return blocks(self)
+    def counting(self, form, dtype, fold):
+        calls.append(np.dtype(dtype))
+        return walk(self, form, dtype, fold)
 
     def no_matrix(self):
         raise AssertionError("per-word geometry built the |W| x |W| matrix")
 
-    monkeypatch.setattr(EmbeddingStore, "distance_blocks", counting)
+    monkeypatch.setattr(EmbeddingStore, "_tile_pass", counting)
     monkeypatch.setattr(EmbeddingStore, "pairwise_distances", no_matrix)
     return calls
 

@@ -708,7 +708,8 @@ def test_nn_distances_computed_once(monkeypatch):
     local = local_by_cdist(store)
     assert store.median_nn_distance() == np.median(local)
     assert store.mean_nn_distance() == np.mean(local)
-    assert len(calls) == 1
+    # the median's float32 walk, then one float64 walk for nn_distances
+    assert calls == [np.float32, np.float64]
     with pytest.raises(ValueError):
         store.nn_distances[0] = 0.0
 
@@ -724,37 +725,72 @@ def tile_store(kind: str, n: int, dim: int) -> EmbeddingStore:
 
 
 def record_tiles(monkeypatch) -> list:
-    """Record (i, j, rows, cols) of every tile the tile generator yields."""
-    tiles = []
-    blocks = EmbeddingStore.distance_blocks
+    """Record (dtype, axis, i, j, tile) of every fold call of the tile walk:
+    the tile's first word and column as the walk passes them, and a copy of
+    the tile as the fold is handed it."""
+    folds = []
+    walk = EmbeddingStore._tile_pass
 
-    def recording(self):
-        for i, j, s2 in blocks(self):
-            tiles.append((i, j, *s2.shape))
-            yield i, j, s2
+    def recording(self, form, dtype, fold):
+        def recorded(words, offset, tile, axis):
+            i, j = (words.start, offset) if axis == 1 else (offset, words.start)
+            folds.append((np.dtype(dtype), axis, i, j, tile.copy()))
+            return fold(words, offset, tile, axis)
 
-    monkeypatch.setattr(EmbeddingStore, "distance_blocks", recording)
-    return tiles
+        return walk(self, form, dtype, recorded)
+
+    monkeypatch.setattr(EmbeddingStore, "_tile_pass", recording)
+    return folds
 
 
 @pytest.mark.parametrize("budget", [1, 16, 50, 2**20])
 def test_tiles_form_each_pair_once(monkeypatch, budget):
+    # both passes walk the tiles: nn_distances in float64, the median in
+    # float32 on the screen
     monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", budget)
-    tiles = record_tiles(monkeypatch)
+    folds = record_tiles(monkeypatch)
     n, side = 30, math.isqrt(budget)
     store = tile_store("random", n, 3)
-    assert np.array_equal(store.nn_distances, local_by_cdist(store))
-    assert sum(r * c for _, _, r, c in tiles) <= n * (n + side) / 2
-    seen = np.zeros((n, n), dtype=np.int64)
-    for i, j, r, c in tiles:
-        assert i <= j and r <= side and c <= side
-        seen[i : i + r, j : j + c] += 1
-    # each unordered pair lies in exactly one tile: once above the diagonal,
-    # in both orders within a diagonal tile
-    block = np.arange(n) // side
-    other = ~np.eye(n, dtype=bool)
-    expected = np.where(block[:, None] == block[None, :], 2, 1)
-    assert np.array_equal((seen + seen.T)[other], expected[other])
+    local = local_by_cdist(store)
+    assert np.array_equal(store.nn_distances, local)
+    assert store.median_nn_distance() == np.median(local)
+    for dtype in (np.float64, np.float32):
+        tiles = [(i, j, *t.shape) for dt, axis, i, j, t in folds if dt == dtype and axis == 1]
+        assert sum(r * c for _, _, r, c in tiles) <= n * (n + side) / 2
+        seen = np.zeros((n, n), dtype=np.int64)
+        for i, j, r, c in tiles:
+            assert i <= j and r <= side and c <= side
+            seen[i : i + r, j : j + c] += 1
+        # each unordered pair lies in exactly one tile: once above the
+        # diagonal, in both orders within a diagonal tile
+        block = np.arange(n) // side
+        other = ~np.eye(n, dtype=bool)
+        expected = np.where(block[:, None] == block[None, :], 2, 1)
+        assert np.array_equal((seen + seen.T)[other], expected[other])
+        # the column fold sees the tiles off the diagonal only
+        assert sum(dt == dtype and axis == 0 for dt, axis, *_ in folds) == sum(
+            i != j for i, j, _, _ in tiles)
+
+
+@pytest.mark.parametrize("budget", [1, 16, 50, 2**20])
+@pytest.mark.parametrize("kind", ["random", "duplicates", "offset"])
+def test_reused_tile_keeps_the_operation_order(monkeypatch, kind, budget):
+    # each float64 tile formed in the walk's one buffer equals a fresh
+    # _gemm_sq_distances of the same slices, the order _sq_error_bound is
+    # derived for, at both of its folds
+    monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", budget)
+    folds = record_tiles(monkeypatch)
+    store = tile_store(kind, 30, 4)
+    store.nn_distances
+    assert folds and all(dt == np.float64 for dt, *_ in folds)
+    v, sq = store.vectors, store.sq_norms
+    for _, _, i, j, tile in folds:
+        r, c = tile.shape
+        fresh = embeddings._gemm_sq_distances(v[i : i + r], sq[i : i + r], v[j : j + c],
+                                              sq[j : j + c])
+        if i == j:
+            np.fill_diagonal(fresh, np.inf)
+        assert np.array_equal(tile, fresh)
 
 
 @pytest.mark.parametrize("budget", [2**18, 2**20])
@@ -878,12 +914,12 @@ class TestMedianSelection:
 
     def test_benchmark_scale_refines_few_words(self, monkeypatch):
         # a 2000 x 50, spread-6 mixture: a handful of words can hold the
-        # median's ranks, and no float64 distance_blocks pass runs
+        # median's ranks, and the only tile walk is the float32 one
         store = mixture_store(np.random.default_rng(77), 2000, 50, spread=6.0)
         passes, refined = count_passes(monkeypatch), record_refined(monkeypatch)
         self.check(store)
         assert len(refined) == 1 and refined[0] <= 32
-        assert passes == []
+        assert passes == [np.float32]
 
     def test_pass_holds_one_float32_tile(self):
         # 2000 words: three tiles of up to 1024 x 1024; a float64 tile, or a

@@ -8,15 +8,18 @@ import pytest
 from privtext import (
     AmplifierConfig,
     CorpusSpec,
+    EmbeddingStore,
     Mechanism,
     MechanismConfig,
     ProtocolConfig,
     RngStream,
+    build_profile,
     run_protocol,
     sample_permutation,
 )
 from privtext.errors import ConfigError, InvalidWordIdError
 from privtext.pipeline import run_amplifiers, run_curator, run_local_phase, sample_corpus
+from privtext.randomizers import VARIANTS
 
 from conftest import identity_batch
 
@@ -164,6 +167,38 @@ class TestProtocol:
             math.log(1.0 + q * (math.exp(eps) - 1.0))
         )
         assert accounting["epsilon_first_order"] == pytest.approx(q * eps)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_only_a_claimed_factor_is_subsampled(self, toy5, variant):
+        params = {"baseline": {}, "density": {"mh_steps": 5}, "smooth": {"beta": 1.0},
+                  "trunc_distance": {"tau": 1.2}, "trunc_knn": {"k": 2}}[variant]
+        config = make_config(mechanism=MechanismConfig(variant, 2.0, **params),
+                             amplifiers=(AmplifierConfig("subsample", q=0.5),))
+        meta = run_protocol(toy5, config).metadata
+        if variant == "baseline":
+            assert meta["amplified_epsilon"]["epsilon"] == 2.0
+            assert meta["amplified_epsilon"]["unit"] == "per unit of embedding distance"
+            assert "guarantee" not in meta
+        else:
+            assert "amplified_epsilon" not in meta
+            assert meta["guarantee"] is None and meta["guarantee_note"]
+
+    def test_smooth_reports_no_nominal_epsilon(self):
+        # three words 0.1 apart and three 10 apart: at beta = 1 the cluster's
+        # per-word epsilon is eps * GS / s_beta(w) = 100 eps, so eps bounds
+        # nothing, and the report states no figure derived from it
+        store = EmbeddingStore.from_arrays(
+            list("abcdef"), [[0.0], [0.1], [0.2], [10.0], [20.0], [30.0]])
+        eps = 2.0
+        profile = build_profile(store, 1.0)
+        assert (eps * profile.global_sensitivity / profile.per_word_smooth).max() > 50 * eps
+        config = make_config(mechanism=MechanismConfig("smooth", eps, beta=1.0),
+                             amplifiers=(AmplifierConfig("subsample", q=0.5),))
+        meta = json.loads(run_protocol(store, config, profile).to_json(store))["metadata"]
+        # beside the config echo, only counts and the withheld guarantee
+        assert set(meta) == {"schema_version", "config", "n_messages_local",
+                             "n_messages_amplified", "guarantee", "guarantee_note"}
+        assert meta["guarantee"] is None
 
     def test_determinism_byte_identical(self, toy5):
         config = make_config(amplifiers=(AmplifierConfig("shuffle"),))

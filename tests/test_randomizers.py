@@ -391,7 +391,7 @@ class TestDensityMechanism:
 
     def test_default_sigma_takes_one_pass(self, rng, monkeypatch):
         # the bandwidth is the store's median nearest-neighbour distance,
-        # selected once per Mechanism without a distance_blocks pass
+        # selected once per Mechanism by one float32 tile walk, no float64 one
         store = EmbeddingStore.from_arrays(
             ["p", "q", "r", "s", "t"], [[-1.0], [0.0], [2.0], [2.5], [5.5]]
         )
@@ -409,7 +409,7 @@ class TestDensityMechanism:
         # nearest-neighbour distances 1, 1, 0.5, 0.5, 3
         assert mech._sigma == pytest.approx(1.0)
         assert len(medians) == 1
-        assert len(passes) == 0
+        assert passes == [np.float32]
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, 1e200, 1e-200])
     def test_bandwidth_outside_its_range_is_refused(self, sigma):
@@ -1213,24 +1213,32 @@ def test_float32_exp_within_its_budget_above_zero():
 CORETYPE_PROBE = """
 import hashlib, sys
 import numpy as np
-from privtext import Mechanism, MechanismConfig, RngStream, EmbeddingStore
+from privtext import Mechanism, MechanismConfig, RngStream, EmbeddingStore, build_profile
+def digest(*arrays):
+    return hashlib.sha256(b"".join(x.tobytes() for x in arrays)).hexdigest()
 gen = np.random.default_rng(0)
-a = gen.normal(size=(200, 50)).astype(np.float32)
-b = gen.normal(size=(50, 2000)).astype(np.float32)
-print(hashlib.sha256((a @ b).tobytes()).hexdigest())
+a = gen.normal(size=(200, 50))
+b = gen.normal(size=(50, 2000))
+print(digest(a.astype(np.float32) @ b.astype(np.float32)))
+print(digest(a @ b))
 gen = np.random.default_rng(5)
 store = EmbeddingStore.from_arrays([f"w{i}" for i in range(2000)], 6 * gen.normal(size=(2000, 50)))
 ids = gen.integers(0, 2000, size=20)
 out = Mechanism(store, MechanismConfig("density", 1.0, mh_steps=200)).perturb_words(RngStream(7), ids)
-print(hashlib.sha256(out.astype("<i8").tobytes()).hexdigest())
+print(digest(out.astype("<i8")))
+profile = build_profile(store, 1.0)
+print(digest(profile.per_word_local, profile.per_word_smooth))
+print(repr(store.median_nn_distance()))
 """
 
 
 def test_density_draws_do_not_depend_on_the_blas_kernel():
-    # Two OpenBLAS kernels whose float32 GEMMs differ in their last bits
-    # give the density chain different screened values; every accept
-    # decision is certified or taken on the canonical log-KDE, so the draws
-    # agree. OPENBLAS_CORETYPE is set in the children's environment only.
+    # Two OpenBLAS kernels whose GEMMs differ in their last bits give the
+    # density chain different screened values, and the tile walks different
+    # tiles; every accept decision is certified or taken on the canonical
+    # log-KDE, and every nearest-neighbour distance is cdist's, so the
+    # draws, the sensitivity profile and sigma agree. OPENBLAS_CORETYPE is
+    # set in the children's environment only.
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for core in ("Haswell", "Sandybridge"):
@@ -1239,7 +1247,8 @@ def test_density_draws_do_not_depend_on_the_blas_kernel():
                               text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.split())
-    (gemm_a, draws_a), (gemm_b, draws_b) = outputs
-    if gemm_a == gemm_b:
-        pytest.skip("the two OpenBLAS kernels give the same float32 GEMM bytes on this host")
-    assert draws_a == draws_b
+    (gemm32_a, gemm64_a, *results_a), (gemm32_b, gemm64_b, *results_b) = outputs
+    if gemm32_a == gemm32_b and gemm64_a == gemm64_b:
+        pytest.skip("the two OpenBLAS kernels give the same GEMM bytes on this host")
+    # the draws' digest, the profile's digest and sigma
+    assert results_a == results_b
