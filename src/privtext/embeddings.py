@@ -3,8 +3,9 @@
 The store is immutable after construction and is the metric space every
 mechanism in this package operates on. Nearest-neighbor queries are exact
 brute force; ties always break toward the lowest word id so that repeated
-runs are bit-identical. Every distance that decides a query is
-paired_distances', which equals scipy's cdist bit for bit; only the
+runs are bit-identical. Every distance that decides a query is summed as
+scipy's cdist sums it, bit for bit, by _pair_sq_distances, and every
+nearest word the rounding bounds leave open is _argmin_exact's. Only the
 whole-row and |W| x |W| queries (distance_row, pairwise_distances) call
 cdist itself, and import SciPy when they run.
 """
@@ -34,7 +35,7 @@ CACHE_MAGIC = "privtext-embeddings-v2"
 # entries in one (rows x candidates) block: 8 MiB of float64, or 4 MiB of
 # the float32 decode screen
 _NN_BLOCK_ENTRIES = 2**20
-# differences in one paired_distances call of a blocked refinement: 256 KiB
+# differences in one block of _pair_sq_distances: 256 KiB
 _EXACT_BLOCK_ENTRIES = 2**15
 # unit roundoff and smallest subnormal of float64 and of float32, for
 # _sq_error_bound
@@ -159,10 +160,10 @@ class EmbeddingStore:
         Every (row, candidate) pair is screened in float32, on the
         vocabulary-major copy that _screen makes on the first call, by one
         plain (rows x (d + 1)) @ ((d + 1) x candidates) GEMM against the
-        screen's vectors and upper; paired_distances decides the rows that
-        the screen cannot: those where another candidate's lower bound
-        reaches the least upper bound, over the candidates that reach it,
-        and those too far out to screen, over every candidate.
+        screen's vectors and upper; _argmin_exact decides the rows that the
+        screen cannot, on exact distances: those where another candidate's
+        lower bound reaches the least upper bound, over the candidates that
+        reach it, and those too far out to screen, over every candidate.
         """
         points = require_points("points", points, self.dim)
         screen = self._screen
@@ -267,7 +268,7 @@ class EmbeddingStore:
 
     def distance_row(self, w: int) -> np.ndarray:
         """A new (|W|,) array of w's distance to every word, one cdist row. A
-        whole row is where cdist outruns paired_distances, so SciPy is
+        whole row is where cdist outruns _pair_sq_distances, so SciPy is
         imported here."""
         from scipy.spatial.distance import cdist
 
@@ -304,9 +305,10 @@ class EmbeddingStore:
         distance lies in [m - spread_w - S - E, m + E], S the largest spread
         and E the screen's absolute error term (see _sq_error_bound).
         np.median reads the ranks n // 2 and, for even n, n // 2 - 1; only
-        the words whose interval can hold one of them take the exact path
-        (_nn_rows), and np.median of the exact values at those ranks is the
-        result. The pass holds one float32 tile and O(|W| d) float32."""
+        the words whose interval can hold one of them take their exact
+        nearest neighbor (_nearest_other) and its exact distance, and
+        np.median of those values at those ranks is the result. The pass
+        holds one float32 tile and O(|W| d) float32."""
         n = len(self.words)
         if n == 1:
             return 0.0
@@ -337,7 +339,8 @@ class EmbeddingStore:
         # last rank's greatest possible value certainly above it
         below = upper < np.partition(lower, first)[first]
         ws = np.flatnonzero(~below & (lower <= np.partition(upper, k)[k]))
-        exact = np.sort(self._nn_rows(ws))
+        v = self.vectors
+        exact = np.sort(np.sqrt(_pair_sq_distances(v, v, ws, self._nearest_other(ws))))
         skip = np.count_nonzero(below)
         return float(np.median(exact[first - skip : k - skip + 1]))
 
@@ -351,20 +354,20 @@ class EmbeddingStore:
         """Per-word distance to the nearest distinct neighbor, read-only:
         made on first use and kept for the store's lifetime; zeros(1) for a
         one-word vocabulary. Each value is cdist's, the row minimum of
-        pairwise_distances with the diagonal masked, and is computed by
-        paired_distances. The working memory is one float64 tile plus O(|W|).
+        pairwise_distances with the diagonal masked. The working memory is
+        one float64 tile plus O(|W|).
 
         One _tile_pass forms each tile in _gemm_sq_distances' order and
         keeps per word the least value, a partner holding it and the least
         of the rest (_fold_least). Every pair of word w is within e(w) =
         _sq_error_bound(||w||^2, max ||v||^2) of its exact sum, so when the
         runner-up lies more than 2 e(w) above the least, that partner is the
-        only exact minimizer and paired_distances of the pair gives the
-        value, in blocks of _EXACT_BLOCK_ENTRIES differences. The other
-        words (duplicates, near-ties, stores far from the origin) take the
-        exact path of _nn_rows."""
+        only exact minimizer. The other words (duplicates, near-ties, stores
+        far from the origin) take their partner from _nearest_other. Each
+        value is then the exact distance of the word and its partner
+        (_pair_sq_distances)."""
         n = len(self.words)
-        d = np.zeros(n)
+        d = np.zeros(1)
         if n > 1:
             v, sq = self.vectors, self.sq_norms
             nearest = least, partner, runner_up = (
@@ -372,36 +375,27 @@ class EmbeddingStore:
             self._tile_pass(lambda r, c, out: _gemm_sq_distances(v[r], sq[r], v[c], sq[c], out),
                             np.float64, partial(_fold_least, *nearest))
             ceiling = least + 2.0 * _sq_error_bound(sq, sq.max(), self.dim)
-            unique = runner_up > ceiling
-            ws = np.flatnonzero(unique)
-            step = max(1, _EXACT_BLOCK_ENTRIES // self.dim)
-            for lo in range(0, len(ws), step):
-                w = ws[lo : lo + step]
-                d[w] = paired_distances(v[w], v[partner[w]])
-            rest = np.flatnonzero(~unique)
-            d[rest] = self._nn_rows(rest)
+            rest = np.flatnonzero(runner_up <= ceiling)
+            partner[rest] = self._nearest_other(rest)
+            d = np.sqrt(_pair_sq_distances(v, v, np.arange(n), partner))
         d.setflags(write=False)
         return d
 
-    def _nn_rows(self, ws) -> np.ndarray:
-        """The nearest-distinct-neighbor distance (cdist's) of each word in
-        ws, by the exact path: float64 GEMM rows against the vocabulary, at
-        most _NN_BLOCK_ENTRIES entries at a time, and paired_distances to
-        every word within 2 e(w) of the row's least entry. Each entry is
-        within e(w) of its exact sum, so that least is within e(w) of the
-        exact least and every exact minimizer is kept."""
-        n = len(self.words)
-        out = np.empty(len(ws))
-        slack = 2.0 * _sq_error_bound(self.sq_norms[ws], self.sq_norms.max(), self.dim)
-        block_rows = max(1, _NN_BLOCK_ENTRIES // n)
+    def _nearest_other(self, ws) -> np.ndarray:
+        """The nearest distinct neighbor of each word in ws, cdist's argmin,
+        lowest id on a tie: float64 GEMM rows, at most _NN_BLOCK_ENTRIES
+        entries at a time, the word's own masked, decided by _argmin_exact
+        with spread 0 and err = e(w), the bound of every entry of the row
+        (see nn_distances)."""
+        v, sq = self.vectors, self.sq_norms
+        out = np.empty(len(ws), dtype=np.int64)
+        err = _sq_error_bound(sq[ws], sq.max(), self.dim)
+        block_rows = max(1, _NN_BLOCK_ENTRIES // len(self.words))
         for lo in range(0, len(ws), block_rows):
             w = ws[lo : lo + block_rows]
-            s2 = _gemm_sq_distances(self.vectors[w], self.sq_norms[w], self.vectors, self.sq_norms)
+            s2 = _gemm_sq_distances(v[w], sq[w], v, sq)
             s2[np.arange(len(w)), w] = np.inf
-            keep = s2 <= (s2.min(axis=1) + slack[lo : lo + block_rows])[:, None]
-            del s2
-            for k, _, dist in exact_distances(self.vectors[w], self.vectors, keep):
-                out[lo + k] = dist.min()
+            out[lo : lo + len(w)] = _argmin_exact(v[w], v, None, s2, 0.0, err[lo : lo + len(w)])
         return out
 
     def _tile_pass(self, form, dtype, fold):
@@ -462,7 +456,7 @@ def _gemm_sq_distances(a, a_sq, b, b_sq, out=None):
 def _sq_error_bound(a_sq, b_sq, dim, u=_U, eta=_ETA):
     """4 (dim + 4) (u (a_sq + b_sq) + eta), broadcast: a bound on |s2 - q|
     for GEMM-form s2 of two points with squared norms a_sq and b_sq, q the
-    squared distance that cdist (and paired_distances, in the same order)
+    squared distance that cdist (and _pair_sq_distances, in its order)
     sums for the pair, u the unit roundoff and eta the smallest subnormal
     (float64's by default). It grows with either
     norm, so its value at the largest norm bounds a whole row. With float32's
@@ -533,47 +527,22 @@ def _sq_error_bound(a_sq, b_sq, dim, u=_U, eta=_ETA):
     return err
 
 
-def exact_distances(a, b, keep):
-    """For each row i of a (len(a), len(b)) bool mask, yields (i, the indices
-    j kept in row i, the distances from a[i] to those b[j], cdist's)."""
-    for i, row in enumerate(keep):
-        cand = np.flatnonzero(row)
-        yield i, cand, _distances_from(a[i], b, cand)
-
-
-def paired_distances(a, b) -> np.ndarray:
-    """||a_i - b_i|| for each row i of two (n, d) float64 arrays (either may
-    be one row, broadcast), equal bit for bit to scipy's cdist value for the
-    pair. cdist adds the squared differences in index order and then takes
-    the square root; np.add.accumulate keeps that order, where np.sum's
-    pairwise order would not. A sum that overflows is Inf, as in cdist, with
-    no warning. The working memory is one (n, d) array."""
-    return np.sqrt(_paired_sq_distances(a, b))
-
-
-def _paired_sq_distances(a, b) -> np.ndarray:
-    """paired_distances before the square root: the squared differences
-    of each pair added in index order, Inf where the sum overflows."""
+def _pair_sq_distances(a, b, rows, cols) -> np.ndarray:
+    """||a[rows[k]] - b[cols[k]]||^2 for each k, as scipy's cdist sums it
+    before its square root: the squared differences added in index order
+    (np.add.accumulate; np.sum's pairwise order would not keep it), Inf
+    where the sum overflows, with no warning. The pairs are gathered in
+    blocks of at most _EXACT_BLOCK_ENTRIES differences; for one row against
+    many, rows is np.broadcast_to(i, cols.shape)."""
+    out = np.empty(len(rows))
+    step = max(1, _EXACT_BLOCK_ENTRIES // a.shape[1])
     with np.errstate(over="ignore"):
-        t = a - b
-        t *= t
-        np.add.accumulate(t, axis=1, out=t)
-        return t[:, -1]
-
-
-def _distances_from(point, vectors, ids) -> np.ndarray:
-    """cdist(point[None], vectors[ids])[0]: the square roots of _sq_distances_from."""
-    return np.sqrt(_sq_distances_from(point, vectors, ids))
-
-
-def _sq_distances_from(point, vectors, ids) -> np.ndarray:
-    """The squared distances from point to vectors[ids] as cdist sums them
-    (_paired_sq_distances), the rows of ids gathered in blocks of at most
-    _EXACT_BLOCK_ENTRIES differences."""
-    out = np.empty(len(ids))
-    step = max(1, _EXACT_BLOCK_ENTRIES // vectors.shape[1])
-    for lo in range(0, len(ids), step):
-        out[lo : lo + step] = _paired_sq_distances(point[None, :], vectors[ids[lo : lo + step]])
+        for lo in range(0, len(rows), step):
+            t = a[rows[lo : lo + step]]
+            t -= b[cols[lo : lo + step]]
+            t *= t
+            np.add.accumulate(t, axis=1, out=t)
+            out[lo : lo + step] = t[:, -1]
     return out
 
 
@@ -607,11 +576,11 @@ def _argmin_exact(points, vectors, ids, hi, spread, err):
     """Argmin per row i of exact sums q[i, j] (scaled, less a row constant)
     given hi[i, j] + err[i] above each and hi[i, j] - spread[j] - err[i]
     below it. A row where one column's upper end lies below every other
-    column's lower end is decided by that column; the rest by
-    paired_distances from points to the rows of vectors (ids[j] for column
-    j, or j if ids is None) over the columns whose lower end reaches the
-    least upper end, the lowest column winning a tie. hi is overwritten
-    with the lower ends."""
+    column's lower end is decided by that column; the rest by cdist's
+    distances (_pair_sq_distances) from points to the rows of vectors
+    (ids[j] for column j, or j if ids is None) over the columns whose lower
+    end reaches the least upper end, the lowest column winning a tie. hi is
+    overwritten with the lower ends."""
     rows = np.arange(hi.shape[0])
     out = hi.argmin(axis=1)
     ceiling = hi[rows, out] + 2.0 * err
@@ -622,8 +591,10 @@ def _argmin_exact(points, vectors, ids, hi, spread, err):
     hi[rows, out] = least
     for i in close:
         kept = np.flatnonzero(hi[i] <= ceiling[i])
-        dist = _distances_from(points[i], vectors, kept if ids is None else ids[kept])
-        out[i] = kept[np.argmin(dist)]
+        sq = _pair_sq_distances(points, vectors, np.broadcast_to(i, kept.shape),
+                                kept if ids is None else ids[kept])
+        # the argmin of the square roots: two sums an ulp apart can share one
+        out[i] = kept[np.argmin(np.sqrt(sq))]
     return out
 
 

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .embeddings import _NN_BLOCK_ENTRIES, _U, _U32, EmbeddingStore, _sq_distances_from
+from .embeddings import _NN_BLOCK_ENTRIES, _U, _U32, EmbeddingStore, _pair_sq_distances
 from .errors import (
     ConfigError, InvalidWordIdError, MatrixFormatError, from_fields, require_bandwidth,
     require_count, require_nonnegative, require_params, require_points, require_positive,
@@ -223,7 +223,7 @@ def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
         sums += np.einsum("ij->i", parts, dtype=np.float64)
     values[rows] = np.log(sums) + shift
     # Why this bound. Write q_j for the squared distance from the point to
-    # word j that cdist (and _paired_sq_distances, in its order) sums, den =
+    # word j that cdist (and _pair_sq_distances, in its order) sums, den =
     # -(2 sigma^2) as rounded, N = |W|, LSE for log-sum-exp and u, u32 for
     # the unit roundoffs. LSE is monotone and moves by c when every entry
     # does, so it moves by at most the largest change of an entry: it is
@@ -280,10 +280,11 @@ def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
 
 def _canonical_log_kde(store: EmbeddingStore, point, sigma: float) -> float:
     """The log-KDE at one point (d,) by a path that no BLAS kernel enters:
-    the squared distances _sq_distances_from sums (cdist's), each divided
+    the squared distances _pair_sq_distances sums (cdist's), each divided
     by -(2 sigma^2), and the exponentials, shifted by their maximum, added
     by math.fsum."""
-    sq = _sq_distances_from(point, store.vectors, np.arange(len(store)))
+    n = len(store)
+    sq = _pair_sq_distances(point[None, :], store.vectors, np.broadcast_to(0, (n,)), np.arange(n))
     with np.errstate(invalid="ignore"):
         sq /= -(2.0 * sigma**2)
         mx = sq.max()

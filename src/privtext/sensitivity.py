@@ -12,9 +12,9 @@ once. The smooth envelope first prunes by local alone: a word u != w
 lies at least local(w) from w, so u can only win where local(u)
 e^(-beta local(w)) >= local(w). It then takes
 GEMM-form distances over the remaining (row, candidate) blocks, and
-recomputes exactly, with cdist's sums (embeddings.paired_distances), only
-the terms whose rounding bounds leave them able to win. Every value equals
-that of the full cdist form.
+recomputes exactly, with cdist's sums (embeddings._pair_sq_distances),
+only the terms whose rounding bounds leave them able to win. Every value
+equals that of the full cdist form.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embeddings
-from .embeddings import EmbeddingStore, exact_distances
+from .embeddings import EmbeddingStore, _pair_sq_distances
 from .errors import ConfigError, SingletonVocabularyError, _floats, require_nonnegative
 
 
@@ -105,10 +105,10 @@ def build_profile(store: EmbeddingStore, beta: float) -> SensitivityProfile:
         # be the maximum; if that best is 0, an upper value of 0 is a 0 term
         keep = upper >= floor[:, None]
         keep &= upper > 0.0
-        for i, cand, dist in exact_distances(store.vectors[block], vecs[:k], keep):
-            if cand.size:
-                w = block[i]
-                smooth[w] = max(smooth[w], np.max(by_local[cand] * np.exp(-beta * dist)))
+        for i in np.flatnonzero(keep.any(axis=1)):
+            cand, w = np.flatnonzero(keep[i]), block[i]
+            exact = _pair_sq_distances(store.vectors, vecs, np.broadcast_to(w, cand.shape), cand)
+            smooth[w] = max(smooth[w], np.max(by_local[cand] * np.exp(-beta * np.sqrt(exact))))
     return SensitivityProfile(per_word_local=local, beta=float(beta), per_word_smooth=smooth)
 
 

@@ -334,9 +334,17 @@ SCALES = st.sampled_from([-310, -200, -160, -3, 0, 3, 100, 150, 154, 300])
 exact_cases = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
+def pair_distances(a, b, rows, cols) -> np.ndarray:
+    """The square roots of _pair_sq_distances: cdist's distances of the pairs."""
+    return np.sqrt(embeddings._pair_sq_distances(a, b, np.asarray(rows), np.asarray(cols)))
+
+
 class TestPairedDistances:
-    """paired_distances, the numpy kernel that decides every exact query,
-    against scipy's cdist: equal under array_equal, Inf included."""
+    """_pair_sq_distances, the numpy kernel that decides every exact query,
+    against scipy's cdist in the three ways the library calls it: one row
+    against many by a broadcast index, each row against its partner, and
+    repeated indices across block edges. Equal under array_equal, Inf
+    included."""
 
     @exact_cases
     @given(
@@ -359,12 +367,14 @@ class TestPairedDistances:
         if duplicates:
             b[: min(rows, cols)] = a[: min(rows, cols)]
         partner = np.arange(rows) % cols
+        every = np.arange(cols)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # one row against every column, as the refinements call it, and
             # each row against its own partner, as nn_distances does
-            by_row = np.vstack([embeddings.paired_distances(a[i : i + 1], b) for i in range(rows)])
-            paired = embeddings.paired_distances(a, b[partner])
+            by_row = np.vstack([pair_distances(a, b, np.broadcast_to(i, every.shape), every)
+                                for i in range(rows)])
+            paired = pair_distances(a, b, np.arange(rows), partner)
         expected = cdist(a, b)
         assert np.array_equal(by_row, expected)
         assert np.array_equal(paired, expected[np.arange(rows), partner])
@@ -374,7 +384,7 @@ class TestPairedDistances:
         b = np.array([[-1e154, 0.0], [-1e300, 0.0], [1e-160, 1e-160]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = embeddings.paired_distances(a, b)
+            got = pair_distances(a, b, np.arange(3), np.arange(3))
         assert np.array_equal(got, np.diagonal(cdist(a, b)))
         assert np.isinf(got[:2]).all() and 0 < got[2] < 1e-159
 
@@ -386,18 +396,23 @@ class TestPairedDistances:
         by_sum = np.sqrt(np.sum((a - b) ** 2, axis=1))
         expected = np.diagonal(cdist(a, b))
         assert not np.array_equal(by_sum, expected)
-        assert np.array_equal(embeddings.paired_distances(a, b), expected)
+        assert np.array_equal(pair_distances(a, b, np.arange(200), np.arange(200)), expected)
 
     @pytest.mark.parametrize("budget", [1, 7, 2**15])
     def test_blocked_rows_equal_one_cdist_row(self, monkeypatch, budget):
-        # exact_distances takes its pairs in blocks of _EXACT_BLOCK_ENTRIES
+        # the kernel takes its pairs in blocks of _EXACT_BLOCK_ENTRIES
+        # differences, so repeated and broadcast indices cross block edges
         monkeypatch.setattr(embeddings, "_EXACT_BLOCK_ENTRIES", budget)
         gen = np.random.default_rng(4)
         a, b = gen.normal(size=(3, 9)), gen.normal(size=(50, 9))
+        expected = cdist(a, b)
         keep = gen.random((3, 50)) < 0.6
-        for i, cand, dist in embeddings.exact_distances(a, b, keep):
-            assert np.array_equal(cand, np.flatnonzero(keep[i]))
-            assert np.array_equal(dist, cdist(a[i : i + 1], b[cand])[0])
+        for i in range(3):
+            cand = np.flatnonzero(keep[i])
+            got = pair_distances(a, b, np.broadcast_to(i, cand.shape), cand)
+            assert np.array_equal(got, expected[i, cand])
+        rows, cols = gen.integers(0, 3, size=200), gen.integers(0, 50, size=200)
+        assert np.array_equal(pair_distances(a, b, rows, cols), expected[rows, cols])
 
 
 class TestNearestWord:
@@ -516,12 +531,13 @@ class TestNearestWord:
             # a block that mixes rows at 1 with rows at 1e60
             gen.normal(size=(10, dim)) * np.repeat([[1.0], [1e60]], 5, axis=0),
         ])
-        assert np.array_equal(store.nearest_words(points), nearest_by_cdist(store, points))
         cands = np.sort(gen.choice(len(vecs), size=len(vecs) // 3, replace=False))
-        assert np.array_equal(
-            store.nearest_words(points, candidate_ids=cands),
-            nearest_by_cdist(store, points, cands),
-        )
+        whole, among = nearest_by_cdist(store, points), nearest_by_cdist(store, points, cands)
+        # the exact distances in blocks of one difference, and of the default
+        for exact_budget in (1, 2**15):
+            monkeypatch.setattr(embeddings, "_EXACT_BLOCK_ENTRIES", exact_budget)
+            assert np.array_equal(store.nearest_words(points), whole)
+            assert np.array_equal(store.nearest_words(points, candidate_ids=cands), among)
 
     def test_candidate_ids_are_checked(self, toy3):
         # a negative id would wrap around, a float one be truncated
@@ -812,8 +828,8 @@ def test_nn_pass_memory_is_two_tiles(monkeypatch, kind, budget):
 
 
 def test_nn_refinement_stays_within_a_tile(monkeypatch):
-    # at d = 300 the unique-partner pass would hold three 4.8 MB (pairs, d)
-    # arrays if it took all 2000 pairs at once; in blocks of
+    # at d = 300 the exact distances of the 2000 (word, partner) pairs would
+    # hold 4.8 MB (pairs, d) arrays if taken all at once; in blocks of
     # _EXACT_BLOCK_ENTRIES differences the pass stays within the tiles' bound
     monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", 2**18)
     n = 2000
@@ -829,14 +845,14 @@ def test_nn_refinement_stays_within_a_tile(monkeypatch):
 
 
 def record_refined(monkeypatch) -> list:
-    """Record the number of words each exact-path call (_nn_rows) takes."""
-    refined, rows = [], EmbeddingStore._nn_rows
+    """Record the number of words each exact-path call (_nearest_other) takes."""
+    refined, nearest = [], EmbeddingStore._nearest_other
 
     def recording(self, ws):
         refined.append(len(ws))
-        return rows(self, ws)
+        return nearest(self, ws)
 
-    monkeypatch.setattr(EmbeddingStore, "_nn_rows", recording)
+    monkeypatch.setattr(EmbeddingStore, "_nearest_other", recording)
     return refined
 
 

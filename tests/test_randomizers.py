@@ -1229,6 +1229,14 @@ print(digest(out.astype("<i8")))
 profile = build_profile(store, 1.0)
 print(digest(profile.per_word_local, profile.per_word_smooth))
 print(repr(store.median_nn_distance()))
+# words whose nearest neighbour the float64 tiles cannot settle: a second
+# half that duplicates the first, and a store at 1e6 whose every pair lies
+# within the rounding bound; both take _nearest_other's GEMM rows
+vecs = gen.normal(size=(2000, 50))
+vecs[1000:] = vecs[:1000]
+print(digest(EmbeddingStore.from_arrays([f"w{i}" for i in range(2000)], vecs).nn_distances))
+vecs = 1e6 + 1e-3 * np.random.default_rng(31).normal(size=(400, 4))
+print(digest(EmbeddingStore.from_arrays([f"w{i}" for i in range(400)], vecs).nn_distances))
 """
 
 
@@ -1250,5 +1258,6 @@ def test_density_draws_do_not_depend_on_the_blas_kernel():
     (gemm32_a, gemm64_a, *results_a), (gemm32_b, gemm64_b, *results_b) = outputs
     if gemm32_a == gemm32_b and gemm64_a == gemm64_b:
         pytest.skip("the two OpenBLAS kernels give the same GEMM bytes on this host")
-    # the draws' digest, the profile's digest and sigma
+    # the draws' digest, the profile's digest, sigma and the two
+    # nearest-neighbour digests
     assert results_a == results_b

@@ -222,12 +222,18 @@ def hard_vectors(kind: str) -> np.ndarray:
 def test_blocked_pass_matches_cdist_oracles(monkeypatch, kind, beta, budget):
     monkeypatch.setattr(embeddings, "_NN_BLOCK_ENTRIES", budget)
     vecs = hard_vectors(kind)
-    store = EmbeddingStore.from_arrays([f"w{i}" for i in range(len(vecs))], vecs)
-    profile = build_profile(store, beta)
-    local = local_by_cdist(store)
-    assert np.array_equal(store.nn_distances, local)
-    assert np.array_equal(profile.per_word_local, local)
-    assert np.array_equal(profile.per_word_smooth, smooth_by_cdist(store, beta))
+    words = [f"w{i}" for i in range(len(vecs))]
+    oracle = EmbeddingStore.from_arrays(words, vecs)
+    local, smooth = local_by_cdist(oracle), smooth_by_cdist(oracle, beta)
+    # the exact distances in blocks of one difference, and of the default;
+    # a new store each time, as nn_distances is kept
+    for exact_budget in (1, 2**15):
+        monkeypatch.setattr(embeddings, "_EXACT_BLOCK_ENTRIES", exact_budget)
+        store = EmbeddingStore.from_arrays(words, vecs)
+        profile = build_profile(store, beta)
+        assert np.array_equal(store.nn_distances, local)
+        assert np.array_equal(profile.per_word_local, local)
+        assert np.array_equal(profile.per_word_smooth, smooth)
 
 
 def test_prune_keeps_a_winner_at_its_edge():
