@@ -161,14 +161,12 @@ def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
     """(values, bounds): the log of the unnormalized RBF kernel density over
     the vocabulary at each row of a (n, d) array of points, scored on the
     store's float32 decode screen, and a bound on each value's distance from
-    _canonical_log_kde's. One float32 GEMM of the rows [kappa' (-2 p^),
-    kappa', kappa (P - S / 2)] against the screen's [v^; upper; 1] forms
-    the centred log kernels; exp runs on them in place, float32 sums of 64
-    columns each (np.matmul) and the float64 sum of those give each row's
-    sum. A row whose kernels all lie within u32 of 1 takes a closed form
-    instead. A row the pass cannot bound (past the screen's limit, or so
-    far out that the scaled kernels could overflow float32) has value 0
-    and bound Inf."""
+    _canonical_log_kde's. _gemm_log_kde scores the rows in blocks of
+    _NN_BLOCK_ENTRIES // |W| (at least one), so its float32 kernels stay
+    within one decode block however many rows there are. A row whose
+    kernels all lie within u32 of 1 takes a closed form instead. A row the
+    pass cannot bound (past the screen's limit, or so far out that the
+    scaled kernels could overflow float32) has value 0 and bound Inf."""
     points = require_points("points", points, store.dim)
     screen, n_words, dim = store._screen, len(store), store.dim
     with np.errstate(over="ignore"):
@@ -179,7 +177,6 @@ def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
     # float32's normal range sends no row through the GEMM
     lim = (min(screen.limit, 2.0**100 / abs(kappa)) if 2.0**-100 <= abs(kappa) <= 2.0**100
            else -1.0)
-    half_spread = float(screen.spread.max()) / 2
     a, p_sq, err = store._screen_points(points, dim + 2)
     values, bounds = np.zeros(len(points)), np.full(len(points), np.inf)
     # q_top bounds the scaled squared distance from the row to every word:
@@ -199,9 +196,24 @@ def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
     bounds[flat] = (abs(kappa) * q_top[flat] / 2 * (1 + 2.0**-20)
                     + 64 * _U * (math.log(n_words) + 1))
     rows = np.flatnonzero((p_sq <= lim) & ~flat)
-    if not rows.size:
-        return values, bounds
-    a, p_sq, err = a[rows], p_sq[rows], err[rows]
+    step = max(1, _NN_BLOCK_ENTRIES // n_words)
+    for lo in range(0, rows.size, step):
+        at = rows[lo : lo + step]
+        values[at], bounds[at] = _gemm_log_kde(screen, a[at], p_sq[at], err[at], kappa)
+    return values, bounds
+
+
+def _gemm_log_kde(screen, a, p_sq, err, kappa: float):
+    """(values, bounds) of _screened_log_kde for the rows of a, a (rows,
+    d + 2) float32 array holding p^ in its first d columns, with their p_sq
+    and err from _screen_points; a and err are overwritten. One float32
+    GEMM of the rows [kappa' (-2 p^), kappa', kappa (P - S / 2)] against
+    the screen's [v^; upper; 1] forms the centred log kernels; exp runs on
+    them in place, float32 sums of 64 columns each (np.matmul) and the
+    float64 sum of those give each row's sum."""
+    rows, dim = a.shape[0], a.shape[1] - 2
+    n_words = screen.aug.shape[1]
+    half_spread = float(screen.spread.max()) / 2
     # kappa' (-2 p^) in one rounding: doubling kappa' is exact
     a[:, :dim] *= np.float32(-2.0) * np.float32(kappa)
     a[:, dim] = kappa
@@ -218,10 +230,10 @@ def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
     split = n_words - n_words % _SUM_COLUMNS
     sums = np.einsum("ij->i", g[:, split:], dtype=np.float64)
     if split:
-        parts = np.matmul(g[:, :split].reshape(len(rows), -1, _SUM_COLUMNS),
+        parts = np.matmul(g[:, :split].reshape(rows, -1, _SUM_COLUMNS),
                           np.ones(_SUM_COLUMNS, dtype=np.float32))
         sums += np.einsum("ij->i", parts, dtype=np.float64)
-    values[rows] = np.log(sums) + shift
+    values = np.log(sums) + shift
     # Why this bound. Write q_j for the squared distance from the point to
     # word j that cdist (and _pair_sq_distances, in its order) sums, den =
     # -(2 sigma^2) as rounded, N = |W|, LSE for log-sum-exp and u, u32 for
@@ -275,8 +287,7 @@ def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
     err *= abs(kappa) * (1 + 2.0**-20)
     err += _U32 * np.abs(top)
     err += _U32 * (2 * math.log(n_words) + 75) + 2 * n_words * _U
-    bounds[rows] = err
-    return values, bounds
+    return values, err
 
 def _canonical_log_kde(store: EmbeddingStore, point, sigma: float) -> float:
     """The log-KDE at one point (d,) by a path that no BLAS kernel enters:
@@ -482,8 +493,10 @@ class Mechanism:
         against the values' bounds and decides the rest on the canonical,
         BLAS-free log-KDE, so each decision is the one the canonical values
         make, whatever the BLAS kernel. A block holds as many steps as fit n
-        rows each in _NN_BLOCK_ENTRIES // |W| rows, and at least one, so its
-        float32 KDE array stays within one decode block."""
+        rows each in _NN_BLOCK_ENTRIES // |W| rows, and at least one.
+        _screened_log_kde scores its rows in blocks of at most that many, so
+        the float32 kernels stay within one decode block however many
+        chains there are."""
         store, sigma, steps = self.store, self._sigma, self.config.mh_steps
         dim, scale = store.dim, 1.0 / self.config.epsilon
         center = store.vector(w)[None, :]

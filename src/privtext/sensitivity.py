@@ -10,11 +10,11 @@ nn_distances, one float64 walk of EmbeddingStore._tile_pass over the
 square tiles on and above the diagonal, so each pair of words is formed
 once. The smooth envelope first prunes by local alone: a word u != w
 lies at least local(w) from w, so u can only win where local(u)
-e^(-beta local(w)) >= local(w). It then takes
-GEMM-form distances over the remaining (row, candidate) blocks, and
-recomputes exactly, with cdist's sums (embeddings._pair_sq_distances),
-only the terms whose rounding bounds leave them able to win. Every value
-equals that of the full cdist form.
+e^(-beta local(w)) >= local(w), on a prefix of the words by local
+(descending) that a binary search finds. It then takes GEMM-form distances
+over the remaining (row, candidate) blocks, and recomputes exactly, with
+cdist's sums (embeddings._pair_sq_distances), only the terms whose
+rounding bounds leave them able to win. Every value is the cdist form's.
 """
 from __future__ import annotations
 
@@ -54,43 +54,27 @@ class SensitivityProfile:
 
 
 def build_profile(store: EmbeddingStore, beta: float) -> SensitivityProfile:
-    """Compute local and smooth sensitivity for every word, in O(block x |W|)
-    memory: local is the store's nn_distances, and the smooth envelope needs
-    distances only where the sort-by-local prune leaves a term that could win."""
+    """Compute local and smooth sensitivity for every word, in O(|W|) memory
+    plus one block of pairs: local is the store's nn_distances, and the smooth
+    envelope needs distances only where the sort-by-local prune leaves a term."""
     if len(store) < 2:
         raise SingletonVocabularyError("sensitivity needs at least 2 words")
     require_nonnegative("beta", beta)
-    n = len(store)
     budget = embeddings._NN_BLOCK_ENTRIES
     local = store.nn_distances
-    # smooth(w) = max_u local(u) e^(-beta d(w, u)), whose u = w term is
-    # local(w). Any other u lies at cdist distance >= local(w) from w, so its
-    # term is at most local(u) * reach(w) (rounded products and np.exp are
-    # monotone), and it can only win where that product reaches local(w).
-    # Sorted by local, descending, those u are the first width(w) of order.
-    order = np.argsort(-local, kind="stable")
-    by_local = local[order]
-    reach = np.exp(-beta * local)
-    width = np.empty(n, dtype=np.int64)
-    step = max(1, budget // n)
-    for lo in range(0, n, step):
-        hi = lo + step
-        width[lo:hi] = np.count_nonzero(by_local * reach[lo:hi, None] >= local[lo:hi, None], axis=1)
+    order, by_local, width = _prune(local, beta)
     # only the first width.max() rows of order are ever read: copying all of
     # them made a |W| x d transient per profile (12 MB at |W| = 5000, d = 300)
     top = order[: width.max()]
     vecs, sq = store.vectors[top], store.sq_norms[top]
     smooth = local.copy()
-    # the rows left, by width, in blocks of at most budget (rows x width) entries
-    rows = np.argsort(width, kind="stable")
-    rows = rows[width[rows] > 0]
+    # the rows left, widest first, in blocks of at most budget entries or one row
+    rows = np.argsort(-width, kind="stable")[: np.count_nonzero(width)]
     start = 0
     while start < len(rows):
-        stop = start + 1
-        while stop < len(rows) and (stop + 1 - start) * width[rows[stop]] <= budget:
-            stop += 1
-        block, k = rows[start:stop], width[rows[stop - 1]]
-        start = stop
+        k = width[rows[start]]
+        block = rows[start : start + max(1, budget // k)]
+        start += len(block)
         # GEMM-form squared distances and their rounding bounds: a term whose
         # bounds lose to another's loses on exact distances too
         a_sq = store.sq_norms[block]
@@ -105,11 +89,26 @@ def build_profile(store: EmbeddingStore, beta: float) -> SensitivityProfile:
         # be the maximum; if that best is 0, an upper value of 0 is a 0 term
         keep = upper >= floor[:, None]
         keep &= upper > 0.0
-        for i in np.flatnonzero(keep.any(axis=1)):
-            cand, w = np.flatnonzero(keep[i]), block[i]
-            exact = _pair_sq_distances(store.vectors, vecs, np.broadcast_to(w, cand.shape), cand)
-            smooth[w] = max(smooth[w], np.max(by_local[cand] * np.exp(-beta * np.sqrt(exact))))
+        i, cand = np.nonzero(keep)
+        exact = _pair_sq_distances(store.vectors, vecs, block[i], cand)
+        np.maximum.at(smooth, block[i], by_local[cand] * np.exp(-beta * np.sqrt(exact)))
     return SensitivityProfile(per_word_local=local, beta=float(beta), per_word_smooth=smooth)
+
+
+def _prune(local, beta: float):
+    """(order, local[order], width): the words by local, descending (stable),
+    and the number of them, width(w), whose term in w's smooth envelope can
+    beat local(w). A u != w lies at least local(w) from w, so its term is at
+    most fl(local(u) * reach(w)), reach = e^(-beta local), which never rises
+    along order: a rounded product is monotone."""
+    order = np.argsort(-local, kind="stable")
+    by_local = np.append(local[order], np.nan)  # a NaN past the end fails every test
+    reach, n = np.exp(-beta * local), len(local)
+    width = np.zeros(n, dtype=np.int64)
+    # a binary search per word: each power of two, largest first, that keeps the test true
+    for step in 2 ** np.arange(n.bit_length())[::-1]:
+        width += np.where(by_local[np.minimum(width + step, n + 1) - 1] * reach >= local, step, 0)
+    return order, by_local[:-1], width
 
 
 def _terms(sq, beta: float, local) -> np.ndarray:

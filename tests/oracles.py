@@ -4,11 +4,12 @@ These deliberately avoid the library's own sampling/evaluation code paths:
 quadrature and grid enumeration here, Monte Carlo there. The loop forms of
 the batched analysis paths (per-observation attack, full-matrix verifier),
 the full-matrix cdist forms of the blocked geometry (local and smooth
-sensitivity), the one-point and cdist forms of the decode, the
-line-by-line matrix TSV parser and the one-step-at-a-time density chain are
-kept here as references that the fast code must match exactly. The density
-chain on its former single stream, and the permutation test that compares
-two chains' output laws, check that a change of the draws keeps the law.
+sensitivity), the smooth envelope's prune widths as a count over every
+pair, the one-point and cdist forms of the decode, the line-by-line
+matrix TSV parser and the one-step-at-a-time density chain are kept here
+as references that the fast code must match exactly. The density chain on
+its former single stream, and the permutation test that compares two
+chains' output laws, check that a change of the draws keeps the law.
 """
 import math
 import re
@@ -120,6 +121,14 @@ def smooth_by_cdist(store, beta: float) -> np.ndarray:
     local = d.min(axis=1)
     np.fill_diagonal(d, 0.0)
     return np.max(local[None, :] * np.exp(-beta * d), axis=1)
+
+
+def prune_widths_by_count(local, beta: float) -> np.ndarray:
+    """Per word w, the number of words u with fl(local(u) * e^(-beta
+    local(w))) >= local(w): the smooth envelope's prune, counted over every
+    (w, u) pair."""
+    reach = np.exp(-beta * local)
+    return np.count_nonzero(local[None, :] * reach[:, None] >= local[:, None], axis=1)
 
 
 def local_sensitivity_t(store, w: int, t: float) -> float:

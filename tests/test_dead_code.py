@@ -1,5 +1,5 @@
 """Code with no caller gets deleted: a scan of src/privtext for functions
-nothing else in the package names.
+nothing else in the package names, and for constants nothing reads.
 
 Every private function or method, and every module-level function that
 privtext/__init__.py does not export, must be named by a Name or an
@@ -7,6 +7,11 @@ Attribute node somewhere in src/ outside its own body; a docstring or a
 comment that mentions it does not count, and neither do the tests. Public
 methods are exempt (those of exported classes are API), and so are dunder
 methods, which Python calls by protocol.
+
+Every private module-level constant (a name with one leading underscore
+bound by an assignment at module level) must be read, by a Name or an
+Attribute node in a load context, somewhere in src/; binding it again is
+not a read.
 """
 import ast
 from pathlib import Path
@@ -58,8 +63,33 @@ def uncalled(modules: dict) -> list:
             if not any(f != file or not first <= line <= last for f, line in refs.get(func, []))]
 
 
+def checked_constants(modules: dict):
+    """(file, name, line) of every private module-level constant."""
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if (isinstance(leaf, ast.Name) and leaf.id.startswith("_")
+                                and not leaf.id.startswith("__")):
+                            yield name, leaf.id, node.lineno
+
+
+def unread(modules: dict) -> list:
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return [f"{file}:{line} {const}"
+            for file, const, line in checked_constants(modules) if const not in read]
+
+
 def test_every_private_function_has_a_caller_in_the_package():
     assert uncalled(parse_package()) == []
+
+
+def test_every_private_constant_is_read_in_the_package():
+    assert unread(parse_package()) == []
 
 
 def test_the_scan_flags_a_function_named_only_in_a_docstring():
@@ -77,3 +107,16 @@ def test_the_scan_flags_a_function_named_only_in_a_docstring():
             "    def __len__(self):\n        return 0\n"),
     }
     assert uncalled(modules) == ["m.py:7 _dead", "m.py:11 helper", "m.py:21 _unused"]
+
+
+def test_the_scan_flags_a_constant_nothing_reads():
+    modules = {
+        "__init__.py": ast.parse("from .m import api\n"),
+        "m.py": ast.parse(
+            "_USED = 1\n_BY_ATTRIBUTE: int = 2\n_REBOUND = 3\n_DOC = 4\n"
+            "__all__ = ['api']\nPUBLIC = 5\n\n"
+            "def api():\n    '''_DOC is named here only.'''\n"
+            "    global _REBOUND\n    _REBOUND = _USED\n    return PUBLIC\n"),
+        "n.py": ast.parse("from . import m\n\ndef f():\n    return m._BY_ATTRIBUTE\n"),
+    }
+    assert unread(modules) == ["m.py:3 _REBOUND", "m.py:4 _DOC"]

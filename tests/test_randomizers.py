@@ -905,6 +905,20 @@ class TestDensityBlocks:
             tracemalloc.stop()
         assert peak < embeddings._NN_BLOCK_ENTRIES * 8 + 2**20
 
+    def test_kde_stays_within_a_block_whatever_the_chains(self):
+        # one step of n chains is four KDE blocks of 2**20 // |W| rows and
+        # one row more: scored at once, its float32 kernels would take 16 MiB
+        store = random_store(np.random.default_rng(61), 1024, 2)
+        n = 4 * (embeddings._NN_BLOCK_ENTRIES // len(store)) + 1
+        mech = Mechanism(store, MechanismConfig("density", 1.0, sigma=1.0, mh_steps=3))
+        tracemalloc.start()
+        try:
+            mech.perturb_batch(RngStream(62), 0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * embeddings._NN_BLOCK_ENTRIES * 4
+
 
 class TestDensityDrawsPinned:
     """The exact draws of the density variant, pinned by a digest of

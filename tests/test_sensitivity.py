@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from privtext import EmbeddingStore, SensitivityProfile, build_profile, embeddings
+from privtext import EmbeddingStore, SensitivityProfile, build_profile, embeddings, sensitivity
 from privtext.errors import ConfigError, SingletonVocabularyError
 from privtext.sensitivity import profile_tsv
 
@@ -17,6 +17,7 @@ from oracles import (
     distance,
     local_by_cdist,
     local_sensitivity_t,
+    prune_widths_by_count,
     smooth_by_cdist,
     smooth_sensitivity_by_balls,
 )
@@ -246,6 +247,26 @@ def test_prune_keeps_a_winner_at_its_edge():
     assert np.array_equal(profile.per_word_smooth, smooth_by_cdist(store, 0.23))
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.7, 1e300])
+@pytest.mark.parametrize("kind", ["duplicates", "ties", "clusters"])
+def test_prune_widths_match_the_full_count(kind, beta):
+    # duplicates have local 0 and so width |W|; a lattice ties every local
+    # at 1; at beta = 1e300 e^(-beta local) underflows to 0 but for local 0
+    if kind == "ties":
+        vecs = np.stack(np.meshgrid(np.arange(5.0), np.arange(6.0)), axis=-1).reshape(-1, 2)
+    else:
+        vecs = hard_vectors(kind)
+    store = EmbeddingStore.from_arrays([f"w{i}" for i in range(len(vecs))], vecs)
+    local = store.nn_distances
+    order, by_local, width = sensitivity._prune(local, beta)
+    assert np.array_equal(width, prune_widths_by_count(local, beta))
+    assert np.array_equal(by_local, local[order])
+    assert np.array_equal(by_local, np.sort(local)[::-1])
+    profile = build_profile(store, beta)
+    assert np.array_equal(profile.per_word_local, local_by_cdist(store))
+    assert np.array_equal(profile.per_word_smooth, smooth_by_cdist(store, beta))
+
+
 def test_random_stores_match_cdist_oracles():
     gen = np.random.default_rng(41)
     for _ in range(60):
@@ -298,3 +319,19 @@ def test_profile_copies_only_the_rows_its_prune_reaches():
         tracemalloc.stop()
     assert np.array_equal(profile.per_word_smooth, profile.per_word_local)
     assert peak - kept < store.vectors.nbytes / 4
+
+
+def test_prune_allocates_no_block_of_pairs():
+    # locals above 6 at d = 64: at beta = 1 no word's width is positive, and
+    # a count over every (word, candidate) pair would build an 8 MiB product
+    # block to learn that
+    store = random_store(np.random.default_rng(43), 4000, 64)
+    store.nn_distances  # made and kept before the measurement
+    tracemalloc.start()
+    try:
+        profile = build_profile(store, 1.0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not sensitivity._prune(profile.per_word_local, 1.0)[2].any()
+    assert peak - kept < 2**20
