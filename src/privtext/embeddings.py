@@ -12,6 +12,7 @@ cdist itself, and import SciPy when they run.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import os
 import tempfile
@@ -610,29 +611,78 @@ def _utf8_lines(fh, path):
 def load_embeddings(path) -> EmbeddingStore:
     """Parse a text embedding file into an EmbeddingStore.
 
-    Format: optional first header line "<count> <dim>", then one record per
-    line: word followed by d space-separated decimal floats. The parse
-    rejects a record with no components, a non-numeric component and a row
-    of another width, naming the line, and a header count that is not the
-    record count; EmbeddingStore._adopt rejects duplicate words and
-    non-finite components, naming the word. Every error names the file.
-    The store keeps the stacked array the parse makes, with no copy.
+    Format: UTF-8 text, a leading byte order mark skipped; an optional first
+    line "<count> <dim>", then one record per line: a word and d components,
+    split on whitespace as str.split splits. A component is anything Python's
+    float() reads. NumPy's C reader parses the file (_load_by_reader). A file
+    it refuses goes through the line loop (_load_by_line), which reads every
+    file the reader reads to the same bits, and also what only float() reads
+    (1_0, a non-ASCII digit). The line loop rejects a record with no
+    components, a non-numeric component and a row of another width, naming
+    the line, and a header count that is not the record count;
+    EmbeddingStore._adopt rejects duplicate words and non-finite components,
+    naming the word. Every error names the file. The store keeps the array
+    the parse makes, with no copy.
     """
+    parsed = _load_by_reader(path)
+    words, vectors = parsed if parsed is not None else _load_by_line(path)
+    return _adopt_naming(path, words, vectors)
+
+
+def _header(tokens):
+    """(count, dim) if the tokens of a file's first line are a header."""
+    if len(tokens) == 2:
+        try:
+            return int(tokens[0]), int(tokens[1])
+        except ValueError:
+            pass
+    return None
+
+
+def _load_by_reader(path):
+    """(words, vectors) of a text embedding file by np.loadtxt's C reader, or
+    None where the reader refuses the file. It splits lines as str.split
+    does, and every token it reads as a number it reads as float() does,
+    bit for bit; it refuses the rest (1_0, a non-ASCII digit, a NUL). So it
+    refuses every file the line loop rejects, and is checked against it in
+    the tests. The header is read by the line loop's rule. The first
+    record's width fixes the record dtype, so a row of any other width is
+    refused, not cut to it; comments=None keeps words that start with '#'."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            lines = iter(fh)
+            head = next(lines, "")
+            header = _header(head.split())
+            if header is None:
+                lines = itertools.chain([head], lines)
+            first = next((line for line in lines if not line.isspace()), "")
+            dim = len(first.split()) - 1
+            if dim < 1 or header is not None and header[1] != dim:
+                return None
+            record = np.dtype([("word", object), ("vector", np.float64, (dim,))])
+            table = np.loadtxt(itertools.chain([first], lines), dtype=record, comments=None,
+                               ndmin=1)
+        except ValueError:  # a token or row width it refuses, or bytes that are not UTF-8
+            return None
+    if header is not None and header[0] != len(table):
+        return None
+    return table["word"].tolist(), np.ascontiguousarray(table["vector"])
+
+
+def _load_by_line(path):
+    """(words, vectors) of a text embedding file, one line at a time with
+    float(): load_embeddings' fallback, whose errors name the line."""
     words: list[str] = []
     rows: list[np.ndarray] = []
     header_count = dim = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             tokens = line.split()
             if not tokens:
                 continue
-            if lineno == 1 and len(tokens) == 2:
-                try:
-                    header_count, dim = int(tokens[0]), int(tokens[1])
-                except ValueError:
-                    pass
-                else:
-                    continue
+            if lineno == 1 and (header := _header(tokens)) is not None:
+                header_count, dim = header
+                continue
             word, comps = tokens[0], tokens[1:]
             if not comps:
                 raise EmbeddingFormatError(f"{path}:{lineno}: no vector components")
@@ -652,7 +702,7 @@ def load_embeddings(path) -> EmbeddingStore:
         raise EmptyVocabularyError(f"{path}: no embedding records")
     if header_count is not None and header_count != len(words):
         raise EmbeddingFormatError(f"{path}: header count {header_count} != {len(words)} records")
-    return _adopt_naming(path, words, np.vstack(rows))
+    return words, np.vstack(rows)
 
 
 def _adopt_naming(path, words, vectors) -> EmbeddingStore:

@@ -111,6 +111,14 @@ class TestPerturb:
         assert code == 0
         assert out == "zzz v\n"
 
+    @pytest.mark.parametrize("header", ["", "5 2\n"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, capsys, header):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + (header + TOY).encode("utf-8"))
+        code, out, err = run(["--embeddings", str(path), "perturb", "--epsilon", "1000"],
+                             stdin="v w\n", monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out, err) == (0, "v w\n", "")
+
     def test_deterministic_given_seed(self, emb, monkeypatch, capsys):
         args = ["--embeddings", emb, "--seed", "3", "perturb", "--epsilon", "0.2"]
         outs = []
@@ -647,6 +655,14 @@ class TestErrors:
                                  capsys=capsys)
             assert code == 2 and out == ""
             assert err.startswith(f"error: {path}: ") and word in err
+
+    def test_header_only_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "header.txt"
+        path.write_text("5 2\n", encoding="utf-8")
+        code, out, err = run(["--embeddings", str(path), "perturb", "--epsilon", "1",
+                              "--input", os.devnull], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: no embedding records\n"
 
     def test_non_utf8_files_exit_2(self, emb, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.bin"

@@ -7,7 +7,7 @@ import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -287,6 +287,181 @@ class TestLoad:
         path.write_bytes(b"a 0 0\n\xe9t\xe9 1 1\n")
         with pytest.raises(EmbeddingFormatError, match="UTF-8"):
             load_embeddings(str(path))
+
+
+# Python's whitespace: str.split splits a line on each of these, and a file
+# opened as text ends a line at "\n", "\r" and "\r\n"
+WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+LINE_ENDS = ["\n", "\r", "\r\n"]
+# tokens float() reads and NumPy's C reader refuses (1_0, non-ASCII digits),
+# tokens both read (1e400 as inf), and tokens neither reads
+ODD_NUMBERS = ["1_0", "١", "１", "1٢.5", "nan", "-Infinity", "1e400", "-1e-400",
+               "4.9e-324", "2.4703282292062328e-324", "+.5", "5.", "-0", "0x10", "\x00",
+               "1\x00", "1e", "--1", "1 0"]
+ODD_WORDS = ["a", "b", "#c", '"d"', "#", "\x00", "été", "\ufeffa", "1", "nan", "5"]
+
+number = st.one_of(
+    st.floats(-1e6, 1e6).map("{:.6f}".format),
+    st.floats().map(repr),
+    st.sampled_from(ODD_NUMBERS),
+)
+word = st.one_of(st.sampled_from(ODD_WORDS),
+                 st.text(st.characters(codec="utf-8", blacklist_characters=WHITESPACE),
+                         min_size=1, max_size=3))
+
+
+@st.composite
+def embedding_files(draw) -> str:
+    """Text embedding files, valid and not: odd separators, line ends and
+    tokens, blank lines, rows of another width, and a header that is right
+    or has the wrong count or dim."""
+    dim = draw(st.integers(1, 3))
+    width = st.sampled_from([dim, dim, dim, 0, dim + 1])
+    rows = draw(st.lists(st.tuples(word, width.flatmap(lambda k: st.lists(number, min_size=k,
+                                                                        max_size=k))),
+                         max_size=5))
+    gap = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=2)
+    lines = []
+    for w, comps in rows:
+        tokens = [w, *comps]
+        parts = [draw(st.sampled_from(["", " ", "\t", "\u3000"]))]
+        for tok in tokens:
+            parts += [tok, draw(gap)]
+        parts[-1] = draw(st.sampled_from(["", " ", "\x0c"]))
+        lines.append("".join(parts))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t\x1c", "\u2028"])))
+    header = draw(st.sampled_from([None, (0, 0), (1, 0), (0, 1)]))
+    if header is not None:
+        lines.insert(0, f"{len(rows) + header[0]} {dim + header[1]}")
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if draw(st.booleans()) and text.endswith("\n") else text
+
+
+def by_line(path) -> EmbeddingStore:
+    """load_embeddings as the line loop alone gives it."""
+    return embeddings._adopt_naming(path, *embeddings._load_by_line(path))
+
+
+def outcome(load, path):
+    """(words, vector bytes) of the store load gives, or (error class,
+    message)."""
+    try:
+        store = load(path)
+    except EmbeddingFormatError as exc:
+        return type(exc), str(exc)
+    return store.words, store.vectors.tobytes()
+
+
+def count_line_loops(monkeypatch) -> list:
+    """Record each call of the line loop in the returned list."""
+    calls = []
+    loop = embeddings._load_by_line
+
+    def counting(path):
+        calls.append(path)
+        return loop(path)
+
+    monkeypatch.setattr(embeddings, "_load_by_line", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def bench_file(tmp_path_factory):
+    """(path, vectors) of a 5000 x 50 file as perfbench writes it: a header,
+    then one record per line with '%.6f' components."""
+    vectors = np.random.default_rng(29).normal(scale=6.0, size=(5000, 50))
+    path = tmp_path_factory.mktemp("bench") / "bench.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(vectors)} {vectors.shape[1]}\n")
+        for i, row in enumerate(vectors):
+            fh.write(f"w{i:05d} " + " ".join(f"{x:.6f}" for x in row) + "\n")
+    return path, vectors
+
+
+class TestTextReader:
+    """load_embeddings reads by NumPy's C reader, and the line loop reads
+    what the reader refuses: the two give the same store or the same error."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=embedding_files())
+    # the three ways np.loadtxt differs from the line loop unless told not to:
+    # usecols drops extra columns, comments="#" cuts a '#' word, and a file
+    # with no records warns "input contained no data"
+    @example(text="a 1 2\nb 3 4 5\n")
+    @example(text="2 1\na 1 2\nb 3 4\n")
+    @example(text="#a 1 2\n\"b\" 3 4\n")
+    @example(text="a 1 #2\n")
+    @example(text="")
+    @example(text="3 2\n")
+    @example(text="3 2\n \n\t\n")
+    def test_same_store_or_error_as_the_line_loop(self, tmp_path_factory, text):
+        path = str(tmp_path_factory.getbasetemp() / "reader.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(load_embeddings, path) == outcome(by_line, path)
+
+    @pytest.mark.parametrize("text, by_reader", [
+        ("a 1_0 2\n", False), ("a ١ 2\n", False), ("a 1 ２\n", False),
+        ("a\xa01\u20282\u30003\x1c\n", True), ("2 2\n\na 0 1\r\nb 1 0\r", True),
+    ])
+    def test_line_loop_reads_only_what_the_reader_refuses(self, tmp_path, monkeypatch, text,
+                                                          by_reader):
+        path = write(tmp_path, text)
+        calls = count_line_loops(monkeypatch)
+        store = load_embeddings(path)
+        assert calls == ([] if by_reader else [path])
+        assert (store.words, store.vectors.tobytes()) == outcome(by_line, path)
+
+    @pytest.mark.parametrize("text, error, where", [
+        ("a 0 0\nb 1 zero\n", EmbeddingFormatError, ":2: non-numeric component"),
+        ("a 0 0\n\nb 1 0 0\n", DimensionMismatchError, ":3: expected 2 components, got 3"),
+        ("2 3\na 0 0\nb 1 1\n", DimensionMismatchError, ":2: expected 3 components, got 2"),
+        ("a 0 0\nb\n", EmbeddingFormatError, ":2: no vector components"),
+        ("3 2\na 0 0\nb 1 1\n", EmbeddingFormatError, ": header count 3 != 2 records"),
+    ])
+    def test_refused_files_name_the_line(self, tmp_path, text, error, where):
+        path = write(tmp_path, text)
+        with pytest.raises(error, match=f"^{re.escape(path + where)}$"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("text", ["2 2\nthe 0 1\na 1 0\n", "the 0 1\na 1 0\n"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, text):
+        plain = load_embeddings(write(tmp_path, text, "plain.txt"))
+        (tmp_path / "bom.txt").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        for load in (load_embeddings, by_line):
+            store = load(str(tmp_path / "bom.txt"))
+            assert store.words == plain.words == ("the", "a")
+            assert store.vectors.tobytes() == plain.vectors.tobytes()
+
+    def test_perfbench_and_glove_files_skip_the_line_loop(self, bench_file, tmp_path,
+                                                          monkeypatch):
+        path, vectors = bench_file
+        glove = ["été", "naïve", "東京", "مرحبا", "#tag", '"quoted"']
+        (tmp_path / "glove.txt").write_text(
+            "".join(w + " " + " ".join(map(repr, row.tolist())) + "\n"
+                    for w, row in zip(glove, np.random.default_rng(3).normal(size=(6, 3)))),
+            encoding="utf-8")
+        calls = count_line_loops(monkeypatch)
+        bench = load_embeddings(path)
+        assert load_embeddings(tmp_path / "glove.txt").words == tuple(glove)
+        assert calls == []
+        assert np.array_equal(bench.vectors, np.array(
+            [[float(f"{x:.6f}") for x in row] for row in vectors]))
+
+    def test_reader_peak_is_under_the_line_loop_peak(self, bench_file):
+        peaks = []
+        for load in (load_embeddings, by_line):
+            tracemalloc.start()
+            try:
+                load(bench_file[0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestDistance:

@@ -86,12 +86,20 @@ def as_bytes(data):
 # --- embedding text -----------------------------------------------------------
 
 token = st.one_of(
-    st.sampled_from(WORDS + ["nan", "inf", "-0", "1e308", "1_0", "2", "3", "0x1p3"]),
+    # words, and numbers that only float() reads (so only the line loop) or both parsers read
+    st.sampled_from(WORDS + ["nan", "inf", "-0", "1e308", "1_0", "١", "１", "2", "3", "0x1p3",
+                             "1e400", "\x00", "\ufeff"]),
     st.floats().map(repr),
     st.integers(-3, 10).map(str),
     st.text(st.characters(codec="utf-8"), max_size=3),
 )
-embedding_text = st.lists(st.lists(token, max_size=5).map(" ".join), max_size=6).map("\n".join)
+# separators and line ends str.split and NumPy's C reader both split on
+separator = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028",
+                             "\u3000"])
+line_end = st.sampled_from(["\n", "\r", "\r\n"])
+embedding_text = st.lists(
+    st.tuples(st.lists(st.tuples(token, separator), max_size=5), line_end), max_size=6,
+).map(lambda lines: "".join("".join(t + s for t, s in toks) + end for toks, end in lines))
 
 
 @fuzz
