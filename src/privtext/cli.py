@@ -3,7 +3,9 @@
 Subcommands: perturb, matrix, stats, verify-dp, attack, sensitivity,
 pipeline, ingest. Every subcommand is deterministic given its flags and
 --seed, echoes its fully-resolved configuration into output metadata, and
-writes output files atomically (temp file + rename).
+writes output files atomically (temp file + rename). Text is UTF-8 in and
+out, whatever the locale: embeddings.text_file reads every input, a leading
+byte order mark skipped, and _emit writes every output.
 
 Exit codes: 2 config/validation error, 3 I/O error.
 """
@@ -17,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analysis, embeddings, pipeline, randomizers, sensitivity
-from .errors import ConfigError, InvalidWordIdError, PrivtextError
+from .errors import ConfigError, InvalidWordIdError, MatrixFormatError, PrivtextError
 from .pipeline import SCHEMA_VERSION
 from .randomizers import Mechanism, MechanismConfig
 from .samplers import RngStream
@@ -25,14 +27,6 @@ from .sensitivity import build_profile
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _attack_prior(spec: str, n_words: int) -> np.ndarray:
@@ -52,7 +46,10 @@ def _emit(args, text: str) -> None:
     if args.out:
         with embeddings.atomic_file(args.out) as fh:
             fh.write(text.encode("utf-8"))
-    else:
+    elif hasattr(sys.stdout, "buffer"):  # UTF-8 bytes, as to --out, whatever the locale
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:  # a text stream with no bytes under it, such as an io.StringIO
         sys.stdout.write(text)
 
 
@@ -116,28 +113,20 @@ def cmd_perturb(args) -> int:
     mech = Mechanism(store, config)
     rng = RngStream(args.seed).fork_named("cli.perturb")
     lines = []
-    source = open(args.input, encoding="utf-8") if args.input else sys.stdin
-    try:
+    with embeddings.text_file(args.input, ConfigError) as source:
         for lineno, line in enumerate(source, start=1):
             tokens = line.split()
             oov = [token for token in tokens if not store.has_word(token)]
             if oov and not args.skip_oov:
                 raise InvalidWordIdError(f"line {lineno}: out-of-vocabulary token {oov[0]!r}")
             lines.append(tokens)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{args.input or '<stdin>'}: not UTF-8 text ({exc.reason})") from None
-    finally:
-        if args.input:
-            source.close()
     # one perturb_batch call per distinct word; --skip-oov tokens pass through
     ids = [store.word_id(t) for tokens in lines for t in tokens if store.has_word(t)]
     outs = iter(mech.perturb_words(rng, ids).tolist())
-    out_lines = [
-        " ".join(store.words[next(outs)] if store.has_word(t) else t for t in tokens)
+    _emit(args, "".join(
+        " ".join(store.words[next(outs)] if store.has_word(t) else t for t in tokens) + "\n"
         for tokens in lines
-    ]
-    text = "\n".join(out_lines) + ("\n" if out_lines else "")
-    _emit(args, text)
+    ))
     return 0
 
 
@@ -166,20 +155,24 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _import_audit_scipy() -> None:
-    """Import scipy.spatial, which pairwise_distances needs, before a
-    command reads its store and matrix. Imported later, after the matrix
-    TSV is parsed, SciPy's long-lived objects land above the parse's freed
-    memory in the heap and keep it resident: the matrix, verify-dp and
-    attack audit at |W| = 1000 peaked at 113.6-113.9 MiB that way, against
-    109.9-111.1 MiB (three pairs of runs)."""
+def _audit_inputs(args) -> tuple:
+    """verify-dp's and attack's store and --matrix TSV, whose errors name the
+    file as the store's do. scipy.spatial is imported first: imported after
+    the TSV's parse, its long-lived objects kept the parse's freed heap
+    resident (the |W| = 1000 matrix, verify-dp and attack audit peaked at
+    113.6-113.9 MiB that way, against 109.9-111.1 MiB, three pairs of runs)."""
     import scipy.spatial.distance  # noqa: F401
+    store = _load_store(args)
+    with embeddings.text_file(args.matrix, MatrixFormatError) as fh:
+        text = fh.read()
+    try:
+        return store, randomizers.matrix_from_tsv(store, text)
+    except (MatrixFormatError, InvalidWordIdError) as exc:
+        raise type(exc)(f"{args.matrix}: {exc}") from None
 
 
 def cmd_verify_dp(args) -> int:
-    _import_audit_scipy()
-    store = _load_store(args)
-    matrix = randomizers.matrix_from_tsv(store, _read_text(args.matrix))
+    store, matrix = _audit_inputs(args)
     report = analysis.verify_metric_dp(matrix, store, args.epsilon)
     payload = asdict(report)
     payload["worst_triple_words"] = [store.words[i] for i in report.worst_triple]
@@ -188,9 +181,7 @@ def cmd_verify_dp(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    _import_audit_scipy()
-    store = _load_store(args)
-    matrix = randomizers.matrix_from_tsv(store, _read_text(args.matrix))
+    store, matrix = _audit_inputs(args)
     prior = _attack_prior(args.prior, len(store))
     rng = RngStream(args.seed).fork_named("cli.attack")
     acc = analysis.attack_accuracy(store, rng, matrix, prior, args.trials)
@@ -209,7 +200,8 @@ def cmd_sensitivity(args) -> int:
 def cmd_pipeline(args) -> int:
     store = _load_store(args)
     try:
-        data = json.loads(_read_text(args.config))
+        with embeddings.text_file(args.config, ConfigError) as fh:
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):

@@ -15,10 +15,11 @@ import io
 import itertools
 import math
 import os
+import sys
 import tempfile
 import zipfile
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -599,20 +600,11 @@ def _argmin_exact(points, vectors, ids, hi, spread, err):
     return out
 
 
-def _utf8_lines(fh, path):
-    """The lines of a text file opened as UTF-8; bytes that do not decode
-    are an EmbeddingFormatError."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise EmbeddingFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
 def load_embeddings(path) -> EmbeddingStore:
     """Parse a text embedding file into an EmbeddingStore.
 
-    Format: UTF-8 text, a leading byte order mark skipped; an optional first
-    line "<count> <dim>", then one record per line: a word and d components,
+    Format: UTF-8 text as text_file reads it; an optional first line
+    "<count> <dim>", then one record per line: a word and d components,
     split on whitespace as str.split splits. A component is anything Python's
     float() reads. NumPy's C reader parses the file (_load_by_reader). A file
     it refuses goes through the line loop (_load_by_line), which reads every
@@ -648,13 +640,11 @@ def _load_by_reader(path):
     the tests. The header is read by the line loop's rule. The first
     record's width fixes the record dtype, so a row of any other width is
     refused, not cut to it; comments=None keeps words that start with '#'."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with text_file(path, EmbeddingFormatError) as fh:
         try:
-            lines = iter(fh)
-            head = next(lines, "")
+            head = next(fh, "")
             header = _header(head.split())
-            if header is None:
-                lines = itertools.chain([head], lines)
+            lines = fh if header is not None else itertools.chain([head], fh)
             first = next((line for line in lines if not line.isspace()), "")
             dim = len(first.split()) - 1
             if dim < 1 or header is not None and header[1] != dim:
@@ -675,8 +665,8 @@ def _load_by_line(path):
     words: list[str] = []
     rows: list[np.ndarray] = []
     header_count = dim = None
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
+    with text_file(path, EmbeddingFormatError) as fh:
+        for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:
                 continue
@@ -741,6 +731,22 @@ def atomic_file(path):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def text_file(path, error):
+    """atomic_file's reading twin, the one way text comes in: the file at
+    path, or stdin when path is None, as UTF-8 whatever the locale, with a
+    leading byte order mark skipped. A byte that does not decode, read in
+    the block, raises error naming the file."""
+    with nullcontext(sys.stdin.buffer) if path is None else open(path, "rb") as raw:
+        fh = io.TextIOWrapper(raw, encoding="utf-8-sig")
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path or '<stdin>'}: not UTF-8 text ({exc.reason})") from None
+        finally:
+            fh.detach()  # the with closes a file, and leaves stdin open
 
 
 def load_cache(path) -> EmbeddingStore:

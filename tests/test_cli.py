@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -32,10 +33,14 @@ def emb(tmp_path):
 
 
 def run(args, stdin=None, monkeypatch=None, capsys=None):
+    """cli.main on argv args, with stdin given as text (sent as UTF-8) or as
+    bytes. The stream has bytes under it, as a pipe's or a terminal's, and a
+    text layer as lax as Python's own stdin under the POSIX locale, which
+    keeps an undecodable byte as a lone surrogate."""
     if stdin is not None:
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        data = stdin if isinstance(stdin, bytes) else stdin.encode("utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                          errors="surrogateescape"))
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -351,6 +356,64 @@ class TestIngest:
         assert out == "v w\n"
 
 
+class TestTextInAndOut:
+    @pytest.mark.parametrize("source", ["perturb --input", "perturb stdin", "verify-dp --matrix",
+                                        "attack --matrix", "pipeline --config"])
+    def test_byte_order_mark_is_skipped_on_every_input(self, source, emb, tmp_path, monkeypatch,
+                                                       capsys):
+        # each exited 2 on a BOM copy: perturb read the mark into its first
+        # token, and verify-dp, attack and pipeline refused the file
+        matrix = "#privtext-matrix-v2\n" + "".join(f"{w}\t{w}\t10\n" for w in "vwxyz")
+        config = json.dumps({"n_users": 2, "m_per_user": 1,
+                             "mechanism": {"variant": "baseline", "epsilon": 1.0}})
+        path = tmp_path / "input.txt"
+        argv, text = {
+            "perturb --input": (["perturb", "--epsilon", "1", "--input", str(path)], "v w\nx\n"),
+            "perturb stdin": (["perturb", "--epsilon", "1"], "v w\nx\n"),
+            "verify-dp --matrix": (["verify-dp", "--matrix", str(path), "--epsilon", "1"], matrix),
+            "attack --matrix": (["attack", "--matrix", str(path), "--trials", "50"], matrix),
+            "pipeline --config": (["pipeline", "--config", str(path)], config),
+        }[source]
+        outs = []
+        for data in (text.encode("utf-8"), b"\xef\xbb\xbf" + text.encode("utf-8")):
+            path.write_bytes(data)
+            code, out, err = run(["--embeddings", emb, *argv],
+                                 stdin=data if source == "perturb stdin" else None,
+                                 monkeypatch=monkeypatch, capsys=capsys)
+            assert (code, err) == (0, ""), data
+            outs.append(out)
+        assert outs[0] and outs[1] == outs[0]
+
+    def test_output_bytes_do_not_depend_on_the_locale(self, tmp_path):
+        # under PYTHONIOENCODING=ascii perturb --input and sensitivity ended
+        # in a UnicodeEncodeError traceback (exit 1); under latin-1 stdout
+        # held the byte 0xE9 for "\xe9", and stdin's UTF-8 "\xe9t\xe9" read as
+        # an out-of-vocabulary token
+        path = tmp_path / "emb.txt"
+        path.write_text("\xe9t\xe9 0 0\nv 8 0\nw 0 8\n", encoding="utf-8")
+        words = tmp_path / "words.txt"
+        words.write_text("v \xe9t\xe9\nw\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        for argv, stdin in (
+            (["perturb", "--epsilon", "1000"], words.read_bytes()),
+            (["perturb", "--epsilon", "1000", "--input", str(words)], b""),
+            (["sensitivity", "--beta", "1"], b""),
+        ):
+            runs = {
+                encoding: subprocess.run(
+                    [sys.executable, "-m", "privtext.cli", "--embeddings", str(path), *argv],
+                    input=stdin, capture_output=True, timeout=120,
+                    env={**env, "PYTHONIOENCODING": encoding},
+                )
+                for encoding in ("utf-8", "ascii", "latin-1")
+            }
+            want = runs["utf-8"].stdout
+            assert "\xe9t\xe9".encode("utf-8") in want, argv
+            for encoding, proc in runs.items():
+                assert (proc.returncode, proc.stderr) == (0, b""), (argv, encoding)
+                assert proc.stdout == want, (argv, encoding)
+
+
 class TestErrors:
     def test_missing_embeddings_exit_2(self, capsys):
         code, _, err = run(["sensitivity", "--beta", "0"], capsys=capsys)
@@ -395,7 +458,8 @@ class TestErrors:
                     capsys=capsys,
                 )
                 assert code == 2, (text, command, err)
-                assert err.startswith("error:") and err.strip() != "error:"
+                # the error names the file, as the store's errors do
+                assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     def test_verdict_follows_the_counts_alone(self, tmp_path, capsys):
         # one v1 file's three rows read satisfied under '#samples 2' and
@@ -677,6 +741,15 @@ class TestErrors:
             code, _, err = run(argv, capsys=capsys)
             assert code == 2, argv
             assert err.startswith("error:") and "UTF-8" in err
+        # stdin is decoded as strictly: a byte that is not UTF-8 was read as
+        # the token '\udcff', an out-of-vocabulary error, and with --skip-oov
+        # passed through to stdout with exit 0
+        for flags in ([], ["--skip-oov"]):
+            code, out, err = run(["--embeddings", emb, "perturb", "--epsilon", "1", *flags],
+                                 stdin=b"v \xff\n", monkeypatch=monkeypatch, capsys=capsys)
+            assert (code, out) == (2, ""), flags
+            assert err.startswith("error: <stdin>: ") and "UTF-8" in err
+            assert err.count("\n") == 1, flags
 
     def test_missing_file_exit_3(self, capsys):
         code, _, _ = run(

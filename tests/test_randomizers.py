@@ -250,7 +250,7 @@ class TestPerturbWords:
         assert run_protocol(toy5, ProtocolConfig(4, 3, cfg)).utility_l1 == 0.0
         path = tmp_path / "emb.txt"
         path.write_text("v 0 0\nw 1 0\n", encoding="utf-8")
-        monkeypatch.setattr("sys.stdin", io.StringIO("v w v\nw\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"v w v\nw\n")))
         assert main(["--embeddings", str(path), "perturb", "--epsilon", "0.1"]) == 0
         assert capsys.readouterr().out == "v w v\nw\n"
         # one call per matrix row, and one per distinct word that stats lists
