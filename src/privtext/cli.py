@@ -3,9 +3,12 @@
 Subcommands: perturb, matrix, stats, verify-dp, attack, sensitivity,
 pipeline, ingest. Every subcommand is deterministic given its flags and
 --seed, echoes its fully-resolved configuration into output metadata, and
-writes output files atomically (temp file + rename). Text is UTF-8 in and
-out, whatever the locale: embeddings.text_file reads every input, a leading
-byte order mark skipped, and _emit writes every output.
+writes output files atomically (temp file + rename). A release is private
+only if its noise is secret, so perturb without --seed draws its seed from
+the operating system's entropy and prints it nowhere; the other
+subcommands default to seed 0, and pipeline to its config's. Text is UTF-8
+in and out, whatever the locale: embeddings.text_file reads every input, a
+leading byte order mark skipped, and _emit writes every output.
 
 Exit codes: 2 config/validation error, 3 I/O error.
 """
@@ -229,7 +232,9 @@ def cmd_ingest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="privtext")
     parser.add_argument("--embeddings", help="text embedding file or .npz cache")
-    parser.add_argument("--seed", type=int, default=None, help="default 0; pipeline: config's")
+    parser.add_argument("--seed", type=int, default=None, help=(
+        "default 0; pipeline: the config's; perturb: fresh OS entropy. A seeded perturb is not"
+        " private against anyone who knows the seed: never let two releases share one"))
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -279,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.seed is None and args.command != "pipeline":
-        args.seed = 0
+        # a release's noise must be secret: perturb seeds from the OS, and never prints it
+        args.seed = np.random.SeedSequence().entropy if args.command == "perturb" else 0
     try:
         return args.func(args)
     except PrivtextError as exc:

@@ -4,10 +4,12 @@ The store is immutable after construction and is the metric space every
 mechanism in this package operates on. Nearest-neighbor queries are exact
 brute force; ties always break toward the lowest word id so that repeated
 runs are bit-identical. Every distance that decides a query is summed as
-scipy's cdist sums it, bit for bit, by _pair_sq_distances, and every
-nearest word the rounding bounds leave open is _argmin_exact's. Only the
-whole-row and |W| x |W| queries (distance_row, pairwise_distances) call
-cdist itself, and import SciPy when they run.
+scipy's cdist sums it, bit for bit, by _pair_sq_distances. Every nearest
+word, a decoded point's or a word's nearest other, comes from one
+screened decode (_nearest) on the float32 screen, centred on the store's
+mean, and _argmin_exact decides what its rounding bounds leave open. Only
+the whole-row and |W| x |W| queries (distance_row, pairwise_distances)
+call cdist itself, and import SciPy when they run.
 """
 from __future__ import annotations
 
@@ -37,7 +39,8 @@ CACHE_MAGIC = "privtext-embeddings-v2"
 # entries in one (rows x candidates) block: 8 MiB of float64, or 4 MiB of
 # the float32 decode screen
 _NN_BLOCK_ENTRIES = 2**20
-# differences in one block of _pair_sq_distances: 256 KiB
+# differences in one block of _pair_sq_distances: 256 KiB (an eighth of
+# it in _round_scaled, so that building the screen holds little beside it)
 _EXACT_BLOCK_ENTRIES = 2**15
 # unit roundoff and smallest subnormal of float64 and of float32, for
 # _sq_error_bound
@@ -48,19 +51,23 @@ _ETA32 = float(np.finfo(np.float32).smallest_subnormal)
 
 
 class _Screen(NamedTuple):
-    """The float32 copy of a store that nearest_words screens with, one
+    """The float32 copy of a store that every decode screens with, one
     augmented array [v^; upper; 1] so that a GEMM against it forms a whole
-    screened quantity, norms and constants included. The error bound of a
-    pair splits into the vector's part, reach = _sq_error_bound(||v||^2, 0,
-    d, _U32, 0), and the point's."""
+    screened quantity, norms and constants included. It is centred: v^ is
+    v - mean, scaled and rounded, and every point is screened as p - mean,
+    so distances, which the centring leaves alone, are screened at the
+    vocabulary's own spread wherever it sits. The error bound of a pair
+    splits into the vector's part, reach = _sq_error_bound(||v^||^2, 0, d,
+    _U32, 0), and the point's."""
 
-    # (d + 2, |W|) float32, C-contiguous, read-only: the vectors times scale,
-    # transposed, then upper = ||vectors||^2 + reach, then ones
+    # (d + 2, |W|) float32, C-contiguous, read-only: the vectors less mean,
+    # times scale, transposed, then upper = ||vectors||^2 + reach, then ones
     aug: np.ndarray
     spread: np.ndarray  # (|W|,) float32 2 reach, read-only
-    scale: float  # the power of two that brings max |component| into [0.5, 1)
+    mean: np.ndarray  # (d,) float64 mean of the store's vectors, read-only
+    scale: float  # the power of two that brings max |v - mean| into [0.5, 1)
     eta: float  # the absolute term of the screen's _sq_error_bound
-    limit: float  # a scaled point with a larger ||p||^2 is not screened
+    limit: float  # a scaled point with a larger ||p^||^2 is not screened
 
     @property
     def vectors(self) -> np.ndarray:
@@ -97,7 +104,8 @@ class EmbeddingStore:
         """A store that takes vectors over: the loaders' path, for an array
         they have just made and no one else writes. A C-contiguous float64
         array is kept without a copy and marked read-only; any other is
-        converted once."""
+        converted once. Every word must be text that UTF-8 can write: a
+        lone surrogate (which a cache's words can hold) is refused."""
         words = tuple(words)
         if len(words) == 0:
             raise EmptyVocabularyError("vocabulary is empty")
@@ -105,6 +113,11 @@ class EmbeddingStore:
         if len(word_to_id) != len(words):
             bad = next(w for i, w in enumerate(words) if word_to_id[w] != i)
             raise DuplicateWordError(f"duplicate word {bad!r}")
+        try:
+            "".join(words).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            bad = words[np.searchsorted(np.cumsum([len(w) for w in words]), exc.start, "right")]
+            raise EmbeddingFormatError(f"word {bad!r} is not UTF-8 text ({exc.reason})") from None
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] != len(words) or vectors.shape[1] == 0:
             raise DimensionMismatchError(
@@ -157,7 +170,20 @@ class EmbeddingStore:
         toward the lowest id.
 
         candidate_ids optionally restricts the argmin to a non-empty set of
-        word ids (integers in [0, |W|); repeats are harmless).
+        word ids (integers in [0, |W|); repeats are harmless). The decode is
+        _nearest's, on the centred float32 screen.
+        """
+        points = require_points("points", points, self.dim)
+        ids = None if candidate_ids is None else self._candidate_ids(candidate_ids)
+        return self._nearest(points, ids)
+
+    def _nearest(self, points, ids=None, words=None) -> np.ndarray:
+        """The one screened decode: for each row of the (n, d) float64
+        points, the id of its nearest word among the candidates ids (sorted
+        word ids; every word if None) by exact (cdist) distance, the lowest
+        id on a tie. With words given (points the store's vectors, ids
+        None), the rows are those words' vectors, each with its own column
+        masked: each word's nearest other word.
 
         Every (row, candidate) pair is screened in float32, on the
         vocabulary-major copy that _screen makes on the first call, by one
@@ -165,52 +191,41 @@ class EmbeddingStore:
         screen's vectors and upper; _argmin_exact decides the rows that the
         screen cannot, on exact distances: those where another candidate's
         lower bound reaches the least upper bound, over the candidates that
-        reach it, and those too far out to screen, over every candidate.
-        """
-        points = require_points("points", points, self.dim)
-        screen = self._screen
-        if candidate_ids is None:
-            ids = None
-            cand, spread = screen.aug[:-1], screen.spread
-        else:
-            ids = self._candidate_ids(candidate_ids)
-            cand, spread = screen.aug[:-1, ids], screen.spread[ids]
-        out, d = np.empty(points.shape[0], dtype=np.int64), self.dim
+        reach it, and those too far out to screen, over every candidate."""
+        screen, d, keep = self._screen, self.dim, slice(None) if ids is None else ids
+        cand, spread = screen.aug[:-1, keep], screen.spread[keep]
+        out = np.empty(len(points) if words is None else len(words), dtype=np.int64)
         block_rows = max(1, _NN_BLOCK_ENTRIES // cand.shape[1])
-        for lo in range(0, points.shape[0], block_rows):
-            block = points[lo : lo + block_rows]
+        for lo in range(0, len(out), block_rows):
+            at = slice(lo, lo + block_rows) if words is None else words[lo : lo + block_rows]
+            block = points[at]
             # hi = [-2 p^, 1] @ [c; upper] = ||c||^2 + reach - 2 c.p in
             # float32 stands for the scaled D - ||p^||^2, D the exact squared
             # distance (cdist's sum), within the candidate's reach plus the
             # point's err (see _sq_error_bound): hi + err lies above it and
             # hi - spread - err below. Doubling the point is exact. A row
             # past the screen's limit (err Inf) is decided exactly over
-            # every candidate.
+            # every candidate but a masked one.
             a, _, err = self._screen_points(block, d + 1)
             a[:, :d] *= -2.0
             a[:, d] = 1.0
-            out[lo : lo + block.shape[0]] = _argmin_exact(block, self.vectors, ids, a @ cand,
-                                                          spread, err)
-        if ids is not None:
-            out = ids[out]
-        return out
+            out[lo : lo + len(block)] = _argmin_exact(block, self.vectors, ids, a @ cand, spread,
+                                                      err, None if words is None else at)
+        return out if ids is None else ids[out]
 
     def _screen_points(self, points, width):
         """(a, p_sq, err): a new (rows, width) float32 array whose first d
-        columns hold the (rows, d) float64 points scaled as the screen's
-        vectors are and rounded once to float32, p^, the rest left for the
-        caller to fill; the float64 sums p_sq = ||p^||^2; and the point's
-        part of the screen's bound, err = _sq_error_bound(p_sq, 0, d, _U32,
-        screen.eta). A row past the screen's limit, Inf included, is
-        screened as the origin with p_sq and err Inf: beyond it the screen
-        could overflow float32, or the exact sums float64."""
+        columns hold the (rows, d) float64 points centred, scaled and
+        rounded as the screen's vectors are (_round_scaled), p^, the rest
+        left for the caller to fill; the float64 sums p_sq = ||p^||^2; and
+        the point's part of the screen's bound, err = _sq_error_bound(p_sq,
+        0, d, _U32, screen.eta). A row past the screen's limit, Inf
+        included, is screened as the origin with p_sq and err Inf: beyond it
+        the screen could overflow float32, or the exact sums float64."""
         screen, d = self._screen, self.dim
         a = np.empty((points.shape[0], width), dtype=np.float32)
         p32 = a[:, :d]
-        # the same exact scaling as the vectors', then one rounding to
-        # float32; a point too large for float32 comes out as Inf
-        with np.errstate(over="ignore"):
-            np.multiply(points, screen.scale, out=p32, casting="same_kind")
+        _round_scaled(points, screen.mean, screen.scale, p32)
         p_sq = np.einsum("ij,ij->i", p32, p32, dtype=np.float64)
         far = ~(p_sq <= screen.limit)
         if far.any():
@@ -229,43 +244,44 @@ class EmbeddingStore:
 
     @cached_property
     def _screen(self) -> _Screen:
-        """The float32 copy that nearest_words screens with, made on its
-        first call and kept for the store's lifetime. Scaling by a power of
-        two is exact, so each component is rounded once; the copy is built
-        in place, with no float64 temporary of the vocabulary.
+        """The float32 copy that every decode screens with, made on the
+        first and kept for the store's lifetime: the vectors less their
+        mean, scaled and rounded once each (_round_scaled), built a block of
+        words at a time with no float64 copy of the vocabulary.
 
         The copy is stored vocabulary-major, (d + 2, |W|) and C-contiguous,
         so each decode is one plain GEMM against it. Against a (|W|, d) copy
         the GEMM takes its operand transposed, and for a few rows OpenBLAS's
         sgemm then re-reads and packs the whole copy on every call."""
-        top = max(float(self.vectors.max()), -float(self.vectors.min()))
+        v, d, mean = self.vectors, self.dim, self.vectors.mean(axis=0)
+        # rounding is monotone: the extreme components round to the extreme
+        # differences
+        top = max(float((v.max(axis=0) - mean).max()), float((mean - v.min(axis=0)).max()))
         # a store below 2^-1022 is clamped to that scale (2^-exp must stay
         # finite); the exact sums underflow there, and eta sends every row
         # to them
         exp = max(math.frexp(top)[1], -1022)
         scale = math.ldexp(1.0, -exp)
-        d = self.dim
         aug = np.empty((d + 2, len(self.words)), dtype=np.float32)
         vectors = aug[:d]
-        np.multiply(self.vectors.T, scale, out=vectors, casting="same_kind")
+        _round_scaled(v, mean, scale, vectors.T)
         sq_norms = np.einsum("ji,ji->i", vectors, vectors)
         reach = _sq_error_bound(sq_norms.astype(np.float64), 0.0, d, _U32, 0.0)
         aug[d] = sq_norms + reach
         aug[d + 1] = 1.0
         spread = (2.0 * reach).astype(np.float32)
-        for arr in (aug, spread):
+        for arr in (aug, spread, mean):
             arr.setflags(write=False)
         return _Screen(
-            aug,
-            spread,
-            scale,
+            aug, spread, mean, scale,
             # the exact sums' subnormal step in the screen's units is
             # _ETA * scale^2
             eta=max(_ETA32, math.ldexp(_ETA, -2 * exp)),
-            # ||p||^2 <= 2^100 keeps every float32 dot product finite (the
-            # vectors' components are below 1), and ||p||^2 <= 2^1020 unscaled
-            # every exact sum to a vector of the store (||v||^2 <= max / 4)
-            limit=math.ldexp(1.0, min(100, 1020 - 2 * exp)),
+            # ||p^||^2 <= 2^100 keeps every float32 dot product finite (the
+            # vectors' components are at most 1). Unscaled, ||p - mean||^2 +
+            # ||v - mean||^2 <= 2^1020 (upper bounds ||v^||^2) keeps every
+            # exact sum to a vector of the store, at most twice that, finite.
+            limit=math.ldexp(1.0, min(100, 1020 - 2 * exp)) - float(aug[d].max()),
         )
 
     def distance_row(self, w: int) -> np.ndarray:
@@ -307,10 +323,12 @@ class EmbeddingStore:
         distance lies in [m - spread_w - S - E, m + E], S the largest spread
         and E the screen's absolute error term (see _sq_error_bound).
         np.median reads the ranks n // 2 and, for even n, n // 2 - 1; only
-        the words whose interval can hold one of them take their exact
-        nearest neighbor (_nearest_other) and its exact distance, and
-        np.median of those values at those ranks is the result. The pass
-        holds one float32 tile and O(|W| d) float32."""
+        the words whose interval can hold one of them take their nearest
+        other word from the screened decode (_nearest) and its exact
+        distance, and np.median of those values at those ranks is the
+        result. The screen is centred, so a store far from the origin
+        refines as few words as the same store at it. The pass holds one
+        float32 tile and O(|W| d) float32."""
         n = len(self.words)
         if n == 1:
             return 0.0
@@ -342,7 +360,7 @@ class EmbeddingStore:
         below = upper < np.partition(lower, first)[first]
         ws = np.flatnonzero(~below & (lower <= np.partition(upper, k)[k]))
         v = self.vectors
-        exact = np.sort(np.sqrt(_pair_sq_distances(v, v, ws, self._nearest_other(ws))))
+        exact = np.sort(np.sqrt(_pair_sq_distances(v, v, ws, self._nearest(v, words=ws))))
         skip = np.count_nonzero(below)
         return float(np.median(exact[first - skip : k - skip + 1]))
 
@@ -365,7 +383,8 @@ class EmbeddingStore:
         _sq_error_bound(||w||^2, max ||v||^2) of its exact sum, so when the
         runner-up lies more than 2 e(w) above the least, that partner is the
         only exact minimizer. The other words (duplicates, near-ties, stores
-        far from the origin) take their partner from _nearest_other. Each
+        far from the origin) take their partner from the screened decode
+        (_nearest), whose screen is made only if there is such a word. Each
         value is then the exact distance of the word and its partner
         (_pair_sq_distances)."""
         n = len(self.words)
@@ -378,27 +397,11 @@ class EmbeddingStore:
                             np.float64, partial(_fold_least, *nearest))
             ceiling = least + 2.0 * _sq_error_bound(sq, sq.max(), self.dim)
             rest = np.flatnonzero(runner_up <= ceiling)
-            partner[rest] = self._nearest_other(rest)
+            if rest.size:
+                partner[rest] = self._nearest(v, words=rest)
             d = np.sqrt(_pair_sq_distances(v, v, np.arange(n), partner))
         d.setflags(write=False)
         return d
-
-    def _nearest_other(self, ws) -> np.ndarray:
-        """The nearest distinct neighbor of each word in ws, cdist's argmin,
-        lowest id on a tie: float64 GEMM rows, at most _NN_BLOCK_ENTRIES
-        entries at a time, the word's own masked, decided by _argmin_exact
-        with spread 0 and err = e(w), the bound of every entry of the row
-        (see nn_distances)."""
-        v, sq = self.vectors, self.sq_norms
-        out = np.empty(len(ws), dtype=np.int64)
-        err = _sq_error_bound(sq[ws], sq.max(), self.dim)
-        block_rows = max(1, _NN_BLOCK_ENTRIES // len(self.words))
-        for lo in range(0, len(ws), block_rows):
-            w = ws[lo : lo + block_rows]
-            s2 = _gemm_sq_distances(v[w], sq[w], v, sq)
-            s2[np.arange(len(w)), w] = np.inf
-            out[lo : lo + len(w)] = _argmin_exact(v[w], v, None, s2, 0.0, err[lo : lo + len(w)])
-        return out
 
     def _tile_pass(self, form, dtype, fold):
         """One walk over the unordered pairs of the vocabulary, by square
@@ -455,6 +458,19 @@ def _gemm_sq_distances(a, a_sq, b, b_sq, out=None):
     return s2
 
 
+def _round_scaled(x, mean, scale, out) -> None:
+    """out = fl32(scale fl64(x - mean)) for the rows of x, in blocks of
+    _EXACT_BLOCK_ENTRIES / 8 entries: each difference rounded once in
+    float64, scaled by a power of two (exact, short of float64's
+    subnormals) and rounded once to float32. A value too large for float32,
+    or a difference too large for float64, comes out as Inf."""
+    step = max(1, _EXACT_BLOCK_ENTRIES // 8 // x.shape[1])
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(x), step):
+            np.multiply(np.subtract(x[lo : lo + step], mean), scale, out=out[lo : lo + step],
+                        casting="same_kind")
+
+
 def _sq_error_bound(a_sq, b_sq, dim, u=_U, eta=_ETA):
     """4 (dim + 4) (u (a_sq + b_sq) + eta), broadcast: a bound on |s2 - q|
     for GEMM-form s2 of two points with squared norms a_sq and b_sq, q the
@@ -481,27 +497,33 @@ def _sq_error_bound(a_sq, b_sq, dim, u=_U, eta=_ETA):
     #   subnormals is off by up to eta / 2 absolute. s2 holds 3 d products (the
     #   cross terms doubled: 2 d eta) and cdist d squares (d eta / 2);
     #   subnormal differences are exact. 4 (d + 4) eta covers both.
-    # The nearest_words screen scales points a and vectors b by one power of
-    # two s, exactly (short of float64 subnormals), rounds them to float32,
-    # a^ and b^, and forms s2 = [-2 a^, 1] . [b^, U] in float32, one
-    # (d + 1)-term dot product with U = fl(Nb + reach) (below), without the
-    # row's Na. Doubling the point is exact: the products' errors are twice
-    # P's, or less among the subnormals. Now u = 2^-24 and eta32 = 2^-149;
-    # norms are the scaled ones, and a^, b^ have them within a relative
-    # 2 u + O(u^2) and an absolute O(d eta32), which the spare and the eta
-    # term absorb.
+    # The decode screen subtracts the store's mean mu from points a and
+    # vectors b in float64, scales the differences by one power of two s,
+    # exactly (short of float64 subnormals), rounds them to float32, a^ and
+    # b^, and forms s2 = [-2 a^, 1] . [b^, U] in float32, one (d + 1)-term
+    # dot product with U = fl(Nb + reach) (below), without the row's Na.
+    # Distances do not see mu: D = ||(b - mu) - (a - mu)||^2. Doubling the
+    # point is exact: the products' errors are twice P's, or less among the
+    # subnormals. Now u = 2^-24 and eta32 = 2^-149; norms are the scaled
+    # centred ones, na = s^2 ||a - mu||^2 and nb = s^2 ||b - mu||^2, and a^,
+    # b^ have them within a relative 2 (u + 2^-53) + O(u^2) and an absolute
+    # O(d eta32), which the spare and the eta term absorb.
     # - Arithmetic: the dot product's terms add up to at most na + 2 nb in
     #   size (the doubled cross terms na + nb, U about nb), so it is within
     #   (d + 1) u (na + 2 nb) of its exact value, and Nb within d u nb:
     #   |s2 - (||b^ - a^||^2 - ||a^||^2 + reach)| <= (3 d + 2) u (na + nb)
     #   (1 + O(d u)).
-    # - Rounding to float32: e = (b^ - s b) - (a^ - s a) has
-    #   |e_k| <= u m_k + 2 eta32, m_k = s (|a_k| + |b_k|), and
-    #   ||b^ - a^||^2 - s^2 D = 2 s (b - a).e + ||e||^2. As |b_k - a_k| <= m_k
-    #   and 4 m_k eta32 <= u m_k^2 + 4 eta32^2 / u, that is at most
-    #   3 u sum m_k^2 + O(d eta32^2 / u) <= 6 u (na + nb) + O(d eta32^2 / u).
-    # - cdist, in the screen's units: (2 d + 4) 2^-53 (na + nb), below
-    #   2 u (na + nb) for any d < 2^28, and d s^2 eta64 / 2 absolute.
+    # - Rounding: e = (b^ - s (b - mu)) - (a^ - s (a - mu)) takes the float64
+    #   rounding of each difference, a relative 2^-53 = u / 2^29, then the
+    #   float32 one, so |e_k| <= u' m_k + 2 eta32 with u' = u (1 + 2^-28)
+    #   and m_k = s (|a_k - mu_k| + |b_k - mu_k|), and ||b^ - a^||^2 - s^2 D
+    #   = 2 s (b - a).e + ||e||^2. As |b_k - a_k| <= m_k and 4 m_k eta32 <=
+    #   u m_k^2 + 4 eta32^2 / u, that is at most 3 u' sum m_k^2 +
+    #   O(d eta32^2 / u) <= 6 u' (na + nb) + O(d eta32^2 / u); the spare
+    #   takes the 2^-28 part.
+    # - cdist, in the screen's units: (2 d + 4) 2^-53 (na + nb), as D <=
+    #   2 (na + nb) / s^2 with the centred norms too, below 2 u (na + nb)
+    #   for any d < 2^28, and d s^2 eta64 / 2 absolute.
     # - The screen adds the vector's part of the bound, reach = 4 (d + 4) u
     #   nb, to Nb ahead of time in float32 and takes twice it off again for
     #   the lower end: three more roundings, at most 3 u (na + nb)(1 + O(u)).
@@ -515,8 +537,8 @@ def _sq_error_bound(a_sq, b_sq, dim, u=_U, eta=_ETA):
     # median_nn_distance forms a word pair as [-2 a^, 1, U_a] . [b^, U_b, 1],
     # a (d + 2)-term dot product whose terms add up to at most 2 (na + nb):
     # with Na and Nb, within (3 d + 5) u (na + nb)(1 + O(d u)) of ||b^ -
-    # a^||^2 + reach_a + reach_b. The roundings of U_a and U_b, of a^ and b^
-    # to float32 and cdist's sum add 9 u (na + nb), so s2 - reach_a - reach_b
+    # a^||^2 + reach_a + reach_b. The roundings of U_a and U_b, of a - mu and
+    # b - mu to a^ and b^ and cdist's sum add 9 u (na + nb), so s2 - reach_a - reach_b
     # is within (3 d + 14) u (na + nb)(1 + O(d u)) <= reach_a + reach_b, plus
     # the absolute 4 (d + 4) eta, of s^2 q: s^2 q lies in [s2 - spread_a -
     # spread_b - 4 (d + 4) eta, s2 + 4 (d + 4) eta].
@@ -574,18 +596,23 @@ def _fold_least(least, partner, runner_up, words, offset, s2, axis):
     least[words][better] = tile_least[better]
 
 
-def _argmin_exact(points, vectors, ids, hi, spread, err):
+def _argmin_exact(points, vectors, ids, hi, spread, err, own=None):
     """Argmin per row i of exact sums q[i, j] (scaled, less a row constant)
     given hi[i, j] + err[i] above each and hi[i, j] - spread[j] - err[i]
     below it. A row where one column's upper end lies below every other
     column's lower end is decided by that column; the rest by cdist's
     distances (_pair_sq_distances) from points to the rows of vectors
     (ids[j] for column j, or j if ids is None) over the columns whose lower
-    end reaches the least upper end, the lowest column winning a tie. hi is
-    overwritten with the lower ends."""
+    end reaches the least upper end, the lowest column winning a tie.
+    own optionally names a column per row that no decision of that row
+    takes, even one with err Inf (the word's own, for its nearest other
+    word). hi is overwritten with the lower ends."""
     rows = np.arange(hi.shape[0])
+    if own is not None:
+        hi[rows, own] = np.inf
     out = hi.argmin(axis=1)
-    ceiling = hi[rows, out] + 2.0 * err
+    # finite, so that a masked column stays out even where err is Inf
+    ceiling = np.minimum(hi[rows, out] + 2.0 * err, sys.float_info.max)
     hi -= spread
     least = hi[rows, out]
     hi[rows, out] = np.inf

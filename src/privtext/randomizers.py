@@ -410,6 +410,11 @@ class Mechanism:
         call, whose outputs fill that word's positions in order of
         occurrence. Given the word, the draws are i.i.d., so grouping leaves
         the output distribution unchanged.
+
+        The outputs are private only while rng's seed is secret: anyone who
+        knows it can redraw the noise. A release draws a fresh seed (the
+        CLI's perturb does unless --seed is given), and two releases must
+        never share one.
         """
         ids = require_word_ids(ids)
         out = np.empty(len(ids), dtype=np.int64)

@@ -39,6 +39,19 @@ def mixture_store(gen, n_words, dim, spread):
     return EmbeddingStore.from_arrays([f"w{i}" for i in range(n_words)], vectors)
 
 
+def anisotropic_store(gen, n_words, dim, r):
+    """Components of std i^(-1/2), i = 1..dim, about a common mean r times
+    the typical norm (sqrt of the sum of the variances) in a random
+    direction: the shape of real embedding spaces, which share a large
+    common mean and a few dominant directions (Mu & Viswanath 2018,
+    All-but-the-Top)."""
+    std = np.arange(1, dim + 1) ** -0.5
+    mean = gen.normal(size=dim)
+    mean *= r * np.linalg.norm(std) / np.linalg.norm(mean)
+    vectors = mean + std * gen.normal(size=(n_words, dim))
+    return EmbeddingStore.from_arrays([f"w{i}" for i in range(n_words)], vectors)
+
+
 def count_passes(monkeypatch) -> list:
     """Record the dtype of each EmbeddingStore._tile_pass (float64 for
     nn_distances, float32 for the median's screen) in the returned list;

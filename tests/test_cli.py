@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import half_plane_mass
 from privtext.cli import main
 
 TOY = "v 0 0\nw 8 0\nx 0 8\ny 8 8\nz 4 4\n"
@@ -125,13 +126,35 @@ class TestPerturb:
         assert (code, out, err) == (0, "v w\n", "")
 
     def test_deterministic_given_seed(self, emb, monkeypatch, capsys):
-        args = ["--embeddings", emb, "--seed", "3", "perturb", "--epsilon", "0.2"]
+        # the input of test_fresh_noise_without_seed, where two unseeded runs
+        # agree with chance below 1e-9
+        args = ["--embeddings", emb, "--seed", "3", "perturb", "--epsilon", "0.5"]
         outs = []
         for _ in range(2):
-            code, out, _ = run(args, stdin="v w x\n", monkeypatch=monkeypatch, capsys=capsys)
+            code, out, _ = run(args, stdin="v w x y z\n" * 40, monkeypatch=monkeypatch,
+                               capsys=capsys)
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_fresh_noise_without_seed(self, emb, monkeypatch, capsys):
+        # without --seed each run seeds from the OS, so a public default
+        # seed cannot give its noise away. Two runs agree on a token w with
+        # chance sum_u P(u | w)^2 <= max_u P(u | w) <= 1 - h: the noise
+        # leaves w's cell when it crosses the bisector of w and its nearest
+        # word, 4 sqrt(2) away for every TOY word, with chance h, and
+        # reaches another word's cell with chance at most h <= 1/2
+        h = half_plane_mass(0.5, 2 * math.sqrt(2))
+        agree = (1 - h) ** 200
+        assert agree < 1e-9
+        outs = []
+        for _ in range(2):
+            code, out, err = run(["--embeddings", emb, "perturb", "--epsilon", "0.5"],
+                                 stdin="v w x y z\n" * 40, monkeypatch=monkeypatch,
+                                 capsys=capsys)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] != outs[1]
 
 
 class TestMatrix:
@@ -362,14 +385,16 @@ class TestTextInAndOut:
     def test_byte_order_mark_is_skipped_on_every_input(self, source, emb, tmp_path, monkeypatch,
                                                        capsys):
         # each exited 2 on a BOM copy: perturb read the mark into its first
-        # token, and verify-dp, attack and pipeline refused the file
+        # token, and verify-dp, attack and pipeline refused the file. perturb
+        # is seeded: without --seed its two runs draw fresh noise
         matrix = "#privtext-matrix-v2\n" + "".join(f"{w}\t{w}\t10\n" for w in "vwxyz")
         config = json.dumps({"n_users": 2, "m_per_user": 1,
                              "mechanism": {"variant": "baseline", "epsilon": 1.0}})
         path = tmp_path / "input.txt"
         argv, text = {
-            "perturb --input": (["perturb", "--epsilon", "1", "--input", str(path)], "v w\nx\n"),
-            "perturb stdin": (["perturb", "--epsilon", "1"], "v w\nx\n"),
+            "perturb --input": (["--seed", "5", "perturb", "--epsilon", "1", "--input", str(path)],
+                                "v w\nx\n"),
+            "perturb stdin": (["--seed", "5", "perturb", "--epsilon", "1"], "v w\nx\n"),
             "verify-dp --matrix": (["verify-dp", "--matrix", str(path), "--epsilon", "1"], matrix),
             "attack --matrix": (["attack", "--matrix", str(path), "--trials", "50"], matrix),
             "pipeline --config": (["pipeline", "--config", str(path)], config),
@@ -695,6 +720,19 @@ class TestErrors:
             )
             assert code == 2 and out == "", flags
             assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    def test_cache_word_not_utf8_exit_2(self, tmp_path, capsys):
+        # a cache word holding a lone surrogate loaded, and writing it ended
+        # in a UnicodeEncodeError traceback, exit 1
+        from privtext.embeddings import CACHE_MAGIC
+
+        path = tmp_path / "surrogate.npz"
+        np.savez(path, magic=np.array(CACHE_MAGIC), words=np.array(["v", "w\udcff"]),
+                 vectors=np.eye(2))
+        code, out, err = run(["--embeddings", str(path), "sensitivity", "--beta", "1"],
+                             capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and "UTF-8" in err and err.count("\n") == 1
 
     def test_verify_dp_one_word_exit_2(self, tmp_path, capsys):
         # it reported satisfied: true with -Infinity violations, having

@@ -11,7 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from privtext import EmbeddingStore, embeddings, load_embeddings
+from privtext import (
+    EmbeddingStore, Mechanism, MechanismConfig, RngStream, build_profile, embeddings,
+    load_embeddings,
+)
 from privtext.embeddings import CACHE_MAGIC, load_cache, save_cache
 from privtext.errors import (
     ConfigError,
@@ -21,9 +24,10 @@ from privtext.errors import (
     EmptyVocabularyError,
     InvalidWordIdError,
     NonFiniteComponentError,
+    PrivtextError,
 )
 
-from conftest import count_passes, mixture_store, random_store
+from conftest import anisotropic_store, count_passes, mixture_store, random_store
 from oracles import distance, local_by_cdist, nearest_by_cdist, nearest_word
 
 
@@ -96,6 +100,8 @@ class TestLoad:
     @pytest.mark.parametrize("words, vectors, error, word", [
         (["a", "b", "a"], np.zeros((3, 2)), DuplicateWordError, "'a'"),
         (["a", "b"], np.array([[0.0, 1.0], [np.nan, 2.0]]), NonFiniteComponentError, "'b'"),
+        # a lone surrogate, which no output can write as UTF-8
+        (["a", "b\udcff"], np.zeros((2, 2)), EmbeddingFormatError, re.escape("'b\\udcff'")),
     ])
     def test_cache_store_checks_name_the_file_and_the_word(self, tmp_path, words, vectors,
                                                            error, word):
@@ -736,7 +742,12 @@ class TestScreen:
             assert arr.dtype == np.float32 and not arr.flags.writeable
         top = np.abs(screen.vectors).max()
         assert 0.5 <= top < 1.0
-        assert np.array_equal(screen.vectors.T, (store.vectors * screen.scale).astype(np.float32))
+        # centred on the store's mean, in float64, then scaled and rounded
+        # once to float32
+        assert np.array_equal(screen.mean, store.vectors.mean(axis=0))
+        assert screen.mean.dtype == np.float64 and not screen.mean.flags.writeable
+        assert np.array_equal(screen.vectors.T,
+                              ((store.vectors - screen.mean) * screen.scale).astype(np.float32))
 
     def test_vocabulary_major(self):
         # (d, |W|) and C-contiguous: a decode's GEMM takes it as it is stored
@@ -762,27 +773,33 @@ class TestScreen:
             assert np.array_equal(got, nearest_by_cdist(store, points))
 
     def test_bound_covers_subnormal_rounding(self):
-        # Word 0 sets the scale to 1; words 1 and 2 lie so near the point
+        # Word a sets the scale to 1; words b and c lie so near the point
         # that every float32 product and square of the screen lands among
-        # the subnormals (multiples of eta32 = 2^-149), and each component
-        # is picked so that its roundings favour word 2 by almost 3 eta32.
-        # The screen then puts word 2 ahead by 46 eta32, past a quarter of
-        # the bound (2 err = 8 (d + 4) eta32 = 160 eta32), while word 1 is
-        # nearer by 0.84 eta32. The sums are exact on that grid, so the
-        # float32 values do not depend on the BLAS.
+        # the subnormals (multiples of eta32 = 2^-149). Each word's mirror
+        # image follows it, so the mean is exactly 0 and the centred screen
+        # holds the words as they are. Each component of b is picked so that
+        # its square and its product with -2 p^ both round up by almost
+        # eta32 / 2, and each of c's so that both round down: the decode's
+        # row [-2 p^, 1] against [v^; upper] puts c ahead by 31 eta32, past
+        # an eighth of the bound (2 err = 8 (d + 4) eta32 = 160 eta32),
+        # while b is nearer by 0.24 eta32. No such store reaches a quarter:
+        # two roundings move a word by at most eta32 per component, two
+        # words 2 d eta32 apart, below 2 (d + 4) eta32. The sums are exact
+        # on that grid, so the float32 values do not depend on the BLAS.
         d, eta = 16, 2.0**-149
-        c1 = np.full(d, 19.4873046875)
-        c2 = np.r_[np.full(d - 1, 18.513427734375), 30.524169921875]
-        vecs = np.vstack([np.r_[0.75, np.zeros(d - 1)], c1 * 2.0**-74, c2 * 2.0**-74])
-        store = EmbeddingStore.from_arrays(["w0", "w1", "w2"], vecs)
+        b = np.r_[np.full(d - 1, 32507), 16118] * 2.0**-84
+        c = np.r_[np.full(d - 1, 32523), 15622] * 2.0**-84
+        vecs = np.vstack([x for w in (np.r_[0.75, np.zeros(d - 1)], b, c) for x in (w, -w)])
+        store = EmbeddingStore.from_arrays(["a", "-a", "b", "-b", "c", "-c"], vecs)
         point = np.full((1, d), 2.0**-75)
-        v32 = store._screen.vectors[:, 1:]
-        assert store._screen.scale == 1.0
-        d2 = np.einsum("ji,ji->i", v32, v32) - 2 * (point[0].astype(np.float32) @ v32)
-        assert (d2[0] - d2[1]) / eta == 46
-        for cands in ([1, 2], None):
-            assert store.nearest_words(point, cands).tolist() == [1]
-            assert nearest_by_cdist(store, point, cands).tolist() == [1]
+        screen = store._screen
+        assert screen.scale == 1.0 and not screen.mean.any()
+        row = np.r_[-2.0 * point[0], 1.0].astype(np.float32)
+        hi = row @ screen.aug[:-1, [2, 4]]
+        assert (hi[0] - hi[1]) / eta == 31
+        for cands in ([2, 4], None):
+            assert store.nearest_words(point, cands).tolist() == [2]
+            assert nearest_by_cdist(store, point, cands).tolist() == [2]
 
     def test_build_holds_no_float64_copy(self):
         store = random_store(np.random.default_rng(9), 4000, 64)
@@ -908,7 +925,8 @@ def test_nn_distances_computed_once(monkeypatch):
 def tile_store(kind: str, n: int, dim: int) -> EmbeddingStore:
     vecs = np.random.default_rng(31).normal(size=(n, dim))
     if kind == "offset":
-        # every pair within the rounding bound: each row falls back to cdist
+        # every pair within the float64 pass's rounding bound: each word
+        # falls back to the screened decode, whose centred screen settles it
         vecs = 1e6 + 1e-3 * vecs
     elif kind == "duplicates":
         vecs[n // 2 :] = vecs[: n // 2]
@@ -1019,15 +1037,31 @@ def test_nn_refinement_stays_within_a_tile(monkeypatch):
     assert np.array_equal(local, local_by_cdist(store))
 
 
+def test_refinement_past_the_screen_limit_masks_the_word_itself():
+    # so far out that no point is screened (the limit is negative): every
+    # row is decided exactly over every column but the word's own, which
+    # its exact distance 0 would otherwise win
+    vecs = np.array([[4e153], [-4e153], [4e153], [1e153], [-2e153], [1e153]])
+    store = EmbeddingStore.from_arrays([f"w{i}" for i in range(len(vecs))], vecs)
+    assert store._screen.limit < 0
+    dist = cdist(vecs, vecs)
+    np.fill_diagonal(dist, np.inf)
+    assert store._nearest(store.vectors, words=np.arange(6)).tolist() == [2, 4, 0, 5, 1, 3]
+    assert dist.argmin(axis=1).tolist() == [2, 4, 0, 5, 1, 3]
+    assert np.array_equal(store.nn_distances, local_by_cdist(store))
+
+
 def record_refined(monkeypatch) -> list:
-    """Record the number of words each exact-path call (_nearest_other) takes."""
-    refined, nearest = [], EmbeddingStore._nearest_other
+    """Record the number of words each refinement takes: each call of the
+    screened decode (_nearest) for words' nearest other words."""
+    refined, nearest = [], EmbeddingStore._nearest
 
-    def recording(self, ws):
-        refined.append(len(ws))
-        return nearest(self, ws)
+    def recording(self, points, ids=None, words=None):
+        if words is not None:
+            refined.append(len(words))
+        return nearest(self, points, ids, words)
 
-    monkeypatch.setattr(EmbeddingStore, "_nearest_other", recording)
+    monkeypatch.setattr(EmbeddingStore, "_nearest", recording)
     return refined
 
 
@@ -1090,10 +1124,15 @@ class TestMedianSelection:
 
     @pytest.mark.parametrize("n", [2, 3, 41, 64, 301])
     def test_offset_store_refines_every_word(self, monkeypatch, n):
-        # far from the origin the float32 screen separates no word: every
-        # interval overlaps every other, so every word takes the exact path
+        # words a unit apart along a line at 1e6, each moved by about 1e-9:
+        # every nearest-neighbour distance is 1 to within far less than
+        # float32 resolves, centred or not, so every interval overlaps
+        # every other and every word takes the exact path
         refined = record_refined(monkeypatch)
-        store = tile_store("offset", n, 4)
+        gen = np.random.default_rng(31)
+        vecs = 1e-9 * gen.normal(size=(n, 4))
+        vecs[:, 0] += 1e6 + gen.permutation(n)
+        store = EmbeddingStore.from_arrays([f"w{i}" for i in range(n)], vecs)
         self.check(store)
         assert refined == [n]
 
@@ -1127,3 +1166,114 @@ class TestMedianSelection:
             tracemalloc.stop()
         assert peak < 4 * side**2 + 4 * n * (dim + 2) * 4
         assert got == float(np.median(local_by_cdist(store)))
+
+
+    def test_far_common_mean_is_screened_as_at_the_origin(self, monkeypatch):
+        # the anisotropic store at 32 times its typical norm from the origin
+        # and at it: the centred screen refines as few words for the median
+        # and sends as few decode rows of word-pair midpoints, many of them
+        # near-ties, to exact distances (one _pair_sq_distances call each),
+        # within a factor of 2. The uncentred screen refined 760 words, not
+        # 4, and sent 445 rows, not 270.
+        refined, exact_rows = record_refined(monkeypatch), []
+        pair = embeddings._pair_sq_distances
+
+        def counting(a, b, rows, cols):
+            exact_rows.append(len(rows))
+            return pair(a, b, rows, cols)
+
+        monkeypatch.setattr(embeddings, "_pair_sq_distances", counting)
+        counts = []
+        for r in (0.0, 32.0):
+            store = anisotropic_store(np.random.default_rng(80), 2000, 50, r)
+            refined.clear()
+            self.check(store)
+            i, j = np.random.default_rng(81).integers(0, 2000, size=(2, 500))
+            points = (store.vectors[i] + store.vectors[j]) / 2
+            exact_rows.clear()
+            got = store.nearest_words(points)
+            counts.append((sum(refined), len(exact_rows)))
+            monkeypatch.setattr(embeddings, "_pair_sq_distances", pair)
+            assert np.array_equal(got, nearest_by_cdist(store, points))
+            monkeypatch.setattr(embeddings, "_pair_sq_distances", counting)
+        (words_0, rows_0), (words_32, rows_32) = counts
+        assert words_32 <= 2 * words_0 and rows_32 <= 2 * rows_0
+
+
+def test_nn_distances_make_no_screen_when_every_word_settles():
+    # the float64 pass settles every word of the benchmark's stores
+    # (perfbench's lac-smooth-5k-d300, cli-density-5k and audit-1k
+    # vocabularies at the gated seeds), so set-up holds no float32 screen
+    # beside its tiles
+    for seed in (77, 2929, 6113):
+        for n, dim, spread in ((5000, 300, 1.4), (5000, 50, 6.0), (1000, 50, 2.0)):
+            gen = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+            store = mixture_store(gen, n, dim, spread)
+            store.nn_distances
+            assert "_screen" not in vars(store), (seed, n, dim)
+
+
+def certified_outputs(vecs, seed) -> list:
+    """The bytes of every output that a rounding certificate decides, or the
+    error raised in its place: decodes with and without candidates,
+    nn_distances, the median, a short density batch and the sensitivity
+    profile, on a new store of vecs."""
+    store = EmbeddingStore.from_arrays([f"w{i}" for i in range(len(vecs))], vecs)
+    gen = np.random.default_rng(seed)
+    n, dim = vecs.shape
+    i, j = gen.integers(0, n, size=(2, 30))
+    jitter = vecs.std() * gen.normal(size=(30, dim))
+    points = np.vstack([vecs, (vecs[i] + vecs[j]) / 2, vecs[i] + jitter])
+    cands = np.sort(gen.choice(n, size=max(1, n // 3), replace=False))
+    density = MechanismConfig("density", 1.0, mh_steps=20)
+
+    def profile():
+        p = build_profile(store, 1.0)
+        return np.r_[p.per_word_local, p.per_word_smooth]
+
+    outputs = []
+    for output in (
+        lambda: store.nearest_words(points),
+        lambda: store.nearest_words(points, candidate_ids=cands),
+        lambda: store.nn_distances,
+        store.median_nn_distance,
+        lambda: Mechanism(store, density).perturb_batch(RngStream(seed), 0, 5),
+        profile,
+    ):
+        try:
+            outputs.append(np.asarray(output()).tobytes())
+        except PrivtextError as exc:
+            outputs.append(f"{type(exc).__name__}: {exc}")
+    return outputs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 40),
+    dim=st.sampled_from([1, 3, 8]),
+    kind=st.sampled_from(["random", "duplicated", "offset", "anisotropic", "subnormal"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_looser_bound_changes_no_output(n, dim, kind, seed):
+    # Every certificate decides only what its exact path would decide: with
+    # every rounding bound 10^4 times as wide, more decisions go to the
+    # exact paths, and every output keeps its bytes. Duplicated: a third of
+    # the words repeat others; offset: 1e6 + 1e-3 N(0, 1); anisotropic: a
+    # common mean 32 times the typical norm; subnormal: components below
+    # float64's least normal number.
+    gen = np.random.default_rng(seed)
+    if kind == "anisotropic":
+        vecs = anisotropic_store(gen, n, dim, 32.0).vectors
+    else:
+        vecs = gen.normal(size=(n, dim))
+    if kind == "duplicated":
+        vecs[n - n // 3 :] = vecs[: n // 3]
+    elif kind == "offset":
+        vecs = 1e6 + 1e-3 * vecs
+    elif kind == "subnormal":
+        vecs *= 1e-310
+    want = certified_outputs(vecs, seed)
+    bound = embeddings._sq_error_bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embeddings, "_sq_error_bound", lambda *args: 1e4 * bound(*args))
+        assert certified_outputs(vecs, seed) == want

@@ -1245,7 +1245,7 @@ print(digest(profile.per_word_local, profile.per_word_smooth))
 print(repr(store.median_nn_distance()))
 # words whose nearest neighbour the float64 tiles cannot settle: a second
 # half that duplicates the first, and a store at 1e6 whose every pair lies
-# within the rounding bound; both take _nearest_other's GEMM rows
+# within the rounding bound; both take the centred float32 decode
 vecs = gen.normal(size=(2000, 50))
 vecs[1000:] = vecs[:1000]
 print(digest(EmbeddingStore.from_arrays([f"w{i}" for i in range(2000)], vecs).nn_distances))
