@@ -72,9 +72,7 @@ def apply_amplifier(rng: RngStream, batch: np.ndarray, config: AmplifierConfig) 
         return shuffle_batch(rng, batch)
     if config.kind == "subsample":
         return subsample_batch(rng, batch, config.q)
-    if config.kind == "kthreshold":
-        return kthreshold_batch(batch, config.k)
-    raise ConfigError(f"unknown amplifier kind {config.kind!r}")
+    return kthreshold_batch(batch, config.k)  # AmplifierConfig admits no other kind
 
 
 def amplified_epsilon(epsilon: float, q: float) -> dict:

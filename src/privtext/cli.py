@@ -218,9 +218,9 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    store = _load_store(args)
     if not args.out:
         raise ConfigError("ingest requires --out")
+    store = _load_store(args)
     embeddings.save_cache(store, args.out)
     if not args.quiet:
         print(f"cached {len(store)} words, dim {store.dim} -> {args.out}", file=sys.stderr)

@@ -7,9 +7,12 @@ runs are bit-identical. Every distance that decides a query is summed as
 scipy's cdist sums it, bit for bit, by _pair_sq_distances. Every nearest
 word, a decoded point's or a word's nearest other, comes from one
 screened decode (_nearest) on the float32 screen, centred on the store's
-mean, and _argmin_exact decides what its rounding bounds leave open. Only
-the whole-row and |W| x |W| queries (distance_row, pairwise_distances)
-call cdist itself, and import SciPy when they run.
+mean, and _argmin_exact decides what its rounding bounds leave open. The
+same screen serves the sigma default's walk (median_nn_distance) and the
+density prior's KDE (_log_kde, with _canonical_log_kde as its BLAS-free
+reference); every screened point row comes from _screen_points. Only the
+whole-row and |W| x |W| queries (distance_row, pairwise_distances) call
+cdist itself, and import SciPy when they run.
 """
 from __future__ import annotations
 
@@ -51,14 +54,14 @@ _ETA32 = float(np.finfo(np.float32).smallest_subnormal)
 
 
 class _Screen(NamedTuple):
-    """The float32 copy of a store that every decode screens with, one
-    augmented array [v^; upper; 1] so that a GEMM against it forms a whole
-    screened quantity, norms and constants included. It is centred: v^ is
-    v - mean, scaled and rounded, and every point is screened as p - mean,
-    so distances, which the centring leaves alone, are screened at the
-    vocabulary's own spread wherever it sits. The error bound of a pair
-    splits into the vector's part, reach = _sq_error_bound(||v^||^2, 0, d,
-    _U32, 0), and the point's."""
+    """The float32 copy of a store that the decode, the sigma walk and the
+    density KDE screen with, one augmented array [v^; upper; 1] so that a
+    GEMM against it forms a whole screened quantity, norms and constants
+    included. It is centred: v^ is v - mean, scaled and rounded, and every
+    point is screened as p - mean, so distances, which the centring leaves
+    alone, are screened at the vocabulary's own spread wherever it sits.
+    The error bound of a pair splits into the vector's part, reach =
+    _sq_error_bound(||v^||^2, 0, d, _U32, 0), and the point's."""
 
     # (d + 2, |W|) float32, C-contiguous, read-only: the vectors less mean,
     # times scale, transposed, then upper = ||vectors||^2 + reach, then ones
@@ -68,11 +71,6 @@ class _Screen(NamedTuple):
     scale: float  # the power of two that brings max |v - mean| into [0.5, 1)
     eta: float  # the absolute term of the screen's _sq_error_bound
     limit: float  # a scaled point with a larger ||p^||^2 is not screened
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """(d, |W|): the scaled vectors, a view of aug."""
-        return self.aug[:-2]
 
     @property
     def upper(self) -> np.ndarray:
@@ -203,25 +201,26 @@ class EmbeddingStore:
             # float32 stands for the scaled D - ||p^||^2, D the exact squared
             # distance (cdist's sum), within the candidate's reach plus the
             # point's err (see _sq_error_bound): hi + err lies above it and
-            # hi - spread - err below. Doubling the point is exact. A row
-            # past the screen's limit (err Inf) is decided exactly over
-            # every candidate but a masked one.
+            # hi - spread - err below. A row past the screen's limit (err
+            # Inf) is decided exactly over every candidate but a masked one.
             a, _, err = self._screen_points(block, d + 1)
-            a[:, :d] *= -2.0
-            a[:, d] = 1.0
             out[lo : lo + len(block)] = _argmin_exact(block, self.vectors, ids, a @ cand, spread,
                                                       err, None if words is None else at)
         return out if ids is None else ids[out]
 
     def _screen_points(self, points, width):
-        """(a, p_sq, err): a new (rows, width) float32 array whose first d
-        columns hold the (rows, d) float64 points centred, scaled and
-        rounded as the screen's vectors are (_round_scaled), p^, the rest
-        left for the caller to fill; the float64 sums p_sq = ||p^||^2; and
-        the point's part of the screen's bound, err = _sq_error_bound(p_sq,
-        0, d, _U32, screen.eta). A row past the screen's limit, Inf
-        included, is screened as the origin with p_sq and err Inf: beyond it
-        the screen could overflow float32, or the exact sums float64."""
+        """(a, p_sq, err) for the (rows, d) float64 points, the only place
+        a point's screen row is built: a new (rows, width) float32 array
+        whose first d + 1 columns hold each point's row [-2 p^, 1], p^ the
+        point centred, scaled and rounded as the screen's vectors are
+        (_round_scaled), the rest left for the caller to fill; the float64
+        sums p_sq = ||p^||^2; and the point's part of the screen's bound,
+        err = _sq_error_bound(p_sq, 0, d, _U32, screen.eta). Doubling p^ is
+        exact, so the row against the screen's [v^; upper] is the decode's
+        screened distance, and times kappa' the KDE's log kernel. A row past
+        the screen's limit, Inf included, is screened as the origin with
+        p_sq and err Inf: beyond it the screen could overflow float32, or
+        the exact sums float64."""
         screen, d = self._screen, self.dim
         a = np.empty((points.shape[0], width), dtype=np.float32)
         p32 = a[:, :d]
@@ -231,7 +230,68 @@ class EmbeddingStore:
         if far.any():
             p32[far] = 0.0
             p_sq[far] = np.inf
+        p32 *= -2.0
+        a[:, d] = 1.0
         return a, p_sq, _sq_error_bound(p_sq, 0.0, d, _U32, screen.eta)
+
+    def _log_kde(self, points, sigma: float):
+        """(values, bounds): the log of the unnormalized RBF kernel density
+        over the vocabulary at each row of a (n, d) float64 array of points
+        (the density chain's, not checked again), scored on the float32
+        screen, and a bound on each value's distance from
+        _canonical_log_kde's. _gemm_log_kde scores the rows in blocks of
+        _NN_BLOCK_ENTRIES // |W| (at least one), so its float32 kernels stay
+        within one decode block however many rows there are. A row whose
+        kernels all lie within u32 of 1 takes a closed form instead. A row
+        the pass cannot bound (past the screen's limit, or so far out that
+        the scaled kernels could overflow float32) has value 0 and bound
+        Inf."""
+        screen, n_words = self._screen, len(self.words)
+        with np.errstate(over="ignore"):
+            # the log kernel of a scaled squared distance s^2 q is kappa s^2 q
+            kappa = float(np.float64(1.0) / -(2.0 * sigma**2) / screen.scale / screen.scale)
+        # ||p^||^2 <= lim keeps every term of a row's dot product, and every
+        # partial sum, under 2^100 (2 d + 3), within float32; a kappa outside
+        # float32's normal range sends no row through the GEMM
+        lim = (min(screen.limit, 2.0**100 / abs(kappa)) if 2.0**-100 <= abs(kappa) <= 2.0**100
+               else -1.0)
+        a, p_sq, err = self._screen_points(points, self.dim + 2)
+        values, bounds = np.zeros(len(points)), np.full(len(points), np.inf)
+        # q_top bounds the scaled squared distance from the row to every word:
+        # (||p|| + ||v||)^2 <= 2 (||p||^2 + ||v||^2), with the rounding of p^,
+        # of upper and of cdist's sum inside the factor 1 + 2^-20 (d < 2^16)
+        q_top = p_sq + float(screen.upper.max())
+        q_top *= 2.0 * (1 + 2.0**-20)
+        with np.errstate(invalid="ignore"):
+            flat = abs(kappa) * q_top <= _U32
+        # Every log kernel of a flat row lies in [kappa q_top, 0] (kappa within
+        # a relative u of 1 / (s^2 den), or 0 where that underflows, and then
+        # below 2^-900 in size), so its log-KDE lies in [log N + kappa q_top,
+        # log N]: the midpoint is within |kappa| q_top / 2 <= u32 / 2 of it,
+        # below the GEMM path's floor of 75 u32. The float64 roundings of both
+        # values, c u (log N + 1) for c < 64, take the last term.
+        values[flat] = math.log(n_words) + kappa * q_top[flat] / 2
+        bounds[flat] = (abs(kappa) * q_top[flat] / 2 * (1 + 2.0**-20)
+                        + 64 * _U * (math.log(n_words) + 1))
+        rows = np.flatnonzero((p_sq <= lim) & ~flat)
+        step = max(1, _NN_BLOCK_ENTRIES // n_words)
+        for lo in range(0, rows.size, step):
+            at = rows[lo : lo + step]
+            values[at], bounds[at] = _gemm_log_kde(screen, a[at], p_sq[at], err[at], kappa)
+        return values, bounds
+
+    def _canonical_log_kde(self, point, sigma: float) -> float:
+        """The log-KDE at one point (d,) by a path that no BLAS kernel
+        enters: the squared distances _pair_sq_distances sums (cdist's), each
+        divided by -(2 sigma^2), and the exponentials, shifted by their
+        maximum, added by math.fsum."""
+        n = len(self.words)
+        sq = _pair_sq_distances(point[None, :], self.vectors, np.broadcast_to(0, (n,)),
+                                np.arange(n))
+        with np.errstate(invalid="ignore"):
+            sq /= -(2.0 * sigma**2)
+            mx = sq.max()
+            return math.log(math.fsum(np.exp(sq - mx))) + mx
 
     def _candidate_ids(self, candidate_ids) -> np.ndarray:
         """candidate_ids as sorted int64 word ids, or InvalidWordIdError."""
@@ -356,9 +416,10 @@ class EmbeddingStore:
         first = k - 1 if n % 2 == 0 else k
         # a word whose upper end lies below the first rank's least possible
         # value is certainly below it, one whose lower end lies above the
-        # last rank's greatest possible value certainly above it
+        # last rank's greatest possible value certainly above it; a NaN end
+        # (an infinite bound) is neither, and its word is refined
         below = upper < np.partition(lower, first)[first]
-        ws = np.flatnonzero(~below & (lower <= np.partition(upper, k)[k]))
+        ws = np.flatnonzero(~below & ~(lower > np.partition(upper, k)[k]))
         v = self.vectors
         exact = np.sort(np.sqrt(_pair_sq_distances(v, v, ws, self._nearest(v, words=ws))))
         skip = np.count_nonzero(below)
@@ -551,6 +612,98 @@ def _sq_error_bound(a_sq, b_sq, dim, u=_U, eta=_ETA):
     return err
 
 
+# columns per float32 partial sum of a KDE row: each is within gamma_63 of
+# its terms' sum, where one float32 sum of the row would carry gamma_{|W|-1}
+_SUM_COLUMNS = 64
+
+
+def _gemm_log_kde(screen, a, p_sq, err, kappa: float):
+    """(values, bounds) of EmbeddingStore._log_kde for the rows of a, a
+    (rows, d + 2) float32 array holding [-2 p^, 1] in its first d + 1
+    columns, with their p_sq and err, all from _screen_points; a and err are
+    overwritten. One float32 GEMM of the rows [kappa' (-2 p^), kappa',
+    kappa (P - S / 2)] against the screen's [v^; upper; 1] forms the
+    centred log kernels; exp runs on them in place, float32 sums of 64
+    columns each (np.matmul) and the float64 sum of those give each row's
+    sum."""
+    rows, dim = a.shape[0], a.shape[1] - 2
+    n_words = screen.aug.shape[1]
+    half_spread = float(screen.spread.max()) / 2
+    # [-2 p^, 1] times kappa' in one rounding: doubling is exact
+    a[:, : dim + 1] *= np.float32(kappa)
+    a[:, dim + 1] = kappa * (p_sq - half_spread)
+    g = a @ screen.aug
+    top = g.max(axis=1)
+    # a row left unshifted keeps its largest term e^top within [2^-64,
+    # 2^64]: its 64-term float32 sums stay below 2^70, and the subnormals'
+    # absolute errors within N 2^-62 of its sum
+    shift = np.where(np.abs(top) <= 64 * math.log(2), np.float32(0.0), top)
+    if shift.any():
+        g -= shift[:, None]
+    np.exp(g, out=g)
+    split = n_words - n_words % _SUM_COLUMNS
+    sums = np.einsum("ij->i", g[:, split:], dtype=np.float64)
+    if split:
+        parts = np.matmul(g[:, :split].reshape(rows, -1, _SUM_COLUMNS),
+                          np.ones(_SUM_COLUMNS, dtype=np.float32))
+        sums += np.einsum("ij->i", parts, dtype=np.float64)
+    values = np.log(sums) + shift
+    # Why this bound. Write q_j for the squared distance from the point to
+    # word j that cdist (and _pair_sq_distances, in its order) sums, den =
+    # -(2 sigma^2) as rounded, N = |W|, LSE for log-sum-exp and u, u32 for
+    # the unit roundoffs. LSE is monotone and moves by c when every entry
+    # does, so it moves by at most the largest change of an entry: it is
+    # 1-Lipschitz in the max norm. The canonical value is LSE(t), t_j =
+    # q_j / den, rounded as below.
+    # - The GEMM. With s the screen's scale, kappa = 1 / (s^2 den) < 0,
+    #   P = ||p^||^2, nb_j = ||v^_j||^2, S the largest spread and err =
+    #   _sq_error_bound(P, 0, d, u32, screen.eta): exactly, [-2 p^, 1, P] .
+    #   [v^_j, upper_j, 1] = ||v^_j - p^||^2 + reach_j + (upper_j's own
+    #   rounding, (d + 1) u32 nb_j), and ||v^_j - p^||^2 is within 8 u32
+    #   (P + nb_j) of s^2 q_j (the rounding of p^ and v^, and cdist's sum:
+    #   see _sq_error_bound). The row [kappa' (-2 p^), kappa', kappa (P -
+    #   S / 2)] as computed adds kappa' for kappa, u32 |kappa| (P + 2 nb_j),
+    #   its two roundings, u32 |kappa| (P + nb_j) and u32 |kappa| (P +
+    #   S / 2), and the (d + 2)-term dot product adds gamma_{d+2} times its
+    #   terms' absolute sum, at most |kappa| (2 P + 2 nb_j + S / 2). In all,
+    #   g_j = t_j + |kappa| (S / 2 - reach_j) + |kappa| f_j with |f_j| <=
+    #   (2 d + 15) u32 P + (3 d + 16) u32 nb_j + (d + 3) u32 S / 2, up to a
+    #   factor 1 + O(d u32): within err + reach_j + (d + 3) u32 S / 2, as err
+    #   holds 4 (d + 4) u32 P and reach_j 4 (d + 4) u32 nb_j, which leaves
+    #   2 d + 1 and d for the O(d u32) terms (d < 2^16). The absolute terms
+    #   of rounding p^, v^ and cdist's sum are within err's eta term, as in
+    #   _sq_error_bound; the GEMM's products among the subnormals, (2 d + 3)
+    #   eta32, go in the last u32. With 0 <= reach_j <= S / 2, g_j is within
+    #   |kappa| (err + S / 2 (1 + (d + 3) u32)) of t_j, and LSE(g) of LSE(t).
+    # - The shift g_j - top, on the few rows where exp would leave float32's
+    #   normal range, is exact at the maximum and changes each x_j = top -
+    #   g_j >= 0 by a relative u32. As a function of r, LSE(-r x) has slope
+    #   minus the softmax mean of x, which is at most log N / r (r E[x] is at
+    #   most the entropy, log N, since the largest term is 1), so that moves
+    #   LSE by at most u32 log N.
+    # - exp: within 4 ulps of e^x, 8 u32 of it, plus 2^-126 for a result
+    #   among float32's subnormals (numpy's float32 exp is within 2.5 ulps;
+    #   tests check the budget). The subnormals' errors are within N 2^-62
+    #   < u32 of the sum (N < 2^38; see the shift).
+    # - The sums: a float32 sum of at most 64 positive terms, in whatever
+    #   order the BLAS adds them, is within a relative gamma_63 < 64 u32 of
+    #   theirs; the float64 sum of the partial sums and the tail, within
+    #   N u. With exp, the row's sum is within a relative 73 u32 + N u, and
+    #   its log within 74 u32 + 2 N u.
+    # - float64: the log and the additions, the canonical value's own
+    #   division, exp (4 ulps), fsum and log, and the rounding of a
+    #   difference of two values in the accept test, add c u for c < 64 times
+    #   |top| + log N + |kappa| (P + S), which u32 (|top| + log N) and the
+    #   factor 1 + 2^-20 on the first term (err >= 20 u32 P) cover.
+    # In all: |kappa| (err + S / 2 (1 + (d + 3) u32)) (1 + 2^-20)
+    # + u32 (|top| + 2 log N + 75) + 2 N u.
+    err += half_spread * (1 + (dim + 3) * _U32)
+    err *= abs(kappa) * (1 + 2.0**-20)
+    err += _U32 * np.abs(top)
+    err += _U32 * (2 * math.log(n_words) + 75) + 2 * n_words * _U
+    return values, err
+
+
 def _pair_sq_distances(a, b, rows, cols) -> np.ndarray:
     """||a[rows[k]] - b[cols[k]]||^2 for each k, as scipy's cdist sums it
     before its square root: the squared differences added in index order
@@ -606,7 +759,8 @@ def _argmin_exact(points, vectors, ids, hi, spread, err, own=None):
     end reaches the least upper end, the lowest column winning a tie.
     own optionally names a column per row that no decision of that row
     takes, even one with err Inf (the word's own, for its nearest other
-    word). hi is overwritten with the lower ends."""
+    word). An infinite err or spread, or a NaN end that one makes, sends the
+    row to the exact distances. hi is overwritten with the lower ends."""
     rows = np.arange(hi.shape[0])
     if own is not None:
         hi[rows, own] = np.inf
@@ -614,12 +768,14 @@ def _argmin_exact(points, vectors, ids, hi, spread, err, own=None):
     # finite, so that a masked column stays out even where err is Inf
     ceiling = np.minimum(hi[rows, out] + 2.0 * err, sys.float_info.max)
     hi -= spread
+    if own is not None:
+        hi[rows, own] = np.inf  # Inf - Inf would be NaN
     least = hi[rows, out]
     hi[rows, out] = np.inf
-    close = np.flatnonzero(hi.min(axis=1) <= ceiling)
+    close = np.flatnonzero(~(hi.min(axis=1) > ceiling))
     hi[rows, out] = least
     for i in close:
-        kept = np.flatnonzero(hi[i] <= ceiling[i])
+        kept = np.flatnonzero(~(hi[i] > ceiling[i]))
         sq = _pair_sq_distances(points, vectors, np.broadcast_to(i, kept.shape),
                                 kept if ids is None else ids[kept])
         # the argmin of the square roots: two sums an ulp apart can share one

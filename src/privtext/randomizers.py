@@ -6,7 +6,9 @@ noisy point back to the vocabulary):
 - baseline:        radial Laplacian noise with density exp(-eps * ||z||)
 - density:         noise modulated by a KDE prior over the embedding,
                    sampled with an independence Metropolis chain that
-                   proposes the baseline's noise
+                   proposes the baseline's noise; the KDE is a store query
+                   (EmbeddingStore._log_kde, on the float32 screen that
+                   the decode uses), and this module runs the chain
 - smooth:          baseline with the noise scale calibrated per word to the
                    beta-smooth sensitivity bound (normalized so beta = 0
                    reproduces the baseline exactly)
@@ -26,17 +28,16 @@ module measures what they actually provide.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .embeddings import _NN_BLOCK_ENTRIES, _U, _U32, EmbeddingStore, _pair_sq_distances
+from .embeddings import _NN_BLOCK_ENTRIES, EmbeddingStore
 from .errors import (
     ConfigError, InvalidWordIdError, MatrixFormatError, from_fields, require_bandwidth,
-    require_count, require_nonnegative, require_params, require_points, require_positive,
-    require_word_ids, set_fields,
+    require_count, require_nonnegative, require_params, require_positive, require_word_ids,
+    set_fields,
 )
 from .samplers import (
     MultivariateLaplaceParam,
@@ -63,9 +64,6 @@ TRUNC_STRATEGIES = ("project", "residual")
 
 MATRIX_TSV_MAGIC = "#privtext-matrix-v2"
 _MAX_COUNT = 2**53  # a float64 holds every count and row total up to it exactly
-# columns per float32 partial sum of a KDE row: each is within gamma_63 of
-# its terms' sum, where one float32 sum of the row would carry gamma_{|W|-1}
-_SUM_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -157,156 +155,11 @@ class TransitionMatrix:
         return int(self.counts[0].sum())
 
 
-def _screened_log_kde(store: EmbeddingStore, points, sigma: float):
-    """(values, bounds): the log of the unnormalized RBF kernel density over
-    the vocabulary at each row of a (n, d) array of points, scored on the
-    store's float32 decode screen, and a bound on each value's distance from
-    _canonical_log_kde's. _gemm_log_kde scores the rows in blocks of
-    _NN_BLOCK_ENTRIES // |W| (at least one), so its float32 kernels stay
-    within one decode block however many rows there are. A row whose
-    kernels all lie within u32 of 1 takes a closed form instead. A row the
-    pass cannot bound (past the screen's limit, or so far out that the
-    scaled kernels could overflow float32) has value 0 and bound Inf."""
-    points = require_points("points", points, store.dim)
-    screen, n_words, dim = store._screen, len(store), store.dim
-    with np.errstate(over="ignore"):
-        # the log kernel of a scaled squared distance s^2 q is kappa s^2 q
-        kappa = float(np.float64(1.0) / -(2.0 * sigma**2) / screen.scale / screen.scale)
-    # ||p^||^2 <= lim keeps every term of a row's dot product, and every
-    # partial sum, under 2^100 (2 d + 3), within float32; a kappa outside
-    # float32's normal range sends no row through the GEMM
-    lim = (min(screen.limit, 2.0**100 / abs(kappa)) if 2.0**-100 <= abs(kappa) <= 2.0**100
-           else -1.0)
-    a, p_sq, err = store._screen_points(points, dim + 2)
-    values, bounds = np.zeros(len(points)), np.full(len(points), np.inf)
-    # q_top bounds the scaled squared distance from the row to every word:
-    # (||p|| + ||v||)^2 <= 2 (||p||^2 + ||v||^2), with the rounding of p^,
-    # of upper and of cdist's sum inside the factor 1 + 2^-20 (d < 2^16)
-    q_top = p_sq + float(screen.upper.max())
-    q_top *= 2.0 * (1 + 2.0**-20)
-    with np.errstate(invalid="ignore"):
-        flat = abs(kappa) * q_top <= _U32
-    # Every log kernel of a flat row lies in [kappa q_top, 0] (kappa within
-    # a relative u of 1 / (s^2 den), or 0 where that underflows, and then
-    # below 2^-900 in size), so its log-KDE lies in [log N + kappa q_top,
-    # log N]: the midpoint is within |kappa| q_top / 2 <= u32 / 2 of it,
-    # below the GEMM path's floor of 75 u32. The float64 roundings of both
-    # values, c u (log N + 1) for c < 64, take the last term.
-    values[flat] = math.log(n_words) + kappa * q_top[flat] / 2
-    bounds[flat] = (abs(kappa) * q_top[flat] / 2 * (1 + 2.0**-20)
-                    + 64 * _U * (math.log(n_words) + 1))
-    rows = np.flatnonzero((p_sq <= lim) & ~flat)
-    step = max(1, _NN_BLOCK_ENTRIES // n_words)
-    for lo in range(0, rows.size, step):
-        at = rows[lo : lo + step]
-        values[at], bounds[at] = _gemm_log_kde(screen, a[at], p_sq[at], err[at], kappa)
-    return values, bounds
-
-
-def _gemm_log_kde(screen, a, p_sq, err, kappa: float):
-    """(values, bounds) of _screened_log_kde for the rows of a, a (rows,
-    d + 2) float32 array holding p^ in its first d columns, with their p_sq
-    and err from _screen_points; a and err are overwritten. One float32
-    GEMM of the rows [kappa' (-2 p^), kappa', kappa (P - S / 2)] against
-    the screen's [v^; upper; 1] forms the centred log kernels; exp runs on
-    them in place, float32 sums of 64 columns each (np.matmul) and the
-    float64 sum of those give each row's sum."""
-    rows, dim = a.shape[0], a.shape[1] - 2
-    n_words = screen.aug.shape[1]
-    half_spread = float(screen.spread.max()) / 2
-    # kappa' (-2 p^) in one rounding: doubling kappa' is exact
-    a[:, :dim] *= np.float32(-2.0) * np.float32(kappa)
-    a[:, dim] = kappa
-    a[:, dim + 1] = kappa * (p_sq - half_spread)
-    g = a @ screen.aug
-    top = g.max(axis=1)
-    # a row left unshifted keeps its largest term e^top within [2^-64,
-    # 2^64]: its 64-term float32 sums stay below 2^70, and the subnormals'
-    # absolute errors within N 2^-62 of its sum
-    shift = np.where(np.abs(top) <= 64 * math.log(2), np.float32(0.0), top)
-    if shift.any():
-        g -= shift[:, None]
-    np.exp(g, out=g)
-    split = n_words - n_words % _SUM_COLUMNS
-    sums = np.einsum("ij->i", g[:, split:], dtype=np.float64)
-    if split:
-        parts = np.matmul(g[:, :split].reshape(rows, -1, _SUM_COLUMNS),
-                          np.ones(_SUM_COLUMNS, dtype=np.float32))
-        sums += np.einsum("ij->i", parts, dtype=np.float64)
-    values = np.log(sums) + shift
-    # Why this bound. Write q_j for the squared distance from the point to
-    # word j that cdist (and _pair_sq_distances, in its order) sums, den =
-    # -(2 sigma^2) as rounded, N = |W|, LSE for log-sum-exp and u, u32 for
-    # the unit roundoffs. LSE is monotone and moves by c when every entry
-    # does, so it moves by at most the largest change of an entry: it is
-    # 1-Lipschitz in the max norm. The canonical value is LSE(t), t_j =
-    # q_j / den, rounded as below.
-    # - The GEMM. With s the screen's scale, kappa = 1 / (s^2 den) < 0,
-    #   P = ||p^||^2, nb_j = ||v^_j||^2, S the largest spread and err =
-    #   _sq_error_bound(P, 0, d, u32, screen.eta): exactly, [-2 p^, 1, P] .
-    #   [v^_j, upper_j, 1] = ||v^_j - p^||^2 + reach_j + (upper_j's own
-    #   rounding, (d + 1) u32 nb_j), and ||v^_j - p^||^2 is within 8 u32
-    #   (P + nb_j) of s^2 q_j (the rounding of p^ and v^, and cdist's sum:
-    #   see _sq_error_bound). The row [kappa' (-2 p^), kappa', kappa (P -
-    #   S / 2)] as computed adds kappa' for kappa, u32 |kappa| (P + 2 nb_j),
-    #   its two roundings, u32 |kappa| (P + nb_j) and u32 |kappa| (P +
-    #   S / 2), and the (d + 2)-term dot product adds gamma_{d+2} times its
-    #   terms' absolute sum, at most |kappa| (2 P + 2 nb_j + S / 2). In all,
-    #   g_j = t_j + |kappa| (S / 2 - reach_j) + |kappa| f_j with |f_j| <=
-    #   (2 d + 15) u32 P + (3 d + 16) u32 nb_j + (d + 3) u32 S / 2, up to a
-    #   factor 1 + O(d u32): within err + reach_j + (d + 3) u32 S / 2, as err
-    #   holds 4 (d + 4) u32 P and reach_j 4 (d + 4) u32 nb_j, which leaves
-    #   2 d + 1 and d for the O(d u32) terms (d < 2^16). The absolute terms
-    #   of rounding p^, v^ and cdist's sum are within err's eta term, as in
-    #   _sq_error_bound; the GEMM's products among the subnormals, (2 d + 3)
-    #   eta32, go in the last u32. With 0 <= reach_j <= S / 2, g_j is within
-    #   |kappa| (err + S / 2 (1 + (d + 3) u32)) of t_j, and LSE(g) of LSE(t).
-    # - The shift g_j - top, on the few rows where exp would leave float32's
-    #   normal range, is exact at the maximum and changes each x_j = top -
-    #   g_j >= 0 by a relative u32. As a function of r, LSE(-r x) has slope
-    #   minus the softmax mean of x, which is at most log N / r (r E[x] is at
-    #   most the entropy, log N, since the largest term is 1), so that moves
-    #   LSE by at most u32 log N.
-    # - exp: within 4 ulps of e^x, 8 u32 of it, plus 2^-126 for a result
-    #   among float32's subnormals (numpy's float32 exp is within 2.5 ulps;
-    #   tests check the budget). The subnormals' errors are within N 2^-62
-    #   < u32 of the sum (N < 2^38; see the shift).
-    # - The sums: a float32 sum of at most 64 positive terms, in whatever
-    #   order the BLAS adds them, is within a relative gamma_63 < 64 u32 of
-    #   theirs; the float64 sum of the partial sums and the tail, within
-    #   N u. With exp, the row's sum is within a relative 73 u32 + N u, and
-    #   its log within 74 u32 + 2 N u.
-    # - float64: the log and the additions, the canonical value's own
-    #   division, exp (4 ulps), fsum and log, and the rounding of a
-    #   difference of two values in the accept test, add c u for c < 64 times
-    #   |top| + log N + |kappa| (P + S), which u32 (|top| + log N) and the
-    #   factor 1 + 2^-20 on the first term (err >= 20 u32 P) cover.
-    # In all: |kappa| (err + S / 2 (1 + (d + 3) u32)) (1 + 2^-20)
-    # + u32 (|top| + 2 log N + 75) + 2 N u.
-    err += half_spread * (1 + (dim + 3) * _U32)
-    err *= abs(kappa) * (1 + 2.0**-20)
-    err += _U32 * np.abs(top)
-    err += _U32 * (2 * math.log(n_words) + 75) + 2 * n_words * _U
-    return values, err
-
-def _canonical_log_kde(store: EmbeddingStore, point, sigma: float) -> float:
-    """The log-KDE at one point (d,) by a path that no BLAS kernel enters:
-    the squared distances _pair_sq_distances sums (cdist's), each divided
-    by -(2 sigma^2), and the exponentials, shifted by their maximum, added
-    by math.fsum."""
-    n = len(store)
-    sq = _pair_sq_distances(point[None, :], store.vectors, np.broadcast_to(0, (n,)), np.arange(n))
-    with np.errstate(invalid="ignore"):
-        sq /= -(2.0 * sigma**2)
-        mx = sq.max()
-        return math.log(math.fsum(np.exp(sq - mx))) + mx
-
-
 def _accept_block(store, sigma, states, values, bounds, log_u) -> np.ndarray:
     """The row of states that each of n chains holds after a block of k
     steps. states (k + 1, n, d) holds the chains' states in row 0 and step
     t's proposals in row t + 1; values and bounds (k + 1, n) are their
-    _screened_log_kde; log_u (k, n) the steps' log uniforms.
+    store._log_kde; log_u (k, n) the steps' log uniforms.
 
     The accept test ln u < L(prop) - L(x) runs on the screened values as a
     scan over the steps. A decision whose margin exceeds the proposal's
@@ -343,7 +196,7 @@ def _settle(store, sigma, states, values, bounds, log_u) -> int:
         if not abs(values[p] - values[held] - log_u[t]) > bounds[p] + bounds[held]:
             for r in (p, held):
                 if bounds[r]:
-                    values[r] = _canonical_log_kde(store, states[r], sigma)
+                    values[r] = store._canonical_log_kde(states[r], sigma)
                     bounds[r] = 0.0
         if log_u[t] < values[p] - values[held]:
             held = p
@@ -493,13 +346,13 @@ class Mechanism:
         n rows in step order, one generator call per block. NumPy's
         standard_normal, gamma and uniform give the same values however a
         stream's draws are split into calls, so the draws do not depend on
-        the block size. One _screened_log_kde call scores the block's
+        the block size. One store._log_kde call scores the block's
         proposals in float32. _accept_block certifies every accept decision
         against the values' bounds and decides the rest on the canonical,
         BLAS-free log-KDE, so each decision is the one the canonical values
         make, whatever the BLAS kernel. A block holds as many steps as fit n
         rows each in _NN_BLOCK_ENTRIES // |W| rows, and at least one.
-        _screened_log_kde scores its rows in blocks of at most that many, so
+        store._log_kde scores its rows in blocks of at most that many, so
         the float32 kernels stay within one decode block however many
         chains there are."""
         store, sigma, steps = self.store, self._sigma, self.config.mh_steps
@@ -514,7 +367,7 @@ class Mechanism:
             return z
 
         x = center + proposals(n)
-        value, bound = _screened_log_kde(store, x, sigma)
+        value, bound = store._log_kde(x, sigma)
         per_block = max(1, _NN_BLOCK_ENTRIES // len(store) // max(n, 1))
         cols = np.arange(n)
         for lo in range(0, steps, per_block):
@@ -525,7 +378,7 @@ class Mechanism:
             log_u = np.log(uniforms.gen.uniform(size=(k, n)))
             values, bounds = np.empty((k + 1, n)), np.empty((k + 1, n))
             values[0], bounds[0] = value, bound
-            scored = _screened_log_kde(store, states[1:].reshape(k * n, dim), sigma)
+            scored = store._log_kde(states[1:].reshape(k * n, dim), sigma)
             values[1:], bounds[1:] = (a.reshape(k, n) for a in scored)
             held = _accept_block(store, sigma, states, values, bounds, log_u)
             x, value, bound = states[held, cols], values[held, cols], bounds[held, cols]

@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 from privtext.analysis import MetricDpReport
 from privtext.errors import MatrixFormatError
 from privtext.embeddings import _gemm_sq_distances
-from privtext.randomizers import MATRIX_TSV_MAGIC, TransitionMatrix, _canonical_log_kde
+from privtext.randomizers import MATRIX_TSV_MAGIC, TransitionMatrix
 from privtext.samplers import (
     MultivariateLaplaceParam, RngStream, sample_mv_laplace, sample_unit_sphere,
 )
@@ -247,7 +247,7 @@ def density_chain_by_step(store, rng, w, n, epsilon, sigma, mh_steps) -> np.ndar
     """n density chains for word w, one step at a time (_chain_by_step), on
     the library's streams: forks 0, 1 and 2 of a stream seeded by one
     integer drawn from rng give the unit directions, the Gamma(d, 1/eps)
-    radii and the uniforms. Each step is decided on _canonical_log_kde
+    radii and the uniforms. Each step is decided on store._canonical_log_kde
     values, which the library certifies each of its decisions against."""
     streams = RngStream(int(rng.gen.integers(2**63)))
     directions, radii, uniforms = (streams.fork(kind) for kind in range(3))
@@ -258,7 +258,7 @@ def density_chain_by_step(store, rng, w, n, epsilon, sigma, mh_steps) -> np.ndar
         return z
 
     def log_kde(points):
-        return np.array([_canonical_log_kde(store, p, sigma) for p in points])
+        return np.array([store._canonical_log_kde(p, sigma) for p in points])
 
     return _chain_by_step(store, w, mh_steps, noise, lambda: uniforms.gen.uniform(size=n), log_kde)
 

@@ -185,6 +185,13 @@ class TestVerifyMetricDp:
                 report = verify_metric_dp(matrix, store, eps)
                 assert report == verify_metric_dp_full(matrix, store, eps)
 
+    def test_output_no_word_reaches(self, toy3):
+        # column 2 is empty: it holds no violation, and the report is the
+        # full reference's
+        matrix = TransitionMatrix([[6, 4, 0], [10, 0, 0], [3, 7, 0]])
+        for eps in (0.5, 3.0):
+            assert verify_metric_dp(matrix, toy3, eps) == verify_metric_dp_full(matrix, toy3, eps)
+
     def test_huge_sample_count(self, toy3):
         # 1 - alpha**(1/n) loses every digit to cancellation as n grows (it
         # is 0 from n ~ 1e17); at the largest count it must stay exact
@@ -239,6 +246,11 @@ class TestPosterior:
         for observed in (1, np.array([0, 1])):
             with pytest.raises(UnreachableObservationError):
                 posterior([0.5, 0.5], m, observed=observed)
+
+    def test_two_dimensional_observed_rejected(self):
+        m = TransitionMatrix([[7, 3], [3, 7]])
+        with pytest.raises(ConfigError, match="1-D array of ids"):
+            posterior([0.5, 0.5], m, observed=[[0, 1]])
 
     def test_bad_observed_id_is_the_samplers_error(self, rng):
         # posterior raised a ConfigError of its own for the id that

@@ -176,6 +176,13 @@ class TestMatrix:
             sums[w] = sums.get(w, 0) + int(count)
         assert sums == dict.fromkeys("vwxyz", 1000)
 
+    def test_summary_on_stderr_without_quiet(self, emb, tmp_path, capsys):
+        out_file = tmp_path / "m.tsv"
+        code, out, err = run(["--embeddings", emb, "--out", str(out_file), "matrix",
+                              "--epsilon", "2", "--samples", "10"], capsys=capsys)
+        assert code == 0 and out == ""
+        assert err == "wrote 5x5 matrix, 10 samples/row\n"
+
 
 class TestSensitivity:
     def test_beta_zero_constant_smooth(self, emb, capsys):
@@ -377,6 +384,19 @@ class TestIngest:
         )
         assert code == 0
         assert out == "v w\n"
+
+    def test_summary_on_stderr_without_quiet(self, emb, tmp_path, capsys):
+        cache = tmp_path / "emb.npz"
+        code, out, err = run(["--embeddings", emb, "--out", str(cache), "ingest"], capsys=capsys)
+        assert code == 0 and out == ""
+        assert err == f"cached 5 words, dim 2 -> {cache}\n"
+
+    def test_out_is_required_before_the_embeddings_load(self, tmp_path, capsys):
+        # a missing file would be an i/o error (exit 3) if it were read first
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run(["--embeddings", missing, "ingest"], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == "error: ingest requires --out\n"
 
 
 class TestTextInAndOut:
@@ -692,6 +712,16 @@ class TestErrors:
             )
             assert code == 2 and out == "", config
             assert err.startswith("error:") and named in err and "Traceback" not in err
+
+    def test_unknown_truncation_strategy_exit_2(self, emb, tmp_path, capsys):
+        path = tmp_path / "lac.json"
+        path.write_text(json.dumps({"n_users": 2, "m_per_user": 1, "mechanism": {
+            "variant": "trunc_distance", "epsilon": 1.0, "tau": 2.0,
+            "trunc_strategy": "clip"}}), encoding="utf-8")
+        code, out, err = run(["--embeddings", emb, "pipeline", "--config", str(path)],
+                             capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == "error: unknown truncation strategy 'clip'\n"
 
     @pytest.mark.parametrize("field", list(REAL_FIELDS))
     def test_real_field_not_a_number_exit_2(self, field, emb, tmp_path, capsys):

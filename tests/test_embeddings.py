@@ -142,6 +142,32 @@ class TestLoad:
         assert s1.words == s2.words
         assert np.array_equal(s1.vectors, s2.vectors)
 
+    def test_from_arrays_with_no_words(self):
+        with pytest.raises(EmptyVocabularyError):
+            EmbeddingStore.from_arrays([], np.zeros((0, 2)))
+
+    def test_cache_of_format_2_members_loads_alike(self, tmp_path, toy3):
+        # NumPy writes an .npy member in format 2.0 when its header outgrows
+        # format 1.0's; the loader reads both headers
+        path = tmp_path / "v2.npz"
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, arr in (("magic", np.array(CACHE_MAGIC)), ("words", np.array(toy3.words)),
+                              ("vectors", toy3.vectors)):
+                member = io.BytesIO()
+                np.lib.format.write_array(member, arr, version=(2, 0))
+                assert member.getvalue()[6:8] == b"\x02\x00"
+                zf.writestr(f"{name}.npy", member.getvalue())
+        back = load_cache(path)
+        assert back.words == toy3.words and np.array_equal(back.vectors, toy3.vectors)
+
+    def test_cache_of_another_magic_names_the_file(self, tmp_path, toy3):
+        path = tmp_path / "other.npz"
+        np.savez(path, magic=np.array("privtext-embeddings-v1"), words=np.array(toy3.words),
+                 vectors=toy3.vectors)
+        with pytest.raises(EmbeddingFormatError,
+                           match=f"^{re.escape(str(path))}: not a privtext embedding cache$"):
+            load_cache(path)
+
     def test_cache_round_trip(self, tmp_path, toy3):
         path = tmp_path / "emb.npz"
         save_cache(toy3, path)
@@ -738,22 +764,22 @@ class TestScreen:
         screen = store._screen
         store.nearest_words(store.vectors[3:9], candidate_ids=[1, 2, 3])
         assert store._screen is screen
-        for arr in (screen.vectors, screen.upper, screen.spread):
+        for arr in (screen.aug, screen.upper, screen.spread):
             assert arr.dtype == np.float32 and not arr.flags.writeable
-        top = np.abs(screen.vectors).max()
+        top = np.abs(screen.aug[:-2]).max()
         assert 0.5 <= top < 1.0
         # centred on the store's mean, in float64, then scaled and rounded
         # once to float32
         assert np.array_equal(screen.mean, store.vectors.mean(axis=0))
         assert screen.mean.dtype == np.float64 and not screen.mean.flags.writeable
-        assert np.array_equal(screen.vectors.T,
+        assert np.array_equal(screen.aug[:-2].T,
                               ((store.vectors - screen.mean) * screen.scale).astype(np.float32))
 
     def test_vocabulary_major(self):
         # (d, |W|) and C-contiguous: a decode's GEMM takes it as it is stored
         store = random_store(np.random.default_rng(7), 300, 6)
-        vectors = store._screen.vectors
-        assert vectors.shape == (6, 300) and vectors.flags.c_contiguous
+        aug = store._screen.aug
+        assert aug.shape == (6 + 2, 300) and aug.flags.c_contiguous
 
     def test_decode_makes_no_copy_of_the_screen(self):
         store = random_store(np.random.default_rng(6), 2000, 128)
@@ -769,7 +795,7 @@ class TestScreen:
                 tracemalloc.stop()
             # a transposed copy would be the whole screen; hi is 12 x 2000
             # float32 at most
-            assert peak < screen.vectors.nbytes / 4
+            assert peak < screen.aug[:-2].nbytes / 4
             assert np.array_equal(got, nearest_by_cdist(store, points))
 
     def test_bound_covers_subnormal_rounding(self):
@@ -810,7 +836,7 @@ class TestScreen:
         finally:
             tracemalloc.stop()
         # a float64 temporary of the vocabulary alone would be 2x the copy
-        assert peak < 1.25 * screen.vectors.nbytes
+        assert peak < 1.25 * screen.aug[:-2].nbytes
 
     def test_decode_block_is_half_the_float64_block(self):
         # one full block: 2**20 (row, candidate) entries, 8 MiB as float64
@@ -1257,7 +1283,8 @@ def certified_outputs(vecs, seed) -> list:
 def test_a_looser_bound_changes_no_output(n, dim, kind, seed):
     # Every certificate decides only what its exact path would decide: with
     # every rounding bound 10^4 times as wide, more decisions go to the
-    # exact paths, and every output keeps its bytes. Duplicated: a third of
+    # exact paths, and every output keeps its bytes; with every bound Inf,
+    # meaning "decide exactly", every decision goes there. Duplicated: a third of
     # the words repeat others; offset: 1e6 + 1e-3 N(0, 1); anisotropic: a
     # common mean 32 times the typical norm; subnormal: components below
     # float64's least normal number.
@@ -1276,4 +1303,9 @@ def test_a_looser_bound_changes_no_output(n, dim, kind, seed):
     bound = embeddings._sq_error_bound
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(embeddings, "_sq_error_bound", lambda *args: 1e4 * bound(*args))
+        assert certified_outputs(vecs, seed) == want
+    # an Inf bound makes Inf - Inf ends, NaN by design: those are the
+    # decisions sent to the exact paths
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        mp.setattr(embeddings, "_sq_error_bound", lambda *args: np.maximum(bound(*args), np.inf))
         assert certified_outputs(vecs, seed) == want

@@ -99,6 +99,10 @@ class TestConfig:
         cfg = MechanismConfig("trunc_distance", 1.0, tau=2.0)
         assert cfg.trunc_strategy == "project"
 
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown truncation strategy 'clip'$"):
+            MechanismConfig("trunc_distance", 1.0, tau=2.0, trunc_strategy="clip")
+
     def test_dict_round_trip(self):
         cfg = MechanismConfig("density", 1.5, sigma=0.7, mh_steps=52)
         assert MechanismConfig.from_dict(cfg.to_dict()) == cfg
@@ -265,8 +269,8 @@ class TestPerturbWords:
 
 
 def canonical_log_kdes(store, points, sigma):
-    """_canonical_log_kde at each row of a (n, d) array of points."""
-    return np.array([randomizers._canonical_log_kde(store, p, sigma)
+    """store._canonical_log_kde at each row of a (n, d) array of points."""
+    return np.array([store._canonical_log_kde(p, sigma)
                      for p in np.asarray(points, dtype=np.float64)])
 
 
@@ -278,14 +282,14 @@ class TestKdePrior:
         store = EmbeddingStore.from_arrays(["a"], [[1.0, 2.0]])
         z = np.array([3.0, 4.0])
         expected = -np.sum((z - np.array([1.0, 2.0])) ** 2) / (2 * 0.5**2)
-        assert randomizers._canonical_log_kde(store, z, 0.5) == pytest.approx(expected)
+        assert store._canonical_log_kde(z, 0.5) == pytest.approx(expected)
 
     def test_at_word_at_least_one(self, toy3):
         assert np.all(canonical_log_kdes(toy3, toy3.vectors, 1.0) >= 0.0)
 
     def test_two_far_words(self):
         store = EmbeddingStore.from_arrays(["a", "b"], [[0.0], [10.0]])
-        val = randomizers._canonical_log_kde(store, np.array([0.0]), 1.0)
+        val = store._canonical_log_kde(np.array([0.0]), 1.0)
         assert val == pytest.approx(math.log(1 + math.exp(-50)), abs=1e-12)
 
     @staticmethod
@@ -863,13 +867,15 @@ class TestDensityBlocks:
 
     # block caps in rows: the default (the whole chain in one block on this
     # store), 7 (a boundary mid-chain, 31 steps not a multiple of the
-    # block's steps) and 2 (n = 3 alone exceeds it: one step per block)
+    # block's steps) and 2 (n = 3 alone exceeds it: one step per block).
+    # The cap is set in both modules: the chain's blocks and the KDE's.
     @pytest.mark.parametrize("rows", [None, 7, 2])
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_matches_the_chain_by_step(self, monkeypatch, rows, n):
         store = clustered_store()
         if rows is not None:
-            monkeypatch.setattr(randomizers, "_NN_BLOCK_ENTRIES", rows * len(store))
+            for module in (randomizers, embeddings):
+                monkeypatch.setattr(module, "_NN_BLOCK_ENTRIES", rows * len(store))
         config = MechanismConfig("density", 1.0, sigma=0.5, mh_steps=31)
         for w in range(4):
             got = Mechanism(store, config).perturb_batch(RngStream(11).fork(w), w, n)
@@ -884,8 +890,9 @@ class TestDensityBlocks:
         config = MechanismConfig("density", 1.0, sigma=0.5, mh_steps=31)
         default, outs = randomizers._NN_BLOCK_ENTRIES, []
         for rows in (None, 7, 2):
-            monkeypatch.setattr(randomizers, "_NN_BLOCK_ENTRIES",
-                                default if rows is None else rows * len(store))
+            for module in (randomizers, embeddings):
+                monkeypatch.setattr(module, "_NN_BLOCK_ENTRIES",
+                                    default if rows is None else rows * len(store))
             outs.append(np.concatenate([
                 Mechanism(store, config).perturb_batch(RngStream(23).fork(w), w, n)
                 for w in range(4)
@@ -994,14 +1001,14 @@ class TestDensityLaw:
         # negated log-KDEs keep every certificate (|-v + c| = |v - c|) and
         # turn each accept decision to the wrong sign of the ratio
         store, steps, reference = case
-        screened, canonical = randomizers._screened_log_kde, randomizers._canonical_log_kde
+        screened, canonical = EmbeddingStore._log_kde, EmbeddingStore._canonical_log_kde
 
         def negated(store, points, sigma):
             values, bounds = screened(store, points, sigma)
             return -values, bounds
 
-        monkeypatch.setattr(randomizers, "_screened_log_kde", negated)
-        monkeypatch.setattr(randomizers, "_canonical_log_kde",
+        monkeypatch.setattr(EmbeddingStore, "_log_kde", negated)
+        monkeypatch.setattr(EmbeddingStore, "_canonical_log_kde",
                             lambda store, point, sigma: -canonical(store, point, sigma))
         assert floor_p_value(self.draws(store, steps), reference, len(store)) < 0.01
 
@@ -1039,10 +1046,10 @@ class TestScreenedKde:
         ])
         # past the screen's limit: 2^100 in the screen's units
         beyond = 1e40 * np.abs(vecs).max() * gen.normal(size=(2, dim))
-        values, bounds = randomizers._screened_log_kde(store, np.vstack([points, beyond]), sigma)
+        values, bounds = store._log_kde(np.vstack([points, beyond]), sigma)
         assert np.all(bounds[-2:] == np.inf)
         values, bounds = values[:-2], bounds[:-2]
-        canonical = np.array([randomizers._canonical_log_kde(store, p, sigma) for p in points])
+        canonical = np.array([store._canonical_log_kde(p, sigma) for p in points])
         assert np.all(bounds > 0)
         sure = np.isfinite(bounds)
         assert np.all(np.abs(values - canonical)[sure] <= bounds[sure])
@@ -1054,8 +1061,8 @@ class TestScreenedKde:
         sigma = store.median_nn_distance()
         points = store.vectors[:50] + sample_mv_laplace(
             RngStream(5), MultivariateLaplaceParam(50, 1.0), size=50)
-        values, bounds = randomizers._screened_log_kde(store, points, sigma)
-        canonical = np.array([randomizers._canonical_log_kde(store, p, sigma) for p in points])
+        values, bounds = store._log_kde(points, sigma)
+        canonical = np.array([store._canonical_log_kde(p, sigma) for p in points])
         assert np.all(np.abs(values - canonical) <= bounds)
         assert np.all(bounds < 1e-3)
 
@@ -1082,7 +1089,7 @@ class TestCertificateForcedOff:
 
     @pytest.fixture(autouse=True)
     def canonical_only(self, monkeypatch):
-        screened, canonical = randomizers._screened_log_kde, randomizers._canonical_log_kde
+        screened, canonical = EmbeddingStore._log_kde, EmbeddingStore._canonical_log_kde
         self.canonical_rows = 0
 
         def no_bound(store, points, sigma):
@@ -1093,8 +1100,8 @@ class TestCertificateForcedOff:
             self.canonical_rows += 1
             return canonical(store, point, sigma)
 
-        monkeypatch.setattr(randomizers, "_screened_log_kde", no_bound)
-        monkeypatch.setattr(randomizers, "_canonical_log_kde", counted)
+        monkeypatch.setattr(EmbeddingStore, "_log_kde", no_bound)
+        monkeypatch.setattr(EmbeddingStore, "_canonical_log_kde", counted)
 
     def test_pinned_digest(self):
         TestDensityDrawsPinned().test_digest()
@@ -1111,7 +1118,7 @@ def test_errors_within_the_bounds_change_no_draw(monkeypatch):
     # screened values moved by up to 0.3, each within a bound widened to
     # cover it: the float scan then errs on many decisions, and the settled
     # chains must still make the canonical ones
-    screened = randomizers._screened_log_kde
+    screened = EmbeddingStore._log_kde
     gen = np.random.default_rng(17)
 
     def moved(store, points, sigma):
@@ -1119,7 +1126,7 @@ def test_errors_within_the_bounds_change_no_draw(monkeypatch):
         shift = gen.uniform(-0.3, 0.3, size=values.shape)
         return values + shift, bounds + np.abs(shift) * (1 + 2.0**-20)
 
-    monkeypatch.setattr(randomizers, "_screened_log_kde", moved)
+    monkeypatch.setattr(EmbeddingStore, "_log_kde", moved)
     store = clustered_store()
     config = MechanismConfig("density", 1.0, sigma=0.5, mh_steps=61)
     for w in range(6):
@@ -1134,7 +1141,7 @@ def test_one_uncertain_step_settles_its_two_rows(monkeypatch, n):
     # one mid-block proposal's bound widened to Inf: its chain is walked
     # again from the block's start, and only that step's proposal and the
     # state it is weighed against take the canonical path
-    screened, canonical = randomizers._screened_log_kde, randomizers._canonical_log_kde
+    screened, canonical = EmbeddingStore._log_kde, EmbeddingStore._canonical_log_kde
     step, chain, widened, settled = 15, n // 2, [], []
 
     def one_uncertain(store, points, sigma):
@@ -1148,8 +1155,8 @@ def test_one_uncertain_step_settles_its_two_rows(monkeypatch, n):
         settled.append(point.copy())
         return canonical(store, point, sigma)
 
-    monkeypatch.setattr(randomizers, "_screened_log_kde", one_uncertain)
-    monkeypatch.setattr(randomizers, "_canonical_log_kde", recorded)
+    monkeypatch.setattr(EmbeddingStore, "_log_kde", one_uncertain)
+    monkeypatch.setattr(EmbeddingStore, "_canonical_log_kde", recorded)
     store = clustered_store()
     config = MechanismConfig("density", 1.0, sigma=0.5, mh_steps=31)
     for w in range(4):
@@ -1170,10 +1177,10 @@ def test_flat_prior_takes_the_closed_form(monkeypatch, sigma):
     # log-KDE is certified by the closed form, no row takes the canonical
     # path, and the chain still makes the canonical decisions
     store = clustered_store()
-    canonical, calls = randomizers._canonical_log_kde, []
+    canonical, calls = EmbeddingStore._canonical_log_kde, []
     gen = np.random.default_rng(47)
     points = store.vectors[gen.integers(0, len(store), size=20)] + 3 * gen.normal(size=(20, 5))
-    values, bounds = randomizers._screened_log_kde(store, points, sigma)
+    values, bounds = store._log_kde(points, sigma)
     want = np.array([canonical(store, p, sigma) for p in points])
     assert np.all(np.abs(values - want) <= bounds) and np.all(bounds < 2.0**-24)
 
@@ -1181,13 +1188,14 @@ def test_flat_prior_takes_the_closed_form(monkeypatch, sigma):
         calls.append(1)
         return canonical(store, point, sigma)
 
-    monkeypatch.setattr(randomizers, "_canonical_log_kde", counted)
+    monkeypatch.setattr(EmbeddingStore, "_canonical_log_kde", counted)
     config = MechanismConfig("density", 1.0, sigma=sigma, mh_steps=31)
     for w in range(4):
         got = Mechanism(store, config).perturb_batch(RngStream(43).fork(w), w, 3)
         assert calls == []
         want = density_chain_by_step(store, RngStream(43).fork(w), w, 3, 1.0, sigma, 31)
         assert np.array_equal(got, want)
+        calls.clear()  # the reference chain scores every row canonically
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -1205,8 +1213,8 @@ def test_partial_sums_within_the_bound(n_words, log_sigma, seed):
     sigma = 10.0**log_sigma
     points = np.vstack([store.vectors[gen.integers(0, n_words, size=6)]
                         + gen.normal(size=(6, 8)), 20 * gen.normal(size=(3, 8))])
-    values, bounds = randomizers._screened_log_kde(store, points, sigma)
-    canonical = np.array([randomizers._canonical_log_kde(store, p, sigma) for p in points])
+    values, bounds = store._log_kde(points, sigma)
+    canonical = np.array([store._canonical_log_kde(p, sigma) for p in points])
     assert np.all(np.isfinite(bounds))
     assert np.all(np.abs(values - canonical) <= bounds)
 
