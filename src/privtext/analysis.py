@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore
+from .embeddings import _NN_BLOCK_ENTRIES, _U, EmbeddingStore, _fold_least
 from .errors import (
     ConfigError, SingletonVocabularyError, UnreachableObservationError, require_count,
     require_nonnegative, require_probabilities, require_real, require_word_ids,
@@ -111,7 +111,9 @@ def verify_metric_dp(
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     n = matrix.sample_count
     eps_dist = store.pairwise_distances()
-    eps_dist *= epsilon
+    # a product past float64's range is Inf, and Inf is the right bound there
+    with np.errstate(over="ignore"):
+        eps_dist *= epsilon
     # 1 - alpha^(1/n) without the cancellation that rounds it to 0 at large n
     cp_upper = -math.expm1(math.log(alpha) / n)
 
@@ -167,25 +169,113 @@ def posterior(prior, matrix: TransitionMatrix, observed) -> Posterior:
     if np.ndim(observed) > 1:
         raise ConfigError("observed must be one id or a 1-D array of ids")
     flat = require_word_ids(observed, matrix.size)
-    # one row per id, so that each total sums a contiguous row
-    joint = matrix.counts.T[flat] / matrix.sample_count
+    # one row per id, so that each total sums a contiguous row, filled a
+    # block of ids at a time: the counts' columns are never copied whole
+    joint = np.empty((flat.size, matrix.size))
+    step = max(1, _BLOCK_ENTRIES // matrix.size)
+    for lo in range(0, flat.size, step):
+        np.divide(matrix.counts.T[flat[lo : lo + step]], matrix.sample_count,
+                  out=joint[lo : lo + step])
     joint *= prior
     total = joint.sum(axis=1)
     if np.any(total <= 0):
         raise UnreachableObservationError(
             f"observed word {flat[np.argmax(total <= 0)]} has zero likelihood under every input"
         )
-    probs = (joint / total[:, None]).T
+    joint /= total[:, None]
+    probs = joint.T
     return Posterior(observed=observed, probs=probs if np.ndim(observed) else probs[:, 0])
 
 
 def optimal_attack(store: EmbeddingStore, post: Posterior) -> int | np.ndarray:
     """Adversary guess minimizing the posterior-expected embedding distance
     to the true word, one guess per posterior column (an int for a 1-D
-    posterior); ties break to the lowest id."""
+    posterior); ties break to the lowest id.
+
+    The expected distances E = D P, D the cdist distances, are formed a
+    block of guesses at a time (_distance_blocks), and each column keeps its
+    least value, a guess holding it and its runner-up (_fold_least). A
+    computed E is within _sum_error_bound of the canonical one, math.fsum
+    of the rounded products d p: a column whose runner-up clears that
+    margin has its guess, whatever order the BLAS summed in, and the rest
+    take theirs from _fsum_argmin. No |W| x |W| array is held beside the
+    posterior."""
     _same_size(store, post.probs.shape[0], "posterior")
-    guess = np.argmin(store.pairwise_distances() @ post.probs, axis=0)
-    return int(guess) if guess.ndim == 0 else guess
+    probs = post.probs.reshape(len(store), -1)
+    k = probs.shape[1]
+    nearest = least, guess, runner_up = (
+        np.full(k, np.inf), np.zeros(k, dtype=np.int64), np.full(k, np.inf))
+    for lo, dist in _distance_blocks(store):
+        _fold_least(*nearest, slice(None), lo, dist @ probs, 0)
+    close = np.flatnonzero(~_apart(runner_up, least, _sum_error_bound(len(store))))
+    if close.size:
+        guess[close] = _fsum_argmin(store, probs[:, close], least[close])
+    return int(guess[0]) if post.probs.ndim == 1 else guess
+
+
+# entries in one block of the attack, guesses x words of its distances or
+# ids x words of the posterior's counts: 1 MiB of float64, an eighth of a
+# decode block (_NN_BLOCK_ENTRIES), 131 rows at |W| = 1000, so that no
+# block nor its expected distances comes near |W|^2
+_BLOCK_ENTRIES = _NN_BLOCK_ENTRIES // 8
+# keeps the margin of two sums positive, and its product with the bound
+# above the subnormal products' error (see _sum_error_bound)
+_SUM_FLOOR = 2.0**-1018
+
+
+def _distance_blocks(store: EmbeddingStore):
+    """(lo, rows) for each block of _BLOCK_ENTRIES // |W| guesses (at least
+    one) from lo on: rows their cdist distances to every word."""
+    n = len(store)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        yield lo, store.distance_rows(np.arange(lo, min(lo + step, n)))
+
+
+def _sum_error_bound(n: int) -> float:
+    """A relative bound gamma on the distance from a computed sum of n
+    products d p >= 0 (float64 d and p, summed in any order, with or without
+    FMA) to the canonical one, math.fsum of the rounded products: with
+    _SUM_FLOOR, two computed sums s > m whose canonical ones may be in
+    either order are never _apart."""
+    # Why this bound. Write T for the exact sum of the products, u for the
+    # unit roundoff, eta for the least subnormal and g = n u / (1 - n u).
+    # Every term is >= 0, so a computed sum c is within g T of T, plus n eta
+    # for products among the subnormals, and the canonical C within
+    # (2 u + u^2) T plus n eta / 2 (each product rounded once, fsum's result
+    # once). As T <= (c + n eta) / (1 - g), |c - C| <= delta c + 3 n eta
+    # with delta = (n + 2) u (1 + O(n u)), so C_s > C_m once s - m >
+    # delta (s + m) + 6 n eta. The test _apart computes rounds four times,
+    # each a relative u: gamma = 2 (n + 4) u covers delta and those with
+    # room for the O(n u) terms (n u < 1 / 4), and gamma _SUM_FLOOR =
+    # 16 (n + 4) eta covers 6 n eta.
+    return 2.0 * (n + 4) * _U
+
+
+def _apart(s, m, gamma):
+    """s - m > gamma (s + m + _SUM_FLOOR), elementwise for sums s, m >= 0:
+    no NaN arises, for an Inf s or gamma (an infinite bound: never apart)
+    included."""
+    return s - m > gamma * (s + m + _SUM_FLOOR)
+
+
+def _fsum_argmin(store: EmbeddingStore, probs, least) -> np.ndarray:
+    """The guess of each column of probs (|W|, c) by canonical expected
+    distances, math.fsum of the rounded products d p over the column's
+    support, the lowest id winning a tie. least is each column's least
+    computed expected distance: only a guess whose computed one is not
+    _apart from it can be the canonical argmin, and only those are summed."""
+    gamma = _sum_error_bound(len(store))
+    support = [np.flatnonzero(col) for col in probs.T]
+    best, out = np.full(probs.shape[1], np.inf), np.zeros(probs.shape[1], dtype=np.int64)
+    for lo, dist in _distance_blocks(store):
+        # row-major: each column meets its guesses in ascending id
+        for i, j in zip(*np.nonzero(~_apart(dist @ probs, least, gamma))):
+            at = support[j]
+            value = math.fsum(dist[i, at] * probs[at, j])
+            if value < best[j]:
+                best[j], out[j] = value, lo + i
+    return out
 
 
 def attack_accuracy(

@@ -163,7 +163,7 @@ def _audit_inputs(args) -> tuple:
     file as the store's do. scipy.spatial is imported first: imported after
     the TSV's parse, its long-lived objects kept the parse's freed heap
     resident (the |W| = 1000 matrix, verify-dp and attack audit peaked at
-    113.6-113.9 MiB that way, against 109.9-111.1 MiB, three pairs of runs)."""
+    95.8-96.1 MiB that way, against 93.6-94.0 MiB, three pairs of runs)."""
     import scipy.spatial.distance  # noqa: F401
     store = _load_store(args)
     with embeddings.text_file(args.matrix, MatrixFormatError) as fh:

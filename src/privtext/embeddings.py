@@ -11,7 +11,7 @@ mean, and _argmin_exact decides what its rounding bounds leave open. The
 same screen serves the sigma default's walk (median_nn_distance) and the
 density prior's KDE (_log_kde, with _canonical_log_kde as its BLAS-free
 reference); every screened point row comes from _screen_points. Only the
-whole-row and |W| x |W| queries (distance_row, pairwise_distances) call
+whole-row and |W| x |W| queries (distance_rows, pairwise_distances) call
 cdist itself, and import SciPy when they run.
 """
 from __future__ import annotations
@@ -204,8 +204,13 @@ class EmbeddingStore:
             # hi - spread - err below. A row past the screen's limit (err
             # Inf) is decided exactly over every candidate but a masked one.
             a, _, err = self._screen_points(block, d + 1)
-            out[lo : lo + len(block)] = _argmin_exact(block, self.vectors, ids, a @ cand, spread,
-                                                      err, None if words is None else at)
+            # an infinite bound (upper and spread Inf) raises invalid-value
+            # flags in the GEMM and makes Inf - Inf ends: NaN, which no test
+            # of _argmin_exact passes, so the row is decided exactly
+            with np.errstate(invalid="ignore"):
+                out[lo : lo + len(block)] = _argmin_exact(
+                    block, self.vectors, ids, a @ cand, spread, err,
+                    None if words is None else at)
         return out if ids is None else ids[out]
 
     def _screen_points(self, points, width):
@@ -345,13 +350,16 @@ class EmbeddingStore:
         )
 
     def distance_row(self, w: int) -> np.ndarray:
-        """A new (|W|,) array of w's distance to every word, one cdist row. A
-        whole row is where cdist outruns _pair_sq_distances, so SciPy is
-        imported here."""
+        """A new (|W|,) array of w's distance to every word: distance_rows' one row."""
+        return self.distance_rows([self.check_id(w)])[0]
+
+    def distance_rows(self, ids) -> np.ndarray:
+        """A new (len(ids), |W|) array of the distance from each word of ids
+        (1-D word ids) to every word, by cdist. Whole rows are where cdist
+        outruns _pair_sq_distances, so SciPy is imported here."""
         from scipy.spatial.distance import cdist
 
-        w = self.check_id(w)
-        return cdist(self.vectors[w : w + 1], self.vectors)[0]
+        return cdist(self.vectors[require_word_ids(ids, len(self.words))], self.vectors)
 
     def k_nearest(self, w: int, k: int) -> np.ndarray:
         """Ids of the k closest other vocabulary words to w, sorted by
@@ -365,9 +373,10 @@ class EmbeddingStore:
         return np.argsort(dists, kind="stable")[:k]
 
     def pairwise_distances(self) -> np.ndarray:
-        """Full |W| x |W| Euclidean distance matrix, by cdist. Only the audit
-        (verify_metric_dp, attack_accuracy) holds it, and imports SciPy for
-        it; per-word geometry comes from _tile_pass instead."""
+        """Full |W| x |W| Euclidean distance matrix, by cdist. Only
+        verify_metric_dp holds it, and imports SciPy for it; the attack
+        takes its rows a block at a time from distance_rows, and per-word
+        geometry comes from _tile_pass."""
         from scipy.spatial.distance import cdist
 
         return cdist(self.vectors, self.vectors)
@@ -406,12 +415,15 @@ class EmbeddingStore:
         def fold(words, _, tile, axis):
             np.minimum(least[words], tile.min(axis=axis), out=least[words])
 
-        self._tile_pass(form, np.float32, fold)
-        least = least.astype(np.float64)
         e = _sq_error_bound(0.0, 0.0, d, _U32, screen.eta)
-        upper = least + e
-        lower = least - screen.spread
-        lower -= float(screen.spread.max()) + e
+        # an infinite bound (upper and spread Inf) raises invalid-value flags
+        # in the GEMMs and makes Inf - Inf ends: NaN, which are refined below
+        with np.errstate(invalid="ignore"):
+            self._tile_pass(form, np.float32, fold)
+            least = least.astype(np.float64)
+            upper = least + e
+            lower = least - screen.spread
+            lower -= float(screen.spread.max()) + e
         k = n // 2
         first = k - 1 if n % 2 == 0 else k
         # a word whose upper end lies below the first rank's least possible
@@ -759,8 +771,9 @@ def _argmin_exact(points, vectors, ids, hi, spread, err, own=None):
     end reaches the least upper end, the lowest column winning a tie.
     own optionally names a column per row that no decision of that row
     takes, even one with err Inf (the word's own, for its nearest other
-    word). An infinite err or spread, or a NaN end that one makes, sends the
-    row to the exact distances. hi is overwritten with the lower ends."""
+    word). An infinite err or spread, or a NaN end that one makes (its
+    warning is _nearest's to silence), sends the row to the exact
+    distances. hi is overwritten with the lower ends."""
     rows = np.arange(hi.shape[0])
     if own is not None:
         hi[rows, own] = np.inf

@@ -165,6 +165,16 @@ def attack_decisions_per_observation(store, matrix, prior) -> np.ndarray:
     return decisions
 
 
+def attack_by_fsum(store, probs) -> np.ndarray:
+    """optimal_attack's guess for each column of a (|W|, k) posterior by
+    canonical expected distances: for every guess, math.fsum of the rounded
+    products of its cdist distances and the column, the lowest id winning a
+    tie."""
+    dist = cdist(store.vectors, store.vectors)
+    return np.array([int(np.argmin([math.fsum(row * col) for row in dist]))
+                     for col in np.asarray(probs).T], dtype=np.int64)
+
+
 def attack_accuracy_per_trial(store, rng, matrix, prior, n_trials) -> float:
     """attack_accuracy with per-observation decisions and one inverse-CDF
     lookup per trial in the cumulative counts, its uniform scaled to the

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from privtext import (
     Mechanism,
     MechanismConfig,
     RngStream,
+    analysis,
     attack_accuracy,
     build_transition_matrix,
     deniability_stats,
@@ -31,6 +33,7 @@ from privtext.randomizers import TransitionMatrix, sample_from_matrix
 from conftest import identity_batch, random_store, uniform_batch
 from oracles import (
     attack_accuracy_per_trial,
+    attack_by_fsum,
     attack_decisions_per_observation,
     distance,
     verify_metric_dp_full,
@@ -364,7 +367,7 @@ class TestOptimalAttack:
                 val = sum(probs[w] * distance(store, cand, w) for w in range(10))
                 if val < best_val - 1e-15:
                     best, best_val = cand, val
-            assert optimal_attack(store, post) == best
+            assert optimal_attack(store, post) == best == attack_by_fsum(store, probs[:, None])[0]
 
     def test_cluster_medoid(self):
         gen = np.random.default_rng(31)
@@ -378,6 +381,57 @@ class TestOptimalAttack:
         # ended in numpy's bare matmul ValueError
         with pytest.raises(ConfigError, match="posterior over 2 words"):
             optimal_attack(toy3, Posterior(0, np.array([0.5, 0.5])))
+
+    @staticmethod
+    def tied_cases():
+        """(store, posterior) pairs whose expected distances tie exactly: a
+        second half that duplicates the first, and 1-D stores, where every
+        guess between two weighted medians has the same expected distance;
+        dense, sparse and point-mass posteriors over them."""
+        gen = np.random.default_rng(38)
+        for n, dim in ((2, 1), (8, 1), (12, 2), (30, 3), (40, 8)):
+            vecs = gen.normal(size=(n, dim))
+            vecs[n // 2 :] = vecs[: n // 2]
+            for store in (EmbeddingStore.from_arrays([f"w{i}" for i in range(n)], vecs),
+                          random_store(gen, n, 1)):
+                keep = gen.uniform(size=(n, 6)) < [1.0, 1.0, 0.5, 0.5, 0.2, 0.0]
+                probs = gen.uniform(size=(n, 6)) * keep
+                probs[gen.integers(0, n, size=6), np.arange(6)] += 1.0
+                yield store, probs / probs.sum(axis=0)
+
+    def test_exact_ties_go_to_the_lowest_id(self):
+        # every word of the second half has the bytes of one in the first,
+        # so its expected distance ties with that word's, which must win
+        for store, probs in self.tied_cases():
+            guesses = optimal_attack(store, Posterior(0, probs))
+            assert guesses.tolist() == attack_by_fsum(store, probs).tolist()
+            if np.array_equal(store.vectors[len(store) // 2 :], store.vectors[: len(store) // 2]):
+                assert np.all(guesses < len(store) // 2)
+
+    def test_block_size_changes_no_guess(self, monkeypatch):
+        for store, probs in self.tied_cases():
+            want = optimal_attack(store, Posterior(0, probs))
+            # one guess per block, and every guess in one block
+            for entries in (1, len(store) ** 2):
+                monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", entries)
+                assert optimal_attack(store, Posterior(0, probs)).tolist() == want.tolist()
+
+    def test_infinite_bound_sends_every_column_to_fsum(self, monkeypatch):
+        # an infinite bound means "decide exactly", as the geometry's does,
+        # with no warning (the suite makes one an error)
+        fsum_argmin, columns = analysis._fsum_argmin, []
+
+        def counting(store, probs, least):
+            columns.append(probs.shape[1])
+            return fsum_argmin(store, probs, least)
+
+        cases = list(self.tied_cases())
+        want = [optimal_attack(store, Posterior(0, probs)) for store, probs in cases]
+        monkeypatch.setattr(analysis, "_fsum_argmin", counting)
+        monkeypatch.setattr(analysis, "_sum_error_bound", lambda n: math.inf)
+        got = [optimal_attack(store, Posterior(0, probs)) for store, probs in cases]
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+        assert columns == [probs.shape[1] for _, probs in cases]
 
 
 class TestAttackAccuracy:
@@ -421,11 +475,34 @@ class TestAttackAccuracy:
                 prior /= prior.sum()
                 ref = attack_decisions_per_observation(store, matrix, prior)
                 reachable = np.flatnonzero(ref >= 0)
-                decisions = optimal_attack(store, posterior(prior, matrix, reachable))
+                post = posterior(prior, matrix, reachable)
+                decisions = optimal_attack(store, post)
                 assert decisions.tolist() == ref[reachable].tolist()
+                assert decisions.tolist() == attack_by_fsum(store, post.probs).tolist()
                 assert attack_accuracy(store, RngStream(i), matrix, prior, 500) == (
                     attack_accuracy_per_trial(store, RngStream(i), matrix, prior, 500)
                 )
+
+    def test_holds_no_vocabulary_square_beside_the_posterior(self):
+        # the posterior of 1000 reachable outputs is one (|W|, 1000) float64
+        # array, 7.6 MiB; the distances and their products come a block of
+        # guesses at a time (a 9.9 MiB peak). Holding the |W| x |W| distances
+        # or their product, as a single GEMM did, adds 7.6 MiB each.
+        gen = np.random.default_rng(38)
+        n = 1000
+        store = random_store(gen, n, 50)
+        counts = np.zeros((n, n), dtype=np.int64)
+        for w in range(n):
+            support = np.append(gen.choice(n, size=20, replace=False), w)
+            np.add.at(counts[w], support, gen.multinomial(200, np.full(21, 1 / 21)))
+        matrix, prior = TransitionMatrix(counts), 1.0 / np.arange(1, n + 1) ** 1.1
+        tracemalloc.start()
+        try:
+            attack_accuracy(store, RngStream(0), matrix, prior / prior.sum(), 10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * n * n * 8
 
     def test_relabeling_invariance(self, rng):
         # tie-free geometry: permuting word ids must not change accuracy

@@ -228,6 +228,15 @@ class TestVerifyAndAttack:
         payload = parse_report(out)
         assert 0.0 <= payload["accuracy"] <= 1.0
 
+    def test_verify_dp_huge_epsilon_writes_no_warning(self, emb, matrix_file, capsys):
+        # eps * d overflowed to Inf, the right bound, with numpy's "overflow
+        # encountered in multiply" on stderr
+        code, _, err = run(
+            ["--embeddings", emb, "verify-dp", "--matrix", matrix_file, "--epsilon", "1e308"],
+            capsys=capsys,
+        )
+        assert code == 0 and err == ""
+
 
 class TestAuditReportsPinned:
     """The verify-dp and attack reports of a seeded matrix -> verify-dp ->
@@ -247,9 +256,22 @@ class TestAuditReportsPinned:
 
     @pytest.mark.parametrize("case", CASES)
     def test_digests(self, tmp_path, capsys, case):
-        import hashlib
+        flags, verify_digest, attack_digest = self.CASES[case]
+        assert self.digests(tmp_path, capsys, flags) == [verify_digest, attack_digest]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_attack_decided_exactly_reports_alike(self, tmp_path, capsys, monkeypatch, case):
+        # an infinite bound sends every posterior column to math.fsum
+        from privtext import analysis
 
         flags, verify_digest, attack_digest = self.CASES[case]
+        monkeypatch.setattr(analysis, "_sum_error_bound", lambda n: math.inf)
+        assert self.digests(tmp_path, capsys, flags) == [verify_digest, attack_digest]
+
+    @staticmethod
+    def digests(tmp_path, capsys, flags):
+        import hashlib
+
         vectors = np.random.default_rng(11).normal(scale=2.0, size=(30, 3))
         emb = tmp_path / "emb.txt"
         emb.write_text("".join(f"w{i} " + " ".join(map(repr, v)) + "\n"
@@ -267,7 +289,7 @@ class TestAuditReportsPinned:
             report = parse_report(out)
             del report["metadata"]
             digests.append(hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
-        assert digests == [verify_digest, attack_digest]
+        return digests
 
 
 class TestStats:

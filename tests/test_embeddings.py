@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from privtext import (
-    EmbeddingStore, Mechanism, MechanismConfig, RngStream, build_profile, embeddings,
+    EmbeddingStore, Mechanism, MechanismConfig, RngStream, analysis, build_profile, embeddings,
     load_embeddings,
 )
 from privtext.embeddings import CACHE_MAGIC, load_cache, save_cache
@@ -866,6 +866,13 @@ class TestKNearest:
         with pytest.raises(InvalidWordIdError):
             store.distance_row(40)
 
+    def test_distance_rows_are_cdist_rows(self):
+        vecs = np.random.default_rng(0).normal(size=(40, 64))
+        store = EmbeddingStore.from_arrays([f"w{i}" for i in range(40)], vecs)
+        for ids in ([5], [39, 0, 0], np.arange(40), []):
+            assert np.array_equal(store.distance_rows(ids),
+                                  cdist(vecs[np.asarray(ids, dtype=int)], vecs))
+
     def test_all_others_sorted(self, toy3):
         ids = toy3.k_nearest(0, 2)
         assert ids.dtype == np.int64
@@ -1242,8 +1249,8 @@ def test_nn_distances_make_no_screen_when_every_word_settles():
 def certified_outputs(vecs, seed) -> list:
     """The bytes of every output that a rounding certificate decides, or the
     error raised in its place: decodes with and without candidates,
-    nn_distances, the median, a short density batch and the sensitivity
-    profile, on a new store of vecs."""
+    nn_distances, the median, a short density batch, the sensitivity
+    profile and the attack's guesses, on a new store of vecs."""
     store = EmbeddingStore.from_arrays([f"w{i}" for i in range(len(vecs))], vecs)
     gen = np.random.default_rng(seed)
     n, dim = vecs.shape
@@ -1251,6 +1258,9 @@ def certified_outputs(vecs, seed) -> list:
     jitter = vecs.std() * gen.normal(size=(30, dim))
     points = np.vstack([vecs, (vecs[i] + vecs[j]) / 2, vecs[i] + jitter])
     cands = np.sort(gen.choice(n, size=max(1, n // 3), replace=False))
+    probs = gen.uniform(size=(n, 4)) * (gen.uniform(size=(n, 4)) < [1.0, 1.0, 0.3, 0.0])
+    probs[gen.integers(0, n, size=4), np.arange(4)] += 1.0
+    post = analysis.Posterior(0, probs / probs.sum(axis=0))
     density = MechanismConfig("density", 1.0, mh_steps=20)
 
     def profile():
@@ -1265,6 +1275,7 @@ def certified_outputs(vecs, seed) -> list:
         store.median_nn_distance,
         lambda: Mechanism(store, density).perturb_batch(RngStream(seed), 0, 5),
         profile,
+        lambda: analysis.optimal_attack(store, post),
     ):
         try:
             outputs.append(np.asarray(output()).tobytes())
@@ -1282,9 +1293,10 @@ def certified_outputs(vecs, seed) -> list:
 )
 def test_a_looser_bound_changes_no_output(n, dim, kind, seed):
     # Every certificate decides only what its exact path would decide: with
-    # every rounding bound 10^4 times as wide, more decisions go to the
-    # exact paths, and every output keeps its bytes; with every bound Inf,
-    # meaning "decide exactly", every decision goes there. Duplicated: a third of
+    # every rounding bound (the geometry's and the attack's sums') 10^4
+    # times as wide, more decisions go to the exact paths, and every output
+    # keeps its bytes; with every bound Inf, meaning "decide exactly", every
+    # decision goes there, with no warning. Duplicated: a third of
     # the words repeat others; offset: 1e6 + 1e-3 N(0, 1); anisotropic: a
     # common mean 32 times the typical norm; subnormal: components below
     # float64's least normal number.
@@ -1300,12 +1312,9 @@ def test_a_looser_bound_changes_no_output(n, dim, kind, seed):
     elif kind == "subnormal":
         vecs *= 1e-310
     want = certified_outputs(vecs, seed)
-    bound = embeddings._sq_error_bound
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(embeddings, "_sq_error_bound", lambda *args: 1e4 * bound(*args))
-        assert certified_outputs(vecs, seed) == want
-    # an Inf bound makes Inf - Inf ends, NaN by design: those are the
-    # decisions sent to the exact paths
-    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
-        mp.setattr(embeddings, "_sq_error_bound", lambda *args: np.maximum(bound(*args), np.inf))
-        assert certified_outputs(vecs, seed) == want
+    bound, sum_bound = embeddings._sq_error_bound, analysis._sum_error_bound
+    for widen in (lambda b: 1e4 * b, lambda b: np.maximum(b, np.inf)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embeddings, "_sq_error_bound", lambda *args: widen(bound(*args)))
+            mp.setattr(analysis, "_sum_error_bound", lambda n: float(widen(sum_bound(n))))
+            assert certified_outputs(vecs, seed) == want

@@ -381,6 +381,7 @@ WORD_ID_ARGS = {
     "EmbeddingStore.check_id.w": lambda v: TABLE_STORE.check_id(v),
     "EmbeddingStore.vector.w": lambda v: TABLE_STORE.vector(v),
     "EmbeddingStore.distance_row.w": lambda v: TABLE_STORE.distance_row(v),
+    "EmbeddingStore.distance_rows.ids": lambda v: TABLE_STORE.distance_rows([v]),
     "EmbeddingStore.k_nearest.w": lambda v: TABLE_STORE.k_nearest(v, 1),
     "Mechanism.perturb_batch.w": lambda v: BASELINE.perturb_batch(rng(), v, 1),
     "Mechanism.perturb_words.ids": lambda v: BASELINE.perturb_words(rng(), [v]),

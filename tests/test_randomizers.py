@@ -1236,6 +1236,7 @@ CORETYPE_PROBE = """
 import hashlib, sys
 import numpy as np
 from privtext import Mechanism, MechanismConfig, RngStream, EmbeddingStore, build_profile
+from privtext.analysis import Posterior, optimal_attack
 def digest(*arrays):
     return hashlib.sha256(b"".join(x.tobytes() for x in arrays)).hexdigest()
 gen = np.random.default_rng(0)
@@ -1259,15 +1260,20 @@ vecs[1000:] = vecs[:1000]
 print(digest(EmbeddingStore.from_arrays([f"w{i}" for i in range(2000)], vecs).nn_distances))
 vecs = 1e6 + 1e-3 * np.random.default_rng(31).normal(size=(400, 4))
 print(digest(EmbeddingStore.from_arrays([f"w{i}" for i in range(400)], vecs).nn_distances))
+# the attack's guesses on a dense posterior, each column a GEMM of 2000 terms
+probs = gen.uniform(size=(2000, 300))
+print(digest(optimal_attack(store, Posterior(0, probs / probs.sum(axis=0)))))
 """
 
 
 def test_density_draws_do_not_depend_on_the_blas_kernel():
     # Two OpenBLAS kernels whose GEMMs differ in their last bits give the
-    # density chain different screened values, and the tile walks different
-    # tiles; every accept decision is certified or taken on the canonical
-    # log-KDE, and every nearest-neighbour distance is cdist's, so the
-    # draws, the sensitivity profile and sigma agree. OPENBLAS_CORETYPE is
+    # density chain different screened values, the tile walks different
+    # tiles and the attack different expected distances; every accept
+    # decision is certified or taken on the canonical log-KDE, every
+    # nearest-neighbour distance is cdist's and every guess certified or
+    # taken on math.fsum, so the draws, the sensitivity profile, sigma and
+    # the guesses agree. OPENBLAS_CORETYPE is
     # set in the children's environment only.
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
@@ -1280,6 +1286,6 @@ def test_density_draws_do_not_depend_on_the_blas_kernel():
     (gemm32_a, gemm64_a, *results_a), (gemm32_b, gemm64_b, *results_b) = outputs
     if gemm32_a == gemm32_b and gemm64_a == gemm64_b:
         pytest.skip("the two OpenBLAS kernels give the same GEMM bytes on this host")
-    # the draws' digest, the profile's digest, sigma and the two
-    # nearest-neighbour digests
+    # the draws' digest, the profile's digest, sigma, the two
+    # nearest-neighbour digests and the attack's guesses
     assert results_a == results_b
